@@ -3,10 +3,13 @@
 Starts a real :class:`~repro.serve.PathServer` over a freshly built v2
 archive, once per worker count, and drives it with a thread-pool client:
 point retrievals (``/v1/retrieve``) and batch retrievals
-(``/v1/retrieve_many``) with per-request latency capture.  Emits one JSON
-blob (``BENCH_serve.json`` by default) reporting throughput (qps) and the
-p50/p99 latency per worker count, so CI can archive the scaling trajectory
-of the pre-fork fleet next to the compression timings.
+(``/v1/retrieve_many``) with per-request latency capture.  Each client
+thread keeps one persistent HTTP/1.1 connection, the way a real client
+does: a fresh connection per request would hide any per-request cost that
+only keep-alive pays (such as a delayed-ACK stall).  Emits one JSON blob
+(``BENCH_serve.json`` by default) reporting throughput (qps), the p50/p99
+latency and the reconnect count per worker count, so CI can archive the
+scaling trajectory of the pre-fork fleet next to the compression timings.
 
 A response sample is checked against direct store calls before anything
 is reported — a fast wrong answer would otherwise look like a win.
@@ -23,14 +26,14 @@ order-of-magnitude, not for truth.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import platform
 import tempfile
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -40,24 +43,50 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return ordered[index]
 
 
-def _get(url: str) -> bytes:
-    with urllib.request.urlopen(url, timeout=30) as resp:
-        return resp.read()
+def _client(host: str, port: int, urls: List[str]) -> Tuple[List[float], int]:
+    """GET *urls* in order over one keep-alive connection.
 
-
-def drive(address: str, urls: List[str], threads: int) -> Dict[str, object]:
-    """Fire *urls* from *threads* clients; returns qps and latency stats."""
+    Returns the per-request latencies and how often the connection had to
+    be reopened (``http.client`` reconnects silently when the server
+    closed it).
+    """
+    conn = http.client.HTTPConnection(host, port, timeout=30)
     latencies: List[float] = []
+    reconnects = 0
+    try:
+        for url in urls:
+            if latencies and conn.sock is None:
+                reconnects += 1
+            started = time.perf_counter()
+            conn.request("GET", url)
+            response = conn.getresponse()
+            body = response.read()
+            latencies.append(time.perf_counter() - started)
+            if response.status != 200:
+                raise SystemExit(f"GET {url} answered {response.status}: {body[:200]!r}")
+    finally:
+        conn.close()
+    return latencies, reconnects
 
-    def one(url: str) -> float:
-        started = time.perf_counter()
-        _get(address + url)
-        return time.perf_counter() - started
 
+def get_json(host: str, port: int, url: str):
+    """One GET on its own connection, decoded."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("GET", url)
+        return json.loads(conn.getresponse().read())
+    finally:
+        conn.close()
+
+
+def drive(host: str, port: int, urls: List[str], threads: int) -> Dict[str, object]:
+    """Split *urls* over *threads* keep-alive clients; qps and latency stats."""
+    shares = [urls[i::threads] for i in range(threads)]
     wall_started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        latencies = list(pool.map(one, urls))
+        results = list(pool.map(lambda share: _client(host, port, share), shares))
     wall = time.perf_counter() - wall_started
+    latencies = [latency for share, _ in results for latency in share]
     return {
         "requests": len(urls),
         "client_threads": threads,
@@ -66,6 +95,7 @@ def drive(address: str, urls: List[str], threads: int) -> Dict[str, object]:
         "p50_ms": round(percentile(latencies, 0.50) * 1e3, 3),
         "p99_ms": round(percentile(latencies, 0.99) * 1e3, 3),
         "max_ms": round(max(latencies) * 1e3, 3),
+        "reconnects": sum(reconnects for _, reconnects in results),
     }
 
 
@@ -113,14 +143,15 @@ def main(argv=None) -> int:
             config = ServeConfig(store_path, port=0, workers=workers)
             with PathServer(config) as server:
                 # Correctness gate, then a short warmup per worker count.
-                got = json.loads(_get(server.address + "/v1/retrieve?id=0"))
+                host, port = server.host, server.port
+                got = get_json(host, port, "/v1/retrieve?id=0")
                 if got != expected_first:
                     raise SystemExit(
                         f"served payload diverges from direct store: {got!r}"
                     )
-                drive(server.address, point_urls[: args.threads * 4], args.threads)
-                point = drive(server.address, point_urls, args.threads)
-                batched = drive(server.address, batch_urls, args.threads)
+                drive(host, port, point_urls[: args.threads * 4], args.threads)
+                point = drive(host, port, point_urls, args.threads)
+                batched = drive(host, port, batch_urls, args.threads)
             results.append({
                 "workers": workers,
                 "retrieve": point,
@@ -130,7 +161,8 @@ def main(argv=None) -> int:
             })
             print(f"workers={workers}: retrieve {point['qps']} qps "
                   f"(p50 {point['p50_ms']} ms, p99 {point['p99_ms']} ms); "
-                  f"retrieve_many {batched['qps']} qps", flush=True)
+                  f"retrieve_many {batched['qps']} qps; reconnects "
+                  f"{point['reconnects'] + batched['reconnects']}", flush=True)
     finally:
         os.unlink(store_path)
 

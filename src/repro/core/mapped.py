@@ -41,7 +41,6 @@ from repro.core.errors import (
 )
 from repro.core.serialize import (
     StoreV2Header,
-    _read_varint,
     loads_table,
     parse_order_section,
     parse_store_v2_header,
@@ -267,7 +266,13 @@ class MappedPathStore:
         return self._header.path_count
 
     def token(self, path_id: int) -> Tuple[int, ...]:
-        """The raw compressed token for *path_id*, parsed from the mapping."""
+        """The raw compressed token for *path_id*, parsed from the mapping.
+
+        The varint loop is inlined (this is the innermost loop of every
+        read) and bounded by the token's own end offset: a varint whose
+        continuation bit runs past it is corrupt, never a read into the
+        next token.
+        """
         self._check_id(path_id)
         index = self._offsets()
         header = self._header
@@ -283,7 +288,26 @@ class MappedPathStore:
         push = token.append
         pos = begin
         while pos < end:
-            value, pos = _read_varint(buf, pos)
+            value = buf[pos]
+            pos += 1
+            if value >= 0x80:
+                start = pos - 1
+                value &= 0x7F
+                shift = 7
+                while True:
+                    if pos >= end:
+                        self._raise_overrun(path_id, start, end)
+                    byte = buf[pos]
+                    pos += 1
+                    value |= (byte & 0x7F) << shift
+                    if byte < 0x80:
+                        break
+                    shift += 7
+                    if shift > 63:
+                        raise CorruptDataError(
+                            f"varint too long at byte offset {start} "
+                            "(corrupt stream)"
+                        )
             if value >= limit:
                 raise CorruptDataError(
                     f"token references supernode {value} beyond table "
@@ -291,6 +315,18 @@ class MappedPathStore:
                 )
             push(value)
         return tuple(token)
+
+    def _raise_overrun(self, path_id: int, start: int, end: int) -> None:
+        """A varint starting at *start* continues past its token's *end*."""
+        size = len(self._buf)
+        if end >= size:
+            raise TruncatedDataError(
+                f"truncated varint at byte offset {start} (buffer ends at {size})"
+            )
+        raise CorruptDataError(
+            f"varint at byte offset {start} runs past the end of path "
+            f"{path_id}'s token at byte offset {end}"
+        )
 
     def tokens(self) -> List[Tuple[int, ...]]:
         """All compressed tokens in path-id order (parses the full payload)."""

@@ -566,15 +566,17 @@ class ShardedPathStore:
     # -- fan-out queries -----------------------------------------------------------
 
     def _shard_query(self, index: int):
-        """(VertexIndex, SubpathSearcher) over shard *index*, built once."""
-        from repro.queries.index import VertexIndex
+        """(PathQueryEngine, SubpathSearcher) over shard *index*, built once.
+
+        Both share one :class:`~repro.queries.index.VertexIndex`
+        (``engine.index``).
+        """
+        from repro.queries.retrieval import PathQueryEngine
         from repro.queries.subpath_search import SubpathSearcher
 
         with self._lock:
             pair = self._queries.get(index)
-            if pair is None:
-                store = self._shards[index]
-            else:
+            if pair is not None:
                 return pair
         # Build outside the lock would race the shard open; shard() takes
         # the lock itself, so resolve the store first, then index it.
@@ -582,8 +584,8 @@ class ShardedPathStore:
         with self._lock:
             pair = self._queries.get(index)
             if pair is None:
-                vertex_index = VertexIndex(store)
-                pair = (vertex_index, SubpathSearcher(store, vertex_index))
+                engine = PathQueryEngine(store)
+                pair = (engine, SubpathSearcher(store, engine.index))
                 self._queries[index] = pair
         return pair
 
@@ -595,61 +597,53 @@ class ShardedPathStore:
 
     def paths_containing(self, vertex: int) -> List[int]:
         """Sorted global path ids whose decompressed form contains *vertex*."""
-        ids: List[int] = []
-        for index in range(self.shard_count):
-            vertex_index, _ = self._shard_query(index)
-            ids.extend(
-                self.manifest.global_id(index, local)
-                for local in vertex_index.paths_containing(vertex)
-            )
-        self._count_fanout(self.shard_count)
-        return sorted(ids)
+        return self.vertex_index().paths_containing(vertex)
 
     def affected_paths(self, issue_vertex: int) -> List[Tuple[int, ...]]:
         """Case 1 fan-out: all paths through *issue_vertex*, decompressed."""
         return self.retrieve_many(self.paths_containing(issue_vertex))
+
+    def _fan_out(self, query) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """Merge ``query(engine, searcher)``'s per-shard ``(ids, paths)``
+        hits into ascending global-id order."""
+        hits: List[Tuple[int, Tuple[int, ...]]] = []
+        for index in range(self.shard_count):
+            ids, paths = query(*self._shard_query(index))
+            hits.extend(
+                (self.manifest.global_id(index, local), path)
+                for local, path in zip(ids, paths)
+            )
+        self._count_fanout(self.shard_count)
+        hits.sort(key=lambda item: item[0])
+        return [pid for pid, _ in hits], [path for _, path in hits]
 
     def paths_between(self, source: int, destination: int) -> List[Tuple[int, ...]]:
         """Case 2 fan-out: all paths from *source* to *destination*.
 
         Identical semantics (and result order: ascending global id) to
         :meth:`repro.queries.retrieval.PathQueryEngine.paths_between` over
-        the monolithic store — candidates are pruned by each shard's vertex
-        index, terminals checked with one-vertex slices, and only actual
-        matches pay a full decompression.
+        the monolithic store — each shard runs that engine's decode-once
+        filter over its own candidates.
         """
-        hits: List[Tuple[int, Tuple[int, ...]]] = []
-        for index in range(self.shard_count):
-            vertex_index, _ = self._shard_query(index)
-            shard = self.shard(index)
-            for local in vertex_index.paths_containing_all((source, destination)):
-                head = shard.retrieve_slice(local, 0, 1)
-                if not head or head[0] != source:
-                    continue
-                if shard.retrieve_slice(local, -1, None) != (destination,):
-                    continue
-                hits.append(
-                    (self.manifest.global_id(index, local), shard.retrieve(local))
-                )
-        self._count_fanout(self.shard_count)
-        hits.sort(key=lambda item: item[0])
-        return [path for _, path in hits]
+        return self._fan_out(
+            lambda engine, _: engine.paths_between_hits(source, destination)
+        )[1]
+
+    def subpath_search_hits(
+        self, query: Sequence[int]
+    ) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """``(ids, paths)`` of the paths containing *query* contiguously,
+        in ascending global-id order."""
+        q = tuple(query)
+        return self._fan_out(lambda _, searcher: searcher.search_hits(q))
 
     def subpath_search_ids(self, query: Sequence[int]) -> List[int]:
         """Sorted global ids of paths containing *query* contiguously."""
-        ids: List[int] = []
-        for index in range(self.shard_count):
-            _, searcher = self._shard_query(index)
-            ids.extend(
-                self.manifest.global_id(index, local)
-                for local in searcher.search_ids(tuple(query))
-            )
-        self._count_fanout(self.shard_count)
-        return sorted(ids)
+        return self.subpath_search_hits(query)[0]
 
     def subpath_search(self, query: Sequence[int]) -> List[Tuple[int, ...]]:
         """The matching paths for :meth:`subpath_search_ids`, decompressed."""
-        return self.retrieve_many(self.subpath_search_ids(query))
+        return self.subpath_search_hits(query)[1]
 
     def vertex_index(self) -> "ShardedVertexIndex":
         """A global-id vertex index view (duck-types ``VertexIndex``)."""
@@ -740,10 +734,10 @@ class ShardedVertexIndex:
     def _merge(self, lookup) -> List[int]:
         ids: List[int] = []
         for index in range(self.store.shard_count):
-            vertex_index, _ = self.store._shard_query(index)
+            engine, _ = self.store._shard_query(index)
             ids.extend(
                 self.store.manifest.global_id(index, local)
-                for local in lookup(vertex_index)
+                for local in lookup(engine.index)
             )
         self.store._count_fanout(self.store.shard_count)
         return sorted(ids)

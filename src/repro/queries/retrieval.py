@@ -8,9 +8,13 @@ can fetch all affected IP nodes accurately."
 IP ... we need to investigate all intermediate IP nodes of network
 transactions ... by collecting all IP paths with given terminals."
 
-:class:`PathQueryEngine` answers both over a :class:`CompressedPathStore`,
-decompressing *only* the matching paths (the partial-decompression property
-the whole design exists to preserve).
+:class:`PathQueryEngine` answers both over a :class:`CompressedPathStore`
+(or any store with ``retrieve_many``) without bulk decompression: the
+vertex index narrows each query to its *candidates* — the paths containing
+every queried vertex — and only those are decoded, each exactly once, by
+one ``retrieve_many`` call.  The match test then runs on the decoded
+paths, in original vertex ids, so it needs no knowledge of the archive's
+token form or vertex order.
 """
 
 from __future__ import annotations
@@ -63,25 +67,27 @@ class PathQueryEngine:
     # -- Case 2 -------------------------------------------------------------------
 
     def paths_between(self, source: int, destination: int) -> List[Tuple[int, ...]]:
-        """All paths starting at *source* and ending at *destination*.
+        """All paths starting at *source* and ending at *destination*."""
+        return self.paths_between_hits(source, destination)[1]
 
-        The index narrows candidates to paths containing both vertices;
-        terminal positions are then checked through one-vertex
-        ``retrieve_slice`` probes (arithmetic over the expansion cache —
-        terminal positions are not indexed), so only the actual matches
-        pay for a full decompression.
+    def paths_between_hits(
+        self, source: int, destination: int
+    ) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """``(ids, paths)`` of the paths from *source* to *destination*.
+
+        The index narrows candidates to paths containing both vertices
+        (terminal positions are not indexed); each candidate is decoded
+        once and kept when its first and last vertices are the terminals.
+        Ids ascend, as the index returns them.
         """
-        candidate_ids = self.index.paths_containing_all((source, destination))
-        store = self.store
-        matches = []
-        for path_id in candidate_ids:
-            head = store.retrieve_slice(path_id, 0, 1)
-            if not head or head[0] != source:
-                continue
-            if store.retrieve_slice(path_id, -1, None) != (destination,):
-                continue
-            matches.append(store.retrieve(path_id))
-        return matches
+        candidates = self.index.paths_containing_all((source, destination))
+        ids: List[int] = []
+        paths: List[Tuple[int, ...]] = []
+        for path_id, path in zip(candidates, self.store.retrieve_many(candidates)):
+            if path[0] == source and path[-1] == destination:
+                ids.append(path_id)
+                paths.append(path)
+        return ids, paths
 
     def intermediate_vertices(self, source: int, destination: int) -> Set[int]:
         """Case 2's answer: all intermediate hops between two terminals."""

@@ -10,60 +10,37 @@ without bulk decompression:
    contains *every query vertex*; the supernode-aware
    :class:`~repro.queries.index.VertexIndex` intersects postings without
    decompressing anything.
-2. **compressed-form matching** — the query is matched against each
-   candidate's *token* by expanding symbols lazily left-to-right with
-   early exit, so a mismatch usually costs a handful of comparisons
-   instead of a full decompression.
+2. **decode once** — the candidates, and only they, are decoded by one
+   ``retrieve_many`` call; each is parsed and expanded exactly once, and
+   the hits' decoded paths are what a search returns.  The contiguity test
+   runs on those paths in original vertex ids, so a reordered store needs
+   no query translation.
 
 The result is exact; the test suite checks it against a brute-force scan.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.errors import InvalidInputError
 from repro.core.store import CompressedPathStore
 from repro.queries.index import VertexIndex
 
 Subpath = Tuple[int, ...]
 
 
-def _iter_expanded(token: Sequence[int], table) -> Iterator[int]:
-    """Lazily yield the decompressed vertices of a token.
-
-    Expansions come from the table's memoized
-    :class:`~repro.core.expansion.ExpansionCache`, so repeated scans over
-    the same archive (the candidate loop below) never re-derive a subpath.
-    """
-    base = table.base_id
-    expand = table.expansions().expand
-    for symbol in token:
-        if symbol >= base:
-            yield from expand(symbol)
-        else:
-            yield symbol
-
-
-def token_contains_subpath(token: Sequence[int], table, query: Sequence[int]) -> bool:
-    """``True`` when the token's decompressed form contains *query*
-    contiguously.
-
-    Streams the expansion with a rolling window of ``len(query)`` vertices;
-    never materializes the full path.
-    """
-    q = tuple(query)
-    if not q:
-        return True
-    window: List[int] = []
-    first = q[0]
-    for vertex in _iter_expanded(token, table):
-        window.append(vertex)
-        if len(window) > len(q):
-            window.pop(0)
-        if len(window) == len(q) and window[0] == first and tuple(window) == q:
-            return True
-    return False
+def _contains(path: Tuple[int, ...], query: Subpath) -> bool:
+    """``True`` when *query* (non-empty) occurs in *path* contiguously."""
+    first = query[0]
+    width = len(query)
+    position = -1
+    try:
+        while True:
+            position = path.index(first, position + 1)
+            if path[position : position + width] == query:
+                return True
+    except ValueError:
+        return False
 
 
 class SubpathSearcher:
@@ -87,38 +64,38 @@ class SubpathSearcher:
             return list(range(len(self.store)))
         return self.index.paths_containing_all(tuple(query))
 
-    def search_ids(self, query: Sequence[int]) -> List[int]:
-        """Path ids whose decompressed form contains *query* contiguously.
+    def search_hits(self, query: Sequence[int]) -> Tuple[List[int], List[Subpath]]:
+        """``(ids, paths)`` of the paths containing *query* contiguously.
 
-        *query* is in original vertex ids.  Over a reordered store the
-        tokens (and their expansions) live in new-id space, so the query
-        is translated once here before compressed-form matching; the
-        vertex index translates its own lookups.  A query vertex outside
-        the order cannot appear in any stored path — no matches.
+        *query* is in original vertex ids, and so are the decoded
+        candidates it is matched against.  Ids ascend.
         """
+        q = tuple(query)
+        candidates = self.candidate_ids(q)
+        paths = self.store.retrieve_many(candidates)
+        if len(q) <= 1:
+            return candidates, paths
+        ids: List[int] = []
+        hits: List[Subpath] = []
+        for path_id, path in zip(candidates, paths):
+            if _contains(path, q):
+                ids.append(path_id)
+                hits.append(path)
+        return ids, hits
+
+    def search_ids(self, query: Sequence[int]) -> List[int]:
+        """Path ids whose decompressed form contains *query* contiguously."""
         q = tuple(query)
         if len(q) == 1:
             return self.index.paths_containing(q[0])
-        order = getattr(self.store, "order", None)
-        matched = q
-        if order is not None:
-            try:
-                matched = order.apply_path(q)
-            except InvalidInputError:
-                return []
-        table = self.store.table
-        return [
-            pid
-            for pid in self.candidate_ids(q)
-            if token_contains_subpath(self.store.token(pid), table, matched)
-        ]
+        return self.search_hits(q)[0]
 
-    def search(self, query: Sequence[int]) -> List[Tuple[int, ...]]:
-        """The matching paths, decompressed (only the hits pay)."""
-        return self.store.retrieve_many(self.search_ids(query))
+    def search(self, query: Sequence[int]) -> List[Subpath]:
+        """The matching paths, decompressed."""
+        return self.search_hits(query)[1]
 
     def count(self, query: Sequence[int]) -> int:
-        """Number of paths containing *query* (nothing decompressed)."""
+        """Number of paths containing *query*."""
         return len(self.search_ids(query))
 
     def __repr__(self) -> str:

@@ -114,12 +114,11 @@ class StoreApp:
 
     def subpath_search(self, query: Sequence[int]) -> Dict[str, Any]:
         """``POST /v1/subpath_search`` — exact contiguous-subpath search."""
-        if hasattr(self.store, "subpath_search_ids"):
-            ids = self.store.subpath_search_ids(tuple(query))
+        if hasattr(self.store, "subpath_search_hits"):
+            ids, paths = self.store.subpath_search_hits(tuple(query))
         else:
             _, searcher = self._query_engines()
-            ids = searcher.search_ids(tuple(query))
-        paths = self.store.retrieve_batch(ids) if ids else []
+            ids, paths = searcher.search_hits(tuple(query))
         return {
             "query": list(query),
             "ids": list(ids),

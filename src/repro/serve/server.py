@@ -131,6 +131,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro.serve/1.0"
+    # TCP_NODELAY on every accepted connection (stdlib switch, applied in
+    # StreamRequestHandler.setup): a keep-alive reply must not wait on
+    # Nagle's algorithm for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------------
 
@@ -142,12 +146,20 @@ class _RequestHandler(BaseHTTPRequestHandler):
         return self.server.app  # type: ignore[attr-defined]
 
     def _reply(self, status: int, payload: Dict[str, Any]) -> None:
+        """Send the whole response — status line, headers, body — in one write.
+
+        ``end_headers()`` followed by a body write would put two segments
+        on the wire; see docs/serving.md ("Latency") for why that costs a
+        delayed-ACK interval on a keep-alive connection.
+        """
         body = encode_body(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # What end_headers() does, minus its separate flush: the body joins
+        # the header buffer and flush_headers() writes it all at once.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     # -- request entry points ------------------------------------------------------
 
@@ -349,6 +361,12 @@ class PathServer:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self.config.host, self.config.port))
             listener.listen(self.config.backlog)
+            # Every worker's selector wakes on each incoming connection, but
+            # only one accept() wins it.  Non-blocking, a loser gets EAGAIN
+            # (socketserver drops it and goes back to select); blocking, it
+            # would sit in accept() — deaf to shutdown() — until the next
+            # connection.  Accepted sockets are blocking either way.
+            listener.setblocking(False)
             context = multiprocessing.get_context("fork")
             for index in range(self.config.workers):
                 # The shared listener *is* the pre-fork design: every

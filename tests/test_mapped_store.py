@@ -16,7 +16,12 @@ import pickle
 import pytest
 
 from repro.core.config import MATCHER_BACKENDS, OFFSConfig
-from repro.core.errors import CorruptDataError, PathIdError, StateError
+from repro.core.errors import (
+    CorruptDataError,
+    PathIdError,
+    StateError,
+    TruncatedDataError,
+)
 from repro.core.mapped import MappedPathStore
 from repro.core.offs import OFFSCodec
 from repro.core.serialize import (
@@ -186,6 +191,38 @@ class TestValidation:
                 mapped.retrieve(bad)
             with pytest.raises(PathIdError):
                 mapped.retrieve_slice(bad, 0, 1)
+
+
+class TestTokenBounds:
+    """A varint may not continue past its own token's end offset."""
+
+    @staticmethod
+    def _blob_with_payload_flip(paths, flip_at):
+        """A v2 blob of *paths* (supernode table base 100) with the
+        continuation bit set on payload byte *flip_at*."""
+        store = CompressedPathStore(SupernodeTable(100, [(1, 2, 3)]))
+        store.extend(paths)
+        blob = bytearray(dumps_store_v2(store))
+        offset = loads_store_v2(bytes(blob))._header.payload_offset + flip_at
+        blob[offset] |= 0x80
+        return loads_store_v2(bytes(blob)), offset
+
+    def test_varint_running_into_next_token_is_corrupt(self):
+        # Token 0 is the single byte 0x05; token 1 starts with vertex 0, so
+        # an unbounded read would quietly decode 5 | (0 << 7) == 5.
+        mapped, offset = self._blob_with_payload_flip([(5,), (0, 7)], 0)
+        with pytest.raises(CorruptDataError) as exc_info:
+            mapped.token(0)
+        assert not isinstance(exc_info.value, TruncatedDataError)
+        assert f"byte offset {offset}" in str(exc_info.value)
+        assert mapped.token(1) == (0, 7)
+
+    def test_varint_running_off_the_buffer_is_truncated(self):
+        mapped, offset = self._blob_with_payload_flip([(5,), (0, 7)], 2)
+        with pytest.raises(TruncatedDataError) as exc_info:
+            mapped.token(1)
+        assert f"byte offset {offset}" in str(exc_info.value)
+        assert mapped.token(0) == (5,)
 
 
 class TestCloseSemantics:

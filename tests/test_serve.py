@@ -10,12 +10,14 @@ workers provably alive afterwards; a truncated archive must fail at
 *startup* with a typed error, never as a mid-request 500.
 """
 
+import http.client
 import json
 import multiprocessing
 import re
 import signal
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 from urllib.parse import urlencode
@@ -35,6 +37,7 @@ from repro.core.serialize import dump_store_file
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
 from repro.serve import PathServer, ServeConfig, check_store
+from repro.serve.server import _RequestHandler
 from repro.serve.protocol import encode_body, error_body, status_for
 
 from conftest import make_fd_leak_guard
@@ -243,6 +246,57 @@ class TestEndpointsMatchDirectCalls:
         status, body = get(server, "/v1/retrieve/", id=3)
         assert status == 200
         assert body["path"] == list(store.retrieve(3))
+
+
+# -- keep-alive latency ----------------------------------------------------------
+
+
+class TestKeepAlive:
+    """One persistent connection must not pay a delayed-ACK stall per request.
+
+    A reply split over two writes on a Nagle-enabled socket waits for the
+    client's delayed ACK (40 ms on Linux): 40 requests would take >= 1.6 s.
+    """
+
+    REQUESTS = 40
+
+    def _mixed_requests(self):
+        for i in range(self.REQUESTS):
+            kind = i % 3
+            if kind == 0:
+                yield "GET", f"/v1/retrieve?id={i % len(PATHS)}", None
+            elif kind == 1:
+                yield "POST", "/v1/retrieve_many", {"ids": [i % len(PATHS), 0]}
+            else:
+                yield "POST", "/v1/subpath_search", {"query": [2, 3]}
+
+    def test_nagle_is_disabled(self):
+        assert _RequestHandler.disable_nagle_algorithm is True
+
+    def test_shared_listener_is_non_blocking(self, server):
+        # Workers that lose an accept race must get EAGAIN, not park in
+        # accept() where graceful shutdown cannot reach them.
+        assert server._socket.getblocking() is False
+
+    def test_mixed_requests_on_one_connection_are_fast(self, server):
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.connect()
+            sock = conn.sock
+            started = time.perf_counter()
+            for method, target, payload in self._mixed_requests():
+                body = None if payload is None else json.dumps(payload).encode()
+                headers = {"Content-Type": "application/json"} if body else {}
+                conn.request(method, target, body=body, headers=headers)
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                assert not response.will_close
+                assert conn.sock is sock  # never reconnected
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 1.0, f"{self.REQUESTS} keep-alive requests took {elapsed:.2f} s"
 
 
 # -- fault injection: the server answers 4xx and stays up ------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import OFFSConfig
 from repro.core.offs import OFFSCodec
 from repro.core.store import CompressedPathStore
-from repro.queries.subpath_search import SubpathSearcher, token_contains_subpath
+from repro.queries.subpath_search import SubpathSearcher
 from repro.workloads.registry import make_dataset
 
 
@@ -25,38 +25,6 @@ def setup():
     codec = OFFSCodec(OFFSConfig(iterations=3, sample_exponent=0))
     store = CompressedPathStore.from_codec(dataset, codec)
     return dataset, store, SubpathSearcher(store)
-
-
-class TestTokenMatching:
-    def test_match_inside_supernode(self, setup):
-        dataset, store, _ = setup
-        table = store.table
-        # Any table entry's interior pair must be found inside its own use.
-        sid, subpath = next(iter(table))
-        token = (sid,)
-        assert token_contains_subpath(token, table, subpath[1:3])
-
-    def test_match_across_supernode_boundary(self, setup):
-        _, store, _ = setup
-        table = store.table
-        # Find a real token with a supernode followed by anything.
-        for token in store.tokens():
-            for i, symbol in enumerate(token[:-1]):
-                if symbol >= table.base_id:
-                    tail = table.expand(symbol)[-1]
-                    nxt = token[i + 1]
-                    nxt_head = table.expand(nxt)[0] if nxt >= table.base_id else nxt
-                    assert token_contains_subpath(token, table, (tail, nxt_head))
-                    return
-        pytest.skip("no supernode-adjacent token in this table")
-
-    def test_empty_query_matches(self, setup):
-        _, store, _ = setup
-        assert token_contains_subpath(store.token(0), store.table, ())
-
-    def test_no_match(self, setup):
-        _, store, _ = setup
-        assert not token_contains_subpath(store.token(0), store.table, (10**9, 10**9 + 1))
 
 
 class TestSearcher:
