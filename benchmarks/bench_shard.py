@@ -229,7 +229,7 @@ def _bench_build_backend(corpus, table, backend: str, shards: int, processes: in
         if sharded_store.tokens() != mono.tokens():
             raise SystemExit(f"sharded {backend} build diverges from monolithic tokens")
         sample = list(range(0, len(mono), max(1, len(mono) // 64)))
-        if sharded_store.retrieve_many(sample) != mono.retrieve_many(sample):
+        if sharded_store.retrieve_batch(sample) != mono.retrieve_batch(sample):
             raise SystemExit(f"sharded {backend} retrieval diverges from monolithic")
         sharded_store.close()
 

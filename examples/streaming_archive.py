@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Streaming ingestion with drift detection and segment rotation.
+"""Streaming ingestion with drift detection and table refits.
 
 The paper's deployment keeps collecting: "there are massive data to be
 collected by more tables every day", and at scale "it is preferable to adopt
@@ -10,17 +10,21 @@ processing".  This example runs that operational loop:
    builds a table and compresses everything after in flight;
 2. traffic drifts (a deployment migration changes the hot routes) — the
    windowed ratio monitor flags it;
-3. the operator rotates a :class:`SegmentedArchive`: a fresh segment with a
-   table trained on recent traffic, old segments staying decodable;
-4. queries keep working across segments.
+3. a :class:`ShardedIngest` runs the same stream into immutable shards and,
+   when a sealed memtable had drifted, refits the table for the shards
+   that follow — old shards keep their own tables and stay decodable;
+4. queries keep working across shards with different tables.
 
 Run:  python examples/streaming_archive.py
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 from repro.core.config import OFFSConfig
-from repro.core.segment import SegmentedArchive
+from repro.core.sharded import ShardedIngest, ShardedPathStore
 from repro.core.stream import StreamingCompressor
 from repro.graphs.topology import CloudTopology
 from repro.queries.analytics import compression_summary
@@ -54,34 +58,38 @@ def main() -> None:
     assert stream.drifted, "the regime change must be detected"
 
     # ------------------------------------------------------------------
-    # 3: respond by rotating a segmented archive.
+    # 3: respond by refitting: shards sealed after the drift get a table
+    #    trained on the drifted traffic.
     # ------------------------------------------------------------------
-    archive = SegmentedArchive(config=config, base_id=10_000_000)
-    archive.start_segment(epoch1[:1000])      # table from epoch-1 traffic
-    archive.extend(epoch1)
-    print(f"\nsegment 0 sealed: {len(archive):,} paths, "
-          f"CR {archive.compression_ratio():.2f}")
+    with tempfile.TemporaryDirectory() as workdir:
+        manifest = os.path.join(workdir, "traffic.rpsm")
+        with ShardedIngest(
+            manifest, config=config, train_after=1000, memtable_paths=1000,
+            window=400, refit_ratio=0.7, refit_on_drift=True, base_id=10_000_000,
+        ) as ingest:
+            ingest.feed_many(epoch1)
+            ingest.feed_many(epoch2)
+        assert ingest.refits >= 1, "the drifted memtable must trigger a refit"
 
-    archive.rotate(epoch2[:600])              # new table from recent traffic
-    archive.extend(epoch2)
-    print(f"segment 1 active: {len(archive):,} paths total in "
-          f"{archive.segment_count} segments, CR {archive.compression_ratio():.2f}")
+        with ShardedPathStore.open(manifest) as archive:
+            print(f"\n{len(archive):,} paths sealed into {archive.shard_count} shards "
+                  f"under {len(archive.table_fingerprints)} tables "
+                  f"({ingest.refits} refit), CR {archive.compression_ratio():.2f}")
 
-    # ------------------------------------------------------------------
-    # 4: cross-segment retrieval and queries still work.
-    # ------------------------------------------------------------------
-    first, last = archive.retrieve(0), archive.retrieve(len(archive) - 1)
-    assert first == tuple(epoch1[0]) and last == tuple(epoch2[-1])
+            # ----------------------------------------------------------
+            # 4: cross-shard retrieval and queries still work.
+            # ----------------------------------------------------------
+            first, last = archive.retrieve(0), archive.retrieve(len(archive) - 1)
+            assert first == tuple(epoch1[0]) and last == tuple(epoch2[-1])
 
-    issue = epoch2[0][3]  # a machine introduced by the migration
-    hits = archive.paths_containing(issue)
-    print(f"\nCase 1 across segments: machine {issue} appears in "
-          f"{len(hits):,} archived transactions")
+            issue = epoch2[0][3]  # a machine introduced by the migration
+            hits = archive.paths_containing(issue)
+            print(f"Case 1 across shards: machine {issue} appears in "
+                  f"{len(hits):,} archived transactions")
 
-    blob = archive.dumps()
-    restored = SegmentedArchive.loads(blob, config=config)
-    assert restored.retrieve_all() == archive.retrieve_all()
-    print(f"archive serializes to {len(blob):,} bytes and reloads losslessly")
+            assert archive.retrieve_all() == [tuple(p) for p in epoch1 + epoch2]
+            print(f"the archive ({archive.mapped_bytes:,} shard bytes) "
+                  "decodes losslessly")
 
 
 if __name__ == "__main__":

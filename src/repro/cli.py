@@ -67,7 +67,6 @@ from repro.paths.io import load_text, save_text
 from repro.paths.reorder import ORDER_STRATEGIES
 from repro.paths.dataset import PathDataset
 from repro.queries.analytics import compression_summary, hot_subpaths
-from repro.queries.retrieval import PathQueryEngine
 
 
 def _add_metrics_option(parser: argparse.ArgumentParser) -> None:
@@ -365,51 +364,25 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     store = _load_store(args.input)
-    from repro.core.sharded import ShardedPathStore
-
-    if isinstance(store, ShardedPathStore):
-        # Native fan-out: per-shard indexes (correct even when a streaming
-        # refit left shards with different tables), global-id answers.
-        if args.contains is not None:
-            paths = store.affected_paths(args.contains)
-        elif args.between is not None:
-            paths = store.paths_between(args.between[0], args.between[1])
-        elif args.via is not None:
-            from repro.queries.pattern import PathPattern, PatternSearcher
-
-            if len(args.via) < 2:
-                print("error: --via needs at least SRC and DST", file=sys.stderr)
-                return 1
-            searcher = PatternSearcher(store, store.vertex_index())
-            paths = searcher.search(
-                PathPattern.via(args.via[0], args.via[1:-1], args.via[-1])
-            )
-        else:
-            paths = store.subpath_search(args.subpath)
-        for path in paths:
-            print(" ".join(str(v) for v in path))
-        print(f"# {len(paths)} path(s)", file=sys.stderr)
-        return 0
-    engine = PathQueryEngine(store)
+    # Every store kind answers through the same reader surface; a sharded
+    # store fans out over per-shard indexes (correct even when a streaming
+    # refit left shards with different tables).
     if args.contains is not None:
-        paths = engine.affected_paths(args.contains)
+        paths = store.affected_paths(args.contains)
     elif args.between is not None:
-        src, dst = args.between
-        paths = engine.paths_between(src, dst)
+        paths = store.paths_between(args.between[0], args.between[1])
     elif args.via is not None:
         from repro.queries.pattern import PathPattern, PatternSearcher
 
         if len(args.via) < 2:
             print("error: --via needs at least SRC and DST", file=sys.stderr)
             return 1
-        searcher = PatternSearcher(store, engine.index)
+        searcher = PatternSearcher(store, store.vertex_index())
         paths = searcher.search(
             PathPattern.via(args.via[0], args.via[1:-1], args.via[-1])
         )
     else:
-        from repro.queries.subpath_search import SubpathSearcher
-
-        paths = SubpathSearcher(store, engine.index).search(args.subpath)
+        paths = store.subpath_search(args.subpath)
     for path in paths:
         print(" ".join(str(v) for v in path))
     print(f"# {len(paths)} path(s)", file=sys.stderr)

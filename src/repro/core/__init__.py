@@ -15,6 +15,9 @@ The paper's primary contribution lives here:
   flat-corpus layout and the rolling-hash backend with its vectorized
   batch kernel.
 * :mod:`repro.core.offs` — the :class:`OFFSCodec` façade.
+* :mod:`repro.core.reader` — :class:`PathReader`, the one read path
+  (retrieval, order inversion, size accounting, queries) every store
+  kind shares.
 * :mod:`repro.core.store` — per-path random-access compressed storage.
 * :mod:`repro.core.expansion` — the memoized supernode-expansion cache
   behind the decode fast path (batch kernel, slice retrieval).
@@ -64,8 +67,7 @@ from repro.core.parallel import (
     parallel_compress,
     parallel_decompress,
 )
-from repro.core.segment import SegmentedArchive
-from repro.core.stream import AutoSegmentingStream, StreamingCompressor
+from repro.core.stream import StreamingCompressor
 from repro.core.topdown import TopDownRefiner
 from repro.core.validate import ValidationReport, validate_store
 from repro.core.multilevel import MultiLevelCandidates
@@ -89,6 +91,7 @@ from repro.core.serialize import (
     loads_store_v2,
     loads_table,
 )
+from repro.core.reader import PathReader
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
 from repro.core.trie import TrieCandidates
@@ -98,7 +101,6 @@ __all__ = [
     "TuningResult",
     "ablation_overrides",
     "autotune",
-    "SegmentedArchive",
     "ValidationReport",
     "validate_store",
     "BuildReport",
@@ -131,7 +133,6 @@ __all__ = [
     "decompress_corpora",
     "parallel_compress",
     "parallel_decompress",
-    "AutoSegmentingStream",
     "StreamingCompressor",
     "TopDownRefiner",
     "HashCandidates",
@@ -147,6 +148,7 @@ __all__ = [
     "loads_store",
     "loads_store_v2",
     "loads_table",
+    "PathReader",
     "CompressedPathStore",
     "MappedPathStore",
     "ShardedIngest",

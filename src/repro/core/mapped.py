@@ -13,12 +13,11 @@ structures and Log(Graph)'s offset-indexed mmap layouts:
 * **O(1) seek.**  Path *i*'s tokens live at ``index[i]:index[i+1]`` in the
   payload; retrieval reads exactly those bytes through the mapping —
   the OS pages in only what queries touch.
-* **Same answers.**  ``retrieve`` / ``retrieve_slice`` / ``retrieve_many``
-  are result-identical to :class:`~repro.core.store.CompressedPathStore`
-  over the same archive (the round-trip property tests hold them to it),
-  and the reader duck-types the store's query surface, so
-  :class:`~repro.queries.index.VertexIndex`, the query engines and the CLI
-  work unchanged on top of either.
+* **Same answers.**  Retrieval, queries and size accounting come from
+  :class:`~repro.core.reader.PathReader`, the same code the in-memory
+  :class:`~repro.core.store.CompressedPathStore` runs; this class only
+  supplies the token source (header, lazy table/order, varint parse) and
+  the mapping's lifecycle.
 
 Write files with :func:`repro.core.serialize.dump_store_file`; open them
 with :func:`~repro.core.serialize.load_store_file`, :meth:`MappedPathStore.open`,
@@ -31,11 +30,10 @@ from __future__ import annotations
 import mmap
 import os
 import zlib
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.errors import (
     CorruptDataError,
-    PathIdError,
     StateError,
     TruncatedDataError,
 )
@@ -45,11 +43,12 @@ from repro.core.serialize import (
     parse_order_section,
     parse_store_v2_header,
 )
+from repro.core.reader import PathReader
 from repro.obs import catalog
 from repro.obs.runtime import get_active
 
 
-class MappedPathStore:
+class MappedPathStore(PathReader):
     """Read-only compressed path store over a v2 buffer or mapped file.
 
     :param buffer: the complete v2 blob — ``bytes``, ``mmap.mmap`` or any
@@ -90,7 +89,7 @@ class MappedPathStore:
             store = cls._open(path)
             if span is not None:
                 span.add("paths", len(store))
-                span.add("bytes", len(store._buf))
+                span.add("bytes", store.mapped_bytes)
         return store
 
     @classmethod
@@ -208,6 +207,11 @@ class MappedPathStore:
         else:
             self.__init__(state["buffer"], name=state["name"])
 
+    @property
+    def mapped_bytes(self) -> int:
+        """Size of the mapped archive — the whole v2 file when opened by path."""
+        return len(self._buf)
+
     # -- lazy sections ------------------------------------------------------------
 
     @property
@@ -244,13 +248,6 @@ class MappedPathStore:
             self._order_loaded = True
         return self._order
 
-    def _restore(self, path: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Invert the vertex order on an outgoing path (no-op when unordered)."""
-        order = self.order
-        if order is None:
-            return path
-        return order.invert_path(path)
-
     def _offsets(self):
         """The raw u64 offset index as a zero-copy memoryview cast."""
         if self._index is None:
@@ -260,7 +257,7 @@ class MappedPathStore:
             ].cast("Q")
         return self._index
 
-    # -- retrieval ----------------------------------------------------------------
+    # -- token source (the PathReader contract) ------------------------------------
 
     def __len__(self) -> int:
         return self._header.path_count
@@ -332,161 +329,16 @@ class MappedPathStore:
         """All compressed tokens in path-id order (parses the full payload)."""
         return [self.token(pid) for pid in range(len(self))]
 
-    def retrieve(self, path_id: int) -> Tuple[int, ...]:
-        """Decompress and return the single path *path_id*."""
-        from repro.core.compressor import decompress_path
-
-        self._check_id(path_id)
-        obs = get_active()
-        if obs is None:
-            return self._restore(decompress_path(self.token(path_id), self.table))
-        with obs.registry.timeit(catalog.STORE_RETRIEVE_SECONDS):
-            path = self._restore(decompress_path(self.token(path_id), self.table))
-        obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc()
-        return path
-
-    def retrieve_slice(
-        self, path_id: int, start: Optional[int] = None, stop: Optional[int] = None
-    ) -> Tuple[int, ...]:
-        """``retrieve(path_id)[start:stop]`` without full materialization.
-
-        Identical semantics to
-        :meth:`CompressedPathStore.retrieve_slice
-        <repro.core.store.CompressedPathStore.retrieve_slice>`.
-        """
-        from repro.core.expansion import slice_token
-
-        self._check_id(path_id)
-        obs = get_active()
-        if obs is None:
-            return self._restore(slice_token(
-                self.token(path_id), self.table.expansions(), start, stop
-            ))
-        with obs.registry.timeit(catalog.STORE_RETRIEVE_SLICE_SECONDS):
-            out = self._restore(slice_token(
-                self.token(path_id), self.table.expansions(), start, stop
-            ))
-        obs.registry.counter(catalog.STORE_RETRIEVED_SLICES).inc()
-        return out
-
-    def expanded_length(self, path_id: int) -> int:
-        """Decompressed length of *path_id* without expanding anything."""
-        self._check_id(path_id)
-        return self.table.expansions().token_length(self.token(path_id))
-
-    def retrieve_many(self, path_ids: Iterable[int]) -> List[Tuple[int, ...]]:
-        """Decompress exactly the given paths; ids validated up front."""
-        ids = list(path_ids)
-        for pid in ids:
-            self._check_id(pid)
-        return [self.retrieve(pid) for pid in ids]
-
-    def retrieve_batch(self, path_ids: Iterable[int]) -> List[Tuple[int, ...]]:
-        """Decompress the given paths through the flat batch kernel.
-
-        Result-identical to :meth:`retrieve_many` (ids validated up front,
-        output order follows input order) but funnels all tokens through one
-        :func:`~repro.core.compressor.decompress_paths_flat` call instead of
-        a per-path loop — the route multi-id requests take in
-        :mod:`repro.serve`.
-        """
-        from repro.core.compressor import decompress_paths_flat
-
-        ids = list(path_ids)
-        for pid in ids:
-            self._check_id(pid)
-        if not ids:
-            return []
-        tokens = [self.token(pid) for pid in ids]
-        obs = get_active()
-        if obs is None:
-            return self._restore_all(decompress_paths_flat(tokens, self.table))
-        with obs.registry.timeit(catalog.STORE_RETRIEVE_SECONDS):
-            out = self._restore_all(decompress_paths_flat(tokens, self.table))
-        obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc(len(ids))
-        return out
-
-    def retrieve_all(self) -> List[Tuple[int, ...]]:
-        """Decompress the full archive through the flat batch kernel."""
-        from repro.core.compressor import decompress_paths_flat
-
-        return self._restore_all(decompress_paths_flat(self.tokens(), self.table))
-
-    def _restore_all(self, paths: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-        """Invert the vertex order over a batch (no-op when unordered)."""
-        order = self.order
-        if order is None:
-            return paths
-        invert = order.invert_path
-        return [invert(p) for p in paths]
-
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        from repro.core.compressor import decompress_path
-
-        table = self.table
-        restore = self._restore
-        return (
-            restore(decompress_path(self.token(pid), table))
-            for pid in range(len(self))
-        )
-
     def to_store(self, matcher_backend: str = "hash"):
         """Materialize a fully in-memory :class:`CompressedPathStore` copy."""
         from repro.core.store import CompressedPathStore
 
-        store = CompressedPathStore(
-            self.table, matcher_backend=matcher_backend, order=self.order
+        return CompressedPathStore.from_tokens(
+            self.table, self.tokens(), matcher_backend=matcher_backend, order=self.order
         )
-        store._tokens.extend(self.tokens())
-        return store
-
-    # -- size accounting (same contracts as CompressedPathStore) -------------------
-
-    def compressed_symbol_count(self) -> int:
-        """Total integer symbols across all stored tokens."""
-        return sum(len(t) for t in self.tokens())
-
-    def compressed_size_bytes(self, encoding=None) -> int:
-        """``|P'| + |R|`` in bytes under *encoding* (default: the paper's)."""
-        from repro.paths.encoding import DEFAULT_ENCODING
-
-        encoding = encoding or DEFAULT_ENCODING
-        table = self.table
-        total = encoding.size_of_value(table.base_id)
-        for _, subpath in table:
-            total += encoding.size_of_value(len(subpath)) + encoding.size_of(subpath)
-        order = self.order
-        if order is not None:
-            total += order.size_bytes(encoding)
-        for token in self.tokens():
-            total += encoding.size_of_value(len(token)) + encoding.size_of(token)
-        return total
-
-    def raw_size_bytes(self, encoding=None) -> int:
-        """``|P|`` in bytes: what the uncompressed paths would cost."""
-        from repro.paths.encoding import DEFAULT_ENCODING
-
-        encoding = encoding or DEFAULT_ENCODING
-        total = 0
-        for path in self:
-            total += encoding.size_of_value(len(path)) + encoding.size_of(path)
-        return total
-
-    def compression_ratio(self, encoding=None) -> float:
-        """``CR = |P| / (|P'| + |R|)`` for the archive's contents."""
-        compressed = self.compressed_size_bytes(encoding)
-        return self.raw_size_bytes(encoding) / compressed if compressed else 0.0
-
-    # -- internals ----------------------------------------------------------------
-
-    def _check_id(self, path_id: int) -> None:
-        if not 0 <= path_id < self._header.path_count:
-            raise PathIdError(
-                f"path id {path_id} not in store of {self._header.path_count} paths"
-            )
 
     def __repr__(self) -> str:
         return (
             f"MappedPathStore(name={self.name!r}, paths={len(self)}, "
-            f"bytes={len(self._buf)})"
+            f"bytes={self.mapped_bytes})"
         )

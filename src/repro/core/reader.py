@@ -1,0 +1,272 @@
+"""The one read path: per-path random-access decompression over a token source.
+
+The paper's key property is that any single path decompresses on its own,
+``f^T : (Q', R) => Q`` (Algorithm 1).  :class:`PathReader` implements that
+operation — and everything built on it — exactly once, for every store
+kind.  A store supplies five members, the *token-source contract*:
+
+* ``__len__()`` — the number of paths;
+* ``token(path_id)`` — one compressed token (validating *path_id*);
+* ``tokens()`` — every token, in path-id order;
+* ``table`` — the :class:`~repro.core.supernode_table.SupernodeTable`
+  tokens expand against;
+* ``order`` — the persisted :class:`~repro.paths.reorder.VertexOrder`,
+  or ``None``.
+
+Over those, the reader provides retrieval (:meth:`~PathReader.retrieve`,
+:meth:`~PathReader.retrieve_slice`, :meth:`~PathReader.expanded_length`,
+:meth:`~PathReader.retrieve_batch`, :meth:`~PathReader.retrieve_all`,
+:meth:`~PathReader.retrieve_fraction`, iteration), order inversion (callers
+always speak original vertex ids), id checks, ``store.*`` observability,
+the paper's size accounting, and the Case 1/2 and subpath queries over a
+lazily built :class:`~repro.queries.index.VertexIndex`.
+
+:class:`~repro.core.store.CompressedPathStore` (in memory) and
+:class:`~repro.core.mapped.MappedPathStore` (mmap over a v2 file) keep only
+their storage code; :class:`~repro.core.sharded.ShardedPathStore` routes
+each call to the shard reader that owns the id.
+"""
+
+from __future__ import annotations
+
+import random
+import threading
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from repro.core.compressor import decompress_path, decompress_paths_flat
+from repro.core.errors import InvalidInputError, PathIdError
+from repro.core.expansion import slice_token
+from repro.obs import catalog
+from repro.obs.runtime import get_active
+from repro.paths.encoding import DEFAULT_ENCODING, Encoding
+
+Path = Tuple[int, ...]
+
+#: Guards the one-time query-engine build of every reader; a build happens
+#: once per store, so one lock for all of them never contends in practice.
+_QUERY_LOCK = threading.Lock()
+
+
+class PathReader:
+    """Retrieval, accounting and queries over the token-source contract."""
+
+    # -- retrieval ----------------------------------------------------------------
+
+    def retrieve(self, path_id: int) -> Path:
+        """Decompress and return the single path *path_id*."""
+        token = self.token(path_id)
+        obs = get_active()
+        if obs is None:
+            return self._restore(decompress_path(token, self.table))
+        with obs.registry.timeit(catalog.STORE_RETRIEVE_SECONDS):
+            path = self._restore(decompress_path(token, self.table))
+        obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc()
+        return path
+
+    def retrieve_slice(
+        self, path_id: int, start: Optional[int] = None, stop: Optional[int] = None
+    ) -> Path:
+        """``retrieve(path_id)[start:stop]`` without full-path materialization.
+
+        Python slice semantics (``None`` bounds, negatives, clamping; no
+        step).  Token symbols outside the window are *skipped by
+        arithmetic* over the expansion cache's precomputed lengths, so a
+        narrow window into a long path costs O(token prefix + window) —
+        the Fig. 6 "partial" access pattern at sub-path granularity.
+        """
+        token = self.token(path_id)
+        obs = get_active()
+        if obs is None:
+            return self._restore(slice_token(token, self.table.expansions(), start, stop))
+        with obs.registry.timeit(catalog.STORE_RETRIEVE_SLICE_SECONDS):
+            out = self._restore(slice_token(token, self.table.expansions(), start, stop))
+        obs.registry.counter(catalog.STORE_RETRIEVED_SLICES).inc()
+        return out
+
+    def expanded_length(self, path_id: int) -> int:
+        """Decompressed length of *path_id* in O(token) — nothing expanded."""
+        return self.table.expansions().token_length(self.token(path_id))
+
+    def retrieve_batch(self, path_ids: Iterable[int]) -> List[Path]:
+        """Decompress exactly the given paths, leaving the rest compressed.
+
+        This is the paper's partial decompression ``f^T : (Q', R) => Q``.
+        Every token is fetched (and its id validated) *before* any decode
+        work starts, so a bad id fails the whole call without side effects;
+        output order follows input order (duplicates repeat).  All tokens
+        go through one :func:`~repro.core.compressor.decompress_paths_flat`
+        call.
+        """
+        tokens = [self.token(pid) for pid in path_ids]
+        if not tokens:
+            return []
+        obs = get_active()
+        if obs is None:
+            return self._restore_all(decompress_paths_flat(tokens, self.table))
+        with obs.registry.timeit(catalog.STORE_RETRIEVE_SECONDS):
+            out = self._restore_all(decompress_paths_flat(tokens, self.table))
+        obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc(len(tokens))
+        return out
+
+    def retrieve_all(self) -> List[Path]:
+        """Decompress the full store through the flat kernel (Fig. 6a's DS)."""
+        obs = get_active()
+        if obs is None:
+            return self._restore_all(decompress_paths_flat(self.tokens(), self.table))
+        with obs.tracer.span(
+            catalog.SPAN_STORE_RETRIEVE_ALL
+        ) as span, obs.registry.timeit(catalog.STORE_RETRIEVE_ALL_SECONDS):
+            paths = self._restore_all(decompress_paths_flat(self.tokens(), self.table))
+            if span is not None:
+                span.add("paths", len(paths))
+        obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc(len(paths))
+        return paths
+
+    def retrieve_fraction(self, fraction: float, seed: int = 0) -> List[Path]:
+        """Decompress a uniform random *fraction* of paths (Fig. 6b's PDS).
+
+        Deterministic for a given *seed*.
+        """
+        if not 0.0 < fraction <= 1.0:
+            raise InvalidInputError("fraction must be in (0, 1]")
+        count = max(1, round(fraction * len(self)))
+        ids = random.Random(seed).sample(range(len(self)), count)
+        return self.retrieve_batch(ids)
+
+    def __iter__(self) -> Iterator[Path]:
+        """Iterate decompressed paths in path-id order, one token at a time."""
+        table = self.table
+        restore = self._restore
+        return (
+            restore(decompress_path(self.token(pid), table))
+            for pid in range(len(self))
+        )
+
+    # -- queries ------------------------------------------------------------------
+
+    def _queries(self):
+        """The ``(PathQueryEngine, SubpathSearcher)`` pair, built on first use.
+
+        Both share one :class:`~repro.queries.index.VertexIndex`.  A store
+        that grew since the build (in-memory appends) refreshes the index
+        incrementally before answering.
+        """
+        with _QUERY_LOCK:
+            pair = self.__dict__.get("_query_pair")
+            if pair is None:
+                from repro.queries.retrieval import PathQueryEngine
+                from repro.queries.subpath_search import SubpathSearcher
+
+                engine = PathQueryEngine(self)
+                pair = (engine, SubpathSearcher(self, engine.index))
+                self._query_pair = pair
+            elif pair[0].index.indexed_paths != len(self):
+                pair[0].index.refresh()
+            return pair
+
+    def vertex_index(self):
+        """The store's :class:`~repro.queries.index.VertexIndex`."""
+        return self._queries()[0].index
+
+    def paths_containing(self, vertex: int) -> List[int]:
+        """Sorted ids of the paths whose decompressed form contains *vertex*."""
+        return self.vertex_index().paths_containing(vertex)
+
+    def affected_paths(self, issue_vertex: int) -> List[Path]:
+        """Case 1: every path through *issue_vertex*, decompressed."""
+        return self.retrieve_batch(self.paths_containing(issue_vertex))
+
+    def paths_between_hits(
+        self, source: int, destination: int
+    ) -> Tuple[List[int], List[Path]]:
+        """``(ids, paths)`` of the paths from *source* to *destination*."""
+        return self._queries()[0].paths_between_hits(source, destination)
+
+    def paths_between(self, source: int, destination: int) -> List[Path]:
+        """Case 2: all paths from *source* to *destination*, ascending id."""
+        return self.paths_between_hits(source, destination)[1]
+
+    def subpath_search_hits(self, query: Sequence[int]) -> Tuple[List[int], List[Path]]:
+        """``(ids, paths)`` of the paths containing *query* contiguously."""
+        return self._queries()[1].search_hits(tuple(query))
+
+    def subpath_search_ids(self, query: Sequence[int]) -> List[int]:
+        """Sorted ids of the paths containing *query* contiguously."""
+        return self.subpath_search_hits(query)[0]
+
+    def subpath_search(self, query: Sequence[int]) -> List[Path]:
+        """The paths containing *query* contiguously, decompressed."""
+        return self.subpath_search_hits(query)[1]
+
+    # -- size accounting ----------------------------------------------------------
+
+    def compressed_symbol_count(self) -> int:
+        """Total integer symbols across all stored tokens."""
+        return sum(len(t) for t in self.tokens())
+
+    def compressed_size_bytes(self, encoding: Optional[Encoding] = None) -> int:
+        """``|P'| + |R|`` in bytes: tokens (with length markers) plus rules."""
+        if encoding is None:
+            encoding = DEFAULT_ENCODING
+        total = self._rule_bytes(encoding)
+        for token in self.tokens():
+            total += encoding.size_of_value(len(token)) + encoding.size_of(token)
+        obs = get_active()
+        if obs is not None:
+            obs.registry.set_gauge(catalog.STORE_COMPRESSED_BYTES, total)
+        return total
+
+    def _rule_bytes(self, encoding: Encoding) -> int:
+        """``|R|``: the table, plus the vertex order a reader needs to
+        restore original ids."""
+        table = self.table
+        total = encoding.size_of_value(table.base_id)
+        for _, subpath in table:
+            total += encoding.size_of_value(len(subpath)) + encoding.size_of(subpath)
+        order = self.order
+        if order is not None:
+            total += order.size_bytes(encoding)
+        return total
+
+    def raw_size_bytes(self, encoding: Optional[Encoding] = None) -> int:
+        """``|P|`` in bytes: what the uncompressed paths would cost.
+
+        Measured over *original* ids, so varint accounting prices the paths
+        the caller actually handed in.
+        """
+        if encoding is None:
+            encoding = DEFAULT_ENCODING
+        total = 0
+        for path in self:
+            total += encoding.size_of_value(len(path)) + encoding.size_of(path)
+        obs = get_active()
+        if obs is not None:
+            obs.registry.set_gauge(catalog.STORE_RAW_BYTES, total)
+        return total
+
+    def compression_ratio(self, encoding: Optional[Encoding] = None) -> float:
+        """``CR = |P| / (|P'| + |R|)`` for the store's current contents."""
+        compressed = self.compressed_size_bytes(encoding)
+        return self.raw_size_bytes(encoding) / compressed if compressed else 0.0
+
+    # -- internals ----------------------------------------------------------------
+
+    def _restore(self, path: Path) -> Path:
+        """Invert the vertex order on an outgoing path (no-op when unordered)."""
+        order = self.order
+        if order is None:
+            return path
+        return order.invert_path(path)
+
+    def _restore_all(self, paths: List[Path]) -> List[Path]:
+        """Invert the vertex order over a batch (no-op when unordered)."""
+        order = self.order
+        if order is None:
+            return paths
+        invert = order.invert_path
+        return [invert(p) for p in paths]
+
+    def _check_id(self, path_id: int) -> None:
+        count = len(self)
+        if not 0 <= path_id < count:
+            raise PathIdError(f"path id {path_id} not in store of {count} paths")

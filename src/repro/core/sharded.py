@@ -16,10 +16,9 @@ Log(Graph) lineage of partitioned compressed representations is built on:
   memtable fills it is *sealed* to an immutable v2 shard, LSM-style, and
   when the stream's drift watch trips the table is optionally refit, so
   ingest memory is bounded by memtable + table, never by dataset size;
-* **fan-out reads** (:class:`ShardedPathStore`) — the full query surface
-  (``retrieve``/``retrieve_slice``/``retrieve_many``/``retrieve_batch``/
-  ``expanded_length``/``paths_between``/``subpath_search``) routes global
-  path ids through the manifest to per-shard
+* **fan-out reads** (:class:`ShardedPathStore`) — the
+  :class:`~repro.core.reader.PathReader` read surface routes global path
+  ids through the manifest to per-shard
   :class:`~repro.core.mapped.MappedPathStore` readers, byte-identical to
   the same dataset in one monolithic v2 file.
 
@@ -63,10 +62,12 @@ from repro.core.errors import (
 )
 from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
 from repro.core.mapped import MappedPathStore
+from repro.core.reader import PathReader
 from repro.core.serialize import dumps_table, dumps_store_v2_tokens
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
 from repro.obs.runtime import get_active
+from repro.paths.encoding import Encoding
 
 #: Manifest file layout: magic(4) version(B) pad(3x) json_crc(I) json_len(I),
 #: then the UTF-8 JSON document.  See docs/formats.md.
@@ -278,14 +279,15 @@ def _write_file_atomic(path: str, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
-class ShardedPathStore:
+class ShardedPathStore(PathReader):
     """Fan-out reader over a manifest of v2 shards — one store, many files.
 
-    Duck-types the read surface of
-    :class:`~repro.core.mapped.MappedPathStore` (global path ids in, same
-    answers out) and adds the fan-out query endpoints
-    (:meth:`paths_between`, :meth:`subpath_search`) that run per shard with
-    each shard's *own* table, so they stay correct even when a streaming
+    A :class:`~repro.core.reader.PathReader` that only routes: a global id
+    is located in its shard and the call runs on that shard's reader, a
+    batch groups into one ``retrieve_batch`` per touched shard, and the
+    query endpoints (:meth:`paths_between_hits`,
+    :meth:`subpath_search_hits`) fan out over every shard — each decoding
+    with its *own* table, so answers stay correct even when a streaming
     refit left shards with different tables.
 
     Shards open lazily (header-only, O(1) each) and their table fingerprint
@@ -302,7 +304,6 @@ class ShardedPathStore:
         self._owner_pid = os.getpid()
         self._lock = threading.Lock()
         self._shards: List[Optional[MappedPathStore]] = [None] * manifest.shard_count
-        self._queries: Dict[int, Tuple[Any, Any]] = {}
         obs = get_active()
         if obs is not None:
             obs.registry.set_gauge(catalog.SHARD_COUNT, manifest.shard_count)
@@ -342,7 +343,6 @@ class ShardedPathStore:
     def close(self) -> None:
         """Close every shard opened so far."""
         with self._lock:
-            self._queries.clear()
             for index, shard in enumerate(self._shards):
                 if shard is not None:
                     shard.close()
@@ -486,7 +486,11 @@ class ShardedPathStore:
             return None
         return self.shard(0).order
 
-    # -- retrieval ----------------------------------------------------------------
+    # -- routing ------------------------------------------------------------------
+    #
+    # The token-source members route one id to its shard; every decoding
+    # call is the owning shard's own PathReader method, run with that
+    # shard's table and order.
 
     def __len__(self) -> int:
         return self.manifest.path_count
@@ -522,28 +526,19 @@ class ShardedPathStore:
         shard, local = self.manifest.locate(path_id)
         return self.shard(shard).expanded_length(local)
 
-    def retrieve_many(self, path_ids: Iterable[int]) -> List[Tuple[int, ...]]:
-        """Decompress exactly the given paths; ids validated up front."""
-        ids = list(path_ids)
-        located = [self.manifest.locate(pid) for pid in ids]
-        return [self.shard(shard).retrieve(local) for shard, local in located]
-
     def retrieve_batch(self, path_ids: Iterable[int]) -> List[Tuple[int, ...]]:
         """Batch retrieval through one flat-decode call *per touched shard*.
 
-        Result-identical to :meth:`retrieve_many` (validate-all-up-front,
-        output order follows input order); ids are grouped by shard and each
-        group funnels through that shard's
-        :meth:`~repro.core.mapped.MappedPathStore.retrieve_batch`.
+        Every id is located (validated) before any shard decodes; output
+        order follows input order.
         """
-        ids = list(path_ids)
-        located = [self.manifest.locate(pid) for pid in ids]
-        if not ids:
+        located = [self.manifest.locate(pid) for pid in path_ids]
+        if not located:
             return []
         by_shard: Dict[int, List[Tuple[int, int]]] = {}
         for position, (shard, local) in enumerate(located):
             by_shard.setdefault(shard, []).append((position, local))
-        out: List[Optional[Tuple[int, ...]]] = [None] * len(ids)
+        out: List[Optional[Tuple[int, ...]]] = [None] * len(located)
         for shard, entries in by_shard.items():
             paths = self.shard(shard).retrieve_batch([local for _, local in entries])
             for (position, _), path in zip(entries, paths):
@@ -563,31 +558,19 @@ class ShardedPathStore:
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return (self.retrieve(pid) for pid in range(len(self)))
 
+    def _rule_bytes(self, encoding: Encoding) -> int:
+        """Each distinct table (and the order riding with it) counted once,
+        so the total matches the monolithic store's when all shards share
+        one table."""
+        total = 0
+        seen: set = set()
+        for index, info in enumerate(self.manifest.shards):
+            if info.table_crc not in seen:
+                seen.add(info.table_crc)
+                total += self.shard(index)._rule_bytes(encoding)
+        return total
+
     # -- fan-out queries -----------------------------------------------------------
-
-    def _shard_query(self, index: int):
-        """(PathQueryEngine, SubpathSearcher) over shard *index*, built once.
-
-        Both share one :class:`~repro.queries.index.VertexIndex`
-        (``engine.index``).
-        """
-        from repro.queries.retrieval import PathQueryEngine
-        from repro.queries.subpath_search import SubpathSearcher
-
-        with self._lock:
-            pair = self._queries.get(index)
-            if pair is not None:
-                return pair
-        # Build outside the lock would race the shard open; shard() takes
-        # the lock itself, so resolve the store first, then index it.
-        store = self.shard(index)
-        with self._lock:
-            pair = self._queries.get(index)
-            if pair is None:
-                engine = PathQueryEngine(store)
-                pair = (engine, SubpathSearcher(store, engine.index))
-                self._queries[index] = pair
-        return pair
 
     def _count_fanout(self, shards_touched: int) -> None:
         obs = get_active()
@@ -595,20 +578,16 @@ class ShardedPathStore:
             obs.registry.counter(catalog.SHARD_FANOUT_QUERIES).inc()
             obs.registry.counter(catalog.SHARD_FANOUT_SHARDS).inc(shards_touched)
 
-    def paths_containing(self, vertex: int) -> List[int]:
-        """Sorted global path ids whose decompressed form contains *vertex*."""
-        return self.vertex_index().paths_containing(vertex)
-
-    def affected_paths(self, issue_vertex: int) -> List[Tuple[int, ...]]:
-        """Case 1 fan-out: all paths through *issue_vertex*, decompressed."""
-        return self.retrieve_many(self.paths_containing(issue_vertex))
+    def vertex_index(self) -> "ShardedVertexIndex":
+        """A global-id vertex index view (duck-types ``VertexIndex``)."""
+        return ShardedVertexIndex(self)
 
     def _fan_out(self, query) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """Merge ``query(engine, searcher)``'s per-shard ``(ids, paths)``
-        hits into ascending global-id order."""
+        """Merge ``query(shard)``'s per-shard ``(ids, paths)`` hits into
+        ascending global-id order."""
         hits: List[Tuple[int, Tuple[int, ...]]] = []
         for index in range(self.shard_count):
-            ids, paths = query(*self._shard_query(index))
+            ids, paths = query(self.shard(index))
             hits.extend(
                 (self.manifest.global_id(index, local), path)
                 for local, path in zip(ids, paths)
@@ -617,17 +596,12 @@ class ShardedPathStore:
         hits.sort(key=lambda item: item[0])
         return [pid for pid, _ in hits], [path for _, path in hits]
 
-    def paths_between(self, source: int, destination: int) -> List[Tuple[int, ...]]:
-        """Case 2 fan-out: all paths from *source* to *destination*.
-
-        Identical semantics (and result order: ascending global id) to
-        :meth:`repro.queries.retrieval.PathQueryEngine.paths_between` over
-        the monolithic store — each shard runs that engine's decode-once
-        filter over its own candidates.
-        """
-        return self._fan_out(
-            lambda engine, _: engine.paths_between_hits(source, destination)
-        )[1]
+    def paths_between_hits(
+        self, source: int, destination: int
+    ) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """Case 2 fan-out: each shard filters its own candidates with its
+        own table; results merge in ascending global id."""
+        return self._fan_out(lambda shard: shard.paths_between_hits(source, destination))
 
     def subpath_search_hits(
         self, query: Sequence[int]
@@ -635,68 +609,7 @@ class ShardedPathStore:
         """``(ids, paths)`` of the paths containing *query* contiguously,
         in ascending global-id order."""
         q = tuple(query)
-        return self._fan_out(lambda _, searcher: searcher.search_hits(q))
-
-    def subpath_search_ids(self, query: Sequence[int]) -> List[int]:
-        """Sorted global ids of paths containing *query* contiguously."""
-        return self.subpath_search_hits(query)[0]
-
-    def subpath_search(self, query: Sequence[int]) -> List[Tuple[int, ...]]:
-        """The matching paths for :meth:`subpath_search_ids`, decompressed."""
-        return self.subpath_search_hits(query)[1]
-
-    def vertex_index(self) -> "ShardedVertexIndex":
-        """A global-id vertex index view (duck-types ``VertexIndex``)."""
-        return ShardedVertexIndex(self)
-
-    # -- size accounting (same contracts as the monolithic stores) ------------------
-
-    def compressed_symbol_count(self) -> int:
-        """Total integer symbols across all stored tokens."""
-        return sum(
-            self.shard(index).compressed_symbol_count()
-            for index in range(self.shard_count)
-        )
-
-    def compressed_size_bytes(self, encoding=None) -> int:
-        """``|P'| + |R|`` in bytes — each distinct table counted once.
-
-        Value-identical to the monolithic store's accounting when all
-        shards share one table.
-        """
-        from repro.paths.encoding import DEFAULT_ENCODING
-
-        encoding = encoding or DEFAULT_ENCODING
-        total = 0
-        seen: set = set()
-        for index in range(self.shard_count):
-            shard = self.shard(index)
-            crc = self.manifest.shards[index].table_crc
-            if crc not in seen:
-                seen.add(crc)
-                table = shard.table
-                total += encoding.size_of_value(table.base_id)
-                for _, subpath in table:
-                    total += encoding.size_of_value(len(subpath)) + encoding.size_of(subpath)
-                # The order rides with the table: one copy per distinct
-                # fingerprint, matching the monolithic store's accounting.
-                if shard.order is not None:
-                    total += shard.order.size_bytes(encoding)
-            for token in shard.tokens():
-                total += encoding.size_of_value(len(token)) + encoding.size_of(token)
-        return total
-
-    def raw_size_bytes(self, encoding=None) -> int:
-        """``|P|`` in bytes: what the uncompressed paths would cost."""
-        return sum(
-            self.shard(index).raw_size_bytes(encoding)
-            for index in range(self.shard_count)
-        )
-
-    def compression_ratio(self, encoding=None) -> float:
-        """``CR = |P| / (|P'| + |R|)`` for the archive's contents."""
-        compressed = self.compressed_size_bytes(encoding)
-        return self.raw_size_bytes(encoding) / compressed if compressed else 0.0
+        return self._fan_out(lambda shard: shard.subpath_search_hits(q))
 
     def check(self) -> int:
         """Force-validate every shard (header, table CRC, fingerprint).
@@ -734,10 +647,9 @@ class ShardedVertexIndex:
     def _merge(self, lookup) -> List[int]:
         ids: List[int] = []
         for index in range(self.store.shard_count):
-            engine, _ = self.store._shard_query(index)
             ids.extend(
                 self.store.manifest.global_id(index, local)
-                for local in lookup(engine.index)
+                for local in lookup(self.store.shard(index).vertex_index())
             )
         self.store._count_fanout(self.store.shard_count)
         return sorted(ids)
@@ -912,11 +824,6 @@ class ShardedIngest:
     paths (``shard.refits`` counts these); older shards keep their original
     tables — every shard is self-contained, so readers never care.
 
-    With *background* sealing, the serialize-and-write of a sealed memtable
-    runs on a worker thread (at most one in flight) while ingestion
-    continues — the "stream mode that simultaneously handles reading and
-    processing" of the paper's Exp-2.
-
     :param out_path: manifest file; shard files land beside it.
     :param config: OFFS configuration for table (re)fits.
     :param train_after: warm-up paths buffered before the first table.
@@ -925,7 +832,6 @@ class ShardedIngest:
     :param refit_ratio: drift threshold (see ``StreamingCompressor``).
     :param refit_on_drift: refit the table when sealing a drifted memtable.
     :param base_id: explicit supernode id base for every table fit.
-    :param background: serialize/write sealed shards on a worker thread.
     """
 
     def __init__(
@@ -938,7 +844,6 @@ class ShardedIngest:
         refit_ratio: float = 0.5,
         refit_on_drift: bool = False,
         base_id: Optional[int] = None,
-        background: bool = False,
     ) -> None:
         from repro.core.stream import StreamingCompressor
 
@@ -952,7 +857,6 @@ class ShardedIngest:
         self.out_path = out_path
         self.memtable_paths = memtable_paths
         self.refit_on_drift = refit_on_drift
-        self.background = background
         self.refits = 0
         self._stream_args = dict(
             config=config,
@@ -967,7 +871,6 @@ class ShardedIngest:
         self._infos: List[ShardInfo] = []
         self._directory = os.path.dirname(os.path.abspath(out_path))
         self._stem = os.path.splitext(os.path.basename(out_path))[0]
-        self._pending: Optional[threading.Thread] = None
         self._closed = False
 
     # -- ingestion ------------------------------------------------------------------
@@ -1043,29 +946,26 @@ class ShardedIngest:
         if obs is not None:
             obs.registry.counter(catalog.SHARD_SEALED).inc()
             obs.registry.set_gauge(catalog.SHARD_MEMTABLE_PATHS, 0)
-        manifest_blob = dumps_manifest(ShardManifest(PARTITION_RANGE, self._infos))
         shard_file = os.path.join(self._directory, info.file)
-
-        def write() -> None:
-            _write_file_atomic(shard_file, dumps_store_v2_tokens(table, tokens))
-            _write_file_atomic(self.out_path, manifest_blob)
-
-        self._join_pending()
-        if self.background:
-            self._pending = threading.Thread(target=write, name="repro-shard-seal")
-            self._pending.start()
-        elif obs is not None:
+        if obs is None:
+            self._write_seal(shard_file, table, tokens)
+        else:
             with obs.tracer.span(catalog.SPAN_SHARD_SEAL) as span, obs.registry.timeit(
                 catalog.SHARD_SEAL_SECONDS
             ):
-                write()
+                self._write_seal(shard_file, table, tokens)
                 if span is not None:
                     span.add("paths", info.count)
                     span.add("shard", index)
-        else:
-            write()
         if self.refit_on_drift and drifted:
             self._refit(sealed_raw)
+
+    def _write_seal(self, shard_file: str, table, tokens) -> None:
+        """Publish a sealed shard, then the manifest that names it."""
+        _write_file_atomic(shard_file, dumps_store_v2_tokens(table, tokens))
+        _write_file_atomic(
+            self.out_path, dumps_manifest(ShardManifest(PARTITION_RANGE, self._infos))
+        )
 
     def _refit(self, training_paths: List[Tuple[int, ...]]) -> None:
         """Train the next memtable's table on the freshest sealed paths."""
@@ -1087,11 +987,6 @@ class ShardedIngest:
         if obs is not None:
             obs.registry.counter(catalog.SHARD_REFITS).inc()
 
-    def _join_pending(self) -> None:
-        if self._pending is not None:
-            self._pending.join()
-            self._pending = None
-
     # -- lifecycle ------------------------------------------------------------------
 
     @property
@@ -1108,7 +1003,6 @@ class ShardedIngest:
             return self.out_path
         if len(self._stream) > 0:
             self._seal()
-        self._join_pending()
         if not os.path.exists(self.out_path) or not self._infos:
             _write_file_atomic(
                 self.out_path, dumps_manifest(ShardManifest(PARTITION_RANGE, self._infos))

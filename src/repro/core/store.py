@@ -6,29 +6,26 @@ through an anomalous server, those between a client/terminal pair — and leave
 the rest compressed.  :class:`CompressedPathStore` is that storage layer:
 
 * paths are compressed individually at ingest and held as integer tokens;
-* :meth:`retrieve` decompresses exactly one path (``O(|P|)``, Lemma 1);
-* :meth:`retrieve_many` / :meth:`retrieve_fraction` support the partial
-  decompression measurements of Fig. 6b;
-* byte accounting (:meth:`compressed_size_bytes`, :meth:`raw_size_bytes`)
-  follows the paper's ``CR = |P| / (|P'| + |R|)``.
+* retrieval, queries and size accounting come from
+  :class:`~repro.core.reader.PathReader` — :meth:`retrieve` decompresses
+  exactly one path (``O(|P|)``, Lemma 1), :meth:`retrieve_batch` /
+  :meth:`retrieve_fraction` the partial decompression of Fig. 6b.
 
 The store is append-only; path ids are dense ints in insertion order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from repro.core.compressor import decompress_path
-from repro.core.errors import InvalidInputError, PathIdError
 from repro.core.matcher import CandidateSet, static_matcher_from_table
+from repro.core.reader import PathReader
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
 from repro.obs.runtime import get_active
-from repro.paths.encoding import DEFAULT_ENCODING, Encoding
 
 
-class CompressedPathStore:
+class CompressedPathStore(PathReader):
     """Compressed, individually-retrievable storage for a path set.
 
     :param table: the supernode table paths are compressed against.
@@ -200,7 +197,7 @@ class CompressedPathStore:
         )
         return ids
 
-    # -- retrieval ------------------------------------------------------------------
+    # -- token source (the PathReader contract) ------------------------------------
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -213,151 +210,6 @@ class CompressedPathStore:
     def tokens(self) -> List[Tuple[int, ...]]:
         """All compressed tokens, in path-id order (do not mutate)."""
         return self._tokens
-
-    def retrieve(self, path_id: int) -> Tuple[int, ...]:
-        """Decompress and return the single path *path_id*."""
-        self._check_id(path_id)
-        obs = get_active()
-        if obs is None:
-            return self._restore(decompress_path(self._tokens[path_id], self.table))
-        with obs.registry.timeit(catalog.STORE_RETRIEVE_SECONDS):
-            path = self._restore(decompress_path(self._tokens[path_id], self.table))
-        obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc()
-        return path
-
-    def retrieve_slice(
-        self, path_id: int, start: Optional[int] = None, stop: Optional[int] = None
-    ) -> Tuple[int, ...]:
-        """``retrieve(path_id)[start:stop]`` without full-path materialization.
-
-        Python slice semantics (``None`` bounds, negatives, clamping; no
-        step).  Token symbols outside the window are *skipped by
-        arithmetic* over the expansion cache's precomputed lengths, so a
-        narrow window into a long path costs O(token prefix + window) —
-        the Fig. 6 "partial" access pattern at sub-path granularity.
-        """
-        self._check_id(path_id)
-        from repro.core.expansion import slice_token
-
-        token = self._tokens[path_id]
-        obs = get_active()
-        if obs is None:
-            return self._restore(slice_token(token, self.table.expansions(), start, stop))
-        with obs.registry.timeit(catalog.STORE_RETRIEVE_SLICE_SECONDS):
-            out = self._restore(slice_token(token, self.table.expansions(), start, stop))
-        obs.registry.counter(catalog.STORE_RETRIEVED_SLICES).inc()
-        return out
-
-    def expanded_length(self, path_id: int) -> int:
-        """Decompressed length of *path_id* in O(token) — nothing expanded."""
-        self._check_id(path_id)
-        return self.table.expansions().token_length(self._tokens[path_id])
-
-    def retrieve_many(self, path_ids: Iterable[int]) -> List[Tuple[int, ...]]:
-        """Decompress exactly the given paths, leaving the rest compressed.
-
-        This is the paper's partial decompression ``f^T : (Q', R) => Q``.
-        Every id is validated *before* any decode work starts, so a bad id
-        fails the whole call without side effects (no partially-counted
-        ``store.retrieved_paths``, no wasted expansion).
-        """
-        ids = list(path_ids)
-        for pid in ids:
-            self._check_id(pid)
-        return [self.retrieve(pid) for pid in ids]
-
-    def retrieve_all(self) -> List[Tuple[int, ...]]:
-        """Decompress the full store (the DS measurement of Fig. 6a)."""
-        table = self.table
-        restore = self._restore
-        obs = get_active()
-        if obs is None:
-            return [restore(decompress_path(t, table)) for t in self._tokens]
-        with obs.tracer.span(
-            catalog.SPAN_STORE_RETRIEVE_ALL
-        ) as span, obs.registry.timeit(catalog.STORE_RETRIEVE_ALL_SECONDS):
-            paths = [restore(decompress_path(t, table)) for t in self._tokens]
-            if span is not None:
-                span.add("paths", len(paths))
-        obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc(len(paths))
-        return paths
-
-    def retrieve_fraction(self, fraction: float, seed: int = 0) -> List[Tuple[int, ...]]:
-        """Decompress a uniform random *fraction* of paths (Fig. 6b's PDS).
-
-        Deterministic for a given *seed*.
-        """
-        import random
-
-        if not 0.0 < fraction <= 1.0:
-            raise InvalidInputError("fraction must be in (0, 1]")
-        count = max(1, round(fraction * len(self._tokens)))
-        rng = random.Random(seed)
-        ids = rng.sample(range(len(self._tokens)), count)
-        return self.retrieve_many(ids)
-
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        """Iterate decompressed paths in path-id order."""
-        table = self.table
-        restore = self._restore
-        return (restore(decompress_path(t, table)) for t in self._tokens)
-
-    # -- size accounting ----------------------------------------------------------------
-
-    def compressed_symbol_count(self) -> int:
-        """Total integer symbols across all stored tokens."""
-        return sum(len(t) for t in self._tokens)
-
-    def compressed_size_bytes(self, encoding: Encoding = DEFAULT_ENCODING) -> int:
-        """``|P'| + |R|`` in bytes: tokens (with length markers) plus table.
-
-        A persisted vertex order is part of ``R`` (a reader needs it to
-        restore original ids), so its backward map is charged here too.
-        """
-        total = encoding.size_of_value(self.table.base_id)
-        for _, subpath in self.table:
-            total += encoding.size_of_value(len(subpath)) + encoding.size_of(subpath)
-        if self.order is not None:
-            total += self.order.size_bytes(encoding)
-        for token in self._tokens:
-            total += encoding.size_of_value(len(token)) + encoding.size_of(token)
-        obs = get_active()
-        if obs is not None:
-            obs.registry.set_gauge(catalog.STORE_COMPRESSED_BYTES, total)
-        return total
-
-    def raw_size_bytes(self, encoding: Encoding = DEFAULT_ENCODING) -> int:
-        """``|P|`` in bytes: what the uncompressed paths would cost.
-
-        Measured over *original* ids — with a vertex order active the
-        decompressed new-id paths are inverted first, so varint accounting
-        prices the paths the caller actually handed in.
-        """
-        total = 0
-        for token in self._tokens:
-            path = self._restore(decompress_path(token, self.table))
-            total += encoding.size_of_value(len(path)) + encoding.size_of(path)
-        obs = get_active()
-        if obs is not None:
-            obs.registry.set_gauge(catalog.STORE_RAW_BYTES, total)
-        return total
-
-    def compression_ratio(self, encoding: Encoding = DEFAULT_ENCODING) -> float:
-        """``CR = |P| / (|P'| + |R|)`` for the store's current contents."""
-        compressed = self.compressed_size_bytes(encoding)
-        return self.raw_size_bytes(encoding) / compressed if compressed else 0.0
-
-    # -- internals -----------------------------------------------------------------------
-
-    def _restore(self, path: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Invert the vertex order on an outgoing path (no-op when unordered)."""
-        if self.order is None:
-            return path
-        return self.order.invert_path(path)
-
-    def _check_id(self, path_id: int) -> None:
-        if not 0 <= path_id < len(self._tokens):
-            raise PathIdError(f"path id {path_id} not in store of {len(self._tokens)} paths")
 
     def __repr__(self) -> str:
         return (

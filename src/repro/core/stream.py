@@ -14,7 +14,8 @@ advanced stream mode that simultaneously handles reading and processing".
   the last ``window`` paths; if it degrades below ``refit_ratio`` of the
   ratio observed at training time, ``drifted`` turns on so the operator can
   schedule a refit (tables stay immutable — compressed data must remain
-  decodable, so refitting means starting a new archive segment).
+  decodable, so refitting means starting a new shard; see
+  :class:`~repro.core.sharded.ShardedIngest`).
 
 With :mod:`repro.obs` active the drift watch is observable, not just a
 boolean: every steady-state ingest publishes ``stream.drift_ratio`` (the
@@ -235,136 +236,3 @@ class StreamingCompressor:
         state = "trained" if self.trained else f"warming({len(self._buffer)})"
         return f"StreamingCompressor({state}, seen={self.paths_seen})"
 
-
-class AutoSegmentingStream:
-    """The closed operational loop: stream, detect drift, rotate, repeat.
-
-    Wraps a :class:`~repro.core.segment.SegmentedArchive` and drives its
-    rotations from the same windowed ratio monitor
-    :class:`StreamingCompressor` uses.  Each arriving path is compressed
-    into the active segment; when the recent window compresses markedly
-    worse than the segment did at its start, a new segment is trained on
-    the most recent paths and subsequent traffic lands there.  Old
-    segments stay decodable; global ids are stable.
-
-    :param config: OFFS configuration for segment tables.
-    :param base_id: shared supernode id base (must exceed every vertex id).
-    :param warmup: paths buffered before the first segment trains, and
-        recent-path count used to train each rotation.
-    :param window: drift-detection window, in paths.
-    :param refit_ratio: rotate when the windowed symbol ratio falls below
-        ``refit_ratio ×`` the segment's initial ratio.
-    :param min_segment_paths: never rotate a segment younger than this
-        (guards against rotation thrash on bursty traffic).
-    """
-
-    def __init__(
-        self,
-        config: Optional[OFFSConfig] = None,
-        base_id: int = 1 << 30,
-        warmup: int = 500,
-        window: int = 300,
-        refit_ratio: float = 0.6,
-        min_segment_paths: int = 600,
-    ) -> None:
-        from repro.core.segment import SegmentedArchive
-
-        if warmup < 1 or window < 1 or min_segment_paths < 1:
-            raise InvalidInputError("warmup, window and min_segment_paths must be >= 1")
-        if not 0.0 < refit_ratio <= 1.0:
-            raise InvalidInputError("refit_ratio must be in (0, 1]")
-        self.archive = SegmentedArchive(
-            config=config or OFFSConfig(sample_exponent=0), base_id=base_id
-        )
-        self.warmup = warmup
-        self.window = window
-        self.refit_ratio = refit_ratio
-        self.min_segment_paths = min_segment_paths
-        self._buffer: List[Tuple[int, ...]] = []
-        self._recent: Deque[Tuple[int, int]] = deque(maxlen=window)
-        self._segment_ratio: Optional[float] = None
-        self._segment_paths = 0
-        self.rotations = 0
-
-    def feed(self, path: Sequence[int]) -> Optional[int]:
-        """Ingest one path; returns its global id (``None`` during warm-up)."""
-        path = tuple(path)
-        if self.archive.segment_count == 0:
-            self._buffer.append(path)
-            if len(self._buffer) >= self.warmup:
-                self.archive.start_segment(self._buffer)
-                buffered, self._buffer = self._buffer, []
-                last = None
-                for p in buffered:
-                    last = self._ingest(p)
-                self._seal_baseline()
-                return last
-            return None
-        gid = self._ingest(path)
-        self._maybe_rotate(path)
-        return gid
-
-    def feed_many(self, paths: Iterable[Sequence[int]]) -> List[Optional[int]]:
-        """Ingest many paths; returns their global ids."""
-        return [self.feed(p) for p in paths]
-
-    def _ingest(self, path: Tuple[int, ...]) -> int:
-        gid = self.archive.append(path)
-        token_len = len(self.archive.segments()[-1].token(
-            len(self.archive.segments()[-1]) - 1
-        ))
-        self._recent.append((len(path), token_len))
-        self._segment_paths += 1
-        return gid
-
-    def _seal_baseline(self) -> None:
-        raw = sum(r for r, _ in self._recent)
-        compressed = sum(c for _, c in self._recent)
-        self._segment_ratio = (raw / compressed) if compressed else 1.0
-
-    def _windowed_ratio(self) -> Optional[float]:
-        if len(self._recent) < self.window:
-            return None
-        raw = sum(r for r, _ in self._recent)
-        compressed = sum(c for _, c in self._recent)
-        return (raw / compressed) if compressed else None
-
-    def _maybe_rotate(self, latest: Tuple[int, ...]) -> None:
-        if self._segment_ratio is None:
-            # A fresh segment's baseline seals once a full window of its
-            # own traffic has been observed.
-            if len(self._recent) >= min(self.window, self.min_segment_paths):
-                self._seal_baseline()
-            return
-        if self._segment_paths < self.min_segment_paths:
-            return
-        current = self._windowed_ratio()
-        if current is None:
-            return
-        if current < self.refit_ratio * self._segment_ratio:
-            # Train the new segment on the drifted window's paths.
-            recent_count = min(self.window, len(self.archive))
-            start = len(self.archive) - recent_count
-            training = self.archive.retrieve_many(
-                range(start, len(self.archive))
-            )
-            self.archive.rotate(training)
-            self.rotations += 1
-            self._segment_paths = 0
-            self._recent.clear()
-            self._segment_ratio = None
-            # The first windowful in the new segment sets its baseline via
-            # _seal_baseline once enough paths arrive.
-
-    def retrieve(self, global_id: int) -> Tuple[int, ...]:
-        """Random-access retrieval by global id."""
-        return self.archive.retrieve(global_id)
-
-    def __len__(self) -> int:
-        return len(self.archive) + len(self._buffer)
-
-    def __repr__(self) -> str:
-        return (
-            f"AutoSegmentingStream(segments={self.archive.segment_count}, "
-            f"paths={len(self)}, rotations={self.rotations})"
-        )

@@ -1,12 +1,13 @@
 """R009 — thread-shared-state discipline: cross-thread writes take a lock.
 
-``ShardedIngest`` seals shards on a background ``threading.Thread`` while
-the caller keeps appending; ``ShardedPathStore`` serves queries from
-whatever thread the HTTP worker happens to run.  The invariant that keeps
-those safe is simple and easy to erode in review: **an attribute written
-both by a thread target and by caller-thread methods must be guarded by a
-shared lock** (or not shared at all — the seal thread deliberately
-captures only locals).
+A ``repro.serve`` worker answers requests on handler threads that share
+one ``StoreApp`` and one store, and any class that hands work to a
+``threading.Thread`` (say, a writer that flushes on a worker thread while
+the caller keeps appending) shares its attributes with that thread.  The
+invariant that keeps such code safe is simple and easy to erode in review:
+**an attribute written both by a thread target and by caller-thread methods
+must be guarded by a shared lock** (or not shared at all — a thread target
+that captures only locals needs no lock).
 
 For every class that starts a ``threading.Thread`` whose target is one of
 its own methods or a nested function, the rule intersects the

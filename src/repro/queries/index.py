@@ -106,6 +106,11 @@ class VertexIndex:
             result.update(self._postings.get(self._key(vertex), ()))
         return sorted(result)
 
+    @property
+    def indexed_paths(self) -> int:
+        """How many of the store's paths the postings cover."""
+        return self._indexed_paths
+
     def vertex_count(self) -> int:
         """Number of distinct vertices with at least one posting."""
         return len(self._postings)

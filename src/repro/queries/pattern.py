@@ -162,7 +162,7 @@ class PatternSearcher:
 
     def search(self, pattern: PathPattern) -> List[Tuple[int, ...]]:
         """The matching paths, decompressed."""
-        return self.store.retrieve_many(self.search_ids(pattern))
+        return self.store.retrieve_batch(self.search_ids(pattern))
 
     def paths_via(
         self, source: int, waypoints: Sequence[int], destination: int

@@ -9,10 +9,10 @@ IP ... we need to investigate all intermediate IP nodes of network
 transactions ... by collecting all IP paths with given terminals."
 
 :class:`PathQueryEngine` answers both over a :class:`CompressedPathStore`
-(or any store with ``retrieve_many``) without bulk decompression: the
+(or any :class:`~repro.core.reader.PathReader`) without bulk decompression: the
 vertex index narrows each query to its *candidates* — the paths containing
 every queried vertex — and only those are decoded, each exactly once, by
-one ``retrieve_many`` call.  The match test then runs on the decoded
+one ``retrieve_batch`` call.  The match test then runs on the decoded
 paths, in original vertex ids, so it needs no knowledge of the archive's
 token form or vertex order.
 """
@@ -50,7 +50,7 @@ class PathQueryEngine:
         compressed in the store.
         """
         ids = self.index.paths_containing(issue_vertex)
-        return self.store.retrieve_many(ids)
+        return self.store.retrieve_batch(ids)
 
     def affected_vertices(self, issue_vertex: int) -> Set[int]:
         """Case 1's answer: every vertex sharing a path with *issue_vertex*.
@@ -83,7 +83,7 @@ class PathQueryEngine:
         candidates = self.index.paths_containing_all((source, destination))
         ids: List[int] = []
         paths: List[Tuple[int, ...]] = []
-        for path_id, path in zip(candidates, self.store.retrieve_many(candidates)):
+        for path_id, path in zip(candidates, self.store.retrieve_batch(candidates)):
             if path[0] == source and path[-1] == destination:
                 ids.append(path_id)
                 paths.append(path)

@@ -11,7 +11,7 @@ without bulk decompression:
    :class:`~repro.queries.index.VertexIndex` intersects postings without
    decompressing anything.
 2. **decode once** — the candidates, and only they, are decoded by one
-   ``retrieve_many`` call; each is parsed and expanded exactly once, and
+   ``retrieve_batch`` call; each is parsed and expanded exactly once, and
    the hits' decoded paths are what a search returns.  The contiguity test
    runs on those paths in original vertex ids, so a reordered store needs
    no query translation.
@@ -72,7 +72,7 @@ class SubpathSearcher:
         """
         q = tuple(query)
         candidates = self.candidate_ids(q)
-        paths = self.store.retrieve_many(candidates)
+        paths = self.store.retrieve_batch(candidates)
         if len(q) <= 1:
             return candidates, paths
         ids: List[int] = []

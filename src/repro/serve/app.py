@@ -12,18 +12,19 @@ integration tests hold every endpoint byte/value-identical to direct store
 calls.
 
 Thread safety: a worker process serves requests from a small thread pool
-(one thread per connection), so the app guards its two pieces of shared
-mutable state — the lazily built :class:`~repro.queries.index.VertexIndex`
-and the metrics instruments (``Counter.inc`` is a read-modify-write) —
-with one lock each.  The store itself is read-only and safe to share.
+(one thread per connection), so the app guards its shared mutable state —
+the metrics instruments (``Counter.inc`` is a read-modify-write) — with a
+lock.  The store is read-only and safe to share; it builds its own vertex
+index once, under its own lock, on the first query.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
+from repro.core.sharded import ShardedPathStore
 from repro.obs import catalog
 from repro.obs.runtime import get_active
 
@@ -39,31 +40,7 @@ class StoreApp:
     def __init__(self, store, worker_index: int = 0) -> None:
         self.store = store.process_local()
         self.worker_index = worker_index
-        self._engine = None
-        self._searcher = None
-        self._index_lock = threading.Lock()
         self._metrics_lock = threading.Lock()
-
-    # -- lazily built query machinery ---------------------------------------------
-
-    def _query_engines(self):
-        """The (PathQueryEngine, SubpathSearcher) pair, built once.
-
-        Both share one :class:`~repro.queries.index.VertexIndex`; the first
-        ``paths_between`` / ``subpath_search`` request pays the build, every
-        later one reuses it (the store is immutable, so no refresh is ever
-        needed).  Not used for sharded stores, which carry their own
-        fan-out query machinery (per-shard indexes with per-shard tables).
-        """
-        with self._index_lock:
-            if self._engine is None:
-                from repro.queries.retrieval import PathQueryEngine
-                from repro.queries.subpath_search import SubpathSearcher
-
-                engine = PathQueryEngine(self.store)
-                self._engine = engine
-                self._searcher = SubpathSearcher(self.store, engine.index)
-            return self._engine, self._searcher
 
     # -- endpoints ----------------------------------------------------------------
 
@@ -96,15 +73,10 @@ class StoreApp:
     def paths_between(self, source: int, destination: int) -> Dict[str, Any]:
         """``GET /v1/paths_between`` — the paper's Case 2 terminal query.
 
-        A sharded store answers natively (per-shard index fan-out, results
-        value-identical to the monolithic engine); otherwise the lazily
-        built :class:`~repro.queries.retrieval.PathQueryEngine` does.
+        The first query builds the store's vertex index; a sharded store
+        fans out over per-shard indexes, value-identical to a monolithic one.
         """
-        if hasattr(self.store, "paths_between"):
-            paths = self.store.paths_between(source, destination)
-        else:
-            engine, _ = self._query_engines()
-            paths = engine.paths_between(source, destination)
+        paths = self.store.paths_between(source, destination)
         return {
             "source": source,
             "destination": destination,
@@ -114,11 +86,7 @@ class StoreApp:
 
     def subpath_search(self, query: Sequence[int]) -> Dict[str, Any]:
         """``POST /v1/subpath_search`` — exact contiguous-subpath search."""
-        if hasattr(self.store, "subpath_search_hits"):
-            ids, paths = self.store.subpath_search_hits(tuple(query))
-        else:
-            _, searcher = self._query_engines()
-            ids, paths = searcher.search_hits(tuple(query))
+        ids, paths = self.store.subpath_search_hits(query)
         return {
             "query": list(query),
             "ids": list(ids),
@@ -145,30 +113,27 @@ class StoreApp:
         payload says how many there are).
         """
         store = self.store
-        order = getattr(store, "order", None)
+        order = store.order
         payload: Dict[str, Any] = {
             "name": store.name,
             "paths": len(store),
             "reorder": order.strategy if order is not None else "identity",
             "worker": {"index": self.worker_index, "pid": os.getpid()},
+            "mapped_bytes": store.mapped_bytes,
         }
-        if hasattr(store, "manifest"):
-            fingerprints = store.table_fingerprints
+        if isinstance(store, ShardedPathStore):
             reference = store.shard(0).table if store.shard_count else None
             payload.update({
                 "shards": store.shard_count,
                 "partition": store.manifest.partition,
-                "distinct_tables": len(fingerprints),
-                "table_entries": len(reference) if reference else 0,
-                "table_base_id": reference.base_id if reference else 0,
-                "mapped_bytes": store.mapped_bytes,
+                "distinct_tables": len(store.table_fingerprints),
             })
         else:
-            payload.update({
-                "table_entries": len(store.table),
-                "table_base_id": store.table.base_id,
-                "mapped_bytes": len(store._buf),
-            })
+            reference = store.table
+        payload.update({
+            "table_entries": len(reference) if reference is not None else 0,
+            "table_base_id": reference.base_id if reference is not None else 0,
+        })
         return payload
 
     def metrics(self) -> Dict[str, Any]:

@@ -79,10 +79,10 @@ class TestRoundTripEquivalence:
         assert mapped.retrieve_all() == memory.retrieve_all()
         assert list(mapped) == list(memory)
 
-    def test_retrieve_many(self, stores):
+    def test_retrieve_batch(self, stores):
         memory, mapped = stores
         ids = [0, len(memory) - 1, 3]
-        assert mapped.retrieve_many(ids) == memory.retrieve_many(ids)
+        assert mapped.retrieve_batch(ids) == [memory.retrieve(pid) for pid in ids]
 
     def test_slices_match_in_memory_store(self, stores):
         memory, mapped = stores
@@ -181,7 +181,7 @@ class TestValidation:
         mapped = loads_store_v2(dumps_store_v2(memory))
         with instrumented() as obs:
             with pytest.raises(PathIdError):
-                mapped.retrieve_many([0, 1, 999])
+                mapped.retrieve_batch([0, 1, 999])
             assert obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).value == 0
 
     def test_bad_ids_raise(self):
@@ -250,14 +250,18 @@ class TestCloseSemantics:
 
 
 class TestRetrieveBatch:
-    """retrieve_batch = retrieve_many through the flat kernel."""
+    """retrieve_batch returns what per-id retrieve returns, in input order.
+
+    The same contract is held over every store kind in
+    tests/test_read_surface.py."""
 
     def test_matches_retrieve_many(self, stores):
         memory, mapped = stores
         n = len(mapped)
         for ids in ([], [0], [n - 1, 0, 3], list(range(n)), [2, 2, 2]):
-            assert mapped.retrieve_batch(ids) == mapped.retrieve_many(ids)
-            assert mapped.retrieve_batch(ids) == memory.retrieve_many(ids)
+            expected = [memory.retrieve(pid) for pid in ids]
+            assert mapped.retrieve_batch(ids) == expected
+            assert memory.retrieve_batch(ids) == expected
 
     def test_empty_batch_is_empty(self):
         mapped = loads_store_v2(dumps_store_v2(_make_small_store()))
@@ -286,7 +290,7 @@ class TestRetrieveBatch:
         memory, mapped = stores
         ids = [3, 0, 3, 3, 1, 0]
         out = mapped.retrieve_batch(ids)
-        assert out == memory.retrieve_many(ids)
+        assert out == [memory.retrieve(pid) for pid in ids]
         assert out[0] == out[2] == out[3] == mapped.retrieve(3)
 
     def test_generator_input_single_pass(self, stores):
@@ -294,18 +298,20 @@ class TestRetrieveBatch:
         # must materialize it exactly once (validate + decode off one list).
         _, mapped = stores
         ids = [4, 1, 4]
-        assert mapped.retrieve_batch(pid for pid in ids) == mapped.retrieve_many(ids)
+        expected = [mapped.retrieve(pid) for pid in ids]
+        assert mapped.retrieve_batch(pid for pid in ids) == expected
         consumed = iter(ids)
-        assert mapped.retrieve_batch(consumed) == mapped.retrieve_many(ids)
+        assert mapped.retrieve_batch(consumed) == expected
         assert list(consumed) == []  # fully drained, not partially read
 
     def test_generator_with_bad_id_fails_like_retrieve_many(self, stores):
-        # Up-front validation parity: same error class for the same input,
-        # even when the bad id hides at the end of a single-pass iterable.
+        # Up-front validation parity with per-id retrieve: same error class
+        # for the same id, even when the bad id hides at the end of a
+        # single-pass iterable.
         _, mapped = stores
         n = len(mapped)
         with pytest.raises(PathIdError):
-            mapped.retrieve_many(pid for pid in [0, 1, n])
+            mapped.retrieve(n)
         with pytest.raises(PathIdError):
             mapped.retrieve_batch(pid for pid in [0, 1, n])
         with pytest.raises(PathIdError):
@@ -416,7 +422,7 @@ class TestProcessBoundaries:
             assert result["reopened"] is True
             assert result["owner_is_child"] is True
             assert result["paths"] == expected
-            assert result["batch"] == store.retrieve_many([0, 2, 4])
+            assert result["batch"] == [store.retrieve(pid) for pid in (0, 2, 4)]
             assert result["slice"] == store.retrieve_slice(0, 1, -1)
             # The parent's mapping is untouched by the child's lifecycle.
             assert store.retrieve_all() == expected

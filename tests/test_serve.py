@@ -13,6 +13,7 @@ workers provably alive afterwards; a truncated archive must fail at
 import http.client
 import json
 import multiprocessing
+import os
 import re
 import signal
 import subprocess
@@ -172,7 +173,7 @@ class TestEndpointsMatchDirectCalls:
         assert status == 200
         assert body["ids"] == [0, 2, 4]
         assert body["count"] == 3
-        assert body["paths"] == [list(p) for p in store.retrieve_many([0, 2, 4])]
+        assert body["paths"] == [list(store.retrieve(pid)) for pid in [0, 2, 4]]
 
     def test_retrieve_many_post(self, server, direct):
         store, _, _ = direct
@@ -180,7 +181,7 @@ class TestEndpointsMatchDirectCalls:
         status, body = post(server, "/v1/retrieve_many", {"ids": ids})
         assert status == 200
         assert body["ids"] == ids
-        assert body["paths"] == [list(p) for p in store.retrieve_many(ids)]
+        assert body["paths"] == [list(store.retrieve(pid)) for pid in ids]
 
     def test_retrieve_many_empty(self, server):
         status, body = post(server, "/v1/retrieve_many", {"ids": []})
@@ -210,7 +211,7 @@ class TestEndpointsMatchDirectCalls:
         store, _, searcher = direct
         for query in [(2, 3), (1, 2, 3), (4, 5), (999,), (3, 2)]:
             expected_ids = searcher.search_ids(tuple(query))
-            expected_paths = [list(p) for p in store.retrieve_many(expected_ids)]
+            expected_paths = [list(store.retrieve(pid)) for pid in expected_ids]
             status, body = get(
                 server, "/v1/subpath_search", query=",".join(map(str, query))
             )
@@ -231,7 +232,8 @@ class TestEndpointsMatchDirectCalls:
         assert body["paths"] == len(store)
         assert body["table_entries"] == len(store.table)
         assert body["table_base_id"] == 100
-        assert body["mapped_bytes"] == len(store._buf)
+        assert body["mapped_bytes"] == os.path.getsize(store_file)
+        assert body["mapped_bytes"] == store.mapped_bytes
         assert 0 <= body["worker"]["index"] < server.config.workers
 
     def test_metrics_endpoint(self, server):
@@ -524,7 +526,8 @@ class TestShardedServe:
             sharded_server, "/v1/retrieve_many", {"ids": [0, 7, 3, 7]}
         )
         assert status == 200
-        assert [tuple(p) for p in payload["paths"]] == store.retrieve_many([0, 7, 3, 7])
+        assert [tuple(p) for p in payload["paths"]] == \
+            [store.retrieve(pid) for pid in (0, 7, 3, 7)]
         status, payload = get(sharded_server, "/v1/expanded_length", id=5)
         assert status == 200
         assert payload["length"] == store.expanded_length(5)
@@ -541,14 +544,20 @@ class TestShardedServe:
         assert payload["ids"] == searcher.search_ids((2, 3))
         assert [tuple(p) for p in payload["paths"]] == searcher.search((2, 3))
 
-    def test_stats_reports_shard_shape(self, sharded_server):
+    def test_stats_reports_shard_shape(self, sharded_server, sharded_file):
+        from repro.core.sharded import shard_filename
+
         status, payload = get(sharded_server, "/v1/stats")
         assert status == 200
         assert payload["paths"] == len(PATHS)
         assert payload["shards"] == 3
         assert payload["partition"] == "range"
         assert payload["distinct_tables"] == 1
-        assert payload["mapped_bytes"] > 0
+        directory = os.path.dirname(sharded_file)
+        assert payload["mapped_bytes"] == sum(
+            os.path.getsize(os.path.join(directory, shard_filename("archive", i)))
+            for i in range(3)
+        )
 
     def test_unknown_id_is_structured_404(self, sharded_server):
         status, payload = get(sharded_server, "/v1/retrieve", id=999)

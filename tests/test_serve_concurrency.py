@@ -105,7 +105,7 @@ def _build_request_mix(store_file):
             requests.append((
                 "POST", "/v1/retrieve_many", {"ids": ids}, 200,
                 {"ids": ids, "count": len(ids),
-                 "paths": [list(p) for p in store.retrieve_many(ids)]},
+                 "paths": [list(store.retrieve(pid)) for pid in ids]},
                 "retrieve_many", len(ids),
             ))
         for source, destination in [(1, 5), (6, 1), (1, 8), (42, 42), (3, 99)]:
@@ -122,7 +122,7 @@ def _build_request_mix(store_file):
             requests.append((
                 "POST", "/v1/subpath_search", {"query": list(query)}, 200,
                 {"query": list(query), "ids": ids, "count": len(ids),
-                 "paths": [list(p) for p in store.retrieve_many(ids)]},
+                 "paths": [list(store.retrieve(pid)) for pid in ids]},
                 "subpath_search", 0,
             ))
         # Deliberate failures, interleaved with the successes: each counts

@@ -224,18 +224,17 @@ class TestDifferentialIdentity:
                     monolithic.retrieve(pid)[slice(*window)]
                 )
 
-    def test_retrieve_many_and_batch(self, sharded, monolithic):
+    def test_retrieve_batch(self, sharded, monolithic):
         n = len(monolithic)
         for ids in ([], [0], [n - 1, 0, 3], list(range(n)), [2, 2, 2], [5, 3, 5]):
-            expected = monolithic.retrieve_many(ids)
-            assert sharded.retrieve_many(ids) == expected
+            expected = [monolithic.retrieve(pid) for pid in ids]
             assert sharded.retrieve_batch(ids) == expected
         assert sharded.retrieve_batch(pid for pid in [4, 1, 4]) == \
-            monolithic.retrieve_many([4, 1, 4])
+            [monolithic.retrieve(pid) for pid in (4, 1, 4)]
         with pytest.raises(PathIdError):
             sharded.retrieve_batch([0, n])
         with pytest.raises(PathIdError):
-            sharded.retrieve_many([0, -1])
+            sharded.retrieve_batch([0, -1])
 
     def test_fanout_queries_match_engines(self, sharded, monolithic):
         engine = PathQueryEngine(monolithic)
@@ -415,7 +414,7 @@ class TestProcessBoundaries:
         store = ShardedPathStore.open(out)
         expected = {
             "paths": monolithic.retrieve_all(),
-            "batch": monolithic.retrieve_many([0, 7, 3]),
+            "batch": [monolithic.retrieve(pid) for pid in (0, 7, 3)],
             "between": PathQueryEngine(monolithic).paths_between(1, 105),
         }
         # Touch every shard pre-fork so mapped state crosses the fork.
@@ -488,26 +487,6 @@ class TestStreamingIngest:
                 assert len(ingest._stream) <= 100
             assert ingest.sealed_paths >= 600
         assert high_water <= 100
-
-    def test_background_seal_identical(self, tmp_path):
-        paths = self._paths()
-        fg, bg = str(tmp_path / "fg.rpsm"), str(tmp_path / "bg.rpsm")
-        with ShardedIngest(fg, train_after=50, memtable_paths=200, window=30) as ingest:
-            ingest.feed_many(paths)
-        with ShardedIngest(
-            bg, train_after=50, memtable_paths=200, window=30, background=True
-        ) as ingest:
-            ingest.feed_many(paths)
-        with open(fg, "rb") as fh:
-            fg_manifest = loads_manifest(fh.read())
-        with open(bg, "rb") as fh:
-            bg_manifest = loads_manifest(fh.read())
-        assert [(s.start, s.count, s.table_crc) for s in fg_manifest.shards] == \
-            [(s.start, s.count, s.table_crc) for s in bg_manifest.shards]
-        for i in range(fg_manifest.shard_count):
-            a = open(str(tmp_path / shard_filename("fg", i)), "rb").read()
-            b = open(str(tmp_path / shard_filename("bg", i)), "rb").read()
-            assert a == b
 
     def test_manifest_readable_between_seals(self, tmp_path):
         paths = self._paths(500)

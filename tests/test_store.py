@@ -53,7 +53,7 @@ class TestRetrieval:
         assert len(store.token(0)) < 4
 
     def test_retrieve_many(self, store):
-        assert store.retrieve_many([2, 0]) == [(7, 8), (1, 2, 3, 9)]
+        assert store.retrieve_batch([2, 0]) == [(7, 8), (1, 2, 3, 9)]
 
     def test_retrieve_all(self, store):
         assert store.retrieve_all() == [(1, 2, 3, 9), (4, 5, 6), (7, 8)]
@@ -85,18 +85,18 @@ class TestRetrieval:
 
         with instrumented() as obs:
             with pytest.raises(PathIdError):
-                store.retrieve_many([0, 1, 99])
+                store.retrieve_batch([0, 1, 99])
             assert obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).value == 0
 
     def test_retrieve_many_bad_id_first_or_last(self, store):
         with pytest.raises(PathIdError):
-            store.retrieve_many([99, 0, 1])
+            store.retrieve_batch([99, 0, 1])
         with pytest.raises(PathIdError):
-            store.retrieve_many([0, 1, -1])
+            store.retrieve_batch([0, 1, -1])
 
     def test_retrieve_many_accepts_one_shot_iterators(self, store):
         # Validation must not consume the ids before retrieval.
-        assert store.retrieve_many(iter([2, 0])) == [(7, 8), (1, 2, 3, 9)]
+        assert store.retrieve_batch(iter([2, 0])) == [(7, 8), (1, 2, 3, 9)]
 
 
 class TestRetrieveSlice:
