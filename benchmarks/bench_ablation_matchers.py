@@ -1,8 +1,8 @@
-"""Ablation A1 — matcher backends: flat hash, two-level hash, trie, rolling.
+"""Ablation A1 — matcher backends: flat hash, two-level hash, rolling.
 
-The backends (Algorithm 6, Algorithm 7, the §IV-D trie, and the
-rolling-hash scheme of :mod:`repro.core.rollhash`) must produce identical
-tables and tokens; what differs is probe cost.  The printed table records
+The backends (Algorithm 6, Algorithm 7 and the rolling-hash scheme of
+:mod:`repro.core.rollhash`) must produce identical tables and tokens; what
+differs is probe cost.  The printed table records
 CR (identical) and build/compress timings; the pytest-benchmark rows time
 compression per backend.
 """
@@ -11,12 +11,10 @@ import pytest
 
 from repro.bench.experiments import exp_ablation_matchers
 from repro.core.compressor import compress_dataset
+from repro.core.config import MATCHER_BACKENDS
 from repro.core.matcher import static_matcher_from_table
 from repro.core.offs import OFFSCodec
 from repro.workloads.registry import make_dataset
-
-BACKENDS = ("hash", "multilevel", "trie", "rolling")
-
 
 def test_a1_matcher_backend_table(benchmark, config, report):
     rows, shape = benchmark.pedantic(
@@ -25,7 +23,7 @@ def test_a1_matcher_backend_table(benchmark, config, report):
     )
     report(
         "ablation_a1_matchers", rows, shape,
-        note="Identical results by contract; Lemma 3 / the IV-D trie only "
+        note="Identical results by contract; Lemma 3 / the rolling hash only "
              "change probe cost.",
     )
     assert shape["results_identical"] == 1.0
@@ -38,7 +36,7 @@ def compression_setup(config):
     return dataset, codec.table
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", MATCHER_BACKENDS)
 def test_a1_compression_probe_cost(benchmark, compression_setup, backend):
     dataset, table = compression_setup
     matcher = static_matcher_from_table(table, backend)

@@ -18,7 +18,7 @@ one JSON blob (``BENCH_shard.json`` by default):
   in-memory-vs-streaming comparison this bench follows.
 * **constant-memory streaming ingest** — :class:`repro.core.sharded.
   ShardedIngest` fed 1×, 2× and 4× the largest size tier, each run in its
-  own subprocess so ``getrusage`` peak RSS is clean, with source paths
+  own subprocess that reports its own peak RSS (``VmHWM``), with source paths
   generated chunk-by-chunk (never materializing the stream).  The flatness
   ratio ``peak(4×) / peak(1×)`` is the headline: the LSM-style memtable
   holds it near 1.0.  Each child verifies a deterministic sample of
@@ -84,11 +84,22 @@ def _generate_chunks(total: int):
         index += 1
 
 
-def _report_child(payload: dict) -> int:
-    import resource
+def _peak_rss_mb() -> float:
+    """This process's own peak resident set (``VmHWM``), in MB.
 
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    payload["peak_rss_mb"] = round(peak_kb / 1024.0, 2)
+    ``getrusage(RUSAGE_SELF).ru_maxrss`` is not used: Linux carries it
+    across ``execve``, so a child started from a large parent would report
+    the parent's peak instead of its own.
+    """
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("/proc/self/status has no VmHWM line")
+
+
+def _report_child(payload: dict) -> int:
+    payload["peak_rss_mb"] = round(_peak_rss_mb(), 2)
     print(json.dumps(payload))
     return 0
 

@@ -1,8 +1,8 @@
 """Ablation run-matrix harness — which components earn their keep, per workload.
 
-The system has more knobs than anyone can reason about by hand: four matcher
-backends, the rolling hash width, table capacity, construction iterations and
-sampling, store format v1/v2, the expansion cache, process counts, sharding.
+The system has more knobs than anyone can reason about by hand: three matcher
+backends, table capacity, construction iterations and sampling, store format
+v1/v2, the expansion cache, sharding, vertex reordering.
 This module switches each one off (or swaps its value) against a fixed
 baseline, measures every cell with the Section VI-B metrics (CR / CS / DS /
 PDS plus raw compress/decompress latency, min-of-N), and ranks the components
@@ -17,7 +17,7 @@ The three layers, each usable alone:
   apply it*: a dotted target (``config.matcher`` mutates the
   :class:`~repro.core.config.OFFSConfig`, ``spec.store_format`` mutates the
   surrounding pipeline :class:`RunSpec`) plus optional ``requires`` settings
-  for coupled knobs (``hash_bits`` pins the rolling backend).
+  for coupled knobs (``reorder`` pins the v2 store format).
 * **Run matrix** — :func:`generate_matrix` expands workloads x knobs into
   :class:`Cell` entries with deterministic run ids
   (``<workload>-<knob>=<value>``; ``<workload>-baseline`` anchors each
@@ -57,7 +57,7 @@ from typing import (
 )
 
 from repro.analysis.sizing import dataset_raw_bytes
-from repro.core.config import OFFSConfig
+from repro.core.config import MATCHER_BACKENDS, OFFSConfig
 from repro.core.errors import InvalidInputError
 from repro.obs import catalog
 from repro.obs.runtime import active_span, active_timer, get_active
@@ -94,8 +94,8 @@ class RunSpec:
     ``config`` carries the :class:`OFFSConfig` knobs; the remaining fields
     are pipeline choices that live outside the config object — which store
     format serves the decode measurements, whether the expansion cache is
-    allowed to persist between timed rounds, how many processes compress,
-    and whether the archive is sharded.
+    allowed to persist between timed rounds, and whether the archive is
+    sharded.
     """
 
     workload: str
@@ -104,7 +104,6 @@ class RunSpec:
     config: OFFSConfig = field(default_factory=lambda: OFFSConfig(matcher="rolling"))
     store_format: str = "v1"
     expansion_cache: bool = True
-    processes: int = 1
     shards: int = 0
     partition: str = "range"
 
@@ -114,7 +113,7 @@ def baseline_spec(workload: str, size: str = "small", seed: int = 0) -> RunSpec:
 
     The baseline is the *production batch path*: rolling matcher (the flat
     kernel's default), the size tier's scaled sample exponent, v1 in-memory
-    store, expansion cache on, one process, monolithic.
+    store, expansion cache on, monolithic.
     """
     if size not in _SIZE_SAMPLE_EXPONENT:
         raise InvalidInputError(
@@ -144,8 +143,8 @@ class Knob:
     :param values: the non-baseline values to sweep (the baseline cell
         supplies the default).
     :param requires: extra ``(target, value)`` settings a value only makes
-        sense with (e.g. ``hash_bits`` pins ``config.matcher`` to
-        ``rolling``).
+        sense with (e.g. ``reorder`` pins ``spec.store_format`` to
+        ``v2``).
     :param summary: one line for the report and docs.
     """
 
@@ -168,17 +167,9 @@ KNOBS: Tuple[Knob, ...] = (
         name="matcher",
         component="matcher backend",
         target="config.matcher",
-        values=("hash", "multilevel", "trie"),
+        values=tuple(b for b in MATCHER_BACKENDS if b != "rolling"),
         summary="prefix-probe backend swap; output is byte-identical, so "
         "this knob moves only the speed metrics",
-    ),
-    Knob(
-        name="hash_bits",
-        component="rolling-hash width",
-        target="config.hash_bits",
-        values=(12, 32),
-        requires=(("config.matcher", "rolling"),),
-        summary="narrower stored hashes collide more and pay verify cost",
     ),
     Knob(
         name="iterations",
@@ -224,14 +215,6 @@ KNOBS: Tuple[Knob, ...] = (
         values=(False,),
         summary="invalidate the memoized supernode expansions before every "
         "timed decode round (the cold path, every time)",
-    ),
-    Knob(
-        name="processes",
-        component="parallel compression",
-        target="spec.processes",
-        values=(2,),
-        summary="compress through repro.core.parallel workers instead of "
-        "the in-process flat kernel",
     ),
     Knob(
         name="shards",
@@ -427,25 +410,10 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
     # invert on retrieval, so verification still compares original ids.
     order = codec.order
     work_corpus = corpus if order is None else order.transform_corpus(corpus)
+    matcher = static_matcher_from_table(table, config.matcher)
 
-    if spec.processes > 1:
-        from repro.core.parallel import parallel_compress
-
-        work_paths = (
-            paths if order is None else [order.apply_path(p) for p in paths]
-        )
-
-        def compress() -> List[Tuple[int, ...]]:
-            return parallel_compress(
-                work_paths, table, processes=spec.processes, backend=config.matcher
-            )
-    else:
-        matcher = static_matcher_from_table(
-            table, config.matcher, hash_bits=config.hash_bits
-        )
-
-        def compress() -> List[Tuple[int, ...]]:
-            return compress_paths_flat(work_corpus, table, matcher)
+    def compress() -> List[Tuple[int, ...]]:
+        return compress_paths_flat(work_corpus, table, matcher)
 
     tokens, compress_seconds = _min_of(compress, rounds)
     store = CompressedPathStore.from_tokens(
@@ -647,8 +615,7 @@ def run_matrix(
 
     :param processes: > 1 fans cells out over a process pool (each worker
         regenerates its workload from the seeded registry, so nothing but
-        pure-data payloads crosses the fork boundary).  Cells whose own spec
-        compresses in parallel nest their pool inside the worker.
+        pure-data payloads crosses the fork boundary).
     :param partial_path: JSON file of completed results; read at start
         (matching cells are skipped and counted on
         ``ablation.cells_skipped``) and rewritten after every completion.
@@ -844,7 +811,12 @@ def run_ablation(
 
 
 def load_report(path: str) -> Dict[str, object]:
-    """Read and schema-check a ``BENCH_ablation.json`` report."""
+    """Read and schema-check a ``BENCH_ablation.json`` report.
+
+    A report whose ``knobs`` name a knob this build no longer registers was
+    measured by an older build; its overrides would name config fields that
+    no longer exist, so it is refused rather than half-applied.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     if report.get("benchmark") != "ablation":
@@ -854,4 +826,11 @@ def load_report(path: str) -> Dict[str, object]:
             f"{path}: schema_version {report.get('schema_version')!r} "
             f"(this build reads {SCHEMA_VERSION})"
         )
+    registered = {knob.name for knob in KNOBS}
+    for knob in report.get("knobs", ()):
+        if knob.get("name") not in registered:
+            raise InvalidInputError(
+                f"{path}: knob {knob.get('name')!r} is not in this build's "
+                "registry; re-run `make bench-ablation` to refresh the report"
+            )
     return report

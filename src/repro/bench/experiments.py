@@ -20,6 +20,7 @@ from repro.analysis.sizing import dataset_raw_bytes, tokens_total_bytes
 from repro.analysis.stats import dataset_stats_table
 from repro.baselines import Dlz4Codec, GFSCodec, RSSCodec
 from repro.bench.harness import BenchConfig, DEFAULT_BENCH, default_codecs
+from repro.core.config import MATCHER_BACKENDS
 from repro.core.offs import OFFSCodec
 from repro.core.store import CompressedPathStore
 from repro.workloads.registry import DATASET_NAMES, make_dataset
@@ -282,10 +283,10 @@ def exp_ablation_matchers(
     dataset_name: str = "alibaba",
     config: BenchConfig = DEFAULT_BENCH,
 ) -> Tuple[Rows, Shape]:
-    """A1: matcher backends — flat hash, two-level hash, trie, rolling.
+    """A1: matcher backends — flat hash, two-level hash, rolling.
 
     All backends produce identical tables and tokens (checked); they differ
-    in probe cost (Lemma 3 / §IV-D / the O(1)-per-length rolling hash),
+    in probe cost (Lemma 3 / the O(1)-per-length rolling hash),
     reported here from the backends' own
     :class:`~repro.core.probestats.ProbeStats` counters over a fixed batch.
     """
@@ -299,7 +300,7 @@ def exp_ablation_matchers(
     crs: List[float] = []
     token_sets = []
     probe_batch = list(dataset.head(200))
-    for backend in ("hash", "multilevel", "trie", "rolling"):
+    for backend in MATCHER_BACKENDS:
         codec = OFFSCodec(config.offs_config(matcher=backend))
         m = measure_codec(codec, dataset)
         crs.append(m.compression_ratio)
@@ -376,7 +377,7 @@ def exp_flat_batch(
         )
     )
     shape: Shape = {}
-    for backend in ("hash", "multilevel", "trie", "rolling"):
+    for backend in MATCHER_BACKENDS:
         matcher = static_matcher_from_table(table, backend)
         tokens = compress_paths_flat(corpus, table, matcher)
         identical = tokens == baseline_tokens

@@ -4,9 +4,8 @@ The paper's primary contribution lives here:
 
 * :mod:`repro.core.config` — the δ/α/τ/k/β parameter set with paper defaults.
 * :mod:`repro.core.supernode_table` — the rule ``R``: supernode ↔ subpath.
-* :mod:`repro.core.matcher` / :mod:`~repro.core.multilevel` /
-  :mod:`~repro.core.trie` — longest-prefix matching backends
-  (Algorithms 6 and 7, and the §IV-D trie).
+* :mod:`repro.core.matcher` / :mod:`~repro.core.multilevel` —
+  longest-prefix matching backends (Algorithms 6 and 7).
 * :mod:`repro.core.builder` — ``TConstruct*`` (Algorithm 5): merge &
   expansion under practical weighted frequency.
 * :mod:`repro.core.compressor` — Algorithms 1 and 2, plus the flat batch
@@ -61,12 +60,7 @@ from repro.core.errors import (
 )
 from repro.core.expansion import ExpansionCache, slice_token
 from repro.core.matcher import CandidateSet, HashCandidates, make_candidate_set
-from repro.core.parallel import (
-    compress_corpora,
-    decompress_corpora,
-    parallel_compress,
-    parallel_decompress,
-)
+from repro.core.parallel import parallel_compress, parallel_decompress
 from repro.core.stream import StreamingCompressor
 from repro.core.topdown import TopDownRefiner
 from repro.core.validate import ValidationReport, validate_store
@@ -94,7 +88,6 @@ from repro.core.serialize import (
 from repro.core.reader import PathReader
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
-from repro.core.trie import TrieCandidates
 
 __all__ = [
     "DEFAULT_MIN_IMPORTANCE",
@@ -129,15 +122,12 @@ __all__ = [
     "StateError",
     "TableError",
     "CandidateSet",
-    "compress_corpora",
-    "decompress_corpora",
     "parallel_compress",
     "parallel_decompress",
     "StreamingCompressor",
     "TopDownRefiner",
     "HashCandidates",
     "MultiLevelCandidates",
-    "TrieCandidates",
     "make_candidate_set",
     "OFFSCodec",
     "dump_store_file",

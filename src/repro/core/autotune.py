@@ -229,9 +229,6 @@ def ablation_overrides(
     overrides: Dict[str, object] = {}
     important: List[str] = []
     pruned: List[str] = []
-    # Entries arrive in descending importance, so when two knobs' settings
-    # collide (hash_bits requires the rolling matcher; the matcher knob may
-    # have picked another backend) the knob that moved metrics more wins.
     for entry in _workload_entries(report, workload):
         knob = str(entry["knob"])
         if float(entry["importance"]) < min_importance:
@@ -253,17 +250,7 @@ def ablation_overrides(
             deltas["delta_cr"] == 0 and deltas["delta_cs"] <= 0
         ):
             continue  # the knob mattered, but no swept value beat the baseline
-        # Reconstruct the exact settings the winning cell measured with.
-        settings = [
-            (str(t), _parse_knob_value(str(v)))
-            for t, v in meta.get(knob, {}).get("requires", ())
-            if str(t).startswith("config.")
-        ]
-        settings.append((target, _parse_knob_value(label)))
-        fields = {t.partition(".")[2]: v for t, v in settings}
-        if any(overrides.get(f, v) != v for f, v in fields.items()):
-            continue  # conflicts with a more important knob's pick
-        overrides.update(fields)
+        overrides[fieldname] = _parse_knob_value(label)
     return overrides, tuple(important), tuple(pruned)
 
 

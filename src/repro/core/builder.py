@@ -106,11 +106,7 @@ class TableBuilder:
     def initialize(self, paths: Sequence[Sequence[int]]) -> CandidateSet:
         """Stage 1: seed the candidate set with every distinct edge, weight 1."""
         with active_span(catalog.SPAN_BUILD_INITIALIZE) as span:
-            cands = make_candidate_set(
-                self.config.matcher,
-                alpha=self.config.alpha,
-                hash_bits=self.config.hash_bits,
-            )
+            cands = make_candidate_set(self.config.matcher, alpha=self.config.alpha)
             for path in paths:
                 for i in range(len(path) - 1):
                     edge = (path[i], path[i + 1])

@@ -21,15 +21,8 @@ The paper's tunables, with its deployed defaults (Section VI-A):
 * ``min_final_weight`` — finalization drops candidates seen fewer times
   (Example 2 drops "the useless ones with weight one").
 * ``matcher`` — prefix-match backend: ``"hash"`` (Algorithm 6),
-  ``"multilevel"`` (Algorithm 7), ``"trie"`` (the §IV-D optimization (2)) or
-  ``"rolling"`` (the rolling-hash scheme of :mod:`repro.core.rollhash`,
-  O(1) per probed length).
-* ``hash_bits`` (default 64) — stored-hash width of the ``rolling`` backend
-  (ignored by the others).  Smaller widths raise the collision rate and so
-  the collision-verify cost; compressed output is identical at any width
-  because every candidate match is verified against the real symbols.  The
-  ablation harness (:mod:`repro.bench.ablation`) sweeps it to price the
-  verify step; tests use tiny widths to force collisions.
+  ``"multilevel"`` (Algorithm 7) or ``"rolling"`` (the rolling-hash scheme
+  of :mod:`repro.core.rollhash`, O(1) per probed length).
 * ``topdown_rounds`` (default 0 = off) — hybrid top-down refinement passes
   after the bottom-up iterations (the §IV-D optimization (1); see
   :mod:`repro.core.topdown`).
@@ -49,7 +42,7 @@ from typing import Optional
 
 from repro.core.errors import ConfigError
 
-MATCHER_BACKENDS = ("hash", "multilevel", "trie", "rolling")
+MATCHER_BACKENDS = ("hash", "multilevel", "rolling")
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,6 @@ class OFFSConfig:
     capacity: Optional[int] = None
     min_final_weight: int = 2
     matcher: str = "hash"
-    hash_bits: int = 64
     topdown_rounds: int = 0
     reorder: str = "identity"
     seed: int = 0
@@ -88,8 +80,6 @@ class OFFSConfig:
             raise ConfigError("min_final_weight must be >= 1")
         if self.matcher not in MATCHER_BACKENDS:
             raise ConfigError(f"matcher must be one of {MATCHER_BACKENDS}, got {self.matcher!r}")
-        if not 1 <= self.hash_bits <= 64:
-            raise ConfigError("hash_bits must be in [1, 64]")
         if self.topdown_rounds < 0:
             raise ConfigError("topdown_rounds must be >= 0")
         if self.reorder != "identity":

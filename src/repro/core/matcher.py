@@ -8,8 +8,7 @@ its baseline answer, a flat hash table probed from the longest length down
 (exactly Algorithm 6 of the paper).
 
 Alternative backends live in :mod:`repro.core.multilevel` (the two-level hash
-of Algorithm 7), :mod:`repro.core.trie` (the prefix-tree optimization of
-Section IV-D) and :mod:`repro.core.rollhash` (a rolling-hash scheme probing
+of Algorithm 7) and :mod:`repro.core.rollhash` (a rolling-hash scheme probing
 each candidate length in O(1)).  All backends return identical match lengths
 — they differ only in probe cost — which the test suite checks
 property-based.
@@ -185,9 +184,7 @@ class HashCandidates(CandidateSet):
         return f"HashCandidates(entries={len(self._weights)})"
 
 
-def static_matcher_from_table(
-    table, backend: str = "hash", hash_bits: int = 64
-) -> CandidateSet:
+def static_matcher_from_table(table, backend: str = "hash") -> CandidateSet:
     """Build a read-only-use matcher over a finished supernode table.
 
     The compressor (Algorithm 2) needs longest-prefix probes against the
@@ -195,26 +192,20 @@ def static_matcher_from_table(
     matching implementation for both phases.  Weights are irrelevant here.
 
     :param table: a :class:`~repro.core.supernode_table.SupernodeTable`.
-    :param backend: ``"hash"``, ``"multilevel"``, ``"trie"`` or ``"rolling"``.
-    :param hash_bits: stored-hash width for the ``rolling`` backend.
+    :param backend: ``"hash"``, ``"multilevel"`` or ``"rolling"``.
     """
-    matcher = make_candidate_set(backend, hash_bits=hash_bits)
+    matcher = make_candidate_set(backend)
     for _, subpath in table:
         matcher.add(subpath, 0)
     return matcher
 
 
-def make_candidate_set(
-    backend: str, alpha: int = 5, hash_bits: int = 64
-) -> CandidateSet:
+def make_candidate_set(backend: str, alpha: int = 5) -> CandidateSet:
     """Factory for candidate-set backends by name.
 
-    :param backend: ``"hash"``, ``"multilevel"``, ``"trie"`` or ``"rolling"``.
+    :param backend: ``"hash"``, ``"multilevel"`` or ``"rolling"``.
     :param alpha: primary-key length for the multilevel backend (ignored by
         the others).
-    :param hash_bits: stored-hash width for the rolling backend (ignored by
-        the others); output is identical at any width, only the
-        collision-verify cost changes.
     """
     if backend == "hash":
         return HashCandidates()
@@ -222,12 +213,8 @@ def make_candidate_set(
         from repro.core.multilevel import MultiLevelCandidates
 
         return MultiLevelCandidates(alpha=alpha)
-    if backend == "trie":
-        from repro.core.trie import TrieCandidates
-
-        return TrieCandidates()
     if backend == "rolling":
         from repro.core.rollhash import RollingHashCandidates
 
-        return RollingHashCandidates(hash_bits=hash_bits)
+        return RollingHashCandidates()
     raise ConfigError(f"unknown matcher backend {backend!r}")

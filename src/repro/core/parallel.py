@@ -8,22 +8,21 @@ ship the table to each worker once, map.
 
 Implementation notes:
 
-* ``multiprocessing`` holds the table (and the static matcher built from
-  it) in worker-global state, so per-chunk pickling cost is the chunk
-  payload only, never table copies.  With the ``fork`` start method the
-  parent builds that state once *before* spawning the pool and the workers
-  inherit it copy-on-write — zero per-worker rebuild; other start methods
-  fall back to an initializer fed pickled ``(base_id, subpaths)``.
-* Chunks travel both directions as :class:`~repro.core.flatcorpus.FlatCorpus`
-  shipping payloads — two machine-byte blobs (buffer + offsets) per chunk.
-  Slicing a chunk out of the parent corpus is zero-copy (a memoryview of the
-  shared buffer), and pickling it is two memcpy-speed ``bytes`` objects
-  instead of a forest of integer tuples.
+* Every fan-out goes through one helper, :func:`_fan_out`: one process runs
+  the work in-process against one matcher; more map it over a ``fork`` pool.
+  The parent builds the table's matcher once *before* forking, so workers
+  inherit (table, matcher) copy-on-write — zero per-worker rebuild, and
+  per-chunk pickling cost is the chunk payload only, never table copies.
+* Chunks travel both directions as two machine-byte blobs (buffer +
+  offsets): out as :class:`~repro.core.flatcorpus.FlatCorpus` shipping
+  payloads (slicing a chunk out of the parent corpus is zero-copy, a
+  memoryview of the shared buffer), back as result corpora whose ``array``
+  buffers pickle as bytes — never a forest of integer tuples.
 * Workers run the batch entry points (:func:`~repro.core.compressor.
   compress_paths_flat`); with ``backend="rolling"`` each chunk goes through
-  the vectorized kernel.  ``processes=1`` bypasses multiprocessing but uses
-  the *same* batch entry point, so metric totals and probe counts are
-  identical across process counts for every backend.
+  the vectorized kernel.  ``processes=1`` runs the *same* chunk functions
+  in-process, so metric totals and probe counts are identical across
+  process counts for every backend.
 
 Observability: when :mod:`repro.obs` instrumentation is active in the
 parent, each worker activates its own counters-only instrumentation at
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import multiprocessing
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compressor import compress_paths_flat, decompress_paths_flat
 from repro.core.errors import InvalidInputError
@@ -56,36 +55,19 @@ _worker_table: Optional[SupernodeTable] = None
 _worker_matcher: Optional[CandidateSet] = None
 _worker_registry: Optional[MetricsRegistry] = None
 
-_ChunkResult = Tuple[ShippedCorpus, Optional[Dict[str, Any]]]
-
-
-def _init_worker(
-    base_id: int,
-    subpaths: List[Tuple[int, ...]],
-    backend: str = "hash",
-    instrument: bool = False,
-) -> None:
-    """Rebuild the table and its matcher once per worker process.
-
-    With *instrument*, the worker also activates a counters-only
-    instrumentation of its own: a forked child must never write into the
-    (copied) parent registry, whose counts would be lost with the process.
-    """
-    global _worker_table, _worker_matcher, _worker_registry
-    _worker_table = SupernodeTable(base_id, subpaths)
-    _worker_matcher = static_matcher_from_table(_worker_table, backend)
-    if instrument:
-        _worker_registry = MetricsRegistry()
-        activate(Instrumentation(_worker_registry, SpanTracer(enabled=False)))
-    else:
-        _worker_registry = None
+#: One unit of fan-out work: ``(table, matcher, corpus) -> result``.  Module
+#: level so a pool can pickle it by reference; the result must pickle cheaply
+#: (a corpus the work built owns ``array`` buffers, which pickle as bytes).
+_Work = Callable[[SupernodeTable, CandidateSet, FlatCorpus], Any]
 
 
 def _init_worker_inherited(instrument: bool = False) -> None:
     """Fork-start initializer: the parent set the worker globals *before*
     the fork, so the child already holds table+matcher copy-on-write — no
     per-worker rebuild, no initargs pickling.  Only the instrumentation (a
-    per-child registry) must be fresh."""
+    per-child registry) must be fresh: a forked child must never write into
+    the (copied) parent registry, whose counts would be lost with the
+    process."""
     global _worker_registry
     if instrument:
         _worker_registry = MetricsRegistry()
@@ -95,136 +77,93 @@ def _init_worker_inherited(instrument: bool = False) -> None:
 
 
 @contextmanager
-def _table_pool(processes: int, table: SupernodeTable, backend: str, instrument: bool):
-    """A worker pool whose processes hold (table, matcher) worker state.
-
-    With the ``fork`` start method the state is built once in the parent
-    and inherited copy-on-write; otherwise each worker rebuilds it from
-    pickled ``(base_id, subpaths)`` initargs.  Either way the workers run
-    the same chunk functions against the same state."""
+def _table_pool(
+    processes: int, table: SupernodeTable, matcher: CandidateSet, instrument: bool
+):
+    """A ``fork`` pool whose workers inherit (table, matcher) worker state."""
     global _worker_table, _worker_matcher
-    ctx = multiprocessing.get_context("fork") if hasattr(multiprocessing, "get_context") else multiprocessing
-    method = ctx.get_start_method() if hasattr(ctx, "get_start_method") else "fork"
-    if method == "fork":
-        _worker_table = table
-        _worker_matcher = static_matcher_from_table(table, backend)
-        try:
-            with ctx.Pool(
-                processes, initializer=_init_worker_inherited, initargs=(instrument,)
-            ) as pool:
-                yield pool
-        finally:
-            _worker_table = None
-            _worker_matcher = None
-    else:
-        with ctx.Pool(
-            processes,
-            initializer=_init_worker,
-            initargs=(table.base_id, table.subpaths, backend, instrument),
+    _worker_table = table
+    _worker_matcher = matcher
+    try:
+        with multiprocessing.get_context("fork").Pool(
+            processes, initializer=_init_worker_inherited, initargs=(instrument,)
         ) as pool:
             yield pool
+    finally:
+        _worker_table = None
+        _worker_matcher = None
 
 
-def _chunk_metrics() -> Optional[Dict[str, Any]]:
-    """This chunk's metric snapshot (the registry is reset per chunk)."""
-    if _worker_registry is None:
-        return None
-    return _worker_registry.as_dict()
-
-
-def _compress_chunk(payload: ShippedCorpus) -> _ChunkResult:
+def _run_chunk(
+    work: _Work, payload: ShippedCorpus
+) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """Pool entry point: *work* on one shipped corpus, plus that chunk's
+    metric snapshot (the worker registry is reset per chunk)."""
     assert _worker_table is not None and _worker_matcher is not None
     if _worker_registry is not None:
         _worker_registry.reset()
-    corpus = FlatCorpus.from_shipping(payload)
-    tokens = compress_paths_flat(corpus, _worker_table, _worker_matcher, as_corpus=True)
-    return tokens.to_shipping(), _chunk_metrics()
+    result = work(_worker_table, _worker_matcher, FlatCorpus.from_shipping(payload))
+    return result, None if _worker_registry is None else _worker_registry.as_dict()
 
 
-def _serialize_shard_chunk(
-    payload: ShippedCorpus,
-) -> Tuple[bytes, int, Optional[Dict[str, Any]]]:
-    assert _worker_table is not None and _worker_matcher is not None
-    if _worker_registry is not None:
-        _worker_registry.reset()
-    corpus = FlatCorpus.from_shipping(payload)
-    tokens = compress_paths_flat(corpus, _worker_table, _worker_matcher)
-    return dumps_store_v2_tokens(_worker_table, tokens), len(tokens), _chunk_metrics()
-
-
-def _compress_corpora_blobs(
+def _fan_out(
+    work: _Work,
     corpora: Sequence[FlatCorpus],
     table: SupernodeTable,
-    processes: int = 2,
-    backend: str = "rolling",
-) -> List[Tuple[bytes, int]]:
-    """Compress each corpus and serialize it to a v2 blob inside the worker.
+    processes: int,
+    backend: str,
+) -> List[Any]:
+    """*work* applied to every corpus of *corpora*; results in input order.
 
-    The write-path twin of :func:`compress_corpora`, used by the sharded
-    build: serialization is pure per-shard work, so shipping finished blobs
-    instead of token lists keeps the parent's critical path at
-    ``partition + spawn + max(shard)`` rather than re-paying every shard's
-    serialization sequentially after the barrier.  Each ``(blob, count)``
-    is byte-identical to serializing ``compress_corpora(...)[i]`` in the
-    parent, for any process count.
+    Worker metric snapshots fold into the parent's active registry, so
+    counter totals equal the one-process run's for any process count.
     """
     if processes < 1:
         raise InvalidInputError("processes must be >= 1")
-    if not corpora:
-        return []
-    if processes == 1:
-        matcher = static_matcher_from_table(table, backend)
-        out1: List[Tuple[bytes, int]] = []
-        for corpus in corpora:
-            tokens = compress_paths_flat(corpus, table, matcher)
-            out1.append((dumps_store_v2_tokens(table, tokens), len(tokens)))
-        return out1
+    matcher = static_matcher_from_table(table, backend)
+    if processes == 1 or not corpora:
+        return [work(table, matcher, corpus) for corpus in corpora]
     obs = get_active()
-    payloads = [corpus.to_shipping() for corpus in corpora]
-    with _table_pool(min(processes, len(payloads)), table, backend, obs is not None) as pool:
-        results = pool.map(_serialize_shard_chunk, payloads)
-    out: List[Tuple[bytes, int]] = []
-    for blob, count, metrics in results:
-        out.append((blob, count))
-        if metrics is not None and obs is not None:
+    tasks = [(work, corpus.to_shipping()) for corpus in corpora]
+    with _table_pool(min(processes, len(tasks)), table, matcher, obs is not None) as pool:
+        results = pool.starmap(_run_chunk, tasks)
+    if obs is not None:
+        for _, metrics in results:
             obs.registry.merge_dict(metrics)
-    return out
+    return [result for result, _ in results]
 
 
-def _decompress_chunk(payload: ShippedCorpus) -> _ChunkResult:
-    assert _worker_table is not None
-    if _worker_registry is not None:
-        _worker_registry.reset()
-    corpus = FlatCorpus.from_shipping(payload)
-    paths = decompress_paths_flat(corpus, _worker_table, as_corpus=True)
-    return paths.to_shipping(), _chunk_metrics()
+def _compress_chunk(
+    table: SupernodeTable, matcher: CandidateSet, corpus: FlatCorpus
+) -> FlatCorpus:
+    return compress_paths_flat(corpus, table, matcher, as_corpus=True)
 
 
-def _run_parallel(
-    worker,
+def _decompress_chunk(
+    table: SupernodeTable, matcher: CandidateSet, corpus: FlatCorpus
+) -> FlatCorpus:
+    return decompress_paths_flat(corpus, table, as_corpus=True)
+
+
+def _serialize_shard(
+    table: SupernodeTable, matcher: CandidateSet, corpus: FlatCorpus
+) -> Tuple[bytes, int]:
+    tokens = compress_paths_flat(corpus, table, matcher)
+    return dumps_store_v2_tokens(table, tokens), len(tokens)
+
+
+def _chunked(
+    work: _Work,
     items: Sequence[Sequence[int]],
     table: SupernodeTable,
     processes: int,
     chunk_size: int,
     backend: str,
 ) -> List[Tuple[int, ...]]:
-    if processes < 1:
-        raise InvalidInputError("processes must be >= 1")
-    if chunk_size < 1:
-        raise InvalidInputError("chunk_size must be >= 1")
-    corpus = as_flat_corpus(items)
-    payloads = [chunk.to_shipping() for chunk in corpus.chunks(chunk_size)]
-    if not payloads:
-        return []
-    obs = get_active()
-    with _table_pool(processes, table, backend, obs is not None) as pool:
-        results = pool.map(worker, payloads)
-    out: List[Tuple[int, ...]] = []
-    for shipped, metrics in results:
-        out.extend(FlatCorpus.from_shipping(shipped))
-        if metrics is not None and obs is not None:
-            obs.registry.merge_dict(metrics)
-    return out
+    """Run *work* over *chunk_size*-path chunks of *items*, concatenated."""
+    chunks = list(as_flat_corpus(items).chunks(chunk_size))
+    results = _fan_out(work, chunks, table, processes, backend)
+    return [path for corpus in results for path in corpus]
 
 
 def parallel_compress(
@@ -240,77 +179,7 @@ def parallel_compress(
     :func:`~repro.core.compressor.compress_dataset` — with any *backend*
     and any process count.
     """
-    if processes == 1:
-        matcher = static_matcher_from_table(table, backend)
-        return compress_paths_flat(as_flat_corpus(paths), table, matcher)
-    return _run_parallel(_compress_chunk, paths, table, processes, chunk_size, backend)
-
-
-def compress_corpora(
-    corpora: Sequence[FlatCorpus],
-    table: SupernodeTable,
-    processes: int = 2,
-    backend: str = "rolling",
-) -> List[List[Tuple[int, ...]]]:
-    """Compress each corpus in *corpora* against *table*; one token list per
-    corpus, in input order.
-
-    This is the fan-out primitive behind the sharded build
-    (:func:`repro.core.sharded.build_sharded_store`): each corpus is one
-    shard's paths, shipped whole to a worker through the same FlatCorpus
-    shipping path the chunked :func:`parallel_compress` uses, so per-shard
-    results are bit-identical to compressing the shard sequentially.
-    Metric snapshots fold back into the active registry exactly like the
-    chunked path (counter totals identical across process counts).
-    """
-    if processes < 1:
-        raise InvalidInputError("processes must be >= 1")
-    if not corpora:
-        return []
-    if processes == 1:
-        matcher = static_matcher_from_table(table, backend)
-        return [
-            compress_paths_flat(corpus, table, matcher) for corpus in corpora
-        ]
-    obs = get_active()
-    payloads = [corpus.to_shipping() for corpus in corpora]
-    with _table_pool(min(processes, len(payloads)), table, backend, obs is not None) as pool:
-        results = pool.map(_compress_chunk, payloads)
-    out: List[List[Tuple[int, ...]]] = []
-    for shipped, metrics in results:
-        out.append(FlatCorpus.from_shipping(shipped).to_paths())
-        if metrics is not None and obs is not None:
-            obs.registry.merge_dict(metrics)
-    return out
-
-
-def decompress_corpora(
-    corpora: Sequence[FlatCorpus],
-    table: SupernodeTable,
-    processes: int = 2,
-) -> List[List[Tuple[int, ...]]]:
-    """Decompress each token corpus in *corpora*; the inverse of
-    :func:`compress_corpora` (round-trips its output for any process count).
-
-    One path list per corpus, in input order — the fan-out shape a sharded
-    archive's per-shard token lists arrive in.
-    """
-    if processes < 1:
-        raise InvalidInputError("processes must be >= 1")
-    if not corpora:
-        return []
-    if processes == 1:
-        return [decompress_paths_flat(corpus, table) for corpus in corpora]
-    obs = get_active()
-    payloads = [corpus.to_shipping() for corpus in corpora]
-    with _table_pool(min(processes, len(payloads)), table, "hash", obs is not None) as pool:
-        results = pool.map(_decompress_chunk, payloads)
-    out: List[List[Tuple[int, ...]]] = []
-    for shipped, metrics in results:
-        out.append(FlatCorpus.from_shipping(shipped).to_paths())
-        if metrics is not None and obs is not None:
-            obs.registry.merge_dict(metrics)
-    return out
+    return _chunked(_compress_chunk, paths, table, processes, chunk_size, backend)
 
 
 def parallel_decompress(
@@ -320,6 +189,21 @@ def parallel_decompress(
     chunk_size: int = 2048,
 ) -> List[Tuple[int, ...]]:
     """Decompress *tokens* across *processes* workers (order-preserving)."""
-    if processes == 1:
-        return decompress_paths_flat(as_flat_corpus(tokens), table)
-    return _run_parallel(_decompress_chunk, tokens, table, processes, chunk_size, "hash")
+    return _chunked(_decompress_chunk, tokens, table, processes, chunk_size, "hash")
+
+
+def _serialize_shards(
+    corpora: Sequence[FlatCorpus],
+    table: SupernodeTable,
+    processes: int = 1,
+    backend: str = "rolling",
+) -> List[Tuple[bytes, int]]:
+    """Compress each corpus and serialize it to a v2 blob inside the worker.
+
+    The sharded build's fan-out: serialization is pure per-shard work, so
+    shipping finished blobs instead of token lists keeps the parent's
+    critical path at ``partition + spawn + max(shard)`` rather than
+    re-paying every shard's serialization sequentially after the barrier.
+    Each ``(blob, count)`` is byte-identical for any process count.
+    """
+    return _fan_out(_serialize_shard, corpora, table, processes, backend)

@@ -2,8 +2,7 @@
 
 Every other backend pays per *vertex* to probe a candidate length: the flat
 hash (Algorithm 6) and the two-level hash (Algorithm 7) build and hash a
-fresh tuple per probe, the §IV-D trie dereferences one child pointer per
-vertex.  A polynomial rolling hash removes the per-vertex factor entirely:
+fresh tuple per probe.  A polynomial rolling hash removes the per-vertex factor entirely:
 with prefix hashes ``P[i]`` of the query path precomputed once,
 
     hash(path[pos:pos+L]) = P[pos+L] - P[pos] * B**L      (mod 2**64)
@@ -14,9 +13,9 @@ O(#distinct candidate lengths) instead of O(δ²).
 
 Correctness is never entrusted to the hash: every hash hit is verified
 against the exact candidate before a match is reported, so results are
-bit-identical to the hash/multilevel/trie backends even under adversarial
-collisions (the ``hash_bits`` knob exists precisely to let tests force
-collisions and exercise the verify step).
+bit-identical to the hash/multilevel backends even under adversarial
+collisions (the ``hash_bits`` constructor argument exists precisely to let
+tests force collisions and exercise the verify step).
 
 Two consumers:
 
@@ -69,9 +68,8 @@ class RollingHashCandidates(CandidateSet):
 
     Probe-cost accounting (``self.stats``): one probe and one hashed vertex
     per O(1) length test — the unit of work here is a constant-time hash
-    lookup, mirroring how the trie counts child dereferences — plus the
-    verified candidate's length on each hash hit (the explicit
-    collision-verify step re-reads the window).
+    lookup — plus the verified candidate's length on each hash hit (the
+    explicit collision-verify step re-reads the window).
     """
 
     def __init__(self, hash_bits: int = 64) -> None:

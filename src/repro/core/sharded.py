@@ -7,9 +7,9 @@ under one CRC'd JSON manifest — which buys three things the WebGraph /
 Log(Graph) lineage of partitioned compressed representations is built on:
 
 * **parallel build** (:func:`build_sharded_store`) — per-shard compression
-  fans out over :func:`repro.core.parallel.compress_corpora` workers using
-  the FlatCorpus shipping path, so wall-clock build time drops near-linearly
-  with cores while the output stays bit-identical to the sequential build;
+  fans out over :mod:`repro.core.parallel` workers using the FlatCorpus
+  shipping path, so wall-clock build time drops near-linearly with cores
+  while the output stays bit-identical to the sequential build;
 * **constant-memory streaming ingest** (:class:`ShardedIngest`) — arriving
   paths land in a mutable in-memory *memtable* compressed against a frozen
   table (a :class:`~repro.core.stream.StreamingCompressor`); when the
@@ -719,9 +719,8 @@ def build_sharded_store(
     """Compress *paths* against *table* into a sharded store at *out_path*.
 
     Per-shard compression *and serialization* fan out over *processes*
-    workers (the FlatCorpus shipping path of
-    :func:`repro.core.parallel.compress_corpora`, shipping finished v2
-    blobs back), then each shard is written as a self-contained v2 file
+    workers (the FlatCorpus shipping path of :mod:`repro.core.parallel`,
+    shipping finished v2 blobs back), then each shard is written as a self-contained v2 file
     next to the manifest.  Output is bit-identical to the sequential monolithic
     build for every ``(partition, shards, processes)`` combination, because
     compression is a pure per-path function of ``(path, table)``.
@@ -740,8 +739,6 @@ def build_sharded_store(
         exactly like the manifest-routed store does.
     :returns: *out_path*, for chaining into :meth:`ShardedPathStore.open`.
     """
-    from repro.core.parallel import compress_corpora
-
     corpus = as_flat_corpus(paths)
     if order is not None:
         corpus = order.transform_corpus(corpus)
@@ -774,11 +771,11 @@ def _build_sharded(
     backend: str,
     order=None,
 ) -> str:
-    from repro.core.parallel import _compress_corpora_blobs
+    from repro.core.parallel import _serialize_shards
     from repro.core.serialize import append_order_section
 
     parts = partition_corpus(corpus, shards, partition)
-    blobs = _compress_corpora_blobs(parts, table, processes=processes, backend=backend)
+    blobs = _serialize_shards(parts, table, processes=processes, backend=backend)
     table_crc = zlib.crc32(dumps_table(table))
     directory = os.path.dirname(os.path.abspath(out_path))
     stem = os.path.splitext(os.path.basename(out_path))[0]

@@ -30,7 +30,7 @@ class CompressedPathStore(PathReader):
 
     :param table: the supernode table paths are compressed against.
     :param matcher_backend: longest-match backend for ingestion (``"hash"``,
-        ``"multilevel"``, ``"trie"`` or ``"rolling"``); output is identical
+        ``"multilevel"`` or ``"rolling"``); output is identical
         across backends, only probe cost differs.
     :param order: optional :class:`~repro.paths.reorder.VertexOrder` the
         table was built under.  With an order, ingestion relabels incoming
@@ -47,16 +47,12 @@ class CompressedPathStore(PathReader):
         self,
         table: SupernodeTable,
         matcher_backend: str = "hash",
-        hash_bits: int = 64,
         order=None,
     ) -> None:
         self.table = table
         self.matcher_backend = matcher_backend
-        self.hash_bits = hash_bits
         self.order = order
-        self._matcher: CandidateSet = static_matcher_from_table(
-            table, matcher_backend, hash_bits=hash_bits
-        )
+        self._matcher: CandidateSet = static_matcher_from_table(table, matcher_backend)
         self._tokens: List[Tuple[int, ...]] = []
 
     # -- construction -------------------------------------------------------------

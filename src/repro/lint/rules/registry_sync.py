@@ -1,7 +1,7 @@
 """R002 — registry completeness: every matcher backend everywhere.
 
 ``MATCHER_BACKENDS`` in :mod:`repro.core.config` is the single source of
-truth for the four longest-match backends whose byte-identical equivalence
+truth for the longest-match backends whose byte-identical equivalence
 is the paper's §IV claim.  A backend that exists but is missing from the
 CLI, the equivalence test, or the performance docs is a silent hole in that
 claim — the linter cross-references all four artifacts **by AST/structure**,

@@ -51,7 +51,6 @@ class TestRunIds:
             "rome-baseline",
             "rome-matcher=hash",
             "rome-matcher=multilevel",
-            "rome-matcher=trie",
             "rome-store_format=v2",
         }
 
@@ -100,10 +99,10 @@ class TestRunIds:
 
 class TestKnobRegistry:
     def test_requires_settings_precede_the_knob_value(self):
-        knob = knob_by_name("hash_bits")
-        assert knob.settings_for(12) == (
-            ("config.matcher", "rolling"),
-            ("config.hash_bits", 12),
+        knob = knob_by_name("reorder")
+        assert knob.settings_for("frequency") == (
+            ("spec.store_format", "v2"),
+            ("config.reorder", "frequency"),
         )
 
     def test_unknown_knob_rejected(self):
@@ -268,4 +267,19 @@ class TestReport:
         target = tmp_path / "other.json"
         target.write_text(json.dumps({"benchmark": "smoke_fig5_speed"}))
         with pytest.raises(InvalidInputError):
+            load_report(str(target))
+
+    def test_load_rejects_a_report_naming_a_retired_knob(self, tmp_path):
+        report = build_report(
+            {"w-baseline": _result("w", None, "baseline", "baseline", cr=2.0)},
+            workloads=["w"], size="tiny", seed=0, rounds=1,
+        )
+        report["knobs"].append(
+            {"name": "hash_bits", "component": "rolling-hash width",
+             "target": "config.hash_bits", "values": ["12", "32"],
+             "requires": [["config.matcher", "rolling"]], "summary": ""}
+        )
+        target = tmp_path / "BENCH_ablation.json"
+        target.write_text(json.dumps(report))
+        with pytest.raises(InvalidInputError, match="'hash_bits'.*make bench-ablation"):
             load_report(str(target))

@@ -100,13 +100,10 @@ def synthetic_report(entries, knobs=None):
         "schema_version": 1,
         "knobs": knobs or [
             {"name": "matcher", "target": "config.matcher", "requires": []},
-            {"name": "hash_bits", "target": "config.hash_bits",
-             "requires": [["config.matcher", "rolling"]]},
             {"name": "capacity", "target": "config.capacity", "requires": []},
             {"name": "iterations", "target": "config.iterations", "requires": []},
             {"name": "sample_exponent", "target": "config.sample_exponent",
              "requires": []},
-            {"name": "processes", "target": "spec.processes", "requires": []},
         ],
         "importance": entries,
     }
@@ -155,31 +152,6 @@ class TestAblationOverrides:
         ])
         overrides, _, _ = ablation_overrides(report, workload="w")
         assert overrides == {}
-
-    def test_requires_conflict_resolved_by_importance(self):
-        from repro.core.autotune import ablation_overrides
-
-        # matcher (more important) picks "hash"; hash_bits requires the
-        # rolling backend and so must be dropped, not fight the winner.
-        report = synthetic_report([
-            entry("matcher", "matcher backend", 0.5,
-                  {"hash": {"delta_cr": 0.0, "delta_cs": 1.0}}),
-            entry("hash_bits", "matcher hashing", 0.2,
-                  {"12": {"delta_cr": 0.1, "delta_cs": 0.1}}),
-        ])
-        overrides, important, _ = ablation_overrides(report, workload="w")
-        assert overrides == {"matcher": "hash"}
-        assert set(important) == {"matcher", "hash_bits"}
-
-    def test_requires_applied_with_the_winning_value(self):
-        from repro.core.autotune import ablation_overrides
-
-        report = synthetic_report([
-            entry("hash_bits", "matcher hashing", 0.2,
-                  {"12": {"delta_cr": 0.1, "delta_cs": 0.1}}),
-        ])
-        overrides, _, _ = ablation_overrides(report, workload="w")
-        assert overrides == {"matcher": "rolling", "hash_bits": 12}
 
     def test_unknown_workload_falls_back_to_cross_workload_max(self):
         from repro.core.autotune import ablation_overrides

@@ -57,7 +57,7 @@ class TestCompressDecompress:
         assert main(["decompress", str(out), str(restored)]) == 0
         assert load_text(restored) == ds
 
-    @pytest.mark.parametrize("backend", ["multilevel", "trie", "rolling"])
+    @pytest.mark.parametrize("backend", ["multilevel", "rolling"])
     def test_backend_selection_archives_identically(self, paths_file, tmp_path, backend):
         # Backends differ only in probe cost: the archive bytes must match
         # the default hash backend's exactly.

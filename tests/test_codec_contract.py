@@ -33,10 +33,6 @@ def offs_topdown():
     return OFFSCodec(OFFSConfig(iterations=3, sample_exponent=0, topdown_rounds=2))
 
 
-def offs_trie():
-    return OFFSCodec(OFFSConfig(iterations=3, sample_exponent=0, matcher="trie"))
-
-
 def offs_multilevel():
     return OFFSCodec(OFFSConfig(iterations=3, sample_exponent=0, matcher="multilevel"))
 
@@ -45,7 +41,6 @@ CODEC_FACTORIES = {
     "OFFS": offs_default,
     "OFFS*": offs_fast,
     "OFFS+topdown": offs_topdown,
-    "OFFS+trie": offs_trie,
     "OFFS+multilevel": offs_multilevel,
     "RSS": lambda: RSSCodec(capacity=64, sample_exponent=0),
     "GFS": lambda: GFSCodec(capacity=64, sample_exponent=0),

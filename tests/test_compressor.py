@@ -101,7 +101,7 @@ class TestRoundtrip:
 class TestFlatBatch:
     PATHS = [(1, 2, 3, 9), (4, 5), (6, 7), (), (1, 2, 3, 4, 5, 1, 2)]
 
-    @pytest.mark.parametrize("backend", ["hash", "multilevel", "trie", "rolling"])
+    @pytest.mark.parametrize("backend", ["hash", "multilevel", "rolling"])
     def test_matches_per_path_loop(self, table, backend):
         matcher = static_matcher_from_table(table, backend)
         expected = compress_dataset(self.PATHS, table)

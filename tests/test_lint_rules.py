@@ -114,15 +114,15 @@ class TestDeterminismRule:
 
 
 _R002_COMPLETE = {
-    "src/repro/core/config.py": 'MATCHER_BACKENDS = ("hash", "trie")\n',
+    "src/repro/core/config.py": 'MATCHER_BACKENDS = ("hash", "rolling")\n',
     "src/repro/core/matcher.py": (
         "class HashCandidates:\n    pass\n"
-        "class TrieCandidates:\n    pass\n"
+        "class RollingHashCandidates:\n    pass\n"
         "def make_candidate_set(backend, alpha=5):\n"
         '    if backend == "hash":\n'
         "        return HashCandidates()\n"
-        '    if backend == "trie":\n'
-        "        return TrieCandidates()\n"
+        '    if backend == "rolling":\n'
+        "        return RollingHashCandidates()\n"
         '    raise KeyError(backend)\n'
     ),
     "src/repro/cli.py": (
@@ -134,11 +134,11 @@ _R002_COMPLETE = {
         "    return p\n"
     ),
     "tests/test_matcher_equivalence.py": (
-        "from repro.core.matcher import HashCandidates, TrieCandidates\n"
+        "from repro.core.matcher import HashCandidates, RollingHashCandidates\n"
         "def test_equivalent():\n"
-        "    assert HashCandidates and TrieCandidates\n"
+        "    assert HashCandidates and RollingHashCandidates\n"
     ),
-    "docs/performance.md": "Backends: `hash` vs `trie`.\n",
+    "docs/performance.md": "Backends: `hash` vs `rolling`.\n",
 }
 
 
@@ -173,8 +173,8 @@ class TestRegistrySyncRule:
                                    [RegistrySyncRule()]))
         assert any("not handled" in m for m in found)  # factory
         assert any("choices literal is missing" in m for m in found)  # CLI
-        assert any("never exercises backend 'trie'" in m for m in found)
-        assert any("does not document backend 'trie'" in m for m in found)
+        assert any("never exercises backend 'rolling'" in m for m in found)
+        assert any("does not document backend 'rolling'" in m for m in found)
 
     def test_factory_key_missing_from_registry(self, tmp_path):
         files = dict(_R002_COMPLETE)

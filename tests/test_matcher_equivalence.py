@@ -1,7 +1,7 @@
 """Property-based equivalence of the matcher backends.
 
-Algorithm 6 (flat hash), Algorithm 7 (two-level hash), the §IV-D trie and
-the rolling-hash backend must be *observationally identical*: same contents
+Algorithm 6 (flat hash), Algorithm 7 (two-level hash) and the rolling-hash
+backend must be *observationally identical*: same contents
 → same weights, same longest-match answers at every position and cap.  Only
 probe cost may differ.  Hypothesis drives random candidate sets and queries
 through all of them at once.
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.matcher import HashCandidates
 from repro.core.multilevel import MultiLevelCandidates
 from repro.core.rollhash import RollingHashCandidates
-from repro.core.trie import TrieCandidates
 
 candidate = st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=8).map(tuple)
 candidates = st.lists(st.tuples(candidate, st.integers(min_value=1, max_value=5)), max_size=30)
@@ -27,7 +26,6 @@ def _populate(entries):
     backends = [
         HashCandidates(),
         MultiLevelCandidates(alpha=4),
-        TrieCandidates(),
         RollingHashCandidates(),
         RollingHashCandidates(hash_bits=2),  # adversarial collision regime
     ]

@@ -1,7 +1,7 @@
 """Unit tests for the three candidate-set / prefix-matcher backends.
 
 The contract: all backends return identical longest-match lengths for the
-same contents (Algorithm 6 vs Algorithm 7 vs the §IV-D trie differ only in
+same contents (Algorithm 6 vs Algorithm 7 vs the rolling hash differ only in
 probe cost).  Backend-specific behaviour is tested in its own class; the
 equivalence property lives in ``test_matcher_equivalence.py``.
 """
@@ -11,9 +11,8 @@ import pytest
 from repro.core.matcher import HashCandidates, make_candidate_set
 from repro.core.multilevel import MultiLevelCandidates
 from repro.core.rollhash import RollingHashCandidates
-from repro.core.trie import TrieCandidates
 
-BACKENDS = ["hash", "multilevel", "trie", "rolling"]
+BACKENDS = ["hash", "multilevel", "rolling"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -172,30 +171,6 @@ class TestMultiLevelSpecifics:
         assert costs[4] < costs[1] and costs[4] < costs[7]
 
 
-class TestTrieSpecifics:
-    def test_interior_node_not_terminal(self):
-        trie = TrieCandidates()
-        trie.add((1, 2, 3))
-        assert trie.weight((1, 2)) is None
-        assert trie.longest_match((1, 2, 9), 0, 8) == 1
-
-    def test_compact_removes_dead_branches(self):
-        trie = TrieCandidates()
-        trie.add((1, 2, 3, 4))
-        trie.add((1, 2))
-        trie.discard((1, 2, 3, 4))
-        trie.compact()
-        assert trie._recompute_max_len() == 2
-        assert trie.longest_match((1, 2, 3, 4), 0, 8) == 2
-
-    def test_items_after_discard(self):
-        trie = TrieCandidates()
-        trie.add((1, 2), 3)
-        trie.add((4, 5), 1)
-        trie.discard((4, 5))
-        assert dict(trie.items()) == {(1, 2): 3}
-
-
 class TestFactory:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -204,5 +179,4 @@ class TestFactory:
     def test_factory_types(self):
         assert isinstance(make_candidate_set("hash"), HashCandidates)
         assert isinstance(make_candidate_set("multilevel"), MultiLevelCandidates)
-        assert isinstance(make_candidate_set("trie"), TrieCandidates)
         assert isinstance(make_candidate_set("rolling"), RollingHashCandidates)

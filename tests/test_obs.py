@@ -295,9 +295,10 @@ class TestProbeStatsBridge:
         }
 
     def test_every_backend_carries_stats(self):
+        from repro.core.config import MATCHER_BACKENDS
         from repro.core.matcher import make_candidate_set
 
-        for backend in ("hash", "multilevel", "trie"):
+        for backend in MATCHER_BACKENDS:
             cands = make_candidate_set(backend)
             assert isinstance(cands.stats, ProbeStats)
             cands.stats.reset()

@@ -106,7 +106,7 @@ class TestSizes:
 
 
 class TestMatcherBackends:
-    @pytest.mark.parametrize("backend", ["hash", "multilevel", "trie"])
+    @pytest.mark.parametrize("backend", ["hash", "multilevel"])
     def test_all_backends_produce_identical_tokens(self, simple_dataset, backend):
         cfg = OFFSConfig(iterations=3, sample_exponent=0, matcher=backend)
         codec = OFFSCodec(cfg).fit(simple_dataset)

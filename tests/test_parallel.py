@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.compressor import compress_dataset, decompress_dataset
 from repro.core.config import OFFSConfig
+from repro.core.errors import InvalidInputError
 from repro.core.offs import OFFSCodec
 from repro.core.parallel import parallel_compress, parallel_decompress
 from repro.workloads.registry import make_dataset
@@ -59,7 +60,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             parallel_compress(dataset, table, processes=0)
 
-    def test_bad_chunk_size(self, setup):
+    @pytest.mark.parametrize("processes", (1, 2))
+    @pytest.mark.parametrize(
+        "run, chunk_size",
+        ((parallel_compress, 0), (parallel_decompress, -5)),
+        ids=("compress", "decompress"),
+    )
+    def test_bad_chunk_size(self, setup, run, chunk_size, processes):
         dataset, table = setup
-        with pytest.raises(ValueError):
-            parallel_compress(dataset, table, processes=2, chunk_size=0)
+        with pytest.raises(InvalidInputError):
+            run(dataset, table, processes=processes, chunk_size=chunk_size)

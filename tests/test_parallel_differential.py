@@ -1,6 +1,7 @@
 """Differential tests: parallel (de)compression vs the sequential ground truth.
 
-Two properties, for ``processes ∈ {1, 2, 4}``:
+Two properties, for ``processes ∈ {1, 2, 4}`` (and the sharded build's
+fan-out at 1 and 2):
 
 1. **Byte-identical output.**  Compressed tokens (and decompressed paths)
    must equal the sequential path's exactly, independent of worker count
@@ -17,6 +18,7 @@ from repro.core.compressor import compress_dataset, decompress_dataset
 from repro.core.config import OFFSConfig
 from repro.core.offs import OFFSCodec
 from repro.core.parallel import parallel_compress, parallel_decompress
+from repro.core.sharded import build_sharded_store
 from repro.obs import instrumented
 from repro.workloads.registry import make_dataset
 
@@ -55,7 +57,7 @@ class TestByteIdentical:
                                  chunk_size=29) == sequential
 
     @pytest.mark.parametrize("processes", PROCESS_COUNTS)
-    @pytest.mark.parametrize("backend", ("multilevel", "trie", "rolling"))
+    @pytest.mark.parametrize("backend", ("multilevel", "rolling"))
     def test_every_backend_matches_sequential(self, setup, processes, backend):
         paths, table = setup
         sequential = compress_dataset(paths, table)
@@ -123,6 +125,26 @@ class TestMetricConservation:
         with instrumented() as obs:
             parallel_compress(paths, table, processes=processes, chunk_size=37,
                               backend="rolling")
+        counters = obs.registry.counters()
+        assert {name: counters.get(name, 0) for name in CONSERVED_COMPRESS} == expected
+
+    @pytest.mark.parametrize("processes", (1, 2))
+    def test_sharded_build_counters_equal_single_process(
+        self, setup, tmp_path, processes
+    ):
+        # The sharded build fans shards out through the same pool helper as
+        # parallel_compress; its merged totals must equal one in-process
+        # batch over the whole corpus.
+        paths, table = setup
+        with instrumented() as obs:
+            parallel_compress(paths, table, processes=1, backend="rolling")
+        expected = {
+            name: obs.registry.counters().get(name, 0) for name in CONSERVED_COMPRESS
+        }
+        assert all(expected.values())
+        with instrumented() as obs:
+            build_sharded_store(paths, table, str(tmp_path / "store.rpsm"),
+                                shards=3, processes=processes, backend="rolling")
         counters = obs.registry.counters()
         assert {name: counters.get(name, 0) for name in CONSERVED_COMPRESS} == expected
 

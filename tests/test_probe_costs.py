@@ -8,16 +8,14 @@ this file re-derives the paper's probe-cost arithmetic from those counters:
 * **Example 4** — the same query under the two-level scheme (α = 5) costs
   at most 14 hashed vertices in its fallback branch; with a matching
   primary key the suffix probing is bounded by ``5 + (3+1)·3/2 = 11``.
-* **§IV-D** — the trie answers any probe in at most δ per-vertex steps.
 * **Lemma 3** — across a real workload, the two-level scheme hashes fewer
-  vertices than the flat scheme, and the trie fewer still.
+  vertices than the flat scheme.
 """
 
 import pytest
 
 from repro.core.matcher import HashCandidates
 from repro.core.multilevel import MultiLevelCandidates
-from repro.core.trie import TrieCandidates
 
 EXAMPLE3_PATH = (8, 5, 0, 9, 1, 3, 4, 2)  # "P is {v8,v5,v0,v9,v1,v3,v4,v2}"
 
@@ -89,20 +87,6 @@ class TestExample4TwoLevelScheme:
         assert costs[4] <= costs[6]
 
 
-class TestTrieLinearBound:
-    def test_any_probe_costs_at_most_delta_steps(self):
-        # §IV-D: "the upper bound of each prefix match is optimized from
-        # O(δ²) to O(δ)".
-        assert failed_probe_cost(TrieCandidates()) <= 8
-
-    def test_probe_counts_one_per_call(self):
-        trie = TrieCandidates()
-        trie.add((1, 2, 3))
-        trie.stats.reset()
-        trie.longest_match((1, 2, 3), 0, 8)
-        assert trie.stats.probes == 1
-
-
 class TestLemma3OnRealWorkload:
     @pytest.fixture(scope="class")
     def workload(self):
@@ -125,15 +109,12 @@ class TestLemma3OnRealWorkload:
             compress_path(path, table, backend)
         return backend.stats.snapshot()
 
-    def test_cost_ordering_flat_vs_multilevel_vs_trie(self, workload):
+    def test_cost_ordering_flat_vs_multilevel(self, workload):
         dataset, table = workload
         flat = self._total_cost(HashCandidates(), dataset, table)
         two_level = self._total_cost(MultiLevelCandidates(alpha=5), dataset, table)
-        trie = self._total_cost(TrieCandidates(), dataset, table)
-        # Lemma 3: the refined bound is below O(|P|·δ²)...
+        # Lemma 3: the refined bound is below O(|P|·δ²).
         assert two_level.hashed_vertices < flat.hashed_vertices
-        # ...and the IV-D trie is linear per position.
-        assert trie.hashed_vertices < two_level.hashed_vertices
 
     def test_stats_reset(self, workload):
         dataset, table = workload

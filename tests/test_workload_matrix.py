@@ -19,7 +19,6 @@ WORKLOADS = ("alibaba", "rome", "porto", "sanfrancisco", "web", "collision", "no
 MODES = {
     "default": OFFSConfig(iterations=4, sample_exponent=0),
     "fast": OFFSConfig(iterations=2, sample_exponent=0),
-    "trie": OFFSConfig(iterations=3, sample_exponent=0, matcher="trie"),
     "hybrid": OFFSConfig(iterations=3, sample_exponent=0, topdown_rounds=2),
 }
 
