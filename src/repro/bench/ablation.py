@@ -228,9 +228,9 @@ KNOBS: Tuple[Knob, ...] = (
         name="reorder",
         component="vertex reordering",
         target="config.reorder",
-        values=("frequency", "bfs", "locality"),
+        values=("frequency",),
         requires=(("spec.store_format", "v2"),),
-        summary="fit a compression-aware vertex order before table "
+        summary="fit a hottest-first vertex order before table "
         "construction; hot vertices get small (cheap-varint) ids and the "
         "invertible mapping persists in the archive's order section",
     ),
@@ -813,9 +813,10 @@ def run_ablation(
 def load_report(path: str) -> Dict[str, object]:
     """Read and schema-check a ``BENCH_ablation.json`` report.
 
-    A report whose ``knobs`` name a knob this build no longer registers was
-    measured by an older build; its overrides would name config fields that
-    no longer exist, so it is refused rather than half-applied.
+    A report whose ``knobs`` name a knob, or a knob value, this build no
+    longer registers was measured by an older build; its overrides would
+    name config fields or values that no longer exist, so it is refused
+    rather than half-applied.
     """
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
@@ -826,11 +827,21 @@ def load_report(path: str) -> Dict[str, object]:
             f"{path}: schema_version {report.get('schema_version')!r} "
             f"(this build reads {SCHEMA_VERSION})"
         )
-    registered = {knob.name for knob in KNOBS}
+    registered = {
+        knob.name: {format_value(v) for v in knob.values} for knob in KNOBS
+    }
     for knob in report.get("knobs", ()):
-        if knob.get("name") not in registered:
+        name = knob.get("name")
+        if name not in registered:
             raise InvalidInputError(
-                f"{path}: knob {knob.get('name')!r} is not in this build's "
+                f"{path}: knob {name!r} is not in this build's "
                 "registry; re-run `make bench-ablation` to refresh the report"
             )
+        for value in knob.get("values", ()):
+            if value not in registered[name]:
+                raise InvalidInputError(
+                    f"{path}: knob value {name}={value} is not in this "
+                    "build's registry; re-run `make bench-ablation` to "
+                    "refresh the report"
+                )
     return report

@@ -12,9 +12,9 @@ The operational surface a deployment needs, over the text/binary formats of
   ``--auto`` tunes the config on a pilot sample first and compresses with
   the pick; add ``--ablation-report BENCH_ablation.json`` to prune the
   search with measured component importance (see docs/ablation.md).
-  ``--reorder frequency|bfs|locality`` fits a compression-aware vertex
-  order first; the invertible mapping persists inside the v2/sharded
-  archive and every reader keeps answering in original ids.
+  ``--reorder frequency`` fits a hottest-first vertex order first; the
+  invertible mapping persists inside the v2/sharded archive and every
+  reader keeps answering in original ids.
 * ``python -m repro decompress IN.offs OUT.paths`` — restore the text file.
 * ``python -m repro stats IN.offs`` — archive health without decompression.
 * ``python -m repro retrieve IN.offs --id 42`` — fetch single paths;

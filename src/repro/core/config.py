@@ -29,10 +29,9 @@ The paper's tunables, with its deployed defaults (Section VI-A):
 * ``reorder`` (default ``"identity"`` = off) — compression-aware vertex
   reordering strategy applied before table construction
   (:mod:`repro.paths.reorder`): ``frequency`` gives the hottest vertices
-  the smallest ids (cheapest varints), ``bfs`` / ``locality`` additionally
-  cluster co-occurring vertices.  The codec fits the order alongside the
-  table and stores invert it on retrieval, so callers always see original
-  ids.
+  the smallest ids (cheapest varints).  The codec fits the order alongside
+  the table and stores invert it on retrieval, so callers always see
+  original ids.
 """
 
 from __future__ import annotations

@@ -236,6 +236,16 @@ class MappedPathStore(PathReader):
         return self._table
 
     @property
+    def table_fingerprint(self) -> int:
+        """CRC32 of the serialized table section, read without decoding it.
+
+        The same value a shard manifest records as ``ShardInfo.table_crc``.
+        """
+        header = self._header
+        start = header.table_offset
+        return zlib.crc32(self._buf[start : start + header.table_size])
+
+    @property
     def order(self):
         """The persisted :class:`~repro.paths.reorder.VertexOrder`, or ``None``.
 

@@ -417,19 +417,16 @@ class ShardedPathStore(PathReader):
         info = self.manifest.shards[index]
         store = MappedPathStore.open(self.shard_path(index))
         try:
-            header = store._header
-            if header.path_count != info.count:
+            if len(store) != info.count:
                 raise CorruptDataError(
-                    f"shard {info.file!r} holds {header.path_count} paths, "
+                    f"shard {info.file!r} holds {len(store)} paths, "
                     f"manifest declares {info.count}"
                 )
-            table_blob = bytes(
-                store._buf[header.table_offset : header.table_offset + header.table_size]
-            )
-            if zlib.crc32(table_blob) != info.table_crc:
+            fingerprint = store.table_fingerprint
+            if fingerprint != info.table_crc:
                 raise CorruptDataError(
                     f"shard {info.file!r} table fingerprint "
-                    f"{zlib.crc32(table_blob):#010x} does not match manifest "
+                    f"{fingerprint:#010x} does not match manifest "
                     f"{info.table_crc:#010x}"
                 )
         except CorruptDataError:
@@ -917,19 +914,23 @@ class ShardedIngest:
     # -- sealing --------------------------------------------------------------------
 
     def _seal(self) -> None:
-        """Drain the memtable to an immutable shard and record it."""
+        """Write the memtable as an immutable shard, then record it.
+
+        The shard, and a manifest naming it, are written first; only then
+        does the ingest commit the shard, advance its offset and drain the
+        memtable.  A failed write re-raises with that state unchanged, so
+        no manifest names a shard that was never written and the next
+        seal retries the same paths.
+        """
         stream = self._stream
         if not stream.trained:
             if len(stream) == 0:
                 return
             stream.train_now()
-        tokens = stream.drain_tokens()
+        tokens = stream.store.tokens()
         if not tokens:
             return
         table = stream.store.table
-        drifted = stream.drifted
-        sealed_raw = self._memtable_raw
-        self._memtable_raw = []
         index = len(self._infos)
         info = ShardInfo(
             file=shard_filename(self._stem, index),
@@ -937,31 +938,34 @@ class ShardedIngest:
             count=len(tokens),
             table_crc=zlib.crc32(dumps_table(table)),
         )
-        self._infos.append(info)
-        self._sealed_paths += len(tokens)
         obs = get_active()
-        if obs is not None:
-            obs.registry.counter(catalog.SHARD_SEALED).inc()
-            obs.registry.set_gauge(catalog.SHARD_MEMTABLE_PATHS, 0)
-        shard_file = os.path.join(self._directory, info.file)
         if obs is None:
-            self._write_seal(shard_file, table, tokens)
+            self._write_seal(info, table, tokens)
         else:
             with obs.tracer.span(catalog.SPAN_SHARD_SEAL) as span, obs.registry.timeit(
                 catalog.SHARD_SEAL_SECONDS
             ):
-                self._write_seal(shard_file, table, tokens)
+                self._write_seal(info, table, tokens)
                 if span is not None:
                     span.add("paths", info.count)
                     span.add("shard", index)
-        if self.refit_on_drift and drifted:
+            obs.registry.counter(catalog.SHARD_SEALED).inc()
+            obs.registry.set_gauge(catalog.SHARD_MEMTABLE_PATHS, 0)
+        self._infos.append(info)
+        self._sealed_paths += info.count
+        stream.drain_tokens()
+        sealed_raw = self._memtable_raw
+        self._memtable_raw = []
+        if self.refit_on_drift and stream.drifted:
             self._refit(sealed_raw)
 
-    def _write_seal(self, shard_file: str, table, tokens) -> None:
+    def _write_seal(self, info: ShardInfo, table, tokens) -> None:
         """Publish a sealed shard, then the manifest that names it."""
+        shard_file = os.path.join(self._directory, info.file)
         _write_file_atomic(shard_file, dumps_store_v2_tokens(table, tokens))
         _write_file_atomic(
-            self.out_path, dumps_manifest(ShardManifest(PARTITION_RANGE, self._infos))
+            self.out_path,
+            dumps_manifest(ShardManifest(PARTITION_RANGE, self._infos + [info])),
         )
 
     def _refit(self, training_paths: List[Tuple[int, ...]]) -> None:

@@ -11,9 +11,9 @@ repository operates:
   (id remapping, noise removal, cycle cutting, pruning, grouping).
 * :mod:`repro.paths.encoding` — integer stream encodings (fixed width and
   varint) used for byte-accurate size accounting.
-* :mod:`repro.paths.reorder` — compression-aware vertex reordering:
-  invertible :class:`~repro.paths.reorder.VertexOrder` mappings fit by the
-  ``identity`` / ``frequency`` / ``bfs`` / ``locality`` strategies.
+* :mod:`repro.paths.reorder` — compression-aware vertex reordering: the
+  invertible hottest-first :class:`~repro.paths.reorder.VertexOrder` fit by
+  the ``frequency`` strategy (``identity`` keeps ids as they are).
 * :mod:`repro.paths.io` — simple text/binary persistence for path sets.
 """
 
@@ -41,7 +41,6 @@ from repro.paths.encoding import (
     decode_stream,
     encode_stream,
 )
-from repro.paths.remap import FrequencyRemapper
 from repro.paths.reorder import (
     ORDER_STRATEGIES,
     VertexOrder,
@@ -84,7 +83,6 @@ __all__ = [
     "NullSuppression",
     "RunLengthEncoding",
     "lightweight_sizes",
-    "FrequencyRemapper",
     "ORDER_STRATEGIES",
     "VertexOrder",
     "fit_order",

@@ -1,27 +1,21 @@
-"""Compression-aware vertex reordering: invertible orders fit on a corpus.
+"""Compression-aware vertex reordering: an invertible order fit on a corpus.
 
-The WebGraph lineage (Boldi & Vigna; Apostolico & Drovandi; Log(Graph))
-shows that id *ordering* alone buys compression: under variable-length
-integer coding, ids below 128 cost one byte, below 16384 two, so the
-hottest vertices should own the smallest ids, and vertices that co-occur
-in the same paths should sit in adjacent id ranges so shared subpaths
-become byte-adjacent.  This module is that pass for OFFS — a registry of
-ordering strategies, each producing an invertible :class:`VertexOrder`
-with a deterministic tie-break, fit on a :class:`~repro.core.FlatCorpus`
-(or any path iterable) in one pass over the data:
+Under variable-length integer coding, ids below 128 cost one byte, below
+16384 two, so the hottest vertices should own the smallest ids.  This
+module is that pass for OFFS: :func:`fit_order` produces an invertible
+:class:`VertexOrder` with a deterministic tie-break, fit on a
+:class:`~repro.core.FlatCorpus` (or any path iterable) in one counting
+pass over the data:
 
 * ``identity`` — keep ids as they are (:func:`fit_order` returns ``None``;
   nothing is persisted and readers skip the inversion entirely).
-* ``frequency`` — hottest-first ids, the :class:`~repro.paths.remap.FrequencyRemapper`
-  policy promoted into the registry (sort by ``(-count, vertex)``).
-* ``bfs`` — Apostolico–Drovandi-style breadth-first numbering over the
-  co-occurrence graph induced by the workload's paths (edges between
-  consecutive path vertices); each BFS restarts at the most frequent
-  unvisited vertex, neighbors visit hottest-first.
-* ``locality`` — an LLP-like label-propagation ordering: vertices adopt
-  the most common label among their co-occurrence neighbors for a few
-  deterministic rounds, clusters are laid out hottest-cluster-first and
-  hottest-vertex-first within each cluster.
+* ``frequency`` — hottest-first ids, sorted by ``(-count, vertex)``.
+
+The WebGraph lineage's BFS and label-propagation orders pay off because
+successor lists are gap-coded; OFFS tokens store absolute ids, so an order
+can only narrow varints, and hottest-first already does that.  Archives
+whose order section names the retired ``bfs`` / ``locality`` strategies
+still open: a stored name is metadata, inversion reads the backward map.
 
 Orders persist as the RPC2 order-table section (``docs/formats.md``) via
 :meth:`VertexOrder.to_bytes` / :meth:`VertexOrder.from_bytes`, and the
@@ -31,21 +25,20 @@ every retrieval surface inverts, so callers always see original ids.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import CorruptDataError, InvalidInputError
 from repro.obs import catalog
 from repro.obs.runtime import active_timer, get_active
 from repro.paths.encoding import VarintEncoding
 
-#: The closed set of strategy names, ``identity`` first (the default).
-ORDER_STRATEGIES: Tuple[str, ...] = ("identity", "frequency", "bfs", "locality")
+#: The strategies :func:`fit_order` fits, ``identity`` first (the default).
+ORDER_STRATEGIES: Tuple[str, ...] = ("identity", "frequency")
 
-#: Label-propagation rounds for the ``locality`` strategy.  Four rounds is
-#: the LLP-style sweet spot on path workloads: labels stabilize quickly on
-#: the small-diameter co-occurrence graphs paths induce.
-_LOCALITY_ROUNDS = 4
+#: Every name an order may carry: the fitted strategies plus the retired
+#: ``bfs`` / ``locality``, which earlier writers stored in order sections.
+_KNOWN_NAMES: Tuple[str, ...] = ORDER_STRATEGIES + ("bfs", "locality")
 
 _VARINT = VarintEncoding()
 
@@ -85,7 +78,8 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
 class VertexOrder:
     """A learned bijective vertex relabelling with a named strategy.
 
-    :param strategy: the registry name that produced this order.
+    :param strategy: the strategy name that produced this order (a
+        retired ``bfs`` / ``locality`` name is accepted for old archives).
     :param backward: original ids in new-id order — ``backward[new] == old``.
 
     The forward map (original → new) is derived; both directions are O(1).
@@ -97,7 +91,7 @@ class VertexOrder:
     __slots__ = ("strategy", "_forward", "_backward")
 
     def __init__(self, strategy: str, backward: Sequence[int]) -> None:
-        if strategy not in ORDER_STRATEGIES:
+        if strategy not in _KNOWN_NAMES:
             raise InvalidInputError(
                 f"unknown order strategy {strategy!r}; "
                 f"expected one of {ORDER_STRATEGIES}"
@@ -134,14 +128,6 @@ class VertexOrder:
             raise InvalidInputError(
                 f"vertex {vertex} is not covered by this {self.strategy!r} order"
             ) from None
-
-    def invert_vertex(self, vertex: int) -> int:
-        """The original id behind new id *vertex*."""
-        if not 0 <= vertex < len(self._backward):
-            raise InvalidInputError(
-                f"new id {vertex} out of range for an order of {len(self)} vertices"
-            )
-        return self._backward[vertex]
 
     def apply_path(self, path: Sequence[int]) -> Tuple[int, ...]:
         """Relabel one path into new-id space."""
@@ -197,20 +183,6 @@ class VertexOrder:
 
     # -- persistence ---------------------------------------------------------------
 
-    def as_table(self) -> List[Tuple[int, int]]:
-        """``(old id, new id)`` pairs in new-id order (serializable)."""
-        return [(old, new) for new, old in enumerate(self._backward)]
-
-    @classmethod
-    def from_table(
-        cls, strategy: str, table: Iterable[Tuple[int, int]]
-    ) -> "VertexOrder":
-        """Rebuild from :meth:`as_table` output."""
-        backward: Dict[int, int] = {new: old for old, new in table}
-        if sorted(backward) != list(range(len(backward))):
-            raise InvalidInputError("order table new ids must be dense 0..n-1")
-        return cls(strategy, [backward[new] for new in range(len(backward))])
-
     def to_bytes(self) -> bytes:
         """The RPOT section *body*: strategy name + backward map, varints.
 
@@ -237,7 +209,7 @@ class VertexOrder:
         except UnicodeDecodeError as exc:
             raise CorruptDataError(f"order-table strategy name is not UTF-8: {exc}")
         pos += name_len
-        if strategy not in ORDER_STRATEGIES or strategy == "identity":
+        if strategy not in _KNOWN_NAMES or strategy == "identity":
             raise CorruptDataError(
                 f"order-table names unknown strategy {strategy!r}"
             )
@@ -256,89 +228,15 @@ class VertexOrder:
             raise CorruptDataError(f"order-table body invalid: {exc}") from None
 
 
-# -- strategy fitting -----------------------------------------------------------
+# -- fitting -------------------------------------------------------------------
 
 
-def _scan(paths: Iterable[Sequence[int]]):
-    """One pass over *paths*: vertex frequencies + co-occurrence adjacency."""
+def _count(paths: Iterable[Sequence[int]]) -> Counter:
+    """One pass over *paths*: the occurrence count of every vertex."""
     counts: Counter = Counter()
-    adjacency: Dict[int, set] = defaultdict(set)
     for path in paths:
         counts.update(path)
-        for a, b in zip(path, path[1:]):
-            if a != b:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    return counts, adjacency
-
-
-def _fit_frequency(counts: Counter, adjacency) -> List[int]:
-    """Hottest-first; equal frequencies break on the smaller original id."""
-    return [v for v, _ in sorted(counts.items(), key=lambda e: (-e[1], e[0]))]
-
-
-def _fit_bfs(counts: Counter, adjacency) -> List[int]:
-    """BFS over the co-occurrence graph, hottest seed and neighbors first."""
-    backward: List[int] = []
-    visited = set()
-    hotness = lambda v: (-counts[v], v)  # noqa: E731 - tiny local key
-    for seed in sorted(counts, key=hotness):
-        if seed in visited:
-            continue
-        visited.add(seed)
-        queue = deque((seed,))
-        while queue:
-            v = queue.popleft()
-            backward.append(v)
-            for u in sorted(adjacency.get(v, ()), key=hotness):
-                if u not in visited:
-                    visited.add(u)
-                    queue.append(u)
-    return backward
-
-
-def _fit_locality(counts: Counter, adjacency) -> List[int]:
-    """Label propagation: cluster co-occurring vertices, lay clusters out.
-
-    Every vertex starts as its own label; for a bounded number of rounds
-    each vertex (in ascending-id order — deterministic) adopts the most
-    common label among its neighbors, ties to the smallest label.  Final
-    clusters are ordered by total frequency (hottest cluster first, ties
-    on the smallest member id) and hottest-first within a cluster.
-    """
-    labels = {v: v for v in counts}
-    ordered_vertices = sorted(counts)
-    for _ in range(_LOCALITY_ROUNDS):
-        changed = False
-        for v in ordered_vertices:
-            neighbors = adjacency.get(v)
-            if not neighbors:
-                continue
-            tally: Counter = Counter(labels[u] for u in neighbors)
-            best = min(tally.items(), key=lambda e: (-e[1], e[0]))[0]
-            if best != labels[v]:
-                labels[v] = best
-                changed = True
-        if not changed:
-            break
-    clusters: Dict[int, List[int]] = defaultdict(list)
-    for v in ordered_vertices:
-        clusters[labels[v]].append(v)
-    ranked = sorted(
-        clusters.values(),
-        key=lambda members: (-sum(counts[v] for v in members), min(members)),
-    )
-    backward: List[int] = []
-    for members in ranked:
-        backward.extend(sorted(members, key=lambda v: (-counts[v], v)))
-    return backward
-
-
-_FITTERS = {
-    "frequency": _fit_frequency,
-    "bfs": _fit_bfs,
-    "locality": _fit_locality,
-}
+    return counts
 
 
 def fit_order(strategy: str, paths: Iterable[Sequence[int]]) -> Optional[VertexOrder]:
@@ -357,8 +255,10 @@ def fit_order(strategy: str, paths: Iterable[Sequence[int]]) -> Optional[VertexO
     if strategy == "identity":
         return None
     with active_timer(catalog.REORDER_FIT_SECONDS):
-        counts, adjacency = _scan(paths)
-        order = VertexOrder(strategy, _FITTERS[strategy](counts, adjacency))
+        counts = _count(paths)
+        # Hottest-first; equal frequencies break on the smaller original id.
+        hottest = sorted(counts.items(), key=lambda e: (-e[1], e[0]))
+        order = VertexOrder(strategy, [v for v, _ in hottest])
     obs = get_active()
     if obs is not None:
         obs.registry.set_gauge(catalog.REORDER_VERTICES, len(order))
@@ -409,7 +309,4 @@ def varint_bytes_saved(order: Optional[VertexOrder], paths) -> int:
     """
     if order is None:
         return 0
-    counts: Counter = Counter()
-    for path in paths:
-        counts.update(path)
-    return _bytes_saved(order, counts)
+    return _bytes_saved(order, _count(paths))

@@ -283,3 +283,15 @@ class TestReport:
         target.write_text(json.dumps(report))
         with pytest.raises(InvalidInputError, match="'hash_bits'.*make bench-ablation"):
             load_report(str(target))
+
+    def test_load_rejects_a_report_naming_a_retired_knob_value(self, tmp_path):
+        report = build_report(
+            {"w-baseline": _result("w", None, "baseline", "baseline", cr=2.0)},
+            workloads=["w"], size="tiny", seed=0, rounds=1,
+        )
+        matcher = next(k for k in report["knobs"] if k["name"] == "matcher")
+        matcher["values"] = ["hash", "trie"]
+        target = tmp_path / "BENCH_ablation.json"
+        target.write_text(json.dumps(report))
+        with pytest.raises(InvalidInputError, match="matcher=trie.*make bench-ablation"):
+            load_report(str(target))

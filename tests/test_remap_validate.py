@@ -1,72 +1,13 @@
-"""Unit tests for frequency remapping and archive validation."""
+"""Unit tests for archive validation and the ``verify`` command."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.config import OFFSConfig
 from repro.core.offs import OFFSCodec
 from repro.core.store import CompressedPathStore
 from repro.core.validate import validate_store
 from repro.paths.dataset import PathDataset
-from repro.paths.encoding import VarintEncoding
-from repro.paths.remap import FrequencyRemapper
 from repro.workloads.registry import make_dataset
-
-
-class TestFrequencyRemapper:
-    @pytest.fixture()
-    def ds(self):
-        return PathDataset([[500, 900, 7]] * 5 + [[900, 7]] * 3 + [[123, 500]])
-
-    def test_hottest_vertex_gets_id_zero(self, ds):
-        remapper = FrequencyRemapper.fit(ds)
-        # 900 and 7 occur 8 times each; tie breaks on original id -> 7 first.
-        assert remapper.apply_vertex(7) == 0
-        assert remapper.apply_vertex(900) == 1
-
-    def test_roundtrip(self, ds):
-        remapper = FrequencyRemapper.fit(ds)
-        for path in ds:
-            assert remapper.invert_path(remapper.apply_path(path)) == path
-
-    def test_transform_restore(self, ds):
-        remapper = FrequencyRemapper.fit(ds)
-        remapped = remapper.transform(ds)
-        assert remapper.restore(remapped) == ds
-        assert remapped.name.endswith("/remapped")
-
-    def test_table_roundtrip(self, ds):
-        remapper = FrequencyRemapper.fit(ds)
-        rebuilt = FrequencyRemapper.from_table(remapper.as_table())
-        for path in ds:
-            assert rebuilt.apply_path(path) == remapper.apply_path(path)
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyRemapper({1: 0, 2: 0})
-        with pytest.raises(ValueError):
-            FrequencyRemapper({1: 5})
-
-    def test_unknown_vertex_raises(self, ds):
-        remapper = FrequencyRemapper.fit(ds)
-        with pytest.raises(KeyError):
-            remapper.apply_vertex(424242)
-
-    def test_varint_bytes_shrink(self):
-        ds = make_dataset("sanfrancisco", "tiny")
-        remapper = FrequencyRemapper.fit(ds)
-        remapped = remapper.transform(ds)
-        enc = VarintEncoding()
-        before = sum(enc.size_of(p) for p in ds)
-        after = sum(enc.size_of(p) for p in remapped)
-        assert after <= before
-
-    @given(st.lists(st.lists(st.integers(0, 500), min_size=1, max_size=10),
-                    min_size=1, max_size=20))
-    def test_roundtrip_property(self, paths):
-        ds = PathDataset(paths)
-        remapper = FrequencyRemapper.fit(ds)
-        assert remapper.restore(remapper.transform(ds)) == ds
 
 
 class TestValidateStore:

@@ -2,8 +2,8 @@
 
 Three layers of guarantees:
 
-* **VertexOrder** is a checked bijection — apply/invert round-trip on every
-  strategy (property-based), serialization survives ``to_bytes`` /
+* **VertexOrder** is a checked bijection — apply/invert round-trip on the
+  fitted order (property-based), serialization survives ``to_bytes`` /
   ``from_bytes``, and corrupt bodies are rejected loudly.
 * **Persistence** — an ordered v2 archive carries the RPOT section behind a
   header flag; unordered archives are byte-identical to what pre-flag
@@ -12,6 +12,10 @@ Three layers of guarantees:
   the *entire* query surface (`retrieve`/`retrieve_slice`/`paths_between`/
   `subpath_search`) value-identically to the unordered store, in original
   ids.  Reordering must be invisible to every reader.
+
+The archive and differential layers run on the fitted ``frequency`` order
+and on orders stored under the retired ``bfs`` / ``locality`` names, which
+older writers fitted and which every reader must still open.
 """
 
 import random
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import OFFSConfig
-from repro.core.errors import CorruptDataError, InvalidInputError
+from repro.core.errors import ConfigError, CorruptDataError, InvalidInputError
 from repro.core.mapped import MappedPathStore
 from repro.core.offs import OFFSCodec
 from repro.core.serialize import (
@@ -38,7 +42,6 @@ from repro.core.serialize import (
 )
 from repro.core.store import CompressedPathStore
 from repro.paths.dataset import PathDataset
-from repro.paths.remap import FrequencyRemapper
 from repro.paths.reorder import (
     ORDER_STRATEGIES,
     VertexOrder,
@@ -48,6 +51,10 @@ from repro.paths.reorder import (
 )
 
 NON_IDENTITY = tuple(s for s in ORDER_STRATEGIES if s != "identity")
+
+#: Strategy names an archive's order section may carry: the fitted one plus
+#: the retired ``bfs`` / ``locality`` names older writers stored.
+STORED_NAMES = NON_IDENTITY + ("bfs", "locality")
 
 
 def _workload(seed=0, paths=60):
@@ -72,7 +79,6 @@ class TestVertexOrder:
         order = VertexOrder("frequency", [30, 10, 20])
         assert len(order) == 3
         assert order.apply_vertex(30) == 0
-        assert order.invert_vertex(0) == 30
         assert order.apply_path((10, 20, 30)) == (1, 2, 0)
         assert order.invert_path((1, 2, 0)) == (10, 20, 30)
 
@@ -83,8 +89,6 @@ class TestVertexOrder:
         with pytest.raises(InvalidInputError):
             order.apply_path((5, 7))
         with pytest.raises(InvalidInputError):
-            order.invert_vertex(2)
-        with pytest.raises(InvalidInputError):
             order.invert_path((0, 2))
 
     def test_rejects_bad_maps(self):
@@ -94,11 +98,6 @@ class TestVertexOrder:
             VertexOrder("frequency", [-1])
         with pytest.raises(InvalidInputError):
             VertexOrder("nope", [0, 1])
-
-    def test_table_round_trip(self):
-        order = VertexOrder("bfs", [4, 2, 9])
-        again = VertexOrder.from_table("bfs", order.as_table())
-        assert again == order
 
     def test_bytes_round_trip(self):
         order = VertexOrder("locality", [300, 5, 129, 0])
@@ -143,6 +142,13 @@ class TestFitting:
         with pytest.raises(InvalidInputError):
             fit_order("alphabetical", _workload())
 
+    @pytest.mark.parametrize("retired", ["bfs", "locality"])
+    def test_retired_strategies_no_longer_fit(self, retired):
+        with pytest.raises(InvalidInputError):
+            fit_order(retired, _workload())
+        with pytest.raises(ConfigError):
+            OFFSConfig(reorder=retired)
+
     @pytest.mark.parametrize("strategy", NON_IDENTITY)
     def test_covers_every_vertex(self, strategy):
         paths = _workload()
@@ -150,7 +156,7 @@ class TestFitting:
         seen = {v for p in paths for v in p}
         assert len(order) == len(seen)
         for v in seen:
-            assert order.invert_vertex(order.apply_vertex(v)) == v
+            assert order.invert_path((order.apply_vertex(v),)) == (v,)
 
     @pytest.mark.parametrize("strategy", NON_IDENTITY)
     def test_deterministic(self, strategy):
@@ -167,14 +173,6 @@ class TestFitting:
         order = fit_order("frequency", [(5, 3), (3, 5)])
         assert order.apply_vertex(3) == 0
         assert order.apply_vertex(5) == 1
-
-    def test_bfs_keeps_neighbors_adjacent(self):
-        # Two disjoint components; BFS numbers each contiguously.
-        order = fit_order("bfs", [(1, 2, 3)] * 3 + [(50, 51)])
-        ids_a = sorted(order.apply_vertex(v) for v in (1, 2, 3))
-        ids_b = sorted(order.apply_vertex(v) for v in (50, 51))
-        assert ids_a == [0, 1, 2]
-        assert ids_b == [3, 4]
 
     def test_entropy_and_bytes_saved(self):
         paths = [(200,) * 9 + (1000,)]
@@ -221,25 +219,41 @@ def test_apply_invert_round_trip_property(paths, strategy):
 
 
 def _stores(reorder, paths=None):
+    """``(dataset, order, store)`` for a fitted or a retired strategy name.
+
+    A retired name cannot be fit any more; its store carries the order an
+    older writer could have stored under it — here every vertex numbered
+    in descending original-id order — over a table fit on that relabelled
+    corpus, exactly as the codec would build it.
+    """
     ds = PathDataset(paths or _workload(), name="w")
-    codec = OFFSCodec(
-        OFFSConfig(iterations=2, sample_exponent=0, reorder=reorder)
-    ).fit(ds.to_flat())
-    store = CompressedPathStore.from_corpus(
-        ds.to_flat(), codec.table, order=codec.order
-    )
-    return ds, codec, store
+    if reorder in ORDER_STRATEGIES:
+        codec = OFFSCodec(
+            OFFSConfig(iterations=2, sample_exponent=0, reorder=reorder)
+        ).fit(ds.to_flat())
+        table, order = codec.table, codec.order
+    else:
+        order = VertexOrder(
+            reorder, sorted({v for p in ds for v in p}, reverse=True)
+        )
+        table = OFFSCodec(OFFSConfig(iterations=2, sample_exponent=0)).fit(
+            order.transform_corpus(ds.to_flat())
+        ).table
+    store = CompressedPathStore.from_corpus(ds.to_flat(), table, order=order)
+    return ds, order, store
 
 
 class TestArchivePersistence:
-    @pytest.mark.parametrize("strategy", NON_IDENTITY)
+    @pytest.mark.parametrize("strategy", STORED_NAMES)
     def test_v2_round_trip(self, strategy):
-        ds, codec, store = _stores(strategy)
+        ds, order, store = _stores(strategy)
         blob = dumps_store_v2(store)
         header = parse_store_v2_header(blob)
         assert header.has_order
+        assert strategy.encode("utf-8") in blob[header.order_body_offset :]
         mapped = loads_store_v2(blob)
-        assert mapped.order == codec.order
+        assert mapped.order == order
+        assert mapped.order.strategy == strategy
         assert mapped.retrieve_all() == [tuple(p) for p in ds]
 
     def test_unordered_blob_is_byte_identical_to_pre_flag_writer(self):
@@ -325,9 +339,9 @@ class TestArchivePersistence:
         with pytest.raises(CorruptDataError):
             parse_store_v2_header(bytes(blob))
 
-    @pytest.mark.parametrize("strategy", NON_IDENTITY)
+    @pytest.mark.parametrize("strategy", STORED_NAMES)
     def test_ordered_cr_charges_for_the_mapping(self, strategy):
-        _, codec, store = _stores(strategy)
+        _, order, store = _stores(strategy)
         # Same table and tokens without the order: the ordered store's size
         # must exceed it by exactly the persisted mapping's byte cost, so
         # CR cannot silently omit the data a reader needs.
@@ -337,7 +351,7 @@ class TestArchivePersistence:
         for enc in (DEFAULT_ENCODING, VarintEncoding()):
             assert (
                 store.compressed_size_bytes(enc)
-                == bare.compressed_size_bytes(enc) + codec.order.size_bytes(enc)
+                == bare.compressed_size_bytes(enc) + order.size_bytes(enc)
             )
 
 
@@ -345,20 +359,11 @@ class TestArchivePersistence:
 
 
 class TestDifferential:
-    @pytest.fixture(scope="class", params=NON_IDENTITY)
+    @pytest.fixture(scope="class", params=STORED_NAMES)
     def pair(self, request):
         paths = _workload(seed=11, paths=80)
-        ds = PathDataset(paths, name="w")
-        plain_codec = OFFSCodec(
-            OFFSConfig(iterations=2, sample_exponent=0)
-        ).fit(ds.to_flat())
-        plain = CompressedPathStore.from_corpus(ds.to_flat(), plain_codec.table)
-        codec = OFFSCodec(
-            OFFSConfig(iterations=2, sample_exponent=0, reorder=request.param)
-        ).fit(ds.to_flat())
-        ordered = CompressedPathStore.from_corpus(
-            ds.to_flat(), codec.table, order=codec.order
-        )
+        _, _, plain = _stores("identity", paths)
+        _, _, ordered = _stores(request.param, paths)
         return paths, plain, ordered
 
     def test_retrieve_surface(self, pair):
@@ -420,9 +425,9 @@ class TestDifferential:
             sub = sharded.subpath_search((1000, 1001, 1002))
             assert sub == SubpathSearcher(plain).search((1000, 1001, 1002))
 
-    @pytest.mark.parametrize("strategy", NON_IDENTITY)
+    @pytest.mark.parametrize("strategy", STORED_NAMES)
     def test_append_goes_through_the_order(self, strategy):
-        _, codec, store = _stores(strategy)
+        _, _, store = _stores(strategy)
         before = len(store)
         store.append((1000, 1001, 1002))
         assert store.retrieve(before) == (1000, 1001, 1002)
@@ -431,17 +436,17 @@ class TestDifferential:
 # -- satellite regressions -------------------------------------------------------
 
 
-class TestFrequencyRemapperTieBreak:
+class TestFrequencyOrderTieBreak:
     def test_iteration_order_cannot_change_the_mapping(self):
         # Same multiset of paths, two different iteration orders: ties in
         # the frequency sort must break on vertex id, never input order.
         paths_a = [(9, 5), (5, 9), (7, 3)]
         paths_b = [(7, 3), (5, 9), (9, 5)]
-        a = FrequencyRemapper.fit(paths_a)
-        b = FrequencyRemapper.fit(paths_b)
-        assert a.as_table() == b.as_table()
+        a = fit_order("frequency", paths_a)
+        b = fit_order("frequency", paths_b)
+        assert a == b
         # 5 and 9 tie at count 2 -> the smaller original id takes id 0.
-        assert a.as_table()[0][0] == 5
+        assert a.invert_path((0,)) == (5,)
 
 
 class TestPreprocessIdMapping:

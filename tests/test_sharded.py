@@ -12,6 +12,7 @@ reject corruption, and fan-out stores cross fork boundaries safely.
 import multiprocessing
 import os
 import pickle
+import zlib
 
 import pytest
 
@@ -337,6 +338,19 @@ class TestCorruptionDetection:
         build_sharded_store(corpus, table, out, shards=2)
         return out, str(tmp_path / shard_filename("c", 0))
 
+    def test_table_fingerprint_is_the_table_section_crc(
+        self, corpus_and_table, tmp_path
+    ):
+        from repro.core.serialize import dumps_table
+
+        manifest_path, shard0 = self._built(corpus_and_table, tmp_path)
+        _, table = corpus_and_table
+        with MappedPathStore.open(shard0) as store:
+            assert store.table_fingerprint == zlib.crc32(dumps_table(table))
+        with open(manifest_path, "rb") as fh:
+            manifest = loads_manifest(fh.read())
+        assert manifest.shards[0].table_crc == zlib.crc32(dumps_table(table))
+
     def test_fingerprint_mismatch_detected(self, corpus_and_table, tmp_path):
         manifest_path, shard0 = self._built(corpus_and_table, tmp_path)
         with open(manifest_path, "rb") as fh:
@@ -526,6 +540,44 @@ class TestStreamingIngest:
             i for i, p in enumerate(stable + shifted) if 1 in p
         )
         assert store.paths_containing(1) == expected
+        store.close()
+
+    def test_failed_seal_write_loses_no_acknowledged_path(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.core.sharded as sharded_module
+
+        real_write = sharded_module._write_file_atomic
+        failed = []
+
+        def fail_first_shard_write(path, blob):
+            if not failed and not path.endswith(".rpsm"):
+                failed.append(path)
+                raise OSError("injected shard write failure")
+            real_write(path, blob)
+
+        monkeypatch.setattr(
+            sharded_module, "_write_file_atomic", fail_first_shard_write
+        )
+        paths = self._paths(500)
+        out = str(tmp_path / "flaky.rpsm")
+        ingest = ShardedIngest(out, train_after=50, memtable_paths=100, window=30)
+        acknowledged = {}
+        for i, path in enumerate(paths):
+            try:
+                gid = ingest.feed(path)
+            except OSError:
+                continue
+            acknowledged[i] = gid
+        ingest.close()
+        assert failed
+        store = ShardedPathStore.open(out)
+        store.check()
+        decoded = store.retrieve_all()
+        for i, gid in acknowledged.items():
+            assert decoded[i] == tuple(paths[i])
+            if gid is not None:
+                assert store.retrieve(gid) == tuple(paths[i])
         store.close()
 
     def test_close_is_idempotent_and_seals_tail(self, tmp_path):
