@@ -115,7 +115,6 @@ def _ingest_child(total: int) -> int:
         out,
         train_after=TRAIN_AFTER,
         memtable_paths=MEMTABLE_PATHS,
-        window=500,
         base_id=BASE_ID,
     ) as ingest:
         for _, chunk in _generate_chunks(total):
@@ -264,7 +263,7 @@ def _bench_build_backend(corpus, table, backend: str, shards: int, processes: in
     )
     matcher = static_matcher_from_table(table, backend)
     per_shard = []
-    for part in partition_corpus(corpus, shards, "range"):
+    for part in partition_corpus(corpus, shards):
         per_shard.append(min(
             _timed(lambda: dumps_store_v2_tokens(
                 table, compress_paths_flat(part, table, matcher)))

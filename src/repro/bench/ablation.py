@@ -105,7 +105,6 @@ class RunSpec:
     store_format: str = "v1"
     expansion_cache: bool = True
     shards: int = 0
-    partition: str = "range"
 
 
 def baseline_spec(workload: str, size: str = "small", seed: int = 0) -> RunSpec:
@@ -222,7 +221,7 @@ KNOBS: Tuple[Knob, ...] = (
         target="spec.shards",
         values=(2,),
         summary="partition into RPC2 shards under an RPSM manifest and "
-        "decode through the fan-out query surface",
+        "decode through the one-table sharded reader",
     ),
     Knob(
         name="reorder",
@@ -453,7 +452,6 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
                 table,
                 manifest,
                 shards=spec.shards,
-                partition=spec.partition,
                 backend=config.matcher,
                 order=order,
             )

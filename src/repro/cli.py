@@ -29,8 +29,8 @@ are parsed in full, v2 files (``RPC2``) open as a
 :class:`~repro.core.mapped.MappedPathStore` — header-only open, per-path
 mmap seeks — so ``retrieve``/``query`` against a v2 archive touch only the
 paths they return.  Shard manifests (``RPSM``) open as a
-:class:`~repro.core.sharded.ShardedPathStore`, whose queries fan out over
-the shards and return exactly what the monolithic archive would.
+:class:`~repro.core.sharded.ShardedPathStore`, one token source over the
+shards that returns exactly what the monolithic archive would.
 * ``python -m repro serve --store X.rpc2 --workers N --port P`` — long-lived
   JSON-over-HTTP query server (pre-forked workers over one mapped v2
   store or sharded manifest; see docs/serving.md).
@@ -128,9 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "files compressed in parallel (0 = monolithic)")
     p.add_argument("--processes", type=int, default=1, metavar="M",
                    help="worker processes for the sharded build (with --shards)")
-    p.add_argument("--partition", choices=("range", "hash"), default="range",
-                   help="shard placement: contiguous id ranges (default) or "
-                        "modulo interleaving (with --shards)")
     p.add_argument("--reorder", choices=ORDER_STRATEGIES, default="identity",
                    help="compression-aware vertex reordering; non-identity "
                         "orders persist in the archive (v2/sharded only) and "
@@ -293,14 +290,12 @@ def _cmd_compress(args: argparse.Namespace) -> int:
                 args.output,
                 shards=args.shards,
                 processes=args.processes,
-                partition=args.partition,
                 backend=args.backend,
                 order=codec.order,
             )
             sharded = ShardedPathStore.open(args.output)
             print(f"{len(sharded):,} paths -> {args.output} "
-                  f"({sharded.mapped_bytes:,} bytes in {args.shards} "
-                  f"{args.partition} shard(s), "
+                  f"({sharded.mapped_bytes:,} bytes in {args.shards} shard(s), "
                   f"CR={sharded.compression_ratio():.2f}, "
                   f"table={len(codec.table)} entries)")
             sharded.close()
@@ -364,9 +359,6 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     store = _load_store(args.input)
-    # Every store kind answers through the same reader surface; a sharded
-    # store fans out over per-shard indexes (correct even when a streaming
-    # refit left shards with different tables).
     if args.contains is not None:
         paths = store.affected_paths(args.contains)
     elif args.between is not None:

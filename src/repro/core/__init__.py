@@ -25,7 +25,7 @@ The paper's primary contribution lives here:
 * :mod:`repro.core.mapped` — :class:`MappedPathStore`, zero-copy random
   access over v2 files.
 * :mod:`repro.core.sharded` — :class:`ShardedPathStore`: parallel sharded
-  builds, LSM-style streaming ingest, and manifest-routed fan-out reads.
+  builds, LSM-style streaming ingest, and one token source over the shards.
 """
 
 from repro.core.autotune import (

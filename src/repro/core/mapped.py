@@ -236,14 +236,24 @@ class MappedPathStore(PathReader):
         return self._table
 
     @property
+    def table_section(self) -> bytes:
+        """The serialized table section as stored, read without decoding it."""
+        header = self._header
+        start = header.table_offset
+        return bytes(self._buf[start : start + header.table_size])
+
+    @property
     def table_fingerprint(self) -> int:
-        """CRC32 of the serialized table section, read without decoding it.
+        """CRC32 of :attr:`table_section`.
 
         The same value a shard manifest records as ``ShardInfo.table_crc``.
         """
-        header = self._header
-        start = header.table_offset
-        return zlib.crc32(self._buf[start : start + header.table_size])
+        return zlib.crc32(self.table_section)
+
+    @property
+    def order_section(self) -> bytes:
+        """The order section as stored (framing and body), ``b""`` if absent."""
+        return bytes(self._buf[self._header.total_size :])
 
     @property
     def order(self):

@@ -8,8 +8,9 @@ ship the table to each worker once, map.
 
 Implementation notes:
 
-* Every fan-out goes through one helper, :func:`_fan_out`: one process runs
-  the work in-process against one matcher; more map it over a ``fork`` pool.
+* Every fan-out goes through one helper, :func:`_map_corpora`: one process
+  runs the work in-process against one matcher; more map it over a ``fork``
+  pool.
   The parent builds the table's matcher once *before* forking, so workers
   inherit (table, matcher) copy-on-write — zero per-worker rebuild, and
   per-chunk pickling cost is the chunk payload only, never table copies.
@@ -106,7 +107,7 @@ def _run_chunk(
     return result, None if _worker_registry is None else _worker_registry.as_dict()
 
 
-def _fan_out(
+def _map_corpora(
     work: _Work,
     corpora: Sequence[FlatCorpus],
     table: SupernodeTable,
@@ -162,7 +163,7 @@ def _chunked(
 ) -> List[Tuple[int, ...]]:
     """Run *work* over *chunk_size*-path chunks of *items*, concatenated."""
     chunks = list(as_flat_corpus(items).chunks(chunk_size))
-    results = _fan_out(work, chunks, table, processes, backend)
+    results = _map_corpora(work, chunks, table, processes, backend)
     return [path for corpus in results for path in corpus]
 
 
@@ -206,4 +207,4 @@ def _serialize_shards(
     re-paying every shard's serialization sequentially after the barrier.
     Each ``(blob, count)`` is byte-identical for any process count.
     """
-    return _fan_out(_serialize_shard, corpora, table, processes, backend)
+    return _map_corpora(_serialize_shard, corpora, table, processes, backend)

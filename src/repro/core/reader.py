@@ -23,8 +23,8 @@ lazily built :class:`~repro.queries.index.VertexIndex`.
 
 :class:`~repro.core.store.CompressedPathStore` (in memory) and
 :class:`~repro.core.mapped.MappedPathStore` (mmap over a v2 file) keep only
-their storage code; :class:`~repro.core.sharded.ShardedPathStore` routes
-each call to the shard reader that owns the id.
+their storage code; :class:`~repro.core.sharded.ShardedPathStore` reads
+each token from the shard that owns its id and shares shard 0's table.
 """
 
 from __future__ import annotations

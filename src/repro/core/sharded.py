@@ -1,9 +1,9 @@
-"""Sharded path stores: parallel builds, streaming ingest, fan-out reads.
+"""Sharded path stores: parallel builds, streaming ingest, one token source.
 
 A monolithic v2 archive is one blob built in one shot: build time is bound
 to a single process and ingest memory grows with the dataset.  This module
 partitions the same data into *shards* — independent v2 (``RPC2``) files
-under one CRC'd JSON manifest — which buys three things the WebGraph /
+under one CRC'd JSON manifest — which buys two things the WebGraph /
 Log(Graph) lineage of partitioned compressed representations is built on:
 
 * **parallel build** (:func:`build_sharded_store`) — per-shard compression
@@ -11,36 +11,25 @@ Log(Graph) lineage of partitioned compressed representations is built on:
   shipping path, so wall-clock build time drops near-linearly with cores
   while the output stays bit-identical to the sequential build;
 * **constant-memory streaming ingest** (:class:`ShardedIngest`) — arriving
-  paths land in a mutable in-memory *memtable* compressed against a frozen
-  table (a :class:`~repro.core.stream.StreamingCompressor`); when the
-  memtable fills it is *sealed* to an immutable v2 shard, LSM-style, and
-  when the stream's drift watch trips the table is optionally refit, so
-  ingest memory is bounded by memtable + table, never by dataset size;
-* **fan-out reads** (:class:`ShardedPathStore`) — the
-  :class:`~repro.core.reader.PathReader` read surface routes global path
-  ids through the manifest to per-shard
-  :class:`~repro.core.mapped.MappedPathStore` readers, byte-identical to
-  the same dataset in one monolithic v2 file.
+  paths land in a mutable in-memory *memtable* compressed against a table
+  fixed at warm-up (a :class:`~repro.core.stream.StreamingCompressor`);
+  when the memtable fills it is *sealed* to an immutable v2 shard,
+  LSM-style, so ingest memory is bounded by memtable + table, never by
+  dataset size.
+
+Every shard of a store is compressed against the *same* rule table R and
+carries the same vertex order, so a shard is just a contiguous id range of
+one token source: shard *s* holds the global ids ``[start_s, start_s +
+count_s)``.  :class:`ShardedPathStore` supplies that token source and
+:class:`~repro.core.reader.PathReader` does all the decoding with shard 0's
+table and order, byte-identical to the same dataset in one monolithic v2
+file.
 
 Layout on disk: a manifest file (magic ``RPSM``, CRC32-protected JSON; see
 docs/formats.md) next to its shard files ``<stem>.shard-00000.rpc2``,
 ``<stem>.shard-00001.rpc2``, ....  Each shard is a complete, self-contained
-v2 store (own header, own table blob, own CRCs), so a damaged shard is
-isolated and any v2 tooling can open one directly.
-
-Two partition functions map a global path id to ``(shard, local id)``:
-
-* ``range`` — shard *s* holds the contiguous ids ``[start_s, start_s +
-  count_s)``; routing is a binary search over the recorded starts.  This is
-  what the parallel build and the streaming ingest produce.
-* ``hash`` — shard *s* holds ids ``{i : i mod shards == s}``; routing is
-  two integer ops in either direction.  This keeps every shard's load even
-  under id-skewed read traffic.
-
-Both are deterministic and invertible, which is what makes fan-out results
-*provably* identical to the monolithic store (the differential tests in
-``tests/test_sharded.py`` hold every endpoint to it at multiple shard
-counts).
+v2 store (own header, own copy of the table, own CRCs), so a damaged shard
+is isolated and any v2 tooling can open one directly.
 """
 
 from __future__ import annotations
@@ -51,7 +40,7 @@ import struct
 import threading
 import zlib
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import (
     CorruptDataError,
@@ -67,7 +56,6 @@ from repro.core.serialize import dumps_table, dumps_store_v2_tokens
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
 from repro.obs.runtime import get_active
-from repro.paths.encoding import Encoding
 
 #: Manifest file layout: magic(4) version(B) pad(3x) json_crc(I) json_len(I),
 #: then the UTF-8 JSON document.  See docs/formats.md.
@@ -76,8 +64,6 @@ MANIFEST_VERSION = 1
 _MANIFEST_HEADER = struct.Struct("<4sB3xII")
 
 PARTITION_RANGE = "range"
-PARTITION_HASH = "hash"
-PARTITIONS = (PARTITION_RANGE, PARTITION_HASH)
 
 
 def shard_filename(stem: str, index: int) -> str:
@@ -88,13 +74,11 @@ def shard_filename(stem: str, index: int) -> str:
 class ShardInfo:
     """One shard's manifest entry.
 
-    :param file: shard file name, relative to the manifest's directory.
-    :param start: first global path id (``range`` partition; ``None`` under
-        ``hash``, where placement is computed, not recorded).
+    :param file: shard file name, a plain name in the manifest's directory.
+    :param start: first global path id of the shard.
     :param count: number of paths in the shard.
     :param table_crc: CRC32 of the shard's RPST table blob — the table
-        *fingerprint*.  Shards sharing a fingerprint share a table
-        byte-for-byte; a streaming refit starts a new fingerprint.
+        *fingerprint*.  Every shard of a store records the same value.
     """
 
     __slots__ = ("file", "start", "count", "table_crc")
@@ -121,47 +105,51 @@ class ShardInfo:
 
 
 class ShardManifest:
-    """The routing table of a sharded store: partition fn + shard entries.
+    """The routing table of a sharded store: contiguous id ranges under one table.
 
     Instances are immutable descriptions; :func:`dumps_manifest` /
     :func:`loads_manifest` move them to and from the CRC'd on-disk form.
+    Construction checks what a reader relies on: the ranges tile the id
+    space, every shard records one table fingerprint, and every shard file
+    is a distinct plain name inside the manifest's directory.
     """
 
     def __init__(self, partition: str, shards: Sequence[ShardInfo]) -> None:
-        if partition not in PARTITIONS:
+        if partition != PARTITION_RANGE:
             raise InvalidInputError(
-                f"unknown partition fn {partition!r}; known: {PARTITIONS}"
+                f"unknown partition fn {partition!r}; only {PARTITION_RANGE!r} exists"
             )
         self.partition = partition
         self.shards: Tuple[ShardInfo, ...] = tuple(shards)
         self.path_count = sum(info.count for info in self.shards)
-        if partition == PARTITION_RANGE:
-            expected = 0
-            for info in self.shards:
-                if info.start != expected:
-                    raise CorruptDataError(
-                        f"range manifest does not tile the id space: shard "
-                        f"{info.file!r} starts at {info.start}, expected {expected}"
-                    )
-                expected += info.count
-            self._starts = [info.start for info in self.shards]
-        else:
-            n = len(self.shards)
-            for index, info in enumerate(self.shards):
-                expected_count = len(range(index, self.path_count, n)) if n else 0
-                if info.count != expected_count:
-                    raise CorruptDataError(
-                        f"hash manifest inconsistent: shard {info.file!r} "
-                        f"declares {info.count} paths, modulo placement "
-                        f"implies {expected_count}"
-                    )
-            self._starts = []
+        expected = 0
+        for info in self.shards:
+            if info.start != expected:
+                raise CorruptDataError(
+                    f"range manifest does not tile the id space: shard "
+                    f"{info.file!r} starts at {info.start}, expected {expected}"
+                )
+            expected += info.count
+        self._starts = [info.start for info in self.shards]
+        fingerprints = {info.table_crc for info in self.shards}
+        if len(fingerprints) > 1:
+            raise CorruptDataError(
+                f"shard manifest records {len(fingerprints)} table fingerprints; "
+                "a sharded store has one table (open each shard on its own "
+                "with MappedPathStore.open)"
+            )
+        names = set()
+        for info in self.shards:
+            _check_shard_name(info.file)
+            if info.file in names:
+                raise CorruptDataError(
+                    f"shard manifest names shard file {info.file!r} twice"
+                )
+            names.add(info.file)
 
     @property
     def shard_count(self) -> int:
         return len(self.shards)
-
-    # -- routing -------------------------------------------------------------------
 
     def locate(self, path_id: int) -> Tuple[int, int]:
         """Global ``path_id`` → ``(shard index, local path id)``."""
@@ -169,22 +157,8 @@ class ShardManifest:
             raise PathIdError(
                 f"path id {path_id} not in sharded store of {self.path_count} paths"
             )
-        if self.partition == PARTITION_HASH:
-            return path_id % len(self.shards), path_id // len(self.shards)
         shard = bisect_right(self._starts, path_id) - 1
         return shard, path_id - self._starts[shard]
-
-    def global_id(self, shard: int, local_id: int) -> int:
-        """``(shard index, local path id)`` → global path id."""
-        if self.partition == PARTITION_HASH:
-            return local_id * len(self.shards) + shard
-        return self.shards[shard].start + local_id
-
-    def partition_params(self) -> Dict[str, Any]:
-        params: Dict[str, Any] = {"fn": self.partition}
-        if self.partition == PARTITION_HASH:
-            params["shards"] = len(self.shards)
-        return params
 
     def __repr__(self) -> str:
         return (
@@ -193,11 +167,20 @@ class ShardManifest:
         )
 
 
+def _check_shard_name(name: str) -> None:
+    """A shard file must resolve inside the manifest's own directory."""
+    if not name or name in (".", "..") or "/" in name or "\\" in name:
+        raise CorruptDataError(
+            f"shard manifest names shard file {name!r}; a shard name must "
+            "be a plain file name in the manifest's directory"
+        )
+
+
 def dumps_manifest(manifest: ShardManifest) -> bytes:
     """Serialize *manifest* to the ``RPSM`` wire form (CRC'd JSON)."""
     document = {
         "schema_version": 1,
-        "partition": manifest.partition_params(),
+        "partition": {"fn": manifest.partition},
         "path_count": manifest.path_count,
         "shards": [info.as_json() for info in manifest.shards],
     }
@@ -262,7 +245,13 @@ def _manifest_from_json(document: Any) -> ShardManifest:
             raise CorruptDataError(
                 f"shard manifest entry is missing field {exc.args[0]!r}"
             ) from exc
-    manifest = ShardManifest(str(partition["fn"]), shards)
+    if partition["fn"] != PARTITION_RANGE:
+        raise CorruptDataError(
+            f"shard manifest uses partition fn {partition['fn']!r}; only "
+            f"{PARTITION_RANGE!r} manifests open (open each shard on its own "
+            "with MappedPathStore.open)"
+        )
+    manifest = ShardManifest(PARTITION_RANGE, shards)
     declared = document.get("path_count")
     if declared is not None and declared != manifest.path_count:
         raise CorruptDataError(
@@ -280,18 +269,17 @@ def _write_file_atomic(path: str, blob: bytes) -> None:
 
 
 class ShardedPathStore(PathReader):
-    """Fan-out reader over a manifest of v2 shards — one store, many files.
+    """One token source over a manifest of v2 shards — one store, many files.
 
-    A :class:`~repro.core.reader.PathReader` that only routes: a global id
-    is located in its shard and the call runs on that shard's reader, a
-    batch groups into one ``retrieve_batch`` per touched shard, and the
-    query endpoints (:meth:`paths_between_hits`,
-    :meth:`subpath_search_hits`) fan out over every shard — each decoding
-    with its *own* table, so answers stay correct even when a streaming
-    refit left shards with different tables.
+    A :class:`~repro.core.reader.PathReader` whose token source spans the
+    shards: a global id is located in its shard's id range and the token
+    read from that shard's mapping, and every decode runs against shard 0's
+    table and order.  That is sound because every shard must carry the
+    same table and order sections byte for byte; a shard is checked
+    against the manifest (path count, table fingerprint) and against
+    shard 0's sections before any of its tokens is handed out.
 
-    Shards open lazily (header-only, O(1) each) and their table fingerprint
-    is checked against the manifest on first open.  Thread-safe for readers;
+    Shards open lazily (header-only, O(1) each).  Thread-safe for readers;
     fork/pickle-safe via the same ``process_local()`` / ``reopen()``
     protocol the mapped store uses.
     """
@@ -402,20 +390,28 @@ class ShardedPathStore(PathReader):
         return os.path.join(self.directory, self.manifest.shards[index].file)
 
     def shard(self, index: int) -> MappedPathStore:
-        """The per-shard mapped reader, opened (and fingerprinted) lazily."""
+        """The per-shard mapped reader, opened and checked lazily."""
         store = self._shards[index]
         if store is not None:
             return store
+        # Shard 0 is the reference every other shard is checked against;
+        # open it before taking the lock, which is not reentrant.
+        reference = self.shard(0) if index else None
         with self._lock:
             store = self._shards[index]
             if store is None:
-                store = self._open_shard(index)
+                store = self._open_shard(index, reference)
                 self._shards[index] = store
         return store
 
-    def _open_shard(self, index: int) -> MappedPathStore:
+    def _open_shard(
+        self, index: int, reference: Optional[MappedPathStore]
+    ) -> MappedPathStore:
         info = self.manifest.shards[index]
-        store = MappedPathStore.open(self.shard_path(index))
+        try:
+            store = MappedPathStore.open(self.shard_path(index))
+        except FileNotFoundError as exc:
+            raise self._missing_shard(index) from exc
         try:
             if len(store) != info.count:
                 raise CorruptDataError(
@@ -429,65 +425,38 @@ class ShardedPathStore(PathReader):
                     f"{fingerprint:#010x} does not match manifest "
                     f"{info.table_crc:#010x}"
                 )
+            if reference is not None and (
+                store.table_section != reference.table_section
+                or store.order_section != reference.order_section
+            ):
+                raise CorruptDataError(
+                    f"shard {info.file!r} table or order section differs "
+                    f"from shard {self.manifest.shards[0].file!r}'s; a "
+                    "sharded store decodes every shard with one table"
+                )
         except CorruptDataError:
             store.close()
             raise
         return store
 
-    @property
-    def mapped_bytes(self) -> int:
-        """Total bytes across all shard files (no shard is opened for this)."""
-        return sum(
-            os.path.getsize(self.shard_path(index))
-            for index in range(self.shard_count)
+    def _missing_shard(self, index: int) -> CorruptDataError:
+        return CorruptDataError(
+            f"shard manifest {self.name!r} names shard file "
+            f"{self.manifest.shards[index].file!r}, which does not exist"
         )
 
     @property
-    def table_fingerprints(self) -> Tuple[int, ...]:
-        """Distinct table CRCs across shards, in first-appearance order."""
-        seen: List[int] = []
-        for info in self.manifest.shards:
-            if info.table_crc not in seen:
-                seen.append(info.table_crc)
-        return tuple(seen)
+    def mapped_bytes(self) -> int:
+        """Total bytes across all shard files (no shard is opened for this)."""
+        total = 0
+        for index in range(self.shard_count):
+            try:
+                total += os.path.getsize(self.shard_path(index))
+            except FileNotFoundError as exc:
+                raise self._missing_shard(index) from exc
+        return total
 
-    @property
-    def table(self) -> SupernodeTable:
-        """The shared supernode table — defined only for uniform-table stores.
-
-        :raises StateError: when shards carry different tables (a streaming
-            refit happened); per-shard queries keep working regardless, so
-            use the fan-out endpoints instead of table-level access.
-        """
-        fingerprints = self.table_fingerprints
-        if len(fingerprints) > 1:
-            raise StateError(
-                f"sharded store has {len(fingerprints)} distinct tables "
-                "(refit happened); there is no single shared table"
-            )
-        if not self.manifest.shards:
-            raise StateError("empty sharded store has no table")
-        return self.shard(0).table
-
-    @property
-    def order(self):
-        """The store-wide :class:`~repro.paths.reorder.VertexOrder`, or ``None``.
-
-        Every shard of a reordered store carries the same order section
-        (``build_sharded_store`` stamps one order across all shards), so
-        the first shard's answer is the store's answer.  Retrieval never
-        consults this — each shard inverts its own ids — it exists for
-        stats surfaces and size accounting.
-        """
-        if not self.manifest.shards:
-            return None
-        return self.shard(0).order
-
-    # -- routing ------------------------------------------------------------------
-    #
-    # The token-source members route one id to its shard; every decoding
-    # call is the owning shard's own PathReader method, run with that
-    # shard's table and order.
+    # -- token source (the PathReader contract) ------------------------------------
 
     def __len__(self) -> int:
         return self.manifest.path_count
@@ -499,122 +468,40 @@ class ShardedPathStore(PathReader):
 
     def tokens(self) -> List[Tuple[int, ...]]:
         """All compressed tokens in global path-id order."""
-        out: List[Optional[Tuple[int, ...]]] = [None] * len(self)
+        out: List[Tuple[int, ...]] = []
         for index in range(self.shard_count):
-            shard = self.shard(index)
-            for local in range(len(shard)):
-                out[self.manifest.global_id(index, local)] = shard.token(local)
-        return out  # type: ignore[return-value]
+            out.extend(self.shard(index).tokens())
+        return out
 
-    def retrieve(self, path_id: int) -> Tuple[int, ...]:
-        """Decompress and return the single path *path_id*."""
-        shard, local = self.manifest.locate(path_id)
-        return self.shard(shard).retrieve(local)
+    @property
+    def table(self) -> SupernodeTable:
+        """The one supernode table every shard shares (shard 0's copy).
 
-    def retrieve_slice(
-        self, path_id: int, start: Optional[int] = None, stop: Optional[int] = None
-    ) -> Tuple[int, ...]:
-        """``retrieve(path_id)[start:stop]`` without full materialization."""
-        shard, local = self.manifest.locate(path_id)
-        return self.shard(shard).retrieve_slice(local, start, stop)
-
-    def expanded_length(self, path_id: int) -> int:
-        """Decompressed length of *path_id* without expanding anything."""
-        shard, local = self.manifest.locate(path_id)
-        return self.shard(shard).expanded_length(local)
-
-    def retrieve_batch(self, path_ids: Iterable[int]) -> List[Tuple[int, ...]]:
-        """Batch retrieval through one flat-decode call *per touched shard*.
-
-        Every id is located (validated) before any shard decodes; output
-        order follows input order.
+        :raises StateError: for an empty store, which has no shard.
         """
-        located = [self.manifest.locate(pid) for pid in path_ids]
-        if not located:
-            return []
-        by_shard: Dict[int, List[Tuple[int, int]]] = {}
-        for position, (shard, local) in enumerate(located):
-            by_shard.setdefault(shard, []).append((position, local))
-        out: List[Optional[Tuple[int, ...]]] = [None] * len(located)
-        for shard, entries in by_shard.items():
-            paths = self.shard(shard).retrieve_batch([local for _, local in entries])
-            for (position, _), path in zip(entries, paths):
-                out[position] = path
-        self._count_fanout(len(by_shard))
-        return out  # type: ignore[return-value]
+        if not self.manifest.shards:
+            raise StateError("empty sharded store has no table")
+        return self.shard(0).table
 
-    def retrieve_all(self) -> List[Tuple[int, ...]]:
-        """Decompress the full archive (per-shard flat decode, reordered)."""
-        out: List[Optional[Tuple[int, ...]]] = [None] * len(self)
-        for index in range(self.shard_count):
-            paths = self.shard(index).retrieve_all()
-            for local, path in enumerate(paths):
-                out[self.manifest.global_id(index, local)] = path
-        return out  # type: ignore[return-value]
+    @property
+    def order(self):
+        """The store-wide :class:`~repro.paths.reorder.VertexOrder`, or ``None``.
 
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        return (self.retrieve(pid) for pid in range(len(self)))
-
-    def _rule_bytes(self, encoding: Encoding) -> int:
-        """Each distinct table (and the order riding with it) counted once,
-        so the total matches the monolithic store's when all shards share
-        one table."""
-        total = 0
-        seen: set = set()
-        for index, info in enumerate(self.manifest.shards):
-            if info.table_crc not in seen:
-                seen.add(info.table_crc)
-                total += self.shard(index)._rule_bytes(encoding)
-        return total
-
-    # -- fan-out queries -----------------------------------------------------------
-
-    def _count_fanout(self, shards_touched: int) -> None:
-        obs = get_active()
-        if obs is not None:
-            obs.registry.counter(catalog.SHARD_FANOUT_QUERIES).inc()
-            obs.registry.counter(catalog.SHARD_FANOUT_SHARDS).inc(shards_touched)
-
-    def vertex_index(self) -> "ShardedVertexIndex":
-        """A global-id vertex index view (duck-types ``VertexIndex``)."""
-        return ShardedVertexIndex(self)
-
-    def _fan_out(self, query) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """Merge ``query(shard)``'s per-shard ``(ids, paths)`` hits into
-        ascending global-id order."""
-        hits: List[Tuple[int, Tuple[int, ...]]] = []
-        for index in range(self.shard_count):
-            ids, paths = query(self.shard(index))
-            hits.extend(
-                (self.manifest.global_id(index, local), path)
-                for local, path in zip(ids, paths)
-            )
-        self._count_fanout(self.shard_count)
-        hits.sort(key=lambda item: item[0])
-        return [pid for pid, _ in hits], [path for _, path in hits]
-
-    def paths_between_hits(
-        self, source: int, destination: int
-    ) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """Case 2 fan-out: each shard filters its own candidates with its
-        own table; results merge in ascending global id."""
-        return self._fan_out(lambda shard: shard.paths_between_hits(source, destination))
-
-    def subpath_search_hits(
-        self, query: Sequence[int]
-    ) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """``(ids, paths)`` of the paths containing *query* contiguously,
-        in ascending global-id order."""
-        q = tuple(query)
-        return self._fan_out(lambda shard: shard.subpath_search_hits(q))
+        Every shard carries the same order section, so shard 0's is the
+        store's.
+        """
+        if not self.manifest.shards:
+            return None
+        return self.shard(0).order
 
     def check(self) -> int:
-        """Force-validate every shard (header, table CRC, fingerprint).
+        """Force-validate every shard (header, table CRC, fingerprint,
+        sections shared with shard 0).
 
         The startup gate :func:`repro.serve.check_store` runs for sharded
-        stores: a truncated or fingerprint-divergent shard fails *here*
-        with a typed error rather than as a 500 on some unlucky request.
-        Returns the total path count.
+        stores: a missing, truncated or divergent shard fails *here* with a
+        typed error rather than as a 500 on some unlucky request.  Returns
+        the total path count.
         """
         for index in range(self.shard_count):
             _ = self.shard(index).table
@@ -623,77 +510,21 @@ class ShardedPathStore(PathReader):
     def __repr__(self) -> str:
         return (
             f"ShardedPathStore(name={self.name!r}, shards={self.shard_count}, "
-            f"paths={len(self)}, partition={self.manifest.partition!r})"
+            f"paths={len(self)})"
         )
-
-
-class ShardedVertexIndex:
-    """Global-id view over every shard's vertex index.
-
-    Duck-types the lookup surface of
-    :class:`~repro.queries.index.VertexIndex` (``paths_containing``,
-    ``paths_containing_all``, ``paths_containing_any``), so the query
-    engines and :class:`~repro.queries.pattern.PatternSearcher` run
-    unchanged over a sharded store.  Each lookup fans out and merges; ids
-    come back sorted, like the monolithic index.
-    """
-
-    def __init__(self, store: ShardedPathStore) -> None:
-        self.store = store
-
-    def _merge(self, lookup) -> List[int]:
-        ids: List[int] = []
-        for index in range(self.store.shard_count):
-            ids.extend(
-                self.store.manifest.global_id(index, local)
-                for local in lookup(self.store.shard(index).vertex_index())
-            )
-        self.store._count_fanout(self.store.shard_count)
-        return sorted(ids)
-
-    def paths_containing(self, vertex: int) -> List[int]:
-        return self._merge(lambda idx: idx.paths_containing(vertex))
-
-    def paths_containing_all(self, vertices) -> List[int]:
-        vertices = tuple(vertices)
-        return self._merge(lambda idx: idx.paths_containing_all(vertices))
-
-    def paths_containing_any(self, vertices) -> List[int]:
-        vertices = tuple(vertices)
-        return self._merge(lambda idx: idx.paths_containing_any(vertices))
-
-    def __repr__(self) -> str:
-        return f"ShardedVertexIndex(shards={self.store.shard_count})"
 
 
 # -- parallel build ---------------------------------------------------------------
 
 
-def partition_corpus(
-    corpus: FlatCorpus, shards: int, partition: str = PARTITION_RANGE
-) -> List[FlatCorpus]:
-    """Split *corpus* into *shards* corpora under *partition*.
+def partition_corpus(corpus: FlatCorpus, shards: int) -> List[FlatCorpus]:
+    """Split *corpus* into *shards* contiguous, balanced id ranges.
 
-    ``range`` slices are zero-copy views of the parent buffer; ``hash``
-    shards gather every ``shards``-th path (a copy — modulo placement
-    cannot be expressed as a contiguous slice).
+    The slices are zero-copy views of the parent buffer.
     """
     if shards < 1:
         raise InvalidInputError(f"shards must be >= 1, got {shards}")
-    if partition not in PARTITIONS:
-        raise InvalidInputError(
-            f"unknown partition fn {partition!r}; known: {PARTITIONS}"
-        )
-    n = len(corpus)
-    if partition == PARTITION_HASH:
-        return [
-            FlatCorpus.from_paths(
-                (corpus[i] for i in range(index, n, shards)),
-                name=f"{corpus.name}[hash {index}/{shards}]",
-            )
-            for index in range(shards)
-        ]
-    base, remainder = divmod(n, shards)
+    base, remainder = divmod(len(corpus), shards)
     parts: List[FlatCorpus] = []
     start = 0
     for index in range(shards):
@@ -709,7 +540,6 @@ def build_sharded_store(
     out_path: str,
     shards: int = 4,
     processes: int = 1,
-    partition: str = PARTITION_RANGE,
     backend: str = "rolling",
     order=None,
 ) -> str:
@@ -719,7 +549,7 @@ def build_sharded_store(
     workers (the FlatCorpus shipping path of :mod:`repro.core.parallel`,
     shipping finished v2 blobs back), then each shard is written as a self-contained v2 file
     next to the manifest.  Output is bit-identical to the sequential monolithic
-    build for every ``(partition, shards, processes)`` combination, because
+    build for every ``(shards, processes)`` combination, because
     compression is a pure per-path function of ``(path, table)``.
 
     :param paths: any path iterable or a :class:`FlatCorpus` — in
@@ -741,14 +571,12 @@ def build_sharded_store(
         corpus = order.transform_corpus(corpus)
     obs = get_active()
     if obs is None:
-        return _build_sharded(
-            corpus, table, out_path, shards, processes, partition, backend, order
-        )
+        return _build_sharded(corpus, table, out_path, shards, processes, backend, order)
     with obs.tracer.span(catalog.SPAN_SHARD_BUILD) as span, obs.registry.timeit(
         catalog.SHARD_BUILD_SECONDS
     ):
         manifest_path = _build_sharded(
-            corpus, table, out_path, shards, processes, partition, backend, order
+            corpus, table, out_path, shards, processes, backend, order
         )
         if span is not None:
             span.add("shards", shards)
@@ -764,14 +592,13 @@ def _build_sharded(
     out_path: str,
     shards: int,
     processes: int,
-    partition: str,
     backend: str,
     order=None,
 ) -> str:
     from repro.core.parallel import _serialize_shards
     from repro.core.serialize import append_order_section
 
-    parts = partition_corpus(corpus, shards, partition)
+    parts = partition_corpus(corpus, shards)
     blobs = _serialize_shards(parts, table, processes=processes, backend=backend)
     table_crc = zlib.crc32(dumps_table(table))
     directory = os.path.dirname(os.path.abspath(out_path))
@@ -787,13 +614,13 @@ def _build_sharded(
         infos.append(
             ShardInfo(
                 file=filename,
-                start=start if partition == PARTITION_RANGE else None,
+                start=start,
                 count=count,
                 table_crc=table_crc,
             )
         )
         start += count
-    manifest = ShardManifest(partition, infos)
+    manifest = ShardManifest(PARTITION_RANGE, infos)
     _write_file_atomic(out_path, dumps_manifest(manifest))
     return out_path
 
@@ -813,19 +640,15 @@ class ShardedIngest:
     ever flow through.  Global path ids are assigned in arrival order and
     stable forever (the manifest's ``range`` partition).
 
-    When the stream's drift watch trips at seal time and *refit_on_drift*
-    is set, the next memtable's table is refit from the freshest sealed
-    paths (``shard.refits`` counts these); older shards keep their original
-    tables — every shard is self-contained, so readers never care.
+    The table is fit once, on the first *train_after* paths (the paper's
+    stream mode, Fig. 6c), and every shard is compressed against it, so
+    the store the manifest describes has exactly one table.
 
     :param out_path: manifest file; shard files land beside it.
-    :param config: OFFS configuration for table (re)fits.
-    :param train_after: warm-up paths buffered before the first table.
+    :param config: OFFS configuration for the table fit.
+    :param train_after: warm-up paths buffered before the table is fit.
     :param memtable_paths: seal threshold, in paths.
-    :param window: drift-detection window, in paths.
-    :param refit_ratio: drift threshold (see ``StreamingCompressor``).
-    :param refit_on_drift: refit the table when sealing a drifted memtable.
-    :param base_id: explicit supernode id base for every table fit.
+    :param base_id: explicit supernode id base for the table fit.
     """
 
     def __init__(
@@ -834,9 +657,6 @@ class ShardedIngest:
         config=None,
         train_after: int = 1000,
         memtable_paths: int = 4096,
-        window: int = 500,
-        refit_ratio: float = 0.5,
-        refit_on_drift: bool = False,
         base_id: Optional[int] = None,
     ) -> None:
         from repro.core.stream import StreamingCompressor
@@ -850,17 +670,9 @@ class ShardedIngest:
             )
         self.out_path = out_path
         self.memtable_paths = memtable_paths
-        self.refit_on_drift = refit_on_drift
-        self.refits = 0
-        self._stream_args = dict(
-            config=config,
-            train_after=train_after,
-            base_id=base_id,
-            window=window,
-            refit_ratio=refit_ratio,
+        self._stream = StreamingCompressor(
+            config=config, train_after=train_after, base_id=base_id
         )
-        self._stream = StreamingCompressor(**self._stream_args)
-        self._memtable_raw: List[Tuple[int, ...]] = []
         self._sealed_paths = 0
         self._infos: List[ShardInfo] = []
         self._directory = os.path.dirname(os.path.abspath(out_path))
@@ -877,8 +689,6 @@ class ShardedIngest:
         """
         if self._closed:
             raise StateError("ShardedIngest is closed")
-        path = tuple(path)
-        self._memtable_raw.append(path)
         local = self._stream.feed(path)
         obs = get_active()
         if obs is not None:
@@ -905,11 +715,6 @@ class ShardedIngest:
     @property
     def shard_count(self) -> int:
         return len(self._infos)
-
-    @property
-    def drifted(self) -> bool:
-        """The live memtable's drift flag (see ``StreamingCompressor``)."""
-        return self._stream.drifted
 
     # -- sealing --------------------------------------------------------------------
 
@@ -954,10 +759,6 @@ class ShardedIngest:
         self._infos.append(info)
         self._sealed_paths += info.count
         stream.drain_tokens()
-        sealed_raw = self._memtable_raw
-        self._memtable_raw = []
-        if self.refit_on_drift and stream.drifted:
-            self._refit(sealed_raw)
 
     def _write_seal(self, info: ShardInfo, table, tokens) -> None:
         """Publish a sealed shard, then the manifest that names it."""
@@ -967,26 +768,6 @@ class ShardedIngest:
             self.out_path,
             dumps_manifest(ShardManifest(PARTITION_RANGE, self._infos + [info])),
         )
-
-    def _refit(self, training_paths: List[Tuple[int, ...]]) -> None:
-        """Train the next memtable's table on the freshest sealed paths."""
-        from repro.core.stream import StreamingCompressor
-
-        if not training_paths:
-            return
-        args = dict(self._stream_args)
-        args["train_after"] = len(training_paths)
-        fresh = StreamingCompressor(**args)
-        fresh.feed_many(training_paths)
-        # The training paths are already persisted in the shard just
-        # sealed; the warm-up flush only seeded the new table and drift
-        # baseline, so its tokens are discarded.
-        fresh.drain_tokens()
-        self._stream = fresh
-        self.refits += 1
-        obs = get_active()
-        if obs is not None:
-            obs.registry.counter(catalog.SHARD_REFITS).inc()
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -1033,7 +814,7 @@ def open_store(path: str):
 
     * ``RPCS`` — full in-memory parse (:func:`~repro.core.serialize.loads_store`);
     * ``RPC2`` — :class:`~repro.core.mapped.MappedPathStore` (O(1) open);
-    * ``RPSM`` — :class:`ShardedPathStore` (fan-out over the manifest).
+    * ``RPSM`` — :class:`ShardedPathStore` (one token source over the shards).
     """
     from repro.core.serialize import STORE_V2_MAGIC, loads_store
 

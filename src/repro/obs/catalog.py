@@ -147,12 +147,11 @@ SERVE_BATCH_PATHS = _counter("serve.batch_paths")
 
 # -- sharded store (repro.core.sharded) ------------------------------------------
 #
-# The sharded layer reports both build-side work (parallel per-shard
-# compression, memtable seals, drift-triggered refits) and read-side fan-out
-# (how many queries touched how many shards).  Like every other counter
-# family, totals must be conserved across process counts: the parallel build
-# workers ship their snapshots back through the repro.core.parallel pool
-# machinery.
+# The sharded layer reports build-side work (parallel per-shard compression,
+# memtable seals) and the shape of the stores it opens.  Like every other
+# counter family, totals must be conserved across process counts: the
+# parallel build workers ship their snapshots back through the
+# repro.core.parallel pool machinery.
 
 SHARD_COUNT = _gauge("shard.count")
 SHARD_MAPPED_BYTES = _gauge("shard.mapped_bytes")
@@ -161,22 +160,8 @@ SHARD_BUILD_SECONDS = _timer("shard.build.seconds")
 SHARD_BUILT = _counter("shard.built")
 SHARD_SEALED = _counter("shard.sealed")
 SHARD_SEAL_SECONDS = _timer("shard.seal.seconds")
-SHARD_REFITS = _counter("shard.refits")
 SHARD_MEMTABLE_PATHS = _gauge("shard.memtable_paths")
 SHARD_INGESTED_PATHS = _counter("shard.ingested_paths")
-SHARD_FANOUT_QUERIES = _counter("shard.fanout.queries")
-SHARD_FANOUT_SHARDS = _counter("shard.fanout.shards")
-
-# -- streaming compressor drift watch (repro.core.stream) -------------------------
-#
-# ``stream.drift_ratio`` is the windowed symbol ratio divided by the ratio
-# observed at training time (1.0 = compressing exactly as well as at train
-# time; below ``refit_ratio`` the stream is drifted).  ``stream.drifted``
-# counts False→True transitions of the drift flag, so compaction/refit
-# decisions are observable instead of a bare boolean.
-
-STREAM_DRIFT_RATIO = _gauge("stream.drift_ratio")
-STREAM_DRIFTED = _counter("stream.drifted")
 
 # -- ablation harness (repro.bench.ablation) --------------------------------------
 #

@@ -73,8 +73,7 @@ class StoreApp:
     def paths_between(self, source: int, destination: int) -> Dict[str, Any]:
         """``GET /v1/paths_between`` — the paper's Case 2 terminal query.
 
-        The first query builds the store's vertex index; a sharded store
-        fans out over per-shard indexes, value-identical to a monolithic one.
+        The first query builds the store's vertex index.
         """
         paths = self.store.paths_between(source, destination)
         return {
@@ -107,10 +106,7 @@ class StoreApp:
     def stats(self) -> Dict[str, Any]:
         """``GET /v1/stats`` — cheap archive shape (never decompresses).
 
-        For a sharded store the payload adds shard shape and reports the
-        shard-0 table (all shards share it unless a streaming refit split
-        the fingerprints, in which case the freshest tables differ and the
-        payload says how many there are).
+        For a sharded store the payload adds the shard count.
         """
         store = self.store
         order = store.order
@@ -121,18 +117,16 @@ class StoreApp:
             "worker": {"index": self.worker_index, "pid": os.getpid()},
             "mapped_bytes": store.mapped_bytes,
         }
+        table = None
         if isinstance(store, ShardedPathStore):
-            reference = store.shard(0).table if store.shard_count else None
-            payload.update({
-                "shards": store.shard_count,
-                "partition": store.manifest.partition,
-                "distinct_tables": len(store.table_fingerprints),
-            })
+            payload["shards"] = store.shard_count
+            if store.shard_count:
+                table = store.table
         else:
-            reference = store.table
+            table = store.table
         payload.update({
-            "table_entries": len(reference) if reference is not None else 0,
-            "table_base_id": reference.base_id if reference is not None else 0,
+            "table_entries": len(table) if table is not None else 0,
+            "table_base_id": table.base_id if table is not None else 0,
         })
         return payload
 

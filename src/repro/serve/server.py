@@ -109,8 +109,9 @@ def check_store(store_path: str) -> int:
     table (metadata CRC) so a truncated or corrupt archive fails at
     *startup* with a typed, offset-carrying error instead of surfacing as a
     500 on some unlucky request.  A sharded manifest (``RPSM``) validates
-    *every* shard the same way — headers, table CRCs and the manifest's
-    table fingerprints.
+    *every* shard the same way — presence, headers, table CRCs, the
+    manifest's table fingerprint and the sections every shard shares with
+    shard 0.
     """
     store = open_store(store_path)
     if isinstance(store, ShardedPathStore):

@@ -551,8 +551,10 @@ class TestShardedServe:
         assert status == 200
         assert payload["paths"] == len(PATHS)
         assert payload["shards"] == 3
-        assert payload["partition"] == "range"
-        assert payload["distinct_tables"] == 1
+        assert "partition" not in payload and "distinct_tables" not in payload
+        table = _build_store().table
+        assert payload["table_entries"] == len(table)
+        assert payload["table_base_id"] == table.base_id
         directory = os.path.dirname(sharded_file)
         assert payload["mapped_bytes"] == sum(
             os.path.getsize(os.path.join(directory, shard_filename("archive", i)))

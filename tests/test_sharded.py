@@ -1,17 +1,21 @@
 """Differential and behaviour tests for the sharded path store.
 
 The central contract: a :class:`ShardedPathStore` over
-:func:`build_sharded_store` output answers every query *identically* to the
-monolithic archive of the same data — byte-identical for token/retrieve
-surfaces, value-identical for the fan-out queries — at every shard count,
-both partition functions, and any build process count.  Plus: streaming
-ingest seals correct immutable shards with bounded memtables, manifests
-reject corruption, and fan-out stores cross fork boundaries safely.
+:func:`build_sharded_store` or :class:`ShardedIngest` output answers every
+query *identically* to the monolithic archive of the same paths under the
+same table — byte-identical for token/retrieve surfaces, value-identical
+for the queries — at every shard count and any build process count.  Plus:
+streaming ingest seals correct immutable shards with bounded memtables,
+manifests and shards are rejected when they are corrupt, missing, escape
+their directory or do not share one table, and sharded stores cross fork
+boundaries safely.
 """
 
+import json
 import multiprocessing
 import os
 import pickle
+import struct
 import zlib
 
 import pytest
@@ -26,7 +30,7 @@ from repro.core.errors import (
 )
 from repro.core.mapped import MappedPathStore
 from repro.core.offs import OFFSCodec
-from repro.core.serialize import dumps_store_v2
+from repro.core.serialize import dumps_store_v2, dumps_table
 from repro.core.sharded import (
     MANIFEST_MAGIC,
     ShardInfo,
@@ -64,6 +68,26 @@ def _dataset():
     return PathDataset(paths)
 
 
+def _manifest_document(shards, fn="range"):
+    """A manifest JSON document as the writers lay it out."""
+    partition = {"fn": fn}
+    if fn == "hash":
+        partition["shards"] = len(shards)
+    return {
+        "schema_version": 1,
+        "partition": partition,
+        "path_count": sum(entry["count"] for entry in shards),
+        "shards": shards,
+    }
+
+
+def _manifest_blob(document) -> bytes:
+    """*document* framed as an RPSM file, bypassing the writer's checks."""
+    payload = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
+    header = struct.pack("<4sB3xII", MANIFEST_MAGIC, 1, zlib.crc32(payload), len(payload))
+    return header + payload
+
+
 @pytest.fixture(scope="module")
 def corpus_and_table():
     ds = _dataset()
@@ -89,7 +113,7 @@ class TestManifestCodec:
             "range",
             [
                 ShardInfo("a.shard-00000.rpc2", 0, 10, 0xDEAD),
-                ShardInfo("a.shard-00001.rpc2", 10, 5, 0xBEEF),
+                ShardInfo("a.shard-00001.rpc2", 10, 5, 0xDEAD),
             ],
         )
 
@@ -125,85 +149,109 @@ class TestManifestCodec:
                 [ShardInfo("a", 0, 10, 0), ShardInfo("b", 11, 5, 0)],
             )
 
-    def test_hash_counts_must_match_modulo_placement(self):
-        with pytest.raises(CorruptDataError):
-            ShardManifest(
-                "hash",
-                [ShardInfo("a", None, 10, 0), ShardInfo("b", None, 2, 0)],
-            )
-
     def test_unknown_partition_rejected(self):
         with pytest.raises(InvalidInputError):
             ShardManifest("zebra", [])
 
     def test_routing_is_invertible(self):
-        for partition, counts in (
-            ("range", [4, 4, 3]),
-            ("hash", [4, 4, 3]),
-        ):
-            if partition == "range":
-                starts = [0, 4, 8]
-                infos = [
-                    ShardInfo(f"f{i}", starts[i], counts[i], 0) for i in range(3)
-                ]
-            else:
-                infos = [ShardInfo(f"f{i}", None, counts[i], 0) for i in range(3)]
-            manifest = ShardManifest(partition, infos)
-            seen = set()
-            for gid in range(manifest.path_count):
-                shard, local = manifest.locate(gid)
-                assert manifest.global_id(shard, local) == gid
-                seen.add((shard, local))
-            assert len(seen) == manifest.path_count
+        counts = [4, 4, 3]
+        starts = [0, 4, 8]
+        manifest = ShardManifest(
+            "range", [ShardInfo(f"f{i}", starts[i], counts[i], 0) for i in range(3)]
+        )
+        seen = set()
+        for gid in range(manifest.path_count):
+            shard, local = manifest.locate(gid)
+            assert manifest.shards[shard].start + local == gid
+            seen.add((shard, local))
+        assert len(seen) == manifest.path_count
         with pytest.raises(PathIdError):
             manifest.locate(manifest.path_count)
         with pytest.raises(PathIdError):
             manifest.locate(-1)
 
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ["/tmp/elsewhere.rpc2", "b.rpc2"],
+            ["../elsewhere.rpc2", "b.rpc2"],
+            ["sub/a.rpc2", "b.rpc2"],
+            ["a.rpc2", "..\\b.rpc2"],
+            ["..", "b.rpc2"],
+            ["a.rpc2", "a.rpc2"],
+        ],
+        ids=["absolute", "parent", "separator", "backslash", "dotdot", "duplicate"],
+    )
+    def test_shard_names_must_be_distinct_plain_names(self, names):
+        document = _manifest_document(
+            [{"file": name, "start": 5 * i, "count": 5, "table_crc": 1}
+             for i, name in enumerate(names)]
+        )
+        with pytest.raises(CorruptDataError, match="shard file"):
+            loads_manifest(_manifest_blob(document))
+
 
 class TestPartitionCorpus:
     def test_range_preserves_order_and_balance(self, corpus_and_table):
         corpus, _ = corpus_and_table
-        parts = partition_corpus(corpus, 3, "range")
+        parts = partition_corpus(corpus, 3)
         assert sum(len(p) for p in parts) == len(corpus)
         assert max(len(p) for p in parts) - min(len(p) for p in parts) <= 1
         flat = [path for part in parts for path in part.to_paths()]
         assert flat == corpus.to_paths()
 
-    def test_hash_interleaves(self, corpus_and_table):
-        corpus, _ = corpus_and_table
-        parts = partition_corpus(corpus, 4, "hash")
-        paths = corpus.to_paths()
-        for index, part in enumerate(parts):
-            assert part.to_paths() == paths[index::4]
-
     def test_bad_arguments(self, corpus_and_table):
         corpus, _ = corpus_and_table
         with pytest.raises(InvalidInputError):
             partition_corpus(corpus, 0)
-        with pytest.raises(InvalidInputError):
-            partition_corpus(corpus, 2, "zebra")
 
 
 @pytest.fixture(
     scope="module",
-    params=[("range", 2), ("range", 5), ("hash", 2), ("hash", 5)],
+    params=[("range", 2), ("range", 5), ("ingest", 2), ("ingest", 5)],
     ids=lambda p: f"{p[0]}-{p[1]}",
 )
 def sharded(request, corpus_and_table, tmp_path_factory):
-    partition, shards = request.param
+    """A sharded store of the test corpus, as each writer produces it.
+
+    ``range`` is :func:`build_sharded_store` against the fixture table;
+    ``ingest`` streams the same paths through :class:`ShardedIngest`, which
+    fits its own table on the first memtable and seals about *shards*
+    shards.
+    """
+    writer, shards = request.param
     corpus, table = corpus_and_table
-    out = str(tmp_path_factory.mktemp("sharded") / f"{partition}{shards}.rpsm")
-    build_sharded_store(
-        corpus, table, out, shards=shards, processes=2, partition=partition
-    )
+    out = str(tmp_path_factory.mktemp("sharded") / f"{writer}{shards}.rpsm")
+    if writer == "range":
+        build_sharded_store(corpus, table, out, shards=shards, processes=2)
+    else:
+        memtable = -(-len(corpus) // shards)
+        with ShardedIngest(
+            out,
+            config=OFFSConfig(iterations=3, sample_exponent=0),
+            train_after=memtable,
+            memtable_paths=memtable,
+            base_id=table.base_id,
+        ) as ingest:
+            ingest.feed_many(corpus.to_paths())
     store = ShardedPathStore.open(out)
+    assert store.shard_count == shards
     yield store
     store.close()
 
 
 class TestDifferentialIdentity:
-    """Every endpoint, sharded vs monolithic, at 2 and 5 shards × both fns."""
+    """Every endpoint, sharded vs monolithic, at 2 and 5 shards × both writers."""
+
+    @pytest.fixture
+    def monolithic(self, sharded, monolithic):
+        """The monolithic store of the same paths under the sharded store's
+        table (an ingest fits its own)."""
+        if sharded.table == monolithic.table:
+            return monolithic
+        store = CompressedPathStore(sharded.table)
+        store.extend(monolithic.retrieve_all())
+        return store
 
     def test_len_and_tokens_byte_identical(self, sharded, monolithic):
         assert len(sharded) == len(monolithic)
@@ -268,7 +316,8 @@ class TestDifferentialIdentity:
         )
 
     def test_table_shared_and_fingerprinted(self, sharded, monolithic):
-        assert len(sharded.table_fingerprints) == 1
+        fingerprint = zlib.crc32(dumps_table(monolithic.table))
+        assert {info.table_crc for info in sharded.manifest.shards} == {fingerprint}
         assert sharded.table == monolithic.table
 
 
@@ -355,7 +404,15 @@ class TestCorruptionDetection:
         manifest_path, shard0 = self._built(corpus_and_table, tmp_path)
         with open(manifest_path, "rb") as fh:
             manifest = loads_manifest(fh.read())
+        # One shard's fingerprint off: two fingerprints, rejected at load.
         manifest.shards[0].table_crc ^= 0xFF
+        with open(manifest_path, "wb") as fh:
+            fh.write(dumps_manifest(manifest))
+        with pytest.raises(CorruptDataError, match="fingerprint"):
+            ShardedPathStore.open(manifest_path)
+        # Every fingerprint off alike: caught when the shard opens.
+        for info in manifest.shards[1:]:
+            info.table_crc ^= 0xFF
         with open(manifest_path, "wb") as fh:
             fh.write(dumps_manifest(manifest))
         store = ShardedPathStore.open(manifest_path)
@@ -385,6 +442,115 @@ class TestCorruptionDetection:
         store = ShardedPathStore.open(manifest_path)
         with pytest.raises(CorruptDataError):
             store.check()
+
+
+    def test_missing_shard_is_typed_at_every_entry_point(
+        self, corpus_and_table, tmp_path
+    ):
+        from repro.serve import check_store
+
+        manifest_path, shard0 = self._built(corpus_and_table, tmp_path)
+        shard1 = shard0.replace("shard-00000", "shard-00001")
+        os.remove(shard1)
+        missing = r"c\.rpsm.*c\.shard-00001\.rpc2.*does not exist"
+        with ShardedPathStore.open(manifest_path) as store:
+            with pytest.raises(CorruptDataError, match=missing):
+                store.retrieve(len(store) - 1)
+        with ShardedPathStore.open(manifest_path) as store:
+            with pytest.raises(CorruptDataError, match=missing):
+                store.check()
+        with pytest.raises(CorruptDataError, match=missing):
+            check_store(manifest_path)
+
+    @pytest.mark.parametrize("section", ["table", "order"])
+    def test_shard_with_foreign_sections_rejected_before_decode(
+        self, corpus_and_table, tmp_path, monkeypatch, section
+    ):
+        """Shard 1 is swapped for the same paths written with another table
+        (or with an order); even with its fingerprint matching, it is
+        refused before any table is decoded."""
+        import repro.core.mapped as mapped_module
+        from repro.paths.reorder import fit_order
+
+        corpus, table = corpus_and_table
+        manifest_path, shard0 = self._built(corpus_and_table, tmp_path)
+        other = str(tmp_path / "other.rpsm")
+        if section == "table":
+            codec = OFFSCodec(
+                OFFSConfig(iterations=1, sample_exponent=0), base_id=table.base_id
+            )
+            other_table = codec.fit(corpus).table
+            assert dumps_table(other_table) != dumps_table(table)
+            build_sharded_store(corpus, other_table, other, shards=2)
+            fingerprint = zlib.crc32(dumps_table(table))
+            monkeypatch.setattr(
+                MappedPathStore, "table_fingerprint", property(lambda _: fingerprint)
+            )
+        else:
+            order = fit_order("frequency", corpus)
+            build_sharded_store(corpus, table, other, shards=2, order=order)
+        shard1 = shard0.replace("shard-00000", "shard-00001")
+        os.replace(str(tmp_path / shard_filename("other", 1)), shard1)
+        decoded = []
+        real_loads_table = mapped_module.loads_table
+
+        def counting_loads_table(blob):
+            decoded.append(len(blob))
+            return real_loads_table(blob)
+
+        monkeypatch.setattr(mapped_module, "loads_table", counting_loads_table)
+        with ShardedPathStore.open(manifest_path) as store:
+            with pytest.raises(CorruptDataError, match="section differs"):
+                store.retrieve(len(store) - 1)
+            assert decoded == []
+            with pytest.raises(CorruptDataError, match="section differs"):
+                store.check()
+
+    @pytest.mark.parametrize("legacy", ["two-tables", "hash"])
+    def test_legacy_manifest_rejected_while_each_shard_opens(
+        self, corpus_and_table, tmp_path, legacy
+    ):
+        """Manifests that older writers produced — a refit's second table,
+        or the modulo ``hash`` partition — no longer open as one store, but
+        no archived path becomes unreadable: each shard is a v2 file."""
+        corpus, table = corpus_and_table
+        paths = corpus.to_paths()
+        if legacy == "two-tables":
+            other = OFFSCodec(
+                OFFSConfig(iterations=1, sample_exponent=0), base_id=table.base_id
+            ).fit(corpus).table
+            parts = [(table, paths[:40]), (other, paths[40:])]
+            starts = [0, 40]
+        else:
+            parts = [(table, paths[0::2]), (table, paths[1::2])]
+            starts = [None, None]
+        entries = []
+        for index, (part_table, part_paths) in enumerate(parts):
+            store = CompressedPathStore(part_table)
+            store.extend(part_paths)
+            name = shard_filename("legacy", index)
+            with open(str(tmp_path / name), "wb") as fh:
+                fh.write(dumps_store_v2(store))
+            entries.append({
+                "file": name,
+                "start": starts[index],
+                "count": len(part_paths),
+                "table_crc": zlib.crc32(dumps_table(part_table)),
+            })
+        if legacy == "two-tables":
+            assert entries[0]["table_crc"] != entries[1]["table_crc"]
+        manifest_path = str(tmp_path / "legacy.rpsm")
+        with open(manifest_path, "wb") as fh:
+            fh.write(_manifest_blob(
+                _manifest_document(entries, fn="hash" if legacy == "hash" else "range")
+            ))
+        with pytest.raises(CorruptDataError):
+            ShardedPathStore.open(manifest_path)
+        with pytest.raises(CorruptDataError):
+            open_store(manifest_path)
+        for entry, (_, part_paths) in zip(entries, parts):
+            with MappedPathStore.open(str(tmp_path / entry["file"])) as shard:
+                assert shard.retrieve_all() == [tuple(p) for p in part_paths]
 
 
 _fork_required = pytest.mark.skipif(
@@ -477,7 +643,7 @@ class TestStreamingIngest:
     def test_seal_and_reopen_round_trip(self, tmp_path):
         paths = self._paths()
         out = str(tmp_path / "stream.rpsm")
-        with ShardedIngest(out, train_after=50, memtable_paths=200, window=30) as ingest:
+        with ShardedIngest(out, train_after=50, memtable_paths=200) as ingest:
             gids = ingest.feed_many(paths)
             assert len(ingest) == len(paths)
         store = ShardedPathStore.open(out)
@@ -492,7 +658,7 @@ class TestStreamingIngest:
 
     def test_memtable_memory_is_bounded(self, tmp_path):
         out = str(tmp_path / "bounded.rpsm")
-        with ShardedIngest(out, train_after=50, memtable_paths=100, window=30) as ingest:
+        with ShardedIngest(out, train_after=50, memtable_paths=100) as ingest:
             high_water = 0
             for path in self._paths(650):
                 ingest.feed(path)
@@ -505,7 +671,7 @@ class TestStreamingIngest:
     def test_manifest_readable_between_seals(self, tmp_path):
         paths = self._paths(500)
         out = str(tmp_path / "live.rpsm")
-        ingest = ShardedIngest(out, train_after=50, memtable_paths=100, window=30)
+        ingest = ShardedIngest(out, train_after=50, memtable_paths=100)
         ingest.feed_many(paths)
         # Not closed: readers still see every *sealed* prefix, consistently.
         store = ShardedPathStore.open(out)
@@ -514,33 +680,6 @@ class TestStreamingIngest:
         assert store.retrieve_all() == [tuple(p) for p in paths[:sealed]]
         store.close()
         ingest.close()
-
-    def test_refit_on_drift_starts_new_fingerprint(self, tmp_path):
-        out = str(tmp_path / "refit.rpsm")
-        stable = [(1, 2, 3, 4, 5, 6, 7, 8)] * 200
-        import random
-
-        rng = random.Random(0)
-        shifted = [tuple(rng.sample(range(500, 2000), 8)) for _ in range(200)]
-        with ShardedIngest(
-            out, train_after=50, memtable_paths=100, window=40,
-            refit_ratio=0.8, refit_on_drift=True, base_id=100_000,
-        ) as ingest:
-            ingest.feed_many(stable)
-            ingest.feed_many(shifted)
-            assert ingest.refits >= 1
-        store = ShardedPathStore.open(out)
-        assert len(store.table_fingerprints) >= 2
-        with pytest.raises(StateError):
-            store.table  # no single shared table after a refit
-        # Every path still round-trips — shards are self-contained.
-        assert store.retrieve_all() == [tuple(p) for p in stable + shifted]
-        # Fan-out queries stay correct across heterogeneous tables.
-        expected = sorted(
-            i for i, p in enumerate(stable + shifted) if 1 in p
-        )
-        assert store.paths_containing(1) == expected
-        store.close()
 
     def test_failed_seal_write_loses_no_acknowledged_path(
         self, tmp_path, monkeypatch
@@ -561,7 +700,7 @@ class TestStreamingIngest:
         )
         paths = self._paths(500)
         out = str(tmp_path / "flaky.rpsm")
-        ingest = ShardedIngest(out, train_after=50, memtable_paths=100, window=30)
+        ingest = ShardedIngest(out, train_after=50, memtable_paths=100)
         acknowledged = {}
         for i, path in enumerate(paths):
             try:
@@ -582,7 +721,7 @@ class TestStreamingIngest:
 
     def test_close_is_idempotent_and_seals_tail(self, tmp_path):
         out = str(tmp_path / "tail.rpsm")
-        ingest = ShardedIngest(out, train_after=10, memtable_paths=1000, window=5)
+        ingest = ShardedIngest(out, train_after=10, memtable_paths=1000)
         ingest.feed_many(self._paths(37))  # never hits the seal threshold
         assert ingest.close() == out
         assert ingest.close() == out
