@@ -110,9 +110,8 @@ class RunSpec:
 def baseline_spec(workload: str, size: str = "small", seed: int = 0) -> RunSpec:
     """The anchor cell every knob's delta is measured against.
 
-    The baseline is the *production batch path*: rolling matcher (the flat
-    kernel's default), the size tier's scaled sample exponent, v1 in-memory
-    store, expansion cache on, monolithic.
+    The baseline: rolling matcher, the size tier's scaled sample exponent,
+    v1 in-memory store, expansion cache on, monolithic.
     """
     if size not in _SIZE_SAMPLE_EXPONENT:
         raise InvalidInputError(
@@ -167,8 +166,9 @@ KNOBS: Tuple[Knob, ...] = (
         component="matcher backend",
         target="config.matcher",
         values=tuple(b for b in MATCHER_BACKENDS if b != "rolling"),
-        summary="prefix-probe backend swap; output is byte-identical, so "
-        "this knob moves only the speed metrics",
+        summary="table-construction backend swap (bulk encode always runs "
+        "the batch kernel); output is byte-identical, so this knob moves "
+        "only build speed",
     ),
     Knob(
         name="iterations",

@@ -336,9 +336,10 @@ def exp_flat_batch(
 
     One row per (backend, mode): the seed pipeline (per-path loop over
     tuples, flat hash matcher) against :func:`~repro.core.compressor.
-    compress_paths_flat` per backend — with ``rolling`` hitting the
-    vectorized :class:`~repro.core.rollhash.FlatBatchKernel`.  Output is
-    byte-identical everywhere (checked); timings are min-of-*rounds*.
+    compress_paths_flat` per backend — every backend runs the same
+    vectorized :class:`~repro.core.rollhash.FlatBatchKernel`, so the rows
+    differ only by noise.  Output is byte-identical everywhere (checked);
+    timings are min-of-*rounds*.
     """
     import time
 

@@ -105,9 +105,9 @@ def _add_offs_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topdown-rounds", type=int, default=0,
                         help="hybrid top-down refinement rounds (0 = off)")
     parser.add_argument("--backend", choices=MATCHER_BACKENDS, default="hash",
-                        help="longest-match backend; output is identical, "
-                             "only probe cost differs ('rolling' batches "
-                             "whole corpora through vectorized kernels)")
+                        help="longest-match backend for table construction; "
+                             "output is identical, only build time differs "
+                             "(bulk encode always runs the vectorized kernel)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,9 +12,10 @@ OpenMP parallelism; see :func:`compress_dataset`'s ``chunked`` helpers).
 * :func:`decompress_path` — one-pass supernode expansion (Algorithm 1);
   ``O(|P|)`` in the decompressed length (Lemma 1).
 * :func:`compress_paths_flat` / :func:`decompress_paths_flat` — the batch
-  entry points over a :class:`~repro.core.flatcorpus.FlatCorpus`.  With the
-  ``rolling`` matcher and numpy present, compression runs through the
-  vectorized :class:`~repro.core.rollhash.FlatBatchKernel`; results are
+  entry points over a :class:`~repro.core.flatcorpus.FlatCorpus`.  With
+  numpy present, compression runs the vectorized
+  :class:`~repro.core.rollhash.FlatBatchKernel` in bounded blocks whatever
+  the matcher backend; without it, the per-path loop.  Results are
   bit-identical to the per-path loop with any backend.
 """
 
@@ -184,16 +185,18 @@ def compress_paths_flat(
 ) -> Union[List[CompressedPath], FlatCorpus]:
     """Compress a whole corpus in one batch (the flat pipeline entry point).
 
-    Bit-identical to :func:`compress_dataset` over the same paths with the
-    same matcher backend; with the ``rolling`` matcher and numpy available,
-    the probe work runs through the vectorized
-    :class:`~repro.core.rollhash.FlatBatchKernel` — one pass of window
-    hashes over the flat buffer, then a thin greedy verify loop.
+    Bit-identical to :func:`compress_dataset` over the same paths with any
+    matcher backend.  With numpy available, the probe work runs through the
+    vectorized :class:`~repro.core.rollhash.FlatBatchKernel` — window
+    hashes over each block of the flat buffer, then a thin greedy verify
+    loop — for every backend; without numpy, the per-path loop runs on
+    *matcher*.
 
     :param paths: a :class:`FlatCorpus` (preferred; anything else is
         interned first).
-    :param matcher: a prebuilt static matcher over *table*; its type selects
-        the kernel (``RollingHashCandidates`` → vectorized batch path).
+    :param matcher: a prebuilt static matcher over *table*; it supplies the
+        batch kernel (:meth:`~repro.core.matcher.CandidateSet.flat_kernel`)
+        and receives its work counters.
     :param as_corpus: return the compressed tokens as a :class:`FlatCorpus`
         (what the parallel workers ship back) instead of a list of tuples.
     """
@@ -231,29 +234,15 @@ def compress_paths_flat(
 def _compress_corpus(
     corpus: FlatCorpus, table: SupernodeTable, matcher: CandidateSet
 ) -> List[CompressedPath]:
-    """Kernel dispatch for :func:`compress_paths_flat` (obs-free inner part)."""
-    from repro.core.rollhash import RollingHashCandidates
+    """Bulk encode for :func:`compress_paths_flat` (obs-free inner part).
 
-    if isinstance(matcher, RollingHashCandidates):
-        kernel = matcher.flat_kernel(table)
-        if kernel.available:
-            return _compress_corpus_rolling(corpus, table, kernel, matcher.stats)
-    return [compress_path(corpus.path(i), table, matcher) for i in range(len(corpus))]
-
-
-def _compress_corpus_rolling(
-    corpus: FlatCorpus, table: SupernodeTable, kernel, stats
-) -> List[CompressedPath]:
-    """The greedy verify loop over a precomputed best-length array.
-
-    ``kernel.best_lengths`` nominates, per symbol position, the longest
-    candidate length whose rolling hash matches the table; this loop walks
-    each path greedily, verifies every nomination against the exact table
-    (collisions descend to the next shorter length) and emits supernode ids
-    or literals.  Work counters land on *stats* so the obs layer sees the
-    batch like any other matcher run.
+    With numpy, the matcher's :meth:`~repro.core.matcher.CandidateSet.
+    flat_kernel` nominates match lengths block by block, whatever the
+    backend; without it, the per-path loop runs on *matcher* itself.
     """
-    delta = table.max_subpath_length
+    kernel = matcher.flat_kernel(table)
+    if not kernel.available:
+        return [compress_path(corpus.path(i), table, matcher) for i in range(len(corpus))]
     base_id = table.base_id
     max_vertex = corpus.max_vertex()
     if max_vertex >= base_id:
@@ -262,16 +251,36 @@ def _compress_corpus_rolling(
             f"(base_id={base_id}); fit the table with a base_id above every "
             "vertex id that will ever be compressed"
         )
-    best = kernel.best_lengths(corpus)
-    assert best is not None  # kernel.available was checked by the dispatcher
-    ids = table.inverted()
-    get_id = ids.get
-    buffer = corpus.buffer
+    get_id = table.inverted().get
+    delta = table.max_subpath_length
+    stats = matcher.stats
     out: List[CompressedPath] = []
+    for block in corpus.blocks():
+        best = kernel.best_lengths(block)
+        verified = _verify_block(block, best, get_id, delta, out)
+        # The kernel's work lands on the matcher's counters, so the obs
+        # layer sees the batch like any other matcher run.
+        stats.probes += kernel.batch_probes
+        stats.hashed_vertices += kernel.batch_probes + verified
+    return out
+
+
+def _verify_block(
+    block: FlatCorpus, best: List[int], get_id, delta: int, out: List[CompressedPath]
+) -> int:
+    """The greedy verify loop over one block; returns the vertices it read.
+
+    *best* nominates, per symbol position of *block*, the longest candidate
+    length whose rolling hash matches the table.  This loop walks each path
+    greedily, verifies every nomination against the exact table through
+    *get_id* (collisions descend to the next shorter length) and appends
+    each path's supernode ids and literals to *out*.
+    """
+    buffer = block.buffer
     emit = out.append
     verify_vertices = 0
     start = 0
-    for end in list(corpus.offsets)[1:]:
+    for end in list(block.offsets)[1:]:
         path = tuple(buffer[start:end])
         n = end - start
         tokens: List[int] = []
@@ -296,9 +305,7 @@ def _compress_corpus_rolling(
             pos += 1
         emit(tuple(tokens))
         start = end
-    stats.probes += kernel.batch_probes
-    stats.hashed_vertices += kernel.batch_probes + verify_vertices
-    return out
+    return verify_vertices
 
 
 def decompress_paths_flat(

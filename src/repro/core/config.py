@@ -20,9 +20,12 @@ The paper's tunables, with its deployed defaults (Section VI-A):
   frequent sequences in the next pass.  ``capacity`` overrides λ directly.
 * ``min_final_weight`` — finalization drops candidates seen fewer times
   (Example 2 drops "the useless ones with weight one").
-* ``matcher`` — prefix-match backend: ``"hash"`` (Algorithm 6),
-  ``"multilevel"`` (Algorithm 7) or ``"rolling"`` (the rolling-hash scheme
-  of :mod:`repro.core.rollhash`, O(1) per probed length).
+* ``matcher`` — prefix-match backend of table construction and per-path
+  ``append``: ``"hash"`` (Algorithm 6), ``"multilevel"`` (Algorithm 7) or
+  ``"rolling"`` (the rolling-hash scheme of :mod:`repro.core.rollhash`,
+  O(1) per probed length).  Output is identical across backends.  Bulk
+  encode does not depend on it: with numpy it always runs the vectorized
+  batch kernel.
 * ``topdown_rounds`` (default 0 = off) — hybrid top-down refinement passes
   after the bottom-up iterations (the §IV-D optimization (1); see
   :mod:`repro.core.topdown`).

@@ -24,6 +24,7 @@ unavailable and every consumer falls back to the pure-Python path.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import BoundsError, InvalidInputError
@@ -39,6 +40,11 @@ try:  # soft dependency — the container itself never requires numpy
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
+
+#: Symbols per block of the vectorized bulk passes (the batch encode
+#: kernel and the order relabel).  Their numpy temporaries scale with the
+#: block, not the corpus, so peak memory stays flat as corpora grow.
+BLOCK_SYMBOLS = 1 << 15
 
 
 class FlatCorpus:
@@ -201,6 +207,21 @@ class FlatCorpus:
             raise InvalidInputError("chunk_size must be >= 1")
         for start in range(0, len(self), chunk_size):
             yield self.chunk(start, start + chunk_size)
+
+    def blocks(self) -> Iterator["FlatCorpus"]:
+        """Zero-copy chunks of whole paths, each about :data:`BLOCK_SYMBOLS`.
+
+        A block takes paths while they fit in the budget and always at
+        least one, so a path longer than the budget is a block of its own.
+        """
+        offsets = self.offsets
+        n = len(self)
+        start = 0
+        while start < n:
+            limit = offsets[start] + BLOCK_SYMBOLS
+            stop = max(start + 1, bisect_right(offsets, limit, start + 1, n + 1) - 1)
+            yield self.chunk(start, stop)
+            start = stop
 
     def every(self, stride: int) -> "FlatCorpus":
         """Every *stride*-th path as a new corpus (the paper's sampling)."""

@@ -22,9 +22,12 @@ keeping (de)compression side-effect free.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigError, InvalidInputError
+
+if TYPE_CHECKING:
+    from repro.core.rollhash import FlatBatchKernel
 
 Subpath = Tuple[int, ...]
 
@@ -45,7 +48,17 @@ class CandidateSet(ABC):
     with ``stats.reset()`` between measurement batches; the
     :mod:`repro.obs` layer consumes it via snapshot/delta, never by
     replacing the object.
+
+    With numpy, bulk encode does not call :meth:`longest_match`: whatever
+    the backend, :func:`~repro.core.compressor.compress_paths_flat` runs the
+    vectorized :class:`~repro.core.rollhash.FlatBatchKernel` from
+    :meth:`flat_kernel` and publishes the kernel's work on ``self.stats``.
     """
+
+    #: Width of the batch kernel's window hashes.  Only
+    #: :class:`~repro.core.rollhash.RollingHashCandidates` narrows it, so
+    #: tests can force collisions through the kernel's verify step.
+    hash_bits = 64
 
     def __init__(self) -> None:
         from repro.core.probestats import ProbeStats
@@ -53,6 +66,7 @@ class CandidateSet(ABC):
         #: Work counters for the §IV-C cost analysis (see
         #: :mod:`repro.core.probestats`).
         self.stats = ProbeStats()
+        self._kernel: Optional["FlatBatchKernel"] = None
 
     @abstractmethod
     def add(self, seq: Sequence[int], weight: int = 1) -> None:
@@ -84,6 +98,22 @@ class CandidateSet(ABC):
 
     def __contains__(self, seq: Sequence[int]) -> bool:
         return self.weight(seq) is not None
+
+    def flat_kernel(self, table) -> "FlatBatchKernel":
+        """The batch kernel for *table*, memoized per table (by identity).
+
+        Batch consumers call once per corpus or chunk; the memo amortizes
+        the kernel's table hashing and membership bitmaps across calls.
+        It assumes *table* is frozen once compression starts, which holds
+        for every finished :class:`~repro.core.supernode_table.SupernodeTable`.
+        """
+        from repro.core.rollhash import FlatBatchKernel
+
+        kernel = self._kernel
+        if kernel is None or kernel.table is not table:
+            kernel = FlatBatchKernel(table, hash_bits=self.hash_bits)
+            self._kernel = kernel
+        return kernel
 
     # -- shared bookkeeping (concrete) -----------------------------------------
 

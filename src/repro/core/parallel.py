@@ -20,8 +20,8 @@ Implementation notes:
   memoryview of the shared buffer), back as result corpora whose ``array``
   buffers pickle as bytes — never a forest of integer tuples.
 * Workers run the batch entry points (:func:`~repro.core.compressor.
-  compress_paths_flat`); with ``backend="rolling"`` each chunk goes through
-  the vectorized kernel.  ``processes=1`` runs the *same* chunk functions
+  compress_paths_flat`); with numpy each chunk goes through the vectorized
+  kernel, whatever the backend.  ``processes=1`` runs the *same* chunk functions
   in-process, so metric totals and probe counts are identical across
   process counts for every backend.
 

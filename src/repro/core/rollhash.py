@@ -24,11 +24,12 @@ Two consumers:
   it caches the prefix hashes of the most recent query path by identity, so
   the builder's sequential scans amortize preparation to O(1) per vertex.
 * :class:`FlatBatchKernel` — the static batch kernel over a
-  :class:`~repro.core.flatcorpus.FlatCorpus`: one vectorized pass (numpy)
-  computes window hashes for *every* position and candidate length and
-  collapses them into a per-position best-candidate-length array, leaving
-  compression proper a thin greedy verify loop.  Falls back to the dynamic
-  backend when numpy is unavailable.
+  :class:`~repro.core.flatcorpus.FlatCorpus`, which bulk encode runs for
+  every backend (:meth:`~repro.core.matcher.CandidateSet.flat_kernel`):
+  one vectorized pass (numpy) computes window hashes for *every* position
+  and candidate length and collapses them into a per-position
+  best-candidate-length array, leaving compression proper a thin greedy
+  verify loop.  Without numpy, bulk encode runs the per-path loop.
 """
 
 from __future__ import annotations
@@ -90,8 +91,6 @@ class RollingHashCandidates(CandidateSet):
         self._prepared_path: Optional[Sequence[int]] = None
         self._prefix: List[int] = []
         self._pows: List[int] = [1]
-        # Identity-cached batch kernel (see :meth:`flat_kernel`).
-        self._kernel: Optional["FlatBatchKernel"] = None
 
     # -- CandidateSet interface ---------------------------------------------------
 
@@ -168,22 +167,6 @@ class RollingHashCandidates(CandidateSet):
             f"RollingHashCandidates(entries={len(self._weights)}, "
             f"lengths={sorted(self._buckets)}, hash_bits={self.hash_bits})"
         )
-
-    def flat_kernel(self, table) -> "FlatBatchKernel":
-        """The batch kernel for *table*, cached by table identity.
-
-        Batch consumers (:func:`repro.core.compressor.compress_paths_flat`)
-        call per chunk; caching amortizes the kernel's table hashing and
-        membership bitmaps across chunks.  The cache assumes *table* is
-        frozen once compression starts — true for every
-        :class:`~repro.core.supernode_table.SupernodeTable` handed to the
-        compressor (tables never mutate after finalization).
-        """
-        kernel = self._kernel
-        if kernel is None or kernel.table is not table:
-            kernel = FlatBatchKernel(table, hash_bits=self.hash_bits)
-            self._kernel = kernel
-        return kernel
 
     # -- preparation ----------------------------------------------------------------
 

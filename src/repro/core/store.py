@@ -29,9 +29,10 @@ class CompressedPathStore(PathReader):
     """Compressed, individually-retrievable storage for a path set.
 
     :param table: the supernode table paths are compressed against.
-    :param matcher_backend: longest-match backend for ingestion (``"hash"``,
-        ``"multilevel"`` or ``"rolling"``); output is identical
-        across backends, only probe cost differs.
+    :param matcher_backend: longest-match backend of per-path ingestion
+        (``"hash"``, ``"multilevel"`` or ``"rolling"``); output is identical
+        across backends, only probe cost differs.  Bulk ingestion runs the
+        vectorized batch kernel whatever the backend.
     :param order: optional :class:`~repro.paths.reorder.VertexOrder` the
         table was built under.  With an order, ingestion relabels incoming
         paths (original → new ids) and every retrieval surface inverts, so
@@ -69,7 +70,7 @@ class CompressedPathStore(PathReader):
 
     @classmethod
     def from_corpus(
-        cls, corpus, table: SupernodeTable, matcher_backend: str = "rolling",
+        cls, corpus, table: SupernodeTable, matcher_backend: str = "hash",
         order=None,
     ) -> "CompressedPathStore":
         """Bulk-ingest a :class:`~repro.core.flatcorpus.FlatCorpus` (or any
@@ -77,7 +78,7 @@ class CompressedPathStore(PathReader):
 
         Identical contents to :meth:`from_dataset`; the difference is purely
         mechanical — one :func:`~repro.core.compressor.compress_paths_flat`
-        call (vectorized with the default ``rolling`` backend) instead of a
+        call (vectorized with numpy, whatever the backend) instead of a
         per-path loop.
         """
         store = cls(table, matcher_backend=matcher_backend, order=order)

@@ -88,7 +88,7 @@ class VertexOrder:
     on, and silently passing ids through would corrupt the store.
     """
 
-    __slots__ = ("strategy", "_forward", "_backward")
+    __slots__ = ("strategy", "_forward", "_backward", "_lookup")
 
     def __init__(self, strategy: str, backward: Sequence[int]) -> None:
         if strategy not in _KNOWN_NAMES:
@@ -106,6 +106,7 @@ class VertexOrder:
         self.strategy = strategy
         self._forward = forward
         self._backward = backward_list
+        self._lookup = None
 
     # -- application -------------------------------------------------------------
 
@@ -125,9 +126,7 @@ class VertexOrder:
         try:
             return self._forward[vertex]
         except KeyError:
-            raise InvalidInputError(
-                f"vertex {vertex} is not covered by this {self.strategy!r} order"
-            ) from None
+            raise self._uncovered(vertex) from None
 
     def apply_path(self, path: Sequence[int]) -> Tuple[int, ...]:
         """Relabel one path into new-id space."""
@@ -135,9 +134,7 @@ class VertexOrder:
         try:
             return tuple(forward[v] for v in path)
         except KeyError as exc:
-            raise InvalidInputError(
-                f"vertex {exc.args[0]} is not covered by this {self.strategy!r} order"
-            ) from None
+            raise self._uncovered(exc.args[0]) from None
 
     def invert_path(self, path: Sequence[int]) -> Tuple[int, ...]:
         """Restore one relabelled path to original ids."""
@@ -150,20 +147,53 @@ class VertexOrder:
             ) from None
 
     def transform_corpus(self, corpus):
-        """A new :class:`~repro.core.FlatCorpus` with every vertex relabelled."""
+        """A new :class:`~repro.core.FlatCorpus` with every vertex relabelled.
+
+        With numpy the relabel runs over blocks of
+        :data:`~repro.core.flatcorpus.BLOCK_SYMBOLS` symbols, each a sorted
+        lookup written into one preallocated output buffer; without it, a
+        dict lookup per symbol.  Either way the first vertex the order does
+        not cover raises :class:`~repro.core.errors.InvalidInputError`.
+        """
         from array import array
 
-        from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
+        from repro.core.flatcorpus import BLOCK_SYMBOLS, FlatCorpus, as_flat_corpus
 
         flat = as_flat_corpus(corpus)
-        forward = self._forward
-        try:
-            buffer = array("q", (forward[v] for v in flat.buffer))
-        except KeyError as exc:
-            raise InvalidInputError(
-                f"vertex {exc.args[0]} is not covered by this {self.strategy!r} order"
-            ) from None
-        return FlatCorpus(buffer, flat.offsets, name=f"{flat.name}/{self.strategy}")
+        name = f"{flat.name}/{self.strategy}"
+        arrays = flat.as_numpy()
+        if arrays is None:
+            forward = self._forward
+            try:
+                buffer = array("q", (forward[v] for v in flat.buffer))
+            except KeyError as exc:
+                raise self._uncovered(exc.args[0]) from None
+            return FlatCorpus(buffer, flat.offsets, name=name)
+
+        import numpy as np
+
+        if self._lookup is None:
+            old = np.array(self._backward, dtype=np.int64)
+            by_old = np.argsort(old)
+            self._lookup = (old[by_old], by_old)
+        keys, new_ids = self._lookup
+        source = arrays[0]
+        buffer = array("q", [0]) * len(source)
+        target = np.frombuffer(buffer, dtype=np.int64)
+        for lo in range(0, len(source), BLOCK_SYMBOLS):
+            block = source[lo : lo + BLOCK_SYMBOLS]
+            at = np.searchsorted(keys, block)
+            np.minimum(at, len(keys) - 1, out=at)
+            covered = keys[at] == block if len(keys) else np.zeros(len(block), bool)
+            if not covered.all():
+                raise self._uncovered(int(block[np.argmin(covered)]))
+            target[lo : lo + len(block)] = new_ids[at]
+        return FlatCorpus(buffer, flat.offsets, name=name)
+
+    def _uncovered(self, vertex: int) -> InvalidInputError:
+        return InvalidInputError(
+            f"vertex {vertex} is not covered by this {self.strategy!r} order"
+        )
 
     # -- size accounting -----------------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Unit tests for Algorithms 1 and 2 (per-path compression/decompression)."""
 
+import random
+
 import pytest
 
+from repro.core import flatcorpus, rollhash
 from repro.core.compressor import (
     chunked,
     compress_dataset,
@@ -11,10 +14,13 @@ from repro.core.compressor import (
     decompress_path,
     decompress_paths_flat,
 )
+from repro.core.config import MATCHER_BACKENDS
 from repro.core.errors import TableError
 from repro.core.flatcorpus import FlatCorpus
 from repro.core.matcher import static_matcher_from_table
+from repro.core.rollhash import FlatBatchKernel
 from repro.core.supernode_table import SupernodeTable
+from repro.obs import instrumented
 
 
 @pytest.fixture()
@@ -143,6 +149,103 @@ class TestFlatBatch:
             matcher.add(subpath, 0)
         expected = compress_dataset(self.PATHS, table)
         assert compress_paths_flat(self.PATHS, table, matcher) == expected
+
+
+#: The block budget the blocked-encode tests shrink the corpus blocks to.
+SMALL_BLOCK = 16
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(flatcorpus, "BLOCK_SYMBOLS", SMALL_BLOCK)
+
+
+@pytest.fixture()
+def blocked_case():
+    """A random table and a corpus spanning many :data:`SMALL_BLOCK` blocks.
+
+    The corpus holds empty paths and one path longer than a block.
+    """
+    rng = random.Random(7)
+    table = SupernodeTable(
+        1000,
+        sorted({
+            tuple(rng.randrange(10) for _ in range(rng.randrange(2, 6)))
+            for _ in range(40)
+        }),
+    )
+    paths = [
+        tuple(rng.randrange(10) for _ in range(rng.randrange(0, 9)))
+        for _ in range(60)
+    ]
+    paths[5] = ()
+    paths[30] = tuple(rng.randrange(10) for _ in range(3 * SMALL_BLOCK))
+    paths.append(())
+    return table, paths
+
+
+def _needs_kernel():
+    if rollhash._np is None:
+        pytest.skip("numpy unavailable")
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBlockedBulkEncode:
+    """Bulk encode runs one blocked kernel route, whatever the backend."""
+
+    @pytest.mark.parametrize("backend", MATCHER_BACKENDS)
+    def test_every_backend_matches_per_path_loop(self, blocked_case, backend):
+        table, paths = blocked_case
+        matcher = static_matcher_from_table(table, backend)
+        assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
+
+    @pytest.mark.parametrize("backend", ["hash", "multilevel"])
+    def test_kernel_route_sees_one_block_per_call(
+        self, blocked_case, backend, monkeypatch
+    ):
+        _needs_kernel()
+        table, paths = blocked_case
+        seen = []
+        original = FlatBatchKernel.best_lengths
+
+        def spy(kernel, block):
+            seen.append(block.to_paths())
+            return original(kernel, block)
+
+        monkeypatch.setattr(FlatBatchKernel, "best_lengths", spy)
+        matcher = static_matcher_from_table(table, backend)
+        assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
+        assert len(seen) > 1
+        assert [p for block in seen for p in block] == paths
+        for block in seen:
+            assert len(block) == 1 or sum(map(len, block)) <= SMALL_BLOCK
+        assert [paths[30]] in seen
+
+    @pytest.mark.parametrize("backend", MATCHER_BACKENDS)
+    def test_without_numpy_the_per_path_loop_runs(
+        self, blocked_case, backend, monkeypatch
+    ):
+        table, paths = blocked_case
+        monkeypatch.setattr(rollhash, "_np", None)
+        # A call to the kernel would now raise: the fallback must not make one.
+        monkeypatch.setattr(FlatBatchKernel, "best_lengths", None)
+        matcher = static_matcher_from_table(table, backend)
+        assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
+
+    def test_probe_counters_equal_across_backends(self, blocked_case):
+        _needs_kernel()
+        table, paths = blocked_case
+        counters = []
+        for backend in MATCHER_BACKENDS:
+            matcher = static_matcher_from_table(table, backend)
+            with instrumented() as obs:
+                compress_paths_flat(paths, table, matcher)
+            got = obs.registry.counters()
+            counters.append(
+                (got["matcher.probes"], got["matcher.hashed_vertices"])
+            )
+        assert counters[0][0] > 0
+        assert counters == [counters[0]] * len(MATCHER_BACKENDS)
 
 
 class TestChunked:

@@ -131,6 +131,61 @@ class TestVertexOrder:
         assert out.name.endswith("/frequency")
 
 
+class TestBlockedRelabel:
+    """The numpy relabel runs in blocks and agrees with the dict relabel."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        from repro.core import flatcorpus
+
+        monkeypatch.setattr(flatcorpus, "BLOCK_SYMBOLS", 8)
+
+    @staticmethod
+    def _dict_route(monkeypatch):
+        from repro.core.flatcorpus import FlatCorpus
+
+        monkeypatch.setattr(FlatCorpus, "as_numpy", lambda self: None)
+
+    def test_numpy_relabel_equals_dict_relabel(self, monkeypatch):
+        from repro.core.flatcorpus import FlatCorpus
+
+        rng = random.Random(3)
+        paths = [
+            tuple(rng.randrange(0, 500, 7) for _ in range(rng.randrange(0, 12)))
+            for _ in range(80)
+        ]
+        corpus = FlatCorpus.from_paths(paths)
+        order = fit_order("frequency", paths)
+        blocked = order.transform_corpus(corpus)
+        self._dict_route(monkeypatch)
+        per_symbol = order.transform_corpus(corpus)
+        assert blocked.to_paths() == per_symbol.to_paths()
+        assert blocked.to_paths() == [order.apply_path(p) for p in paths]
+        assert list(blocked.offsets) == list(corpus.offsets)
+
+    @pytest.mark.parametrize("route", ["numpy", "dict"])
+    def test_first_uncovered_vertex_past_a_block_is_named(self, route, monkeypatch):
+        from repro.core.flatcorpus import FlatCorpus
+
+        paths = [(1, 2, 3)] * 5 + [(2, 99, 3, 77)]
+        order = VertexOrder("frequency", [3, 2, 1])
+        if route == "dict":
+            self._dict_route(monkeypatch)
+        with pytest.raises(InvalidInputError, match="vertex 99 is not covered"):
+            order.transform_corpus(FlatCorpus.from_paths(paths))
+
+    @pytest.mark.parametrize("route", ["numpy", "dict"])
+    def test_empty_order_covers_nothing(self, route, monkeypatch):
+        from repro.core.flatcorpus import FlatCorpus
+
+        order = VertexOrder("frequency", [])
+        if route == "dict":
+            self._dict_route(monkeypatch)
+        assert order.transform_corpus(FlatCorpus.from_paths([(), ()])).to_paths() == [(), ()]
+        with pytest.raises(InvalidInputError, match="vertex 5 is not covered"):
+            order.transform_corpus(FlatCorpus.from_paths([(), (5, 6)]))
+
+
 # -- fitting ---------------------------------------------------------------------
 
 
