@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from repro import CompressedPathStore, OFFSCodec, OFFSConfig, PathQueryEngine
+from repro import CompressedPathStore, OFFSCodec, OFFSConfig
 from repro.graphs.topology import CloudTopology
 from repro.paths.dataset import PathDataset
 from repro.paths.preprocess import preprocess_paths
@@ -34,16 +34,15 @@ def main() -> None:
     store = CompressedPathStore.from_codec(dataset, codec)
     print(f"archive: {len(store):,} paths compressed, CR = {store.compression_ratio():.2f}")
 
-    engine = PathQueryEngine(store)
-    print(f"index:   {engine.index.vertex_count():,} vertices indexed\n")
+    print(f"index:   {store.vertex_index().vertex_count():,} vertices indexed\n")
 
     # ------------------------------------------------------------------
     # Case 1: a web server starts failing.
     # ------------------------------------------------------------------
     issue_server = topology.pod_routes[0][2]  # the busiest pod's web server
     started = time.perf_counter()
-    affected_paths = engine.affected_paths(issue_server)
-    affected = engine.affected_vertices(issue_server)
+    affected_paths = store.affected_paths(issue_server)
+    affected = store.affected_vertices(issue_server)
     elapsed_ms = (time.perf_counter() - started) * 1e3
     clients = [v for v in affected if v < topology.clients]
     print(f"CASE 1   anomaly on web server {issue_server}")
@@ -59,15 +58,15 @@ def main() -> None:
     sample = dataset[42]
     client_ip, terminal_ip = sample[0], sample[-1]
     started = time.perf_counter()
-    routes = engine.paths_between(client_ip, terminal_ip)
-    hops = engine.intermediate_vertices(client_ip, terminal_ip)
+    routes = store.paths_between(client_ip, terminal_ip)
+    hops = store.intermediate_vertices(client_ip, terminal_ip)
     elapsed_ms = (time.perf_counter() - started) * 1e3
     print(f"CASE 2   client {client_ip} -> terminal {terminal_ip}")
     print(f"         {len(routes)} recorded transactions between the pair")
     print(f"         {len(hops)} distinct intermediate machines to inspect")
     print(f"         answered in {elapsed_ms:.1f} ms\n")
 
-    # Sanity: everything the engine returned is exact.
+    # Sanity: everything the store returned is exact.
     brute_force = [p for p in dataset if issue_server in p]
     assert affected_paths == brute_force
     print("verified: query answers match a brute-force scan of the originals")

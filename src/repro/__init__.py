@@ -35,7 +35,7 @@ from repro.core import (
     decompress_path,
 )
 from repro.paths import Path, PathDataset, preprocess_paths
-from repro.queries import PathQueryEngine, VertexIndex
+from repro.queries import VertexIndex
 
 __version__ = "1.0.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "Path",
     "PathDataset",
     "preprocess_paths",
-    "PathQueryEngine",
     "VertexIndex",
     "__version__",
 ]

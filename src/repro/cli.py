@@ -364,13 +364,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     elif args.between is not None:
         paths = store.paths_between(args.between[0], args.between[1])
     elif args.via is not None:
-        from repro.queries.pattern import PathPattern, PatternSearcher
+        from repro.queries.pattern import PathPattern
 
         if len(args.via) < 2:
             print("error: --via needs at least SRC and DST", file=sys.stderr)
             return 1
-        searcher = PatternSearcher(store, store.vertex_index())
-        paths = searcher.search(
+        paths = store.pattern_search(
             PathPattern.via(args.via[0], args.via[1:-1], args.via[-1])
         )
     else:

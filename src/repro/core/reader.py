@@ -18,8 +18,10 @@ Over those, the reader provides retrieval (:meth:`~PathReader.retrieve`,
 :meth:`~PathReader.retrieve_batch`, :meth:`~PathReader.retrieve_all`,
 :meth:`~PathReader.retrieve_fraction`, iteration), order inversion (callers
 always speak original vertex ids), id checks, ``store.*`` observability,
-the paper's size accounting, and the Case 1/2 and subpath queries over a
-lazily built :class:`~repro.queries.index.VertexIndex`.
+the paper's size accounting, and the one query engine: Case 1/2, subpath
+and pattern queries, each a lazily built
+:class:`~repro.queries.index.VertexIndex` lookup, one batch decode of the
+candidates and a predicate over the decoded paths.
 
 :class:`~repro.core.store.CompressedPathStore` (in memory) and
 :class:`~repro.core.mapped.MappedPathStore` (mmap over a v2 file) keep only
@@ -31,7 +33,17 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.compressor import decompress_path, decompress_paths_flat
 from repro.core.errors import InvalidInputError, PathIdError
@@ -40,11 +52,28 @@ from repro.obs import catalog
 from repro.obs.runtime import get_active
 from repro.paths.encoding import DEFAULT_ENCODING, Encoding
 
+if TYPE_CHECKING:
+    from repro.queries.pattern import PathPattern
+
 Path = Tuple[int, ...]
 
-#: Guards the one-time query-engine build of every reader; a build happens
+#: Guards the one-time vertex-index build of every reader; a build happens
 #: once per store, so one lock for all of them never contends in practice.
-_QUERY_LOCK = threading.Lock()
+_INDEX_LOCK = threading.Lock()
+
+
+def _contains(path: Path, query: Path) -> bool:
+    """``True`` when *query* (non-empty) occurs in *path* contiguously."""
+    first = query[0]
+    width = len(query)
+    position = -1
+    try:
+        while True:
+            position = path.index(first, position + 1)
+            if path[position : position + width] == query:
+                return True
+    except ValueError:
+        return False
 
 
 class PathReader:
@@ -144,29 +173,48 @@ class PathReader:
 
     # -- queries ------------------------------------------------------------------
 
-    def _queries(self):
-        """The ``(PathQueryEngine, SubpathSearcher)`` pair, built on first use.
-
-        Both share one :class:`~repro.queries.index.VertexIndex`.  A store
-        that grew since the build (in-memory appends) refreshes the index
-        incrementally before answering.
-        """
-        with _QUERY_LOCK:
-            pair = self.__dict__.get("_query_pair")
-            if pair is None:
-                from repro.queries.retrieval import PathQueryEngine
-                from repro.queries.subpath_search import SubpathSearcher
-
-                engine = PathQueryEngine(self)
-                pair = (engine, SubpathSearcher(self, engine.index))
-                self._query_pair = pair
-            elif pair[0].index.indexed_paths != len(self):
-                pair[0].index.refresh()
-            return pair
-
     def vertex_index(self):
-        """The store's :class:`~repro.queries.index.VertexIndex`."""
-        return self._queries()[0].index
+        """The store's :class:`~repro.queries.index.VertexIndex`, built on first use.
+
+        A store that grew since the build (in-memory appends) refreshes the
+        index incrementally before it is returned.
+        """
+        with _INDEX_LOCK:
+            index = self.__dict__.get("_vertex_index")
+            if index is None:
+                from repro.queries.index import VertexIndex
+
+                index = self._vertex_index = VertexIndex(self)
+            elif index.indexed_paths != len(self):
+                index.refresh()
+            return index
+
+    def _matching(
+        self, vertices: Sequence[int], keep: Optional[Callable[[Path], bool]]
+    ) -> Tuple[List[int], List[Path]]:
+        """``(ids, paths)`` of the candidates for which *keep* holds, ascending id.
+
+        The candidates are the paths containing every vertex of *vertices*
+        (every path when it is empty), found in the index without decoding
+        anything.  They, and only they, are decoded, each exactly once, by
+        one :meth:`retrieve_batch` call; *keep* (``None`` keeps every
+        candidate) then runs on the decoded paths in original vertex ids, so
+        no predicate needs to know the token form or the vertex order.
+        """
+        if vertices:
+            candidates = self.vertex_index().paths_containing_all(vertices)
+        else:
+            candidates = list(range(len(self)))
+        paths = self.retrieve_batch(candidates)
+        if keep is None:
+            return candidates, paths
+        ids: List[int] = []
+        hits: List[Path] = []
+        for path_id, path in zip(candidates, paths):
+            if keep(path):
+                ids.append(path_id)
+                hits.append(path)
+        return ids, hits
 
     def paths_containing(self, vertex: int) -> List[int]:
         """Sorted ids of the paths whose decompressed form contains *vertex*."""
@@ -174,21 +222,50 @@ class PathReader:
 
     def affected_paths(self, issue_vertex: int) -> List[Path]:
         """Case 1: every path through *issue_vertex*, decompressed."""
-        return self.retrieve_batch(self.paths_containing(issue_vertex))
+        return self._matching((issue_vertex,), None)[1]
+
+    def affected_vertices(self, issue_vertex: int) -> Set[int]:
+        """Case 1's answer: every other vertex sharing a path with *issue_vertex*.
+
+        The accurate alternative to the exponential neighbourhood search the
+        paper warns against.
+        """
+        affected = set().union(*self.affected_paths(issue_vertex))
+        affected.discard(issue_vertex)
+        return affected
 
     def paths_between_hits(
         self, source: int, destination: int
     ) -> Tuple[List[int], List[Path]]:
-        """``(ids, paths)`` of the paths from *source* to *destination*."""
-        return self._queries()[0].paths_between_hits(source, destination)
+        """``(ids, paths)`` of the paths from *source* to *destination*.
+
+        Terminal positions are not indexed, so the candidates are the paths
+        containing both vertices, kept when they start and end at them.
+        """
+        return self._matching(
+            (source, destination),
+            lambda path: path[0] == source and path[-1] == destination,
+        )
 
     def paths_between(self, source: int, destination: int) -> List[Path]:
         """Case 2: all paths from *source* to *destination*, ascending id."""
         return self.paths_between_hits(source, destination)[1]
 
+    def intermediate_vertices(self, source: int, destination: int) -> Set[int]:
+        """Case 2's answer: every intermediate hop between two terminals."""
+        return set().union(
+            *(path[1:-1] for path in self.paths_between(source, destination))
+        )
+
     def subpath_search_hits(self, query: Sequence[int]) -> Tuple[List[int], List[Path]]:
-        """``(ids, paths)`` of the paths containing *query* contiguously."""
-        return self._queries()[1].search_hits(tuple(query))
+        """``(ids, paths)`` of the paths containing *query* contiguously.
+
+        A query of one vertex (or none) is answered by its candidates alone.
+        """
+        q = tuple(query)
+        if len(q) <= 1:
+            return self._matching(q, None)
+        return self._matching(q, lambda path: _contains(path, q))
 
     def subpath_search_ids(self, query: Sequence[int]) -> List[int]:
         """Sorted ids of the paths containing *query* contiguously."""
@@ -197,6 +274,18 @@ class PathReader:
     def subpath_search(self, query: Sequence[int]) -> List[Path]:
         """The paths containing *query* contiguously, decompressed."""
         return self.subpath_search_hits(query)[1]
+
+    def pattern_search_hits(self, pattern: "PathPattern") -> Tuple[List[int], List[Path]]:
+        """``(ids, paths)`` of the paths matching *pattern*.
+
+        The pattern's literal vertices select the candidates (a
+        wildcard-only pattern scans every path).
+        """
+        return self._matching(pattern.concrete_vertices, pattern.matches)
+
+    def pattern_search(self, pattern: "PathPattern") -> List[Path]:
+        """The paths matching *pattern*, decompressed, ascending id."""
+        return self.pattern_search_hits(pattern)[1]
 
     # -- size accounting ----------------------------------------------------------
 

@@ -83,7 +83,7 @@ class ShardInfo:
 
     __slots__ = ("file", "start", "count", "table_crc")
 
-    def __init__(self, file: str, start: Optional[int], count: int, table_crc: int) -> None:
+    def __init__(self, file: str, start: int, count: int, table_crc: int) -> None:
         self.file = file
         self.start = start
         self.count = count
@@ -232,19 +232,27 @@ def _manifest_from_json(document: Any) -> ShardManifest:
     for entry in shards_json:
         if not isinstance(entry, dict):
             raise CorruptDataError("shard manifest entry must be an object")
-        try:
-            shards.append(
-                ShardInfo(
-                    file=str(entry["file"]),
-                    start=entry.get("start"),
-                    count=int(entry["count"]),
-                    table_crc=int(entry["table_crc"]),
-                )
-            )
-        except KeyError as exc:
+        for field in ("file", "start", "count", "table_crc"):
+            if field not in entry:
+                raise CorruptDataError(f"shard manifest entry is missing field {field!r}")
+        if not isinstance(entry["file"], str):
             raise CorruptDataError(
-                f"shard manifest entry is missing field {exc.args[0]!r}"
-            ) from exc
+                f"shard manifest entry has a non-string file {entry['file']!r}"
+            )
+        for field in ("start", "count", "table_crc"):
+            value = entry[field]
+            # A bool is an int, and int() would coerce a float or a string.
+            if type(value) is not int or value < 0:
+                raise CorruptDataError(
+                    f"shard manifest entry has an invalid {field} {value!r}"
+                )
+        if entry["table_crc"] >= 1 << 32:
+            raise CorruptDataError(
+                f"shard manifest entry has an invalid table_crc {entry['table_crc']!r}"
+            )
+        shards.append(
+            ShardInfo(entry["file"], entry["start"], entry["count"], entry["table_crc"])
+        )
     if partition["fn"] != PARTITION_RANGE:
         raise CorruptDataError(
             f"shard manifest uses partition fn {partition['fn']!r}; only "

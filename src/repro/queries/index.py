@@ -22,7 +22,7 @@ keeps; a vertex the order does not cover simply has no postings.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Set
+from typing import DefaultDict, Dict, List, Set, Tuple
 
 from repro.core.errors import InvalidInputError
 from repro.core.store import CompressedPathStore
@@ -37,30 +37,31 @@ class VertexIndex:
 
     def __init__(self, store: CompressedPathStore) -> None:
         self.store = store
-        self._postings: Dict[int, List[int]] = {}
+        self._postings: DefaultDict[int, List[int]] = defaultdict(list)
         self._indexed_paths = 0
         self.refresh()
 
     def refresh(self) -> None:
-        """(Re)build postings for any paths appended since the last build."""
+        """Post the paths appended since the last build (the first build posts all).
+
+        Path ids only grow, so appending each new id to the postings of its
+        path's vertices keeps every list sorted with no re-sort and leaves
+        the old postings untouched.
+        """
         table = self.store.table
         base = table.base_id
-        members: Dict[int, FrozenSet[int]] = {
-            sid: frozenset(subpath) for sid, subpath in table
-        }
-        postings: Dict[int, Set[int]] = defaultdict(set)
-        # Keep existing postings; only new path ids need scanning.
-        for vertex, ids in self._postings.items():
-            postings[vertex].update(ids)
+        members: Dict[int, Tuple[int, ...]] = {sid: subpath for sid, subpath in table}
+        postings = self._postings
         tokens = self.store.tokens()
         for path_id in range(self._indexed_paths, len(tokens)):
+            vertices: Set[int] = set()
             for symbol in tokens[path_id]:
                 if symbol >= base:
-                    for vertex in members[symbol]:
-                        postings[vertex].add(path_id)
+                    vertices.update(members[symbol])
                 else:
-                    postings[symbol].add(path_id)
-        self._postings = {v: sorted(ids) for v, ids in postings.items()}
+                    vertices.add(symbol)
+            for vertex in vertices:
+                postings[vertex].append(path_id)
         self._indexed_paths = len(tokens)
 
     # -- lookups -----------------------------------------------------------------
@@ -89,22 +90,12 @@ class VertexIndex:
 
     def paths_containing_all(self, vertices) -> List[int]:
         """Path ids containing **every** vertex in *vertices* (intersection)."""
-        result: Set[int] = set()
-        first = True
-        for vertex in vertices:
-            postings = set(self._postings.get(self._key(vertex), ()))
-            result = postings if first else result & postings
-            first = False
-            if not result and not first:
-                break
-        return sorted(result)
-
-    def paths_containing_any(self, vertices) -> List[int]:
-        """Path ids containing **at least one** vertex in *vertices* (union)."""
-        result: Set[int] = set()
-        for vertex in vertices:
-            result.update(self._postings.get(self._key(vertex), ()))
-        return sorted(result)
+        postings = sorted(
+            (self._postings.get(self._key(vertex), ()) for vertex in vertices), key=len
+        )
+        if not postings:
+            return []
+        return sorted(set(postings[0]).intersection(*postings[1:]))
 
     @property
     def indexed_paths(self) -> int:

@@ -15,18 +15,15 @@ the classic glob algorithm — linear two-pointer with backtracking over the
 last :data:`GAP` — so checking a candidate costs ``O(|P| · gaps)`` worst
 case and ``O(|P|)`` typically.
 
-:class:`PatternSearcher` runs a pattern over a
-:class:`~repro.core.store.CompressedPathStore`: the vertex index prunes to
-paths containing *all* concrete vertices, then candidates are checked
-decompressed (only candidates pay).
+Every store runs a pattern with
+:meth:`~repro.core.reader.PathReader.pattern_search`: the vertex index
+prunes to the paths containing *all* literal vertices, those candidates
+are decoded once, and :meth:`PathPattern.matches` keeps the hits.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple, Union
-
-from repro.core.store import CompressedPathStore
-from repro.queries.index import VertexIndex
 
 
 class _Any:
@@ -132,41 +129,3 @@ class PathPattern:
 
     def __repr__(self) -> str:
         return f"PathPattern({list(self.elements)!r})"
-
-
-class PatternSearcher:
-    """Pattern search over a compressed store.
-
-    :param store: the archive.
-    :param index: an existing vertex index (built on demand when omitted).
-    """
-
-    def __init__(
-        self,
-        store: CompressedPathStore,
-        index: Optional[VertexIndex] = None,
-    ) -> None:
-        self.store = store
-        self.index = index or VertexIndex(store)
-
-    def search_ids(self, pattern: PathPattern) -> List[int]:
-        """Path ids matching *pattern*."""
-        concrete = pattern.concrete_vertices
-        if concrete:
-            candidates = self.index.paths_containing_all(concrete)
-        else:
-            candidates = range(len(self.store))
-        return [
-            pid for pid in candidates if pattern.matches(self.store.retrieve(pid))
-        ]
-
-    def search(self, pattern: PathPattern) -> List[Tuple[int, ...]]:
-        """The matching paths, decompressed."""
-        return self.store.retrieve_batch(self.search_ids(pattern))
-
-    def paths_via(
-        self, source: int, waypoints: Sequence[int], destination: int
-    ) -> List[Tuple[int, ...]]:
-        """All paths from *source* to *destination* through *waypoints* in
-        order — the landmark variant of Case 2."""
-        return self.search(PathPattern.via(source, waypoints, destination))

@@ -281,6 +281,46 @@ class TestViaQuery:
         assert "at least" in capsys.readouterr().err
 
 
+class TestQueryEveryArchiveKind:
+    """``query`` answers alike on a v1 blob, a reordered v2 file and an RPSM
+    manifest, checked against a scan of the source paths."""
+
+    @pytest.fixture(params=["v1", "v2-frequency", "rpsm"])
+    def any_archive(self, request, paths_file, tmp_path):
+        source, ds = paths_file
+        flags = {
+            "v1": [],
+            "v2-frequency": ["--format", "v2", "--reorder", "frequency"],
+            "rpsm": ["--shards", "2"],
+        }[request.param]
+        out = tmp_path / f"paths.{request.param}"
+        assert main(["compress", str(source), str(out),
+                     "--sample-exponent", "0", *flags]) == 0
+        return out, ds
+
+    @pytest.mark.parametrize(
+        "flags, keep",
+        [
+            (["--contains", "5"], lambda p: 5 in p),
+            (["--between", "9", "8"], lambda p: p[0] == 9 and p[-1] == 8),
+            (["--subpath", "2", "3", "4"],
+             lambda p: (2, 3, 4) in zip(p, p[1:], p[2:])),
+            (["--via", "1", "3", "5"], lambda p: p[0] == 1 and p[-1] == 5 and 3 in p),
+            (["--via", "7", "5"], lambda p: p[0] == 7 and p[-1] == 5),
+        ],
+        ids=["contains", "between", "subpath", "via-waypoint", "via-terminals"],
+    )
+    def test_query(self, any_archive, capsys, flags, keep):
+        out, ds = any_archive
+        capsys.readouterr()
+        assert main(["query", str(out), *flags]) == 0
+        captured = capsys.readouterr()
+        expected = [" ".join(map(str, p)) for p in ds if keep(p)]
+        assert expected
+        assert captured.out.splitlines() == expected
+        assert f"# {len(expected)} path(s)" in captured.err
+
+
 class TestAutoCompress:
     @pytest.fixture()
     def report_file(self, tmp_path):

@@ -17,7 +17,6 @@ from repro.graphs.road import RoadNetwork
 from repro.graphs.topology import CloudTopology
 from repro.graphs.trajectory import TrajectoryRecorder
 from repro.paths.preprocess import assign_new_ids, group_by_terminals, preprocess_paths
-from repro.queries.retrieval import PathQueryEngine
 
 
 class TestTaxiPipeline:
@@ -69,16 +68,16 @@ class TestCloudMonitoringPipeline:
         dataset, _ = preprocess_paths(relabelled, name="cloud")
         codec = OFFSCodec(OFFSConfig(iterations=4, sample_exponent=0))
         store = CompressedPathStore.from_codec(dataset, codec)
-        return dataset, store, PathQueryEngine(store), mapping
+        return dataset, store, mapping
 
     def test_id_mapping_is_dense(self, pipeline):
-        dataset, _, _, mapping = pipeline
+        dataset, _, mapping = pipeline
         assert set(mapping.values()) == set(range(len(mapping)))
 
     def test_case1_affected_nodes(self, pipeline):
-        dataset, _, engine, _ = pipeline
+        dataset, store, _ = pipeline
         issue = dataset[0][2]  # some middle-tier machine
-        affected = engine.affected_vertices(issue)
+        affected = store.affected_vertices(issue)
         brute = set()
         for p in dataset:
             if issue in p:
@@ -88,15 +87,15 @@ class TestCloudMonitoringPipeline:
         assert affected  # a middle-tier machine always shares paths
 
     def test_case2_terminal_pair(self, pipeline):
-        dataset, _, engine, _ = pipeline
+        dataset, store, _ = pipeline
         src, dst = dataset[5][0], dataset[5][-1]
-        results = engine.paths_between(src, dst)
+        results = store.paths_between(src, dst)
         assert dataset[5] in results
         for p in results:
             assert p[0] == src and p[-1] == dst
 
     def test_group_sets_compress_independently(self, pipeline):
-        dataset, _, _, _ = pipeline
+        dataset, _, _ = pipeline
         groups = group_by_terminals(dataset)
         # Compress one group on its own — the paper's "group set" usage.
         key = max(groups, key=lambda k: len(groups[k]))

@@ -432,12 +432,8 @@ class TestProcessBoundaries:
 
 class TestQueryLayerCompatibility:
     def test_vertex_index_and_query_engine_work_unchanged(self):
-        from repro.queries.retrieval import PathQueryEngine
-
-        memory = _make_small_store()
-        mapped = loads_store_v2(dumps_store_v2(memory))
-        on_memory = PathQueryEngine(memory)
-        on_mapped = PathQueryEngine(mapped)
+        on_memory = _make_small_store()
+        on_mapped = loads_store_v2(dumps_store_v2(on_memory))
         assert on_mapped.affected_vertices(2) == on_memory.affected_vertices(2)
         assert on_mapped.paths_between(1, 5) == on_memory.paths_between(1, 5)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import OFFSConfig
 from repro.core.offs import OFFSCodec
 from repro.core.store import CompressedPathStore
-from repro.queries.pattern import ANY, GAP, PathPattern, PatternSearcher, match_pattern
+from repro.queries.pattern import ANY, GAP, PathPattern, match_pattern
 from repro.workloads.registry import make_dataset
 
 
@@ -80,39 +80,41 @@ class TestPathPattern:
 
 
 class TestPatternSearcher:
+    """``store.pattern_search`` against a brute-force scan."""
+
     @pytest.fixture(scope="class")
     def setup(self):
         dataset = make_dataset("sanfrancisco", "tiny")
         codec = OFFSCodec(OFFSConfig(iterations=3, sample_exponent=0))
         store = CompressedPathStore.from_codec(dataset, codec)
-        return dataset, PatternSearcher(store)
+        return dataset, store
 
     def test_via_matches_brute_force(self, setup):
-        dataset, searcher = setup
+        dataset, store = setup
         host = dataset[4]
         src, way, dst = host[0], host[len(host) // 2], host[-1]
         pattern = PathPattern.via(src, [way], dst)
         expected = [i for i, p in enumerate(dataset) if pattern.matches(p)]
-        assert searcher.search_ids(pattern) == expected
-        assert searcher.paths_via(src, [way], dst) == [dataset[i] for i in expected]
+        assert store.pattern_search_hits(pattern)[0] == expected
+        assert store.pattern_search(pattern) == [dataset[i] for i in expected]
 
     def test_containing_matches_brute_force(self, setup):
-        dataset, searcher = setup
+        dataset, store = setup
         fragment = tuple(dataset[7][2:5])
         pattern = PathPattern.containing(fragment)
         expected = [i for i, p in enumerate(dataset) if pattern.matches(p)]
-        assert searcher.search_ids(pattern) == expected
+        assert store.pattern_search_hits(pattern)[0] == expected
 
     def test_wildcard_only_pattern_scans_everything(self, setup):
-        dataset, searcher = setup
+        dataset, store = setup
         length = len(dataset[0])
         pattern = PathPattern([ANY] * length)
         expected = [i for i, p in enumerate(dataset) if len(p) == length]
-        assert searcher.search_ids(pattern) == expected
+        assert store.pattern_search_hits(pattern)[0] == expected
 
     def test_no_match(self, setup):
-        _, searcher = setup
-        assert searcher.search_ids(PathPattern([10**9, GAP, 10**9 + 1])) == []
+        _, store = setup
+        assert store.pattern_search_hits(PathPattern([10**9, GAP, 10**9 + 1]))[0] == []
 
 
 @settings(max_examples=80)

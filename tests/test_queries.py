@@ -1,4 +1,5 @@
-"""Unit tests for the Case 1 / Case 2 retrieval layer, checked brute-force."""
+"""Unit tests for the vertex index and the store's Case 1 / Case 2 queries,
+checked brute-force."""
 
 import pytest
 
@@ -6,7 +7,6 @@ from repro.core.config import OFFSConfig
 from repro.core.offs import OFFSCodec
 from repro.core.store import CompressedPathStore
 from repro.queries.index import VertexIndex
-from repro.queries.retrieval import PathQueryEngine
 from repro.workloads.registry import make_dataset
 
 
@@ -15,13 +15,13 @@ def setup():
     dataset = make_dataset("sanfrancisco", "tiny")
     codec = OFFSCodec(OFFSConfig(iterations=3, sample_exponent=0))
     store = CompressedPathStore.from_codec(dataset, codec)
-    return dataset, store, PathQueryEngine(store)
+    return dataset, store
 
 
 class TestVertexIndex:
     def test_postings_match_brute_force(self, setup):
-        dataset, store, engine = setup
-        index = engine.index
+        dataset, store = setup
+        index = store.vertex_index()
         # Check a spread of vertices against a linear scan of the originals.
         vertices = sorted(dataset.vertex_ids())[::17]
         for v in vertices:
@@ -29,33 +29,24 @@ class TestVertexIndex:
             assert index.paths_containing(v) == expected, v
 
     def test_unknown_vertex_empty(self, setup):
-        _, _, engine = setup
-        assert engine.index.paths_containing(10**9) == []
+        _, store = setup
+        assert store.vertex_index().paths_containing(10**9) == []
 
     def test_intersection(self, setup):
-        dataset, _, engine = setup
+        dataset, store = setup
         path = dataset[0]
         a, b = path[0], path[-1]
         expected = sorted(
             i for i, p in enumerate(dataset) if a in p and b in p
         )
-        assert engine.index.paths_containing_all((a, b)) == expected
-
-    def test_union(self, setup):
-        dataset, _, engine = setup
-        path = dataset[0]
-        a, b = path[0], path[-1]
-        expected = sorted(
-            i for i, p in enumerate(dataset) if a in p or b in p
-        )
-        assert engine.index.paths_containing_any((a, b)) == expected
+        assert store.vertex_index().paths_containing_all((a, b)) == expected
 
     def test_contains(self, setup):
-        dataset, _, engine = setup
-        assert dataset[0][0] in engine.index
+        dataset, store = setup
+        assert dataset[0][0] in store.vertex_index()
 
     def test_refresh_after_append(self, setup):
-        dataset, store, _ = setup
+        dataset, store = setup
         # Build a fresh store/index so appends don't disturb other tests.
         local = CompressedPathStore(store.table)
         local.extend(list(dataset)[:10])
@@ -64,23 +55,43 @@ class TestVertexIndex:
         pid = local.append(new_path)
         index.refresh()
         assert pid in index.paths_containing(new_path[0])
+        # A path reaching vertex v twice: inside a supernode, then literally.
+        table = local.table
+        subpath = next(sub for _, sub in table)
+        v = subpath[0]
+        other = next(u for u in sorted(dataset.vertex_ids()) if u not in subpath)
+        twice = tuple(subpath) + (other, v)
+        pid = local.append(twice)
+        token = local.token(pid)
+        assert any(symbol >= table.base_id for symbol in token)
+        assert v in token
+        index.refresh()
+        assert index.paths_containing(v).count(pid) == 1
+        vertices = {u for path in local for u in path}
+        fresh = VertexIndex(local)
+        assert index.indexed_paths == fresh.indexed_paths == len(local)
+        assert index.vertex_count() == fresh.vertex_count()
+        for u in vertices:
+            postings = index.paths_containing(u)
+            assert postings == sorted(set(postings)), u
+            assert postings == fresh.paths_containing(u), u
 
     def test_empty_intersection_of_nothing(self, setup):
-        _, _, engine = setup
-        assert engine.index.paths_containing_all(()) == []
+        _, store = setup
+        assert store.vertex_index().paths_containing_all(()) == []
 
 
 class TestCase1AffectedNodes:
     def test_affected_paths_decompress_correctly(self, setup):
-        dataset, _, engine = setup
+        dataset, store = setup
         issue = dataset[3][1]
         expected = [p for p in dataset if issue in p]
-        assert engine.affected_paths(issue) == expected
+        assert store.affected_paths(issue) == expected
 
     def test_affected_vertices_excludes_issue_vertex(self, setup):
-        dataset, _, engine = setup
+        dataset, store = setup
         issue = dataset[0][1]
-        affected = engine.affected_vertices(issue)
+        affected = store.affected_vertices(issue)
         assert issue not in affected
         brute = set()
         for p in dataset:
@@ -92,20 +103,20 @@ class TestCase1AffectedNodes:
 
 class TestCase2TerminalPairs:
     def test_paths_between_match_brute_force(self, setup):
-        dataset, _, engine = setup
+        dataset, store = setup
         src, dst = dataset[1][0], dataset[1][-1]
         expected = [p for p in dataset if p[0] == src and p[-1] == dst]
-        assert engine.paths_between(src, dst) == expected
+        assert store.paths_between(src, dst) == expected
 
     def test_intermediates(self, setup):
-        dataset, _, engine = setup
+        dataset, store = setup
         src, dst = dataset[2][0], dataset[2][-1]
         brute = set()
         for p in dataset:
             if p[0] == src and p[-1] == dst:
                 brute.update(p[1:-1])
-        assert engine.intermediate_vertices(src, dst) == brute
+        assert store.intermediate_vertices(src, dst) == brute
 
     def test_no_match(self, setup):
-        _, _, engine = setup
-        assert engine.paths_between(10**9, 10**9 + 1) == []
+        _, store = setup
+        assert store.paths_between(10**9, 10**9 + 1) == []

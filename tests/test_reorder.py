@@ -437,31 +437,23 @@ class TestDifferential:
 
     def test_query_surface(self, pair):
         paths, plain, ordered = pair
-        from repro.queries.retrieval import PathQueryEngine
-        from repro.queries.subpath_search import SubpathSearcher
-
-        plain_engine = PathQueryEngine(plain)
-        ordered_engine = PathQueryEngine(ordered)
         for vertex in (1000, 1003, 950, 424242):  # last one absent
             assert (
-                ordered_engine.affected_paths(vertex)
-                == plain_engine.affected_paths(vertex)
+                ordered.affected_paths(vertex)
+                == plain.affected_paths(vertex)
             )
         terminals = {(p[0], p[-1]) for p in paths}
         for src, dst in sorted(terminals)[:5]:
-            assert ordered_engine.paths_between(src, dst) == plain_engine.paths_between(
-                src, dst
-            )
+            assert ordered.paths_between(src, dst) == plain.paths_between(src, dst)
         for query in ((1000, 1001, 1002), (1001, 1002, 1003), (424242, 1)):
             assert (
-                SubpathSearcher(ordered).search(query)
-                == SubpathSearcher(plain).search(query)
+                ordered.subpath_search(query)
+                == plain.subpath_search(query)
             )
 
     def test_sharded_query_surface(self, pair, tmp_path):
         paths, plain, ordered = pair
         from repro.core.sharded import ShardedPathStore, build_sharded_store
-        from repro.queries.subpath_search import SubpathSearcher
 
         manifest = str(tmp_path / "store.rpsm")
         build_sharded_store(
@@ -478,7 +470,7 @@ class TestDifferential:
                 paths[i] for i in range(len(paths)) if 1000 in paths[i]
             ]
             sub = sharded.subpath_search((1000, 1001, 1002))
-            assert sub == SubpathSearcher(plain).search((1000, 1001, 1002))
+            assert sub == plain.subpath_search((1000, 1001, 1002))
 
     @pytest.mark.parametrize("strategy", STORED_NAMES)
     def test_append_goes_through_the_order(self, strategy):

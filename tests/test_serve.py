@@ -3,8 +3,8 @@
 A real :class:`~repro.serve.PathServer` is started on an ephemeral port —
 once with 1 worker and once with 2 — and every endpoint's response is held
 value-identical (and, for ``/v1/retrieve``, byte-identical) to direct
-:class:`~repro.core.mapped.MappedPathStore` / query-engine calls over the
-same store file.  The fault-injection classes then drive malformed input
+:class:`~repro.core.mapped.MappedPathStore` calls (retrieval and queries)
+over the same store file.  The fault-injection classes then drive malformed input
 at the fleet and assert the structured 4xx/5xx error schema, with the
 workers provably alive afterwards; a truncated archive must fail at
 *startup* with a typed error, never as a mid-request 500.
@@ -89,12 +89,7 @@ def server(request, store_file):
 def direct(store_file):
     """The ground truth: direct library calls over the same file."""
     with MappedPathStore.open(store_file) as store:
-        from repro.queries.retrieval import PathQueryEngine
-        from repro.queries.subpath_search import SubpathSearcher
-
-        engine = PathQueryEngine(store)
-        searcher = SubpathSearcher(store, engine.index)
-        yield store, engine, searcher
+        yield store
 
 
 # -- tiny stdlib HTTP client -----------------------------------------------------
@@ -147,7 +142,7 @@ class TestEndpointsMatchDirectCalls:
         assert body["paths"] == len(PATHS)
 
     def test_retrieve_every_path_byte_identical(self, server, direct):
-        store, _, _ = direct
+        store = direct
         for pid in range(len(store)):
             status, raw = get_raw(server, "/v1/retrieve", id=pid)
             assert status == 200
@@ -155,7 +150,7 @@ class TestEndpointsMatchDirectCalls:
             assert raw == encode_body(expected)  # bytes, not just values
 
     def test_retrieve_slice(self, server, direct):
-        store, _, _ = direct
+        store = direct
         cases = [(0, 1, 3), (0, None, None), (1, 0, 2), (5, 2, -1), (3, -1, None)]
         for pid, start, stop in cases:
             params = {"id": pid}
@@ -168,7 +163,7 @@ class TestEndpointsMatchDirectCalls:
             assert body["path"] == list(store.retrieve_slice(pid, start, stop))
 
     def test_retrieve_many_get(self, server, direct):
-        store, _, _ = direct
+        store = direct
         status, body = get(server, "/v1/retrieve_many", ids="0,2,4")
         assert status == 200
         assert body["ids"] == [0, 2, 4]
@@ -176,7 +171,7 @@ class TestEndpointsMatchDirectCalls:
         assert body["paths"] == [list(store.retrieve(pid)) for pid in [0, 2, 4]]
 
     def test_retrieve_many_post(self, server, direct):
-        store, _, _ = direct
+        store = direct
         ids = [5, 0, 1, 0]  # order and duplicates preserved
         status, body = post(server, "/v1/retrieve_many", {"ids": ids})
         assert status == 200
@@ -189,7 +184,7 @@ class TestEndpointsMatchDirectCalls:
         assert body == {"count": 0, "ids": [], "paths": []}
 
     def test_expanded_length(self, server, direct):
-        store, _, _ = direct
+        store = direct
         for pid in range(len(store)):
             status, body = get(server, "/v1/expanded_length", id=pid)
             assert status == 200
@@ -197,20 +192,20 @@ class TestEndpointsMatchDirectCalls:
             assert body["length"] == len(PATHS[pid])
 
     def test_paths_between(self, server, direct):
-        _, engine, _ = direct
+        store = direct
         for source, destination in [(1, 5), (1, 9), (4, 6), (42, 42), (7, 1)]:
             status, body = get(
                 server, "/v1/paths_between", source=source, destination=destination
             )
             assert status == 200
-            expected = engine.paths_between(source, destination)
+            expected = store.paths_between(source, destination)
             assert body["paths"] == [list(p) for p in expected]
             assert body["count"] == len(expected)
 
     def test_subpath_search_get_and_post(self, server, direct):
-        store, _, searcher = direct
+        store = direct
         for query in [(2, 3), (1, 2, 3), (4, 5), (999,), (3, 2)]:
-            expected_ids = searcher.search_ids(tuple(query))
+            expected_ids = store.subpath_search_ids(tuple(query))
             expected_paths = [list(store.retrieve(pid)) for pid in expected_ids]
             status, body = get(
                 server, "/v1/subpath_search", query=",".join(map(str, query))
@@ -225,7 +220,7 @@ class TestEndpointsMatchDirectCalls:
             assert body_post == body
 
     def test_stats(self, server, store_file, direct):
-        store, _, _ = direct
+        store = direct
         status, body = get(server, "/v1/stats")
         assert status == 200
         assert body["name"] == store_file
@@ -244,7 +239,7 @@ class TestEndpointsMatchDirectCalls:
         assert counters.get("serve.requests", 0) >= 1
 
     def test_trailing_slash_is_same_route(self, server, direct):
-        store, _, _ = direct
+        store = direct
         status, body = get(server, "/v1/retrieve/", id=3)
         assert status == 200
         assert body["path"] == list(store.retrieve(3))
@@ -512,7 +507,7 @@ class TestShardedServe:
         assert check_store(sharded_file) == len(PATHS)
 
     def test_retrieve_endpoints_identical(self, sharded_server, direct):
-        store, _, _ = direct
+        store = direct
         for pid in range(len(PATHS)):
             status, payload = get(sharded_server, "/v1/retrieve", id=pid)
             assert status == 200
@@ -533,16 +528,16 @@ class TestShardedServe:
         assert payload["length"] == store.expanded_length(5)
 
     def test_query_endpoints_identical(self, sharded_server, direct):
-        _, engine, searcher = direct
+        store = direct
         status, payload = get(
             sharded_server, "/v1/paths_between", source=1, destination=5
         )
         assert status == 200
-        assert [tuple(p) for p in payload["paths"]] == engine.paths_between(1, 5)
+        assert [tuple(p) for p in payload["paths"]] == store.paths_between(1, 5)
         status, payload = post(sharded_server, "/v1/subpath_search", {"query": [2, 3]})
         assert status == 200
-        assert payload["ids"] == searcher.search_ids((2, 3))
-        assert [tuple(p) for p in payload["paths"]] == searcher.search((2, 3))
+        assert payload["ids"] == store.subpath_search_ids((2, 3))
+        assert [tuple(p) for p in payload["paths"]] == store.subpath_search((2, 3))
 
     def test_stats_reports_shard_shape(self, sharded_server, sharded_file):
         from repro.core.sharded import shard_filename

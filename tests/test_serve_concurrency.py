@@ -71,13 +71,8 @@ def _build_request_mix(store_file):
     server under test shares nothing with this ground truth but the bytes
     on disk.
     """
-    from repro.queries.retrieval import PathQueryEngine
-    from repro.queries.subpath_search import SubpathSearcher
-
     requests = []
     with MappedPathStore.open(store_file) as store:
-        engine = PathQueryEngine(store)
-        searcher = SubpathSearcher(store, engine.index)
         n = len(store)
         for pid in range(n):
             requests.append((
@@ -109,7 +104,7 @@ def _build_request_mix(store_file):
                 "retrieve_many", len(ids),
             ))
         for source, destination in [(1, 5), (6, 1), (1, 8), (42, 42), (3, 99)]:
-            expected = engine.paths_between(source, destination)
+            expected = store.paths_between(source, destination)
             requests.append((
                 "GET", "/v1/paths_between",
                 {"source": source, "destination": destination}, 200,
@@ -118,7 +113,7 @@ def _build_request_mix(store_file):
                  "paths": [list(p) for p in expected]}, "paths_between", 0,
             ))
         for query in [(2, 3), (6, 7, 8), (1, 2, 3, 4), (999, 1)]:
-            ids = searcher.search_ids(query)
+            ids = store.subpath_search_ids(query)
             requests.append((
                 "POST", "/v1/subpath_search", {"query": list(query)}, 200,
                 {"query": list(query), "ids": ids, "count": len(ids),

@@ -46,8 +46,6 @@ from repro.core.sharded import (
 )
 from repro.core.store import CompressedPathStore
 from repro.paths.dataset import PathDataset
-from repro.queries.retrieval import PathQueryEngine
-from repro.queries.subpath_search import SubpathSearcher
 
 from conftest import make_fd_leak_guard
 
@@ -190,6 +188,27 @@ class TestManifestCodec:
         with pytest.raises(CorruptDataError, match="shard file"):
             loads_manifest(_manifest_blob(document))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("count", "x"), ("count", None), ("count", -3), ("count", 2.7),
+            ("count", True), ("start", None), ("start", "0"), ("start", 0.0),
+            ("start", False), ("start", -1), ("table_crc", -1),
+            ("table_crc", 1 << 32), ("table_crc", "1"), ("table_crc", 1.0),
+            ("table_crc", None), ("table_crc", True), ("file", 7),
+            ("file", None), ("file", ["a.rpc2"]),
+        ],
+    )
+    def test_malformed_entry_fields_are_corrupt_data(self, field, value):
+        document = _manifest_document(
+            [{"file": f"s{i}.rpc2", "start": 5 * i, "count": 5, "table_crc": 1}
+             for i in range(2)]
+        )
+        document["shards"][0][field] = value
+        # _manifest_blob frames the edited document with a matching CRC.
+        with pytest.raises(CorruptDataError, match=field):
+            loads_manifest(_manifest_blob(document))
+
 
 class TestPartitionCorpus:
     def test_range_preserves_order_and_balance(self, corpus_and_table):
@@ -286,26 +305,23 @@ class TestDifferentialIdentity:
             sharded.retrieve_batch([0, -1])
 
     def test_fanout_queries_match_engines(self, sharded, monolithic):
-        engine = PathQueryEngine(monolithic)
         for vertex in (2, 42, 7, 99999):
             assert sharded.paths_containing(vertex) == \
-                engine.index.paths_containing(vertex)
-            assert sharded.affected_paths(vertex) == engine.affected_paths(vertex)
+                monolithic.paths_containing(vertex)
+            assert sharded.affected_paths(vertex) == monolithic.affected_paths(vertex)
         for src, dst in ((1, 105), (9, 200), (1, 42), (7, (1 << 28) + 3)):
-            assert sharded.paths_between(src, dst) == engine.paths_between(src, dst)
-        searcher = SubpathSearcher(monolithic, engine.index)
+            assert sharded.paths_between(src, dst) == monolithic.paths_between(src, dst)
         for query in ((2, 3, 4), (42,), (1, 2, 3), (5, 6)):
-            assert sharded.subpath_search_ids(query) == searcher.search_ids(query)
-            assert sharded.subpath_search(query) == searcher.search(query)
+            assert sharded.subpath_search_ids(query) == \
+                monolithic.subpath_search_ids(query)
+            assert sharded.subpath_search(query) == monolithic.subpath_search(query)
 
     def test_vertex_index_view(self, sharded, monolithic):
-        engine = PathQueryEngine(monolithic)
         view = sharded.vertex_index()
-        assert view.paths_containing(3) == engine.index.paths_containing(3)
+        index = monolithic.vertex_index()
+        assert view.paths_containing(3) == index.paths_containing(3)
         assert view.paths_containing_all((2, 3)) == \
-            engine.index.paths_containing_all((2, 3))
-        assert view.paths_containing_any((42, 9)) == \
-            engine.index.paths_containing_any((42, 9))
+            index.paths_containing_all((2, 3))
 
     def test_size_accounting(self, sharded, monolithic):
         assert sharded.compressed_symbol_count() == monolithic.compressed_symbol_count()
@@ -595,7 +611,7 @@ class TestProcessBoundaries:
         expected = {
             "paths": monolithic.retrieve_all(),
             "batch": [monolithic.retrieve(pid) for pid in (0, 7, 3)],
-            "between": PathQueryEngine(monolithic).paths_between(1, 105),
+            "between": monolithic.paths_between(1, 105),
         }
         # Touch every shard pre-fork so mapped state crosses the fork.
         assert store.retrieve_all() == expected["paths"]

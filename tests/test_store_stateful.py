@@ -72,17 +72,14 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(query=st.lists(st.integers(0, 99), min_size=2, max_size=4).map(tuple))
     def subpath_search_agrees(self, query):
-        from repro.queries.subpath_search import SubpathSearcher
-
         if not self.model:
             return
-        searcher = SubpathSearcher(self.store)
         expected = [
             i for i, p in enumerate(self.model)
             if any(tuple(p[j:j + len(query)]) == query
                    for j in range(len(p) - len(query) + 1))
         ]
-        assert searcher.search_ids(query) == expected
+        assert self.store.subpath_search_ids(query) == expected
 
     # -- invariants ---------------------------------------------------------------
 
