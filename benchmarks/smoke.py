@@ -9,8 +9,9 @@ by default) so CI can archive a timing trajectory next to the test logs.
 The same run benchmarks the decode path into a second blob
 (``BENCH_decode.json``): cold vs warm expansion cache, the per-path
 decompress loop vs the flat batch kernel, and in-memory retrieval vs a
-``MappedPathStore`` over a temp v2 file — all on the same archive, with an
-identical-output assertion across every route.
+``MappedPathStore`` over a temp v2 file (every id once, then one bulk
+``retrieve_all``) — all on the same archive, with an identical-output
+assertion across every route.
 
 Timings here are *smoke* numbers: small inputs, shared runners — read them
 for trajectory and order-of-magnitude, not for truth.  The real harness is
@@ -81,7 +82,8 @@ def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
     )
     flat_paths_s = min_of(lambda: decompress_paths_flat(token_corpus, table), rounds)
 
-    # Point retrievals: every path once, in-memory store vs mapped v2 file.
+    # Point retrievals: every path once, in-memory store vs mapped v2 file;
+    # then the bulk retrieve_all of both (mapped: one payload parse).
     sample = range(len(store))
     fd, v2_path = tempfile.mkstemp(suffix=".rpc2")
     os.close(fd)
@@ -89,9 +91,16 @@ def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
         dump_store_file(store, v2_path)
         open_s = min_of(lambda: MappedPathStore.open(v2_path).close(), rounds)
         with MappedPathStore.open(v2_path) as mapped:
-            identical = identical and [mapped.retrieve(i) for i in sample] == loop_out
+            identical = (
+                identical
+                and [mapped.retrieve(i) for i in sample] == loop_out
+                and store.retrieve_all() == loop_out
+                and mapped.retrieve_all() == loop_out
+            )
             memory_s = min_of(lambda: [store.retrieve(i) for i in sample], rounds)
             mapped_s = min_of(lambda: [mapped.retrieve(i) for i in sample], rounds)
+            memory_all_s = min_of(store.retrieve_all, rounds)
+            mapped_all_s = min_of(mapped.retrieve_all, rounds)
     finally:
         os.unlink(v2_path)
 
@@ -122,6 +131,11 @@ def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
             "memory_retrieve_all_ids_seconds": round(memory_s, 4),
             "mapped_retrieve_all_ids_seconds": round(mapped_s, 4),
             "mapped_over_memory": round(mapped_s / memory_s, 3) if memory_s else None,
+            "memory_retrieve_all_seconds": round(memory_all_s, 4),
+            "mapped_retrieve_all_seconds": round(mapped_all_s, 4),
+            "mapped_retrieve_all_over_memory": (
+                round(mapped_all_s / memory_all_s, 3) if memory_all_s else None
+            ),
         },
         "speedup": round(warm_s / flat_s, 3) if flat_s else None,
     }

@@ -88,6 +88,17 @@ class FlatCorpus:
         return cls(buffer, offsets, name=name)
 
     @classmethod
+    def concat(cls, corpora: Iterable["FlatCorpus"]) -> "FlatCorpus":
+        """One corpus holding the paths of every corpus in *corpora*, in order."""
+        buffer = array("q")
+        offsets = array("q", [0])
+        for corpus in corpora:
+            base = len(buffer)
+            buffer.frombytes(memoryview(corpus.buffer).cast("B"))
+            offsets.extend(map(base.__add__, corpus.offsets[1:]))
+        return cls(buffer, offsets)
+
+    @classmethod
     def from_shipping(cls, payload: ShippedCorpus, name: str = "corpus") -> "FlatCorpus":
         """Rebuild a corpus from :meth:`to_shipping` output."""
         buffer_bytes, offsets_bytes = payload

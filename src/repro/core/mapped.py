@@ -30,6 +30,7 @@ from __future__ import annotations
 import mmap
 import os
 import zlib
+from array import array
 from typing import List, Optional, Tuple
 
 from repro.core.errors import (
@@ -37,6 +38,7 @@ from repro.core.errors import (
     StateError,
     TruncatedDataError,
 )
+from repro.core.flatcorpus import FlatCorpus
 from repro.core.serialize import (
     StoreV2Header,
     loads_table,
@@ -46,6 +48,16 @@ from repro.core.serialize import (
 from repro.core.reader import PathReader
 from repro.obs import catalog
 from repro.obs.runtime import get_active
+
+try:  # soft dependency — without numpy every token goes through token()
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on numpy-less installs
+    _np = None
+
+#: Bytes in the longest varint the bulk parse decodes: 9 × 7 = 63 bits
+#: always fit a non-negative int64.  A longer varint (only a
+#: non-canonical or corrupt one) sends the parse to the scalar loop.
+_BULK_VARINT_BYTES = 9
 
 
 class MappedPathStore(PathReader):
@@ -305,10 +317,10 @@ class MappedPathStore(PathReader):
         push = token.append
         pos = begin
         while pos < end:
+            start = pos
             value = buf[pos]
             pos += 1
             if value >= 0x80:
-                start = pos - 1
                 value &= 0x7F
                 shift = 7
                 while True:
@@ -328,7 +340,7 @@ class MappedPathStore(PathReader):
             if value >= limit:
                 raise CorruptDataError(
                     f"token references supernode {value} beyond table "
-                    f"(limit {limit}) at byte offset {pos}"
+                    f"(limit {limit}) at byte offset {start}"
                 )
             push(value)
         return tuple(token)
@@ -347,7 +359,74 @@ class MappedPathStore(PathReader):
 
     def tokens(self) -> List[Tuple[int, ...]]:
         """All compressed tokens in path-id order (parses the full payload)."""
-        return [self.token(pid) for pid in range(len(self))]
+        return self.token_corpus().to_paths()
+
+    def token_corpus(self) -> FlatCorpus:
+        """Every token in path-id order as one :class:`FlatCorpus`.
+
+        With numpy the whole payload is parsed in one vectorized pass
+        (:meth:`_bulk_parse`), which accepts only payloads that
+        :meth:`token` returns unchanged.  Without numpy, or when any of
+        its checks fails, every token goes through :meth:`token`, which
+        raises the exact typed error with its byte offset.
+        """
+        corpus = self._bulk_parse() if _np is not None and len(self) else None
+        if corpus is None:
+            corpus = FlatCorpus.from_paths(self.token(pid) for pid in range(len(self)))
+        return corpus
+
+    def _bulk_parse(self) -> Optional[FlatCorpus]:
+        """The tokens parsed with numpy, or ``None`` when a check fails.
+
+        The window ``[index[0], index[n])`` of the payload is checked, in
+        order, for:
+
+        1. a monotone index whose end lies within the payload, compared
+           as uint64 before any int64 cast;
+        2. no non-empty token whose last byte continues a varint, so
+           every varint ends inside its own token;
+        3. no varint longer than :data:`_BULK_VARINT_BYTES` bytes;
+        4. every value below ``table.base_id + len(table)``.
+
+        Values are the sums (``np.add.reduceat``) of each varint's 7-bit
+        groups shifted into place; a token's symbol offset counts the
+        varint terminators before its end.  The parse works on copies of
+        the index and of the window, so no numpy view pins the mapping:
+        :meth:`close` stays possible, even while a traceback of this
+        frame is alive.
+        """
+        np = _np
+        header = self._header
+        index = np.array(self._offsets(), dtype=np.uint64)
+        if (index[1:] < index[:-1]).any() or int(index[-1]) > header.payload_size:
+            return None
+        limit = self.table.base_id + len(self.table)
+        bounds = index.astype(np.int64)
+        first = int(bounds[0])
+        bounds -= first
+        begin = header.payload_offset + first
+        data = np.frombuffer(
+            bytes(self._buf[begin : begin + int(bounds[-1])]), dtype=np.uint8
+        )
+        ends = bounds[1:]
+        if (data[ends[ends > bounds[:-1]] - 1] >= 0x80).any():
+            return None
+        stops = np.flatnonzero(data < 0x80)
+        starts = np.zeros(len(stops), dtype=np.int64)
+        starts[1:] = stops[:-1] + 1
+        sizes = stops - starts + 1
+        if (sizes > _BULK_VARINT_BYTES).any():
+            return None
+        place = np.arange(len(data), dtype=np.int64) - np.repeat(starts, sizes)
+        groups = (data & 0x7F).astype(np.int64) << (7 * place)
+        values = np.add.reduceat(groups, starts)
+        if (values >= limit).any():
+            return None
+        buffer = array("q")
+        buffer.frombytes(values.tobytes())
+        offsets = array("q")
+        offsets.frombytes(np.searchsorted(stops, bounds).astype(np.int64).tobytes())
+        return FlatCorpus(buffer, offsets)
 
     def to_store(self, matcher_backend: str = "hash"):
         """Materialize a fully in-memory :class:`CompressedPathStore` copy."""

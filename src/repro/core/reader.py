@@ -13,6 +13,11 @@ kind.  A store supplies five members, the *token-source contract*:
 * ``order`` — the persisted :class:`~repro.paths.reorder.VertexOrder`,
   or ``None``.
 
+A sixth, :meth:`~PathReader.token_corpus` — every token in path-id order
+as one :class:`~repro.core.flatcorpus.FlatCorpus` — defaults to interning
+``tokens()``; a store whose tokens sit in one buffer overrides it with a
+bulk parse that keeps every check of ``token``.
+
 Over those, the reader provides retrieval (:meth:`~PathReader.retrieve`,
 :meth:`~PathReader.retrieve_slice`, :meth:`~PathReader.expanded_length`,
 :meth:`~PathReader.retrieve_batch`, :meth:`~PathReader.retrieve_all`,
@@ -48,6 +53,7 @@ from typing import (
 from repro.core.compressor import decompress_path, decompress_paths_flat
 from repro.core.errors import InvalidInputError, PathIdError
 from repro.core.expansion import slice_token
+from repro.core.flatcorpus import FlatCorpus
 from repro.obs import catalog
 from repro.obs.runtime import get_active
 from repro.paths.encoding import DEFAULT_ENCODING, Encoding
@@ -124,28 +130,32 @@ class PathReader:
         work starts, so a bad id fails the whole call without side effects;
         output order follows input order (duplicates repeat).  All tokens
         go through one :func:`~repro.core.compressor.decompress_paths_flat`
-        call.
+        call and one flat restore (:meth:`_decode`).
         """
         tokens = [self.token(pid) for pid in path_ids]
         if not tokens:
             return []
         obs = get_active()
         if obs is None:
-            return self._restore_all(decompress_paths_flat(tokens, self.table))
+            return self._decode(tokens)
         with obs.registry.timeit(catalog.STORE_RETRIEVE_SECONDS):
-            out = self._restore_all(decompress_paths_flat(tokens, self.table))
+            out = self._decode(tokens)
         obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc(len(tokens))
         return out
 
     def retrieve_all(self) -> List[Path]:
-        """Decompress the full store through the flat kernel (Fig. 6a's DS)."""
+        """Decompress the full store in flat passes (Fig. 6a's DS).
+
+        :meth:`token_corpus` parses every token, then :meth:`_decode`
+        expands and restores them with no per-path Python loop.
+        """
         obs = get_active()
         if obs is None:
-            return self._restore_all(decompress_paths_flat(self.tokens(), self.table))
+            return self._decode(self.token_corpus())
         with obs.tracer.span(
             catalog.SPAN_STORE_RETRIEVE_ALL
         ) as span, obs.registry.timeit(catalog.STORE_RETRIEVE_ALL_SECONDS):
-            paths = self._restore_all(decompress_paths_flat(self.tokens(), self.table))
+            paths = self._decode(self.token_corpus())
             if span is not None:
                 span.add("paths", len(paths))
         obs.registry.counter(catalog.STORE_RETRIEVED_PATHS).inc(len(paths))
@@ -170,6 +180,10 @@ class PathReader:
             restore(decompress_path(self.token(pid), table))
             for pid in range(len(self))
         )
+
+    def token_corpus(self) -> FlatCorpus:
+        """Every token in path-id order as one flat corpus (interns :meth:`tokens`)."""
+        return FlatCorpus.from_paths(self.tokens())
 
     # -- queries ------------------------------------------------------------------
 
@@ -347,13 +361,20 @@ class PathReader:
             return path
         return order.invert_path(path)
 
-    def _restore_all(self, paths: List[Path]) -> List[Path]:
-        """Invert the vertex order over a batch (no-op when unordered)."""
+    def _decode(self, tokens) -> List[Path]:
+        """Expand *tokens* and restore original ids, each in one flat pass.
+
+        With an order, the whole expanded buffer is mapped through it and
+        then sliced into tuples, which share the order's int objects
+        instead of allocating one per vertex.  Without one, the buffer is
+        sliced as it is.
+        """
+        corpus = decompress_paths_flat(tokens, self.table, as_corpus=True)
         order = self.order
-        if order is None:
-            return paths
-        invert = order.invert_path
-        return [invert(p) for p in paths]
+        vertices = corpus.buffer if order is None else order.invert_flat(corpus.buffer)
+        offsets = corpus.offsets
+        bounds = map(slice, offsets[:-1], offsets[1:])
+        return list(map(tuple, map(vertices.__getitem__, bounds)))
 
     def _check_id(self, path_id: int) -> None:
         count = len(self)

@@ -481,6 +481,15 @@ class ShardedPathStore(PathReader):
             out.extend(self.shard(index).tokens())
         return out
 
+    def token_corpus(self) -> FlatCorpus:
+        """Every shard's :meth:`~MappedPathStore.token_corpus`, concatenated.
+
+        Each shard runs its own bulk parse and checks, in global id order.
+        """
+        return FlatCorpus.concat(
+            self.shard(index).token_corpus() for index in range(self.shard_count)
+        )
+
     @property
     def table(self) -> SupernodeTable:
         """The one supernode table every shard shares (shard 0's copy).

@@ -138,9 +138,18 @@ class VertexOrder:
 
     def invert_path(self, path: Sequence[int]) -> Tuple[int, ...]:
         """Restore one relabelled path to original ids."""
-        backward = self._backward
+        return tuple(self.invert_flat(path))
+
+    def invert_flat(self, vertices: Iterable[int]) -> List[int]:
+        """Restore a flat run of relabelled vertices to original ids.
+
+        One pass over a whole corpus buffer; the result holds the order's
+        own int objects, so a bulk restore allocates no int per vertex.
+        A new id outside the order raises
+        :class:`~repro.core.errors.InvalidInputError`.
+        """
         try:
-            return tuple(backward[v] for v in path)
+            return list(map(self._backward.__getitem__, vertices))
         except IndexError:
             raise InvalidInputError(
                 "path contains a new id outside this order"

@@ -182,6 +182,10 @@ class TestV2MetaCorruption:
                     corrupted.retrieve(pid)
                 except CorruptDataError:
                     pass  # the only acceptable failure mode
+            try:
+                corrupted.retrieve_all()  # the bulk parse, same contract
+            except CorruptDataError:
+                pass
 
 
 class TestV2Garbage:
