@@ -1,8 +1,7 @@
-"""Ablation A1 — matcher backends: flat hash, two-level hash, rolling.
+"""Ablation A1 — matcher backends: flat hash vs two-level hash.
 
-The backends (Algorithm 6, Algorithm 7 and the rolling-hash scheme of
-:mod:`repro.core.rollhash`) must produce identical tables and tokens; what
-differs is probe cost.  The printed table records
+The backends (Algorithm 6 and Algorithm 7) must produce identical tables
+and tokens; what differs is probe cost.  The printed table records
 CR (identical) and build/compress timings; the pytest-benchmark rows time
 compression per backend.
 """
@@ -23,8 +22,7 @@ def test_a1_matcher_backend_table(benchmark, config, report):
     )
     report(
         "ablation_a1_matchers", rows, shape,
-        note="Identical results by contract; Lemma 3 / the rolling hash only "
-             "change probe cost.",
+        note="Identical results by contract; Lemma 3 only changes probe cost.",
     )
     assert shape["results_identical"] == 1.0
 

@@ -2,18 +2,18 @@
 
 The paper claims ``O(|P|·δ²/p)`` compression and ``O(|P|/p)`` decompression
 on p cores thanks to per-path purity.  One pytest-benchmark row per
-(process count, backend) pair; pure-Python IPC overhead means the speedup is
-visible but sublinear (the vectorized ``rolling`` kernel narrows the gap by
-shrinking per-chunk Python work).
+process count; pure-Python IPC overhead means the speedup is visible but
+sublinear (the vectorized batch kernel narrows the gap by shrinking
+per-chunk Python work).
 
 Methodology: every row is timed as the *minimum over N rounds* (min-of-N is
 the standard noise filter for wall-clock microbenchmarks — the minimum is
 the run least perturbed by scheduler and allocator noise; pytest-benchmark's
 ``min`` column is the number to read).  Alongside the timing, each row runs
-once under :mod:`repro.obs` instrumentation and attaches the per-backend
-probe counters (``matcher.probes`` / ``matcher.hashed_vertices``) to
-``benchmark.extra_info``, so probe-cost differences between backends are on
-record next to the wall-clock they explain.
+once under :mod:`repro.obs` instrumentation and attaches the probe counters
+(``matcher.probes`` / ``matcher.hashed_vertices``) to
+``benchmark.extra_info``, so the probe work is on record next to the
+wall-clock it explains.
 """
 
 import pytest
@@ -24,7 +24,6 @@ from repro.obs import instrumented
 from repro.workloads.registry import make_dataset
 
 PROCESS_COUNTS = (1, 2, 4)
-BACKENDS = ("hash", "rolling")
 ROUNDS = 3  # report min-of-3
 
 
@@ -47,14 +46,11 @@ def _probe_counters(run):
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("processes", PROCESS_COUNTS)
-def test_parallel_compress_scaling(benchmark, setup, processes, backend):
+def test_parallel_compress_scaling(benchmark, setup, processes):
     paths, table, _ = setup
-    run = lambda: parallel_compress(paths, table, processes=processes,
-                                    backend=backend)
+    run = lambda: parallel_compress(paths, table, processes=processes)
     benchmark.extra_info.update(_probe_counters(run))
-    benchmark.extra_info["backend"] = backend
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
 
 

@@ -7,7 +7,7 @@ one JSON blob (``BENCH_shard.json`` by default):
   build_sharded_store` (4 shards × 4 worker processes, per-shard
   compression *and* serialization in the workers) against the sequential
   monolithic v2 build of the same corpus with the same pre-built table,
-  min-of-``ROUNDS`` each, for both matcher backends.  The sharded output
+  min-of-``ROUNDS`` each.  The sharded output
   is checked token-identical to the monolithic archive *before* any timing
   is reported — a fast wrong build would otherwise look like a win.
   Because CI runners may expose fewer cores than workers, the report
@@ -158,7 +158,6 @@ def _mono_child(total: int) -> int:
     from repro.core.builder import build_supernode_table
     from repro.core.compressor import compress_paths_flat
     from repro.core.mapped import MappedPathStore
-    from repro.core.matcher import static_matcher_from_table
     from repro.core.serialize import dumps_store_v2_tokens
 
     out = os.path.join(tempfile.mkdtemp(prefix="bench_shard_"), "mono.rpc2")
@@ -167,8 +166,7 @@ def _mono_child(total: int) -> int:
     for _, chunk in _generate_chunks(total):
         paths.extend(chunk)
     table = build_supernode_table(paths[:TRAIN_AFTER], base_id=BASE_ID)
-    matcher = static_matcher_from_table(table, "rolling")
-    tokens = compress_paths_flat(paths, table, matcher)
+    tokens = compress_paths_flat(paths, table)
     with open(out, "wb") as fh:
         fh.write(dumps_store_v2_tokens(table, tokens))
     elapsed = time.perf_counter() - started
@@ -203,10 +201,9 @@ def _run_child(mode_flag: str, total: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _bench_build_backend(corpus, table, backend: str, shards: int, processes: int,
-                         workdir: str) -> dict:
-    """Monolithic vs sharded wall time for one matcher backend, plus the
-    critical-path decomposition that projects multi-core wall-clock."""
+def _bench_build_times(corpus, table, shards: int, processes: int, workdir: str) -> dict:
+    """Monolithic vs sharded wall time, plus the critical-path
+    decomposition that projects multi-core wall-clock."""
     from repro.core.compressor import compress_paths_flat
     from repro.core.flatcorpus import FlatCorpus
     from repro.core.mapped import MappedPathStore
@@ -214,11 +211,11 @@ def _bench_build_backend(corpus, table, backend: str, shards: int, processes: in
     from repro.core.serialize import dumps_store_v2_tokens
     from repro.core.sharded import ShardedPathStore, build_sharded_store, partition_corpus
 
-    mono_path = os.path.join(workdir, f"mono-{backend}.rpc2")
-    sharded_path = os.path.join(workdir, f"sharded-{backend}.rpsm")
+    mono_path = os.path.join(workdir, "mono.rpc2")
+    sharded_path = os.path.join(workdir, "sharded.rpsm")
 
     def build_monolithic() -> None:
-        matcher = static_matcher_from_table(table, backend)
+        matcher = static_matcher_from_table(table)
         tokens = compress_paths_flat(corpus, table, matcher)
         blob = dumps_store_v2_tokens(table, tokens)
         with open(mono_path, "wb") as fh:
@@ -226,8 +223,7 @@ def _bench_build_backend(corpus, table, backend: str, shards: int, processes: in
 
     def build_sharded() -> None:
         build_sharded_store(
-            corpus, table, sharded_path,
-            shards=shards, processes=processes, backend=backend,
+            corpus, table, sharded_path, shards=shards, processes=processes
         )
 
     # Correctness gate before any timing: the sharded archive must answer
@@ -237,10 +233,10 @@ def _bench_build_backend(corpus, table, backend: str, shards: int, processes: in
     with MappedPathStore.open(mono_path) as mono:
         sharded_store = ShardedPathStore.open(sharded_path)
         if sharded_store.tokens() != mono.tokens():
-            raise SystemExit(f"sharded {backend} build diverges from monolithic tokens")
+            raise SystemExit("sharded build diverges from monolithic tokens")
         sample = list(range(0, len(mono), max(1, len(mono) // 64)))
         if sharded_store.retrieve_batch(sample) != mono.retrieve_batch(sample):
-            raise SystemExit(f"sharded {backend} retrieval diverges from monolithic")
+            raise SystemExit("sharded retrieval diverges from monolithic")
         sharded_store.close()
 
     mono_seconds = min(_timed(build_monolithic) for _ in range(ROUNDS))
@@ -253,15 +249,14 @@ def _bench_build_backend(corpus, table, backend: str, shards: int, processes: in
     # see; on runners with fewer cores than workers the measured wall above
     # is contention-bound, so both are reported, clearly labelled.
     tiny = FlatCorpus.from_paths(list(corpus)[: shards])
-    overhead_path = os.path.join(workdir, f"overhead-{backend}.rpsm")
+    overhead_path = os.path.join(workdir, "overhead.rpsm")
     overhead_seconds = min(
         _timed(lambda: build_sharded_store(
-            tiny, table, overhead_path,
-            shards=shards, processes=processes, backend=backend,
+            tiny, table, overhead_path, shards=shards, processes=processes
         ))
         for _ in range(ROUNDS)
     )
-    matcher = static_matcher_from_table(table, backend)
+    matcher = static_matcher_from_table(table)
     per_shard = []
     for part in partition_corpus(corpus, shards):
         per_shard.append(min(
@@ -271,7 +266,6 @@ def _bench_build_backend(corpus, table, backend: str, shards: int, processes: in
         ))
     projected = overhead_seconds + max(per_shard)
     return {
-        "backend": backend,
         "monolithic_seconds": round(mono_seconds, 4),
         "sharded_seconds": round(sharded_seconds, 4),
         "wall_speedup": round(mono_seconds / sharded_seconds, 3) if sharded_seconds else 0.0,
@@ -291,7 +285,8 @@ def bench_build(size: str, shards: int, processes: int) -> dict:
     dataset = make_dataset("alibaba", size, seed=0)
     corpus = dataset.to_flat()
     table, _ = TableBuilder(OFFSConfig(iterations=3, sample_exponent=2)).build(dataset)
-    workdir = tempfile.mkdtemp(prefix="bench_shard_build_")
+    with tempfile.TemporaryDirectory(prefix="bench_shard_build_") as workdir:
+        times = _bench_build_times(corpus, table, shards, processes, workdir)
     cpus = _cpus()
     return {
         "workload": "alibaba",
@@ -303,10 +298,7 @@ def bench_build(size: str, shards: int, processes: int) -> dict:
         "rounds": ROUNDS,
         "cpus": cpus,
         "cpu_limited": cpus < processes,
-        "backends": {
-            backend: _bench_build_backend(corpus, table, backend, shards, processes, workdir)
-            for backend in ("rolling", "hash")
-        },
+        **times,
     }
 
 
@@ -332,12 +324,11 @@ def main(argv=None) -> int:
     from repro.workloads.registry import SIZE_PRESETS
 
     build = bench_build(args.size, args.shards, args.processes)
-    for backend, result in build["backends"].items():
-        print(f"build[{args.size}/{backend}]: monolithic {result['monolithic_seconds']}s, "
-              f"sharded({args.shards}x{args.processes}) {result['sharded_seconds']}s "
-              f"(wall {result['wall_speedup']}x on {build['cpus']} cpu(s); "
-              f"projected {result['projected_speedup']}x at {args.processes} cores)",
-              flush=True)
+    print(f"build[{args.size}]: monolithic {build['monolithic_seconds']}s, "
+          f"sharded({args.shards}x{args.processes}) {build['sharded_seconds']}s "
+          f"(wall {build['wall_speedup']}x on {build['cpus']} cpu(s); "
+          f"projected {build['projected_speedup']}x at {args.processes} cores)",
+          flush=True)
 
     tier = SIZE_PRESETS[args.size]["alibaba"]
     multipliers = [int(part) for part in args.ingest_multipliers.split(",") if part.strip()]

@@ -2,8 +2,8 @@
 
 A fig5-style speed run small enough for CI: build one table on one
 workload, then time the seed pipeline (per-path loop, flat hash matcher)
-against the flat batch pipeline with the rolling backend, min-of-N each,
-asserting byte-identical output.  Emits one JSON blob (``BENCH_smoke.json``
+against the flat batch pipeline (the vectorized rolling-hash kernel),
+min-of-N each, asserting byte-identical output.  Emits one JSON blob (``BENCH_smoke.json``
 by default) so CI can archive a timing trajectory next to the test logs.
 
 The same run benchmarks the decode path into a second blob
@@ -166,20 +166,16 @@ def main(argv=None) -> int:
     corpus = dataset.to_flat()
     total_symbols = corpus.total_symbols
 
-    hash_matcher = static_matcher_from_table(table, "hash")
-    rolling_matcher = static_matcher_from_table(table, "rolling")
+    matcher = static_matcher_from_table(table)
 
-    baseline_tokens = compress_dataset(paths, table, hash_matcher)
-    rolling_tokens = compress_paths_flat(corpus, table, rolling_matcher)
-    identical = rolling_tokens == baseline_tokens
+    baseline_tokens = compress_dataset(paths, table, matcher)
+    identical = compress_paths_flat(corpus, table, matcher) == baseline_tokens
 
     # Symmetric inputs: each pipeline is timed on its natural prebuilt
     # representation (list of tuples for the seed loop, FlatCorpus for the
     # batch route); the one-off interning cost is reported separately.
-    baseline_s = min_of(lambda: compress_dataset(paths, table, hash_matcher), args.rounds)
-    flat_s = min_of(
-        lambda: compress_paths_flat(corpus, table, rolling_matcher), args.rounds
-    )
+    baseline_s = min_of(lambda: compress_dataset(paths, table, matcher), args.rounds)
+    flat_s = min_of(lambda: compress_paths_flat(corpus, table, matcher), args.rounds)
     intern_s = min_of(lambda: dataset.to_flat(), args.rounds)
 
     def probe_counters(run: Callable[[], object]) -> Dict[str, int]:
@@ -208,14 +204,14 @@ def main(argv=None) -> int:
                 "seconds": round(baseline_s, 4),
                 "msym_per_s": round(total_symbols / baseline_s / 1e6, 3),
                 "probes": probe_counters(
-                    lambda: compress_dataset(paths, table, hash_matcher)
+                    lambda: compress_dataset(paths, table, matcher)
                 ),
             },
             "flat_rolling_batch": {
                 "seconds": round(flat_s, 4),
                 "msym_per_s": round(total_symbols / flat_s / 1e6, 3),
                 "probes": probe_counters(
-                    lambda: compress_paths_flat(corpus, table, rolling_matcher)
+                    lambda: compress_paths_flat(corpus, table, matcher)
                 ),
             },
         },

@@ -1,8 +1,8 @@
 """Ablation run-matrix harness — which components earn their keep, per workload.
 
-The system has more knobs than anyone can reason about by hand: three matcher
-backends, table capacity, construction iterations and sampling, store format
-v1/v2, the expansion cache, sharding, vertex reordering.
+The system has more knobs than anyone can reason about by hand: table
+capacity, construction iterations and sampling, top-down refinement, store
+format v1/v2, the expansion cache, sharding, vertex reordering.
 This module switches each one off (or swaps its value) against a fixed
 baseline, measures every cell with the Section VI-B metrics (CR / CS / DS /
 PDS plus raw compress/decompress latency, min-of-N), and ranks the components
@@ -14,7 +14,7 @@ The three layers, each usable alone:
 
 * **Knob registry** — :data:`KNOBS`, a tuple of declarative :class:`Knob`
   entries.  Each names its component, its non-baseline values, and *how to
-  apply it*: a dotted target (``config.matcher`` mutates the
+  apply it*: a dotted target (``config.capacity`` mutates the
   :class:`~repro.core.config.OFFSConfig`, ``spec.store_format`` mutates the
   surrounding pipeline :class:`RunSpec`) plus optional ``requires`` settings
   for coupled knobs (``reorder`` pins the v2 store format).
@@ -57,7 +57,7 @@ from typing import (
 )
 
 from repro.analysis.sizing import dataset_raw_bytes
-from repro.core.config import MATCHER_BACKENDS, OFFSConfig
+from repro.core.config import OFFSConfig
 from repro.core.errors import InvalidInputError
 from repro.obs import catalog
 from repro.obs.runtime import active_span, active_timer, get_active
@@ -101,7 +101,7 @@ class RunSpec:
     workload: str
     size: str = "small"
     seed: int = 0
-    config: OFFSConfig = field(default_factory=lambda: OFFSConfig(matcher="rolling"))
+    config: OFFSConfig = field(default_factory=OFFSConfig)
     store_format: str = "v1"
     expansion_cache: bool = True
     shards: int = 0
@@ -110,18 +110,14 @@ class RunSpec:
 def baseline_spec(workload: str, size: str = "small", seed: int = 0) -> RunSpec:
     """The anchor cell every knob's delta is measured against.
 
-    The baseline: rolling matcher, the size tier's scaled sample exponent,
-    v1 in-memory store, expansion cache on, monolithic.
+    The baseline: the default config at the size tier's scaled sample
+    exponent, v1 in-memory store, expansion cache on, monolithic.
     """
     if size not in _SIZE_SAMPLE_EXPONENT:
         raise InvalidInputError(
             f"unknown size {size!r}; known: {sorted(_SIZE_SAMPLE_EXPONENT)}"
         )
-    config = OFFSConfig(
-        matcher="rolling",
-        sample_exponent=_SIZE_SAMPLE_EXPONENT[size],
-        seed=seed,
-    )
+    config = OFFSConfig(sample_exponent=_SIZE_SAMPLE_EXPONENT[size], seed=seed)
     return RunSpec(workload=workload, size=size, seed=seed, config=config)
 
 
@@ -161,15 +157,6 @@ class Knob:
 #: The registry.  Order is meaningful: it fixes pairwise enumeration and the
 #: tie-break order of the importance table, so append — don't reorder.
 KNOBS: Tuple[Knob, ...] = (
-    Knob(
-        name="matcher",
-        component="matcher backend",
-        target="config.matcher",
-        values=tuple(b for b in MATCHER_BACKENDS if b != "rolling"),
-        summary="table-construction backend swap (bulk encode always runs "
-        "the batch kernel); output is byte-identical, so this knob moves "
-        "only build speed",
-    ),
     Knob(
         name="iterations",
         component="table construction",
@@ -409,15 +396,13 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
     # invert on retrieval, so verification still compares original ids.
     order = codec.order
     work_corpus = corpus if order is None else order.transform_corpus(corpus)
-    matcher = static_matcher_from_table(table, config.matcher)
+    matcher = static_matcher_from_table(table)
 
     def compress() -> List[Tuple[int, ...]]:
         return compress_paths_flat(work_corpus, table, matcher)
 
     tokens, compress_seconds = _min_of(compress, rounds)
-    store = CompressedPathStore.from_tokens(
-        table, tokens, matcher_backend=config.matcher, order=order
-    )
+    store = CompressedPathStore.from_tokens(table, tokens, order=order)
 
     def _timed_decode(reader: object) -> Tuple[bool, float, float, float]:
         """(verified, decompress_s, pds_s, sample_bytes) for one store."""
@@ -452,7 +437,6 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
                 table,
                 manifest,
                 shards=spec.shards,
-                backend=config.matcher,
                 order=order,
             )
             with ShardedPathStore.open(manifest) as sharded:

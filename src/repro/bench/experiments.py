@@ -283,11 +283,10 @@ def exp_ablation_matchers(
     dataset_name: str = "alibaba",
     config: BenchConfig = DEFAULT_BENCH,
 ) -> Tuple[Rows, Shape]:
-    """A1: matcher backends — flat hash, two-level hash, rolling.
+    """A1: matcher backends — flat hash (Alg. 6) vs two-level hash (Alg. 7).
 
-    All backends produce identical tables and tokens (checked); they differ
-    in probe cost (Lemma 3 / the O(1)-per-length rolling hash),
-    reported here from the backends' own
+    Both backends produce identical tables and tokens (checked); they differ
+    in probe cost (Lemma 3), reported here from the backends' own
     :class:`~repro.core.probestats.ProbeStats` counters over a fixed batch.
     """
     from repro.core.compressor import compress_dataset
@@ -334,12 +333,10 @@ def exp_flat_batch(
 ) -> Tuple[Rows, Shape]:
     """A4: the flat-corpus batch pipeline vs the per-path loop.
 
-    One row per (backend, mode): the seed pipeline (per-path loop over
-    tuples, flat hash matcher) against :func:`~repro.core.compressor.
-    compress_paths_flat` per backend — every backend runs the same
-    vectorized :class:`~repro.core.rollhash.FlatBatchKernel`, so the rows
-    differ only by noise.  Output is byte-identical everywhere (checked);
-    timings are min-of-*rounds*.
+    Two rows: the seed pipeline (per-path loop over tuples, flat hash
+    matcher) against :func:`~repro.core.compressor.compress_paths_flat`,
+    which runs the vectorized :class:`~repro.core.rollhash.FlatBatchKernel`.
+    Output is byte-identical (checked); timings are min-of-*rounds*.
     """
     import time
 
@@ -362,41 +359,33 @@ def exp_flat_batch(
             best = min(best, time.perf_counter() - started)
         return best
 
-    baseline_matcher = static_matcher_from_table(table, "hash")
-    baseline_tokens = compress_dataset(paths, table, baseline_matcher)
-    baseline_seconds = min_of(lambda: compress_dataset(paths, table, baseline_matcher))
+    matcher = static_matcher_from_table(table)
+    baseline_tokens = compress_dataset(paths, table, matcher)
+    baseline_seconds = min_of(lambda: compress_dataset(paths, table, matcher))
+    identical = compress_paths_flat(corpus, table, matcher) == baseline_tokens
+    seconds = min_of(lambda: compress_paths_flat(corpus, table, matcher))
+    speedup = baseline_seconds / seconds if seconds else float("inf")
 
-    rows: Rows = [("pipeline", "backend", "compress (s)", "Msym/s", "speedup", "identical")]
+    rows: Rows = [("pipeline", "compress (s)", "Msym/s", "speedup", "identical")]
     rows.append(
         (
             "per-path loop",
-            "hash",
             round(baseline_seconds, 4),
             round(total_symbols / baseline_seconds / 1e6, 3),
             1.0,
             1,
         )
     )
-    shape: Shape = {}
-    for backend in MATCHER_BACKENDS:
-        matcher = static_matcher_from_table(table, backend)
-        tokens = compress_paths_flat(corpus, table, matcher)
-        identical = tokens == baseline_tokens
-        seconds = min_of(lambda: compress_paths_flat(corpus, table, matcher))
-        speedup = baseline_seconds / seconds if seconds else float("inf")
-        rows.append(
-            (
-                "flat batch",
-                backend,
-                round(seconds, 4),
-                round(total_symbols / seconds / 1e6, 3),
-                round(speedup, 2),
-                int(identical),
-            )
+    rows.append(
+        (
+            "flat batch",
+            round(seconds, 4),
+            round(total_symbols / seconds / 1e6, 3),
+            round(speedup, 2),
+            int(identical),
         )
-        shape[f"{backend}_identical"] = float(identical)
-        if backend == "rolling":
-            shape["rolling_flat_speedup"] = speedup
+    )
+    shape: Shape = {"flat_identical": float(identical), "flat_speedup": speedup}
     return rows, shape
 
 

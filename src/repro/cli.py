@@ -59,7 +59,7 @@ from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.analysis.stats import format_table
-from repro.core.config import MATCHER_BACKENDS, OFFSConfig
+from repro.core.config import OFFSConfig
 from repro.core.offs import OFFSCodec
 from repro.core.serialize import dumps_store
 from repro.core.store import CompressedPathStore
@@ -104,10 +104,6 @@ def _add_offs_options(parser: argparse.ArgumentParser) -> None:
                         help="candidate capacity divisor lambda = nodes/beta")
     parser.add_argument("--topdown-rounds", type=int, default=0,
                         help="hybrid top-down refinement rounds (0 = off)")
-    parser.add_argument("--backend", choices=MATCHER_BACKENDS, default="hash",
-                        help="longest-match backend for table construction; "
-                             "output is identical, only build time differs "
-                             "(bulk encode always runs the vectorized kernel)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -245,7 +241,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         alpha=min(5, args.delta - 1),
         beta=args.beta,
         topdown_rounds=args.topdown_rounds,
-        matcher=args.backend,
         reorder=args.reorder,
     )
     if args.reorder != "identity" and args.fmt == "v1" and args.shards == 0:
@@ -276,8 +271,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             note = " (ablation-guided"
             note += ", guard fell back to default)" if result.fallback_to_default else ")"
         print(f"autotuned: i={config.iterations} k={config.sample_exponent} "
-              f"matcher={config.matcher} reorder={config.reorder}{note}",
-              file=sys.stderr)
+              f"reorder={config.reorder}{note}", file=sys.stderr)
     corpus = dataset.to_flat()
     with _metrics_scope(args) as obs:
         codec = OFFSCodec(config).fit(corpus)
@@ -290,7 +284,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
                 args.output,
                 shards=args.shards,
                 processes=args.processes,
-                backend=args.backend,
                 order=codec.order,
             )
             sharded = ShardedPathStore.open(args.output)
@@ -301,9 +294,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             sharded.close()
             _write_metrics(args, obs)
             return 0
-        store = CompressedPathStore.from_corpus(
-            corpus, codec.table, matcher_backend=args.backend, order=codec.order
-        )
+        store = CompressedPathStore.from_corpus(corpus, codec.table, order=codec.order)
         ratio = store.compression_ratio()
         if args.fmt == "v2":
             from repro.core.serialize import dumps_store_v2
@@ -437,8 +428,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if result.used_ablation:
         rec = result.best_config()
         print(f"\nrecommended (ablation-guided): i={rec.iterations} "
-              f"k={rec.sample_exponent} matcher={rec.matcher} "
-              f"capacity={rec.capacity} topdown_rounds={rec.topdown_rounds}")
+              f"k={rec.sample_exponent} capacity={rec.capacity} "
+              f"topdown_rounds={rec.topdown_rounds}")
         if result.pruned_components:
             print("pruned components: " + ", ".join(result.pruned_components))
         if result.fallback_to_default:

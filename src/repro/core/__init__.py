@@ -11,8 +11,7 @@ The paper's primary contribution lives here:
 * :mod:`repro.core.compressor` — Algorithms 1 and 2, plus the flat batch
   entry points (``compress_paths_flat`` / ``decompress_paths_flat``).
 * :mod:`repro.core.flatcorpus` / :mod:`repro.core.rollhash` — the
-  flat-corpus layout and the rolling-hash backend with its vectorized
-  batch kernel.
+  flat-corpus layout and the vectorized batch kernel of bulk encode.
 * :mod:`repro.core.offs` — the :class:`OFFSCodec` façade.
 * :mod:`repro.core.reader` — :class:`PathReader`, the one read path
   (retrieval, order inversion, size accounting, queries) every store
@@ -65,7 +64,7 @@ from repro.core.stream import StreamingCompressor
 from repro.core.topdown import TopDownRefiner
 from repro.core.validate import ValidationReport, validate_store
 from repro.core.multilevel import MultiLevelCandidates
-from repro.core.rollhash import FlatBatchKernel, RollingHashCandidates
+from repro.core.rollhash import FlatBatchKernel
 from repro.core.offs import OFFSCodec
 from repro.core.mapped import MappedPathStore
 from repro.core.sharded import (
@@ -110,7 +109,6 @@ __all__ = [
     "FlatCorpus",
     "as_flat_corpus",
     "FlatBatchKernel",
-    "RollingHashCandidates",
     "OFFSConfig",
     "BoundsError",
     "ConfigError",

@@ -7,8 +7,7 @@ their inputs, so callers may fan them out over processes freely (the paper's
 OpenMP parallelism; see :func:`compress_dataset`'s ``chunked`` helpers).
 
 * :func:`compress_path` — greedy longest-match replacement of subpaths by
-  supernode ids (Algorithm 2); ``O(|P| · δ²)`` with the hash matcher,
-  ``O(|P| · δ)`` with the rolling matcher.
+  supernode ids (Algorithm 2); ``O(|P| · δ²)`` with the hash matcher.
 * :func:`decompress_path` — one-pass supernode expansion (Algorithm 1);
   ``O(|P|)`` in the decompressed length (Lemma 1).
 * :func:`compress_paths_flat` / :func:`decompress_paths_flat` — the batch

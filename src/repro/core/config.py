@@ -21,11 +21,10 @@ The paper's tunables, with its deployed defaults (Section VI-A):
 * ``min_final_weight`` — finalization drops candidates seen fewer times
   (Example 2 drops "the useless ones with weight one").
 * ``matcher`` — prefix-match backend of table construction and per-path
-  ``append``: ``"hash"`` (Algorithm 6), ``"multilevel"`` (Algorithm 7) or
-  ``"rolling"`` (the rolling-hash scheme of :mod:`repro.core.rollhash`,
-  O(1) per probed length).  Output is identical across backends.  Bulk
-  encode does not depend on it: with numpy it always runs the vectorized
-  batch kernel.
+  ``append``: ``"hash"`` (Algorithm 6, the production matcher) or
+  ``"multilevel"`` (Algorithm 7, the paper's reference).  Output is
+  identical across backends.  Bulk encode does not depend on it: with numpy
+  it always runs the vectorized batch kernel.
 * ``topdown_rounds`` (default 0 = off) — hybrid top-down refinement passes
   after the bottom-up iterations (the §IV-D optimization (1); see
   :mod:`repro.core.topdown`).
@@ -44,7 +43,7 @@ from typing import Optional
 
 from repro.core.errors import ConfigError
 
-MATCHER_BACKENDS = ("hash", "multilevel", "rolling")
+MATCHER_BACKENDS = ("hash", "multilevel")
 
 
 @dataclass(frozen=True)

@@ -428,13 +428,11 @@ class MappedPathStore(PathReader):
         offsets.frombytes(np.searchsorted(stops, bounds).astype(np.int64).tobytes())
         return FlatCorpus(buffer, offsets)
 
-    def to_store(self, matcher_backend: str = "hash"):
+    def to_store(self):
         """Materialize a fully in-memory :class:`CompressedPathStore` copy."""
         from repro.core.store import CompressedPathStore
 
-        return CompressedPathStore.from_tokens(
-            self.table, self.tokens(), matcher_backend=matcher_backend, order=self.order
-        )
+        return CompressedPathStore.from_tokens(self.table, self.tokens(), order=self.order)
 
     def __repr__(self) -> str:
         return (

@@ -7,11 +7,11 @@ candidate subpaths?*  This module defines the interface for that question and
 its baseline answer, a flat hash table probed from the longest length down
 (exactly Algorithm 6 of the paper).
 
-Alternative backends live in :mod:`repro.core.multilevel` (the two-level hash
-of Algorithm 7) and :mod:`repro.core.rollhash` (a rolling-hash scheme probing
-each candidate length in O(1)).  All backends return identical match lengths
-— they differ only in probe cost — which the test suite checks
-property-based.
+The flat hash is the production matcher.  The two-level hash of Algorithm 7
+(:mod:`repro.core.multilevel`) is the paper's reference backend: both
+return identical match lengths — they differ only in probe cost — which the
+test suite checks property-based.  Bulk encode probes neither: it runs the
+vectorized batch kernel of :mod:`repro.core.rollhash`.
 
 Weights: a candidate set also tracks a non-negative integer weight per
 candidate (the *practical frequency* counter of Section IV-A).  Weight
@@ -54,11 +54,6 @@ class CandidateSet(ABC):
     vectorized :class:`~repro.core.rollhash.FlatBatchKernel` from
     :meth:`flat_kernel` and publishes the kernel's work on ``self.stats``.
     """
-
-    #: Width of the batch kernel's window hashes.  Only
-    #: :class:`~repro.core.rollhash.RollingHashCandidates` narrows it, so
-    #: tests can force collisions through the kernel's verify step.
-    hash_bits = 64
 
     def __init__(self) -> None:
         from repro.core.probestats import ProbeStats
@@ -111,7 +106,7 @@ class CandidateSet(ABC):
 
         kernel = self._kernel
         if kernel is None or kernel.table is not table:
-            kernel = FlatBatchKernel(table, hash_bits=self.hash_bits)
+            kernel = FlatBatchKernel(table)
             self._kernel = kernel
         return kernel
 
@@ -222,7 +217,7 @@ def static_matcher_from_table(table, backend: str = "hash") -> CandidateSet:
     matching implementation for both phases.  Weights are irrelevant here.
 
     :param table: a :class:`~repro.core.supernode_table.SupernodeTable`.
-    :param backend: ``"hash"``, ``"multilevel"`` or ``"rolling"``.
+    :param backend: ``"hash"`` or ``"multilevel"``.
     """
     matcher = make_candidate_set(backend)
     for _, subpath in table:
@@ -233,9 +228,9 @@ def static_matcher_from_table(table, backend: str = "hash") -> CandidateSet:
 def make_candidate_set(backend: str, alpha: int = 5) -> CandidateSet:
     """Factory for candidate-set backends by name.
 
-    :param backend: ``"hash"``, ``"multilevel"`` or ``"rolling"``.
+    :param backend: ``"hash"`` or ``"multilevel"``.
     :param alpha: primary-key length for the multilevel backend (ignored by
-        the others).
+        the flat hash).
     """
     if backend == "hash":
         return HashCandidates()
@@ -243,8 +238,4 @@ def make_candidate_set(backend: str, alpha: int = 5) -> CandidateSet:
         from repro.core.multilevel import MultiLevelCandidates
 
         return MultiLevelCandidates(alpha=alpha)
-    if backend == "rolling":
-        from repro.core.rollhash import RollingHashCandidates
-
-        return RollingHashCandidates()
     raise ConfigError(f"unknown matcher backend {backend!r}")

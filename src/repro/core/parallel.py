@@ -21,9 +21,9 @@ Implementation notes:
   buffers pickle as bytes — never a forest of integer tuples.
 * Workers run the batch entry points (:func:`~repro.core.compressor.
   compress_paths_flat`); with numpy each chunk goes through the vectorized
-  kernel, whatever the backend.  ``processes=1`` runs the *same* chunk functions
-  in-process, so metric totals and probe counts are identical across
-  process counts for every backend.
+  kernel, and without it through the flat hash matcher's per-path loop.
+  ``processes=1`` runs the *same* chunk functions in-process, so metric
+  totals and probe counts are identical across process counts.
 
 Observability: when :mod:`repro.obs` instrumentation is active in the
 parent, each worker activates its own counters-only instrumentation at
@@ -112,7 +112,6 @@ def _map_corpora(
     corpora: Sequence[FlatCorpus],
     table: SupernodeTable,
     processes: int,
-    backend: str,
 ) -> List[Any]:
     """*work* applied to every corpus of *corpora*; results in input order.
 
@@ -121,7 +120,7 @@ def _map_corpora(
     """
     if processes < 1:
         raise InvalidInputError("processes must be >= 1")
-    matcher = static_matcher_from_table(table, backend)
+    matcher = static_matcher_from_table(table)
     if processes == 1 or not corpora:
         return [work(table, matcher, corpus) for corpus in corpora]
     obs = get_active()
@@ -159,11 +158,10 @@ def _chunked(
     table: SupernodeTable,
     processes: int,
     chunk_size: int,
-    backend: str,
 ) -> List[Tuple[int, ...]]:
     """Run *work* over *chunk_size*-path chunks of *items*, concatenated."""
     chunks = list(as_flat_corpus(items).chunks(chunk_size))
-    results = _map_corpora(work, chunks, table, processes, backend)
+    results = _map_corpora(work, chunks, table, processes)
     return [path for corpus in results for path in corpus]
 
 
@@ -172,15 +170,13 @@ def parallel_compress(
     table: SupernodeTable,
     processes: int = 2,
     chunk_size: int = 2048,
-    backend: str = "hash",
 ) -> List[Tuple[int, ...]]:
     """Compress *paths* against *table* across *processes* workers.
 
     Order-preserving and bit-identical to the sequential
-    :func:`~repro.core.compressor.compress_dataset` — with any *backend*
-    and any process count.
+    :func:`~repro.core.compressor.compress_dataset` for any process count.
     """
-    return _chunked(_compress_chunk, paths, table, processes, chunk_size, backend)
+    return _chunked(_compress_chunk, paths, table, processes, chunk_size)
 
 
 def parallel_decompress(
@@ -190,14 +186,13 @@ def parallel_decompress(
     chunk_size: int = 2048,
 ) -> List[Tuple[int, ...]]:
     """Decompress *tokens* across *processes* workers (order-preserving)."""
-    return _chunked(_decompress_chunk, tokens, table, processes, chunk_size, "hash")
+    return _chunked(_decompress_chunk, tokens, table, processes, chunk_size)
 
 
 def _serialize_shards(
     corpora: Sequence[FlatCorpus],
     table: SupernodeTable,
     processes: int = 1,
-    backend: str = "rolling",
 ) -> List[Tuple[bytes, int]]:
     """Compress each corpus and serialize it to a v2 blob inside the worker.
 
@@ -207,4 +202,4 @@ def _serialize_shards(
     re-paying every shard's serialization sequentially after the barrier.
     Each ``(blob, count)`` is byte-identical for any process count.
     """
-    return _map_corpora(_serialize_shard, corpora, table, processes, backend)
+    return _map_corpora(_serialize_shard, corpora, table, processes)

@@ -1,44 +1,33 @@
-"""Rolling-hash longest-match backend — O(1) per probed length.
+"""The batch kernel of bulk encode: rolling window hashes over a flat corpus.
 
-Every other backend pays per *vertex* to probe a candidate length: the flat
-hash (Algorithm 6) and the two-level hash (Algorithm 7) build and hash a
-fresh tuple per probe.  A polynomial rolling hash removes the per-vertex factor entirely:
-with prefix hashes ``P[i]`` of the query path precomputed once,
+The flat hash (Algorithm 6) and the two-level hash (Algorithm 7) probe one
+position of one path at a time, hashing a fresh tuple per candidate length.
+Bulk encode instead asks the question once per *corpus*.  With prefix
+hashes ``P[i]`` of each path, a polynomial rolling hash gives
 
     hash(path[pos:pos+L]) = P[pos+L] - P[pos] * B**L      (mod 2**64)
 
-is three integer operations regardless of ``L``.  A probe at ``(pos, cap)``
-therefore tests each candidate length in O(1), and a full probe costs
-O(#distinct candidate lengths) instead of O(δ²).
+for every position and every candidate length in a few vectorized
+operations.  :class:`FlatBatchKernel` collapses those window hashes into a
+per-position best-candidate-length array, leaving compression proper a
+thin greedy verify loop
+(:func:`~repro.core.compressor.compress_paths_flat`, which runs the kernel
+for every matcher through :meth:`~repro.core.matcher.CandidateSet.
+flat_kernel`).  Without numpy, bulk encode runs the per-path loop.
 
-Correctness is never entrusted to the hash: every hash hit is verified
-against the exact candidate before a match is reported, so results are
-bit-identical to the hash/multilevel backends even under adversarial
-collisions (the ``hash_bits`` constructor argument exists precisely to let
-tests force collisions and exercise the verify step).
-
-Two consumers:
-
-* :class:`RollingHashCandidates` — the dynamic :class:`CandidateSet` backend
-  (``make_candidate_set("rolling")``), usable during table *construction*;
-  it caches the prefix hashes of the most recent query path by identity, so
-  the builder's sequential scans amortize preparation to O(1) per vertex.
-* :class:`FlatBatchKernel` — the static batch kernel over a
-  :class:`~repro.core.flatcorpus.FlatCorpus`, which bulk encode runs for
-  every backend (:meth:`~repro.core.matcher.CandidateSet.flat_kernel`):
-  one vectorized pass (numpy) computes window hashes for *every* position
-  and candidate length and collapses them into a per-position
-  best-candidate-length array, leaving compression proper a thin greedy
-  verify loop.  Without numpy, bulk encode runs the per-path loop.
+Correctness is never entrusted to the hash: every nomination is verified
+against the exact table before a match is emitted, so output is
+bit-identical to the per-path loop even under adversarial collisions (the
+kernel's ``hash_bits`` argument exists precisely to let tests force
+collisions and exercise the verify step).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import InvalidInputError
 from repro.core.flatcorpus import FlatCorpus
-from repro.core.matcher import CandidateSet, Subpath
 
 try:  # soft dependency — pure-Python fallbacks exist throughout
     import numpy as _np
@@ -53,144 +42,11 @@ _MASK64 = (1 << 64) - 1
 
 
 def _hash_sequence(seq: Sequence[int], mask: int) -> int:
-    """The rolling hash of a whole sequence (candidate registration side)."""
+    """The rolling hash of a whole sequence (the table-entry side)."""
     h = 0
     for v in seq:
         h = (h * HASH_BASE + v + 1) & _MASK64
     return h & mask
-
-
-class RollingHashCandidates(CandidateSet):
-    """Candidate set probed through per-length rolling-hash tables.
-
-    :param hash_bits: width of the stored hash (default 64).  Smaller widths
-        force collisions; results stay identical because every hit is
-        verified — only probe cost degrades.  Tests use this adversarially.
-
-    Probe-cost accounting (``self.stats``): one probe and one hashed vertex
-    per O(1) length test — the unit of work here is a constant-time hash
-    lookup — plus the verified candidate's length on each hash hit (the
-    explicit collision-verify step re-reads the window).
-    """
-
-    def __init__(self, hash_bits: int = 64) -> None:
-        super().__init__()
-        if not 1 <= hash_bits <= 64:
-            raise InvalidInputError("hash_bits must be in [1, 64]")
-        self.hash_bits = hash_bits
-        self._hash_mask = (1 << hash_bits) - 1
-        self._weights: Dict[Subpath, int] = {}
-        #: length -> {window hash -> number of candidates with that hash}.
-        self._buckets: Dict[int, Dict[int, int]] = {}
-        #: (length, bucket) pairs, longest first; rebuilt when the set of
-        #: lengths changes (adds/discards of an existing length mutate the
-        #: bucket dict in place, which the cached list sees).
-        self._tables_desc: List[Tuple[int, Dict[int, int]]] = []
-        self._max_len = 0
-        # Identity-cached preparation of the current query path.
-        self._prepared_path: Optional[Sequence[int]] = None
-        self._prefix: List[int] = []
-        self._pows: List[int] = [1]
-
-    # -- CandidateSet interface ---------------------------------------------------
-
-    def add(self, seq: Sequence[int], weight: int = 1) -> None:
-        sp = tuple(seq)
-        if len(sp) < 2:
-            raise InvalidInputError(f"candidates need >= 2 vertices, got {sp!r}")
-        if sp in self._weights:
-            self._weights[sp] += weight
-            return
-        self._weights[sp] = weight
-        h = _hash_sequence(sp, self._hash_mask)
-        bucket = self._buckets.get(len(sp))
-        if bucket is None:
-            self._buckets[len(sp)] = {h: 1}
-            self._tables_desc = sorted(self._buckets.items(), reverse=True)
-        else:
-            bucket[h] = bucket.get(h, 0) + 1
-        if len(sp) > self._max_len:
-            self._max_len = len(sp)
-
-    def weight(self, seq: Sequence[int]) -> Optional[int]:
-        return self._weights.get(tuple(seq))
-
-    def discard(self, seq: Sequence[int]) -> None:
-        sp = tuple(seq)
-        if self._weights.pop(sp, None) is None:
-            return
-        bucket = self._buckets[len(sp)]
-        h = _hash_sequence(sp, self._hash_mask)
-        remaining = bucket[h] - 1
-        if remaining:
-            bucket[h] = remaining
-        else:
-            del bucket[h]
-            if not bucket:
-                del self._buckets[len(sp)]
-                self._tables_desc = sorted(self._buckets.items(), reverse=True)
-                self._max_len = max(self._buckets, default=0)
-
-    def longest_match(self, path: Sequence[int], pos: int, cap: int) -> int:
-        limit = min(cap, self._max_len, len(path) - pos)
-        if limit < 2:
-            return 1
-        if path is not self._prepared_path:
-            self._prepare(path)
-        pre = self._prefix
-        pows = self._pows
-        mask = self._hash_mask
-        weights = self._weights
-        stats = self.stats
-        hp = pre[pos]
-        for length, bucket in self._tables_desc:
-            if length > limit:
-                continue
-            stats.probes += 1
-            stats.hashed_vertices += 1
-            window = (pre[pos + length] - hp * pows[length]) & _MASK64 & mask
-            if window in bucket:
-                # Explicit collision-verify: the hash only nominates.
-                stats.hashed_vertices += length
-                if tuple(path[pos : pos + length]) in weights:
-                    return length
-        return 1
-
-    def items(self) -> Iterator[Tuple[Subpath, int]]:
-        return iter(list(self._weights.items()))
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def __repr__(self) -> str:
-        return (
-            f"RollingHashCandidates(entries={len(self._weights)}, "
-            f"lengths={sorted(self._buckets)}, hash_bits={self.hash_bits})"
-        )
-
-    # -- preparation ----------------------------------------------------------------
-
-    def _prepare(self, path: Sequence[int]) -> None:
-        """Compute prefix hashes of *path* once; cached by object identity.
-
-        The cache holds a strong reference to *path*, so its ``id`` cannot be
-        recycled while cached.  Callers must not mutate a path between
-        probes (tuples and memoryviews over a corpus are safe; the builder
-        and the compressor only ever probe immutable paths).
-        """
-        n = len(path)
-        pows = self._pows
-        while len(pows) <= n:
-            pows.append((pows[-1] * HASH_BASE) & _MASK64)
-        prefix = [0] * (n + 1)
-        h = 0
-        i = 1
-        for v in path:
-            h = (h * HASH_BASE + v + 1) & _MASK64
-            prefix[i] = h
-            i += 1
-        self._prefix = prefix
-        self._prepared_path = path
 
 
 class FlatBatchKernel:
@@ -204,10 +60,15 @@ class FlatBatchKernel:
     only per-position Python work left.
 
     :param table: the supernode table to match against.
-    :param hash_bits: see :class:`RollingHashCandidates`.
+    :param hash_bits: width of the window hashes (default 64).  Smaller
+        widths force collisions; output stays identical because every
+        nomination is verified — only verify work grows.  Tests use this
+        adversarially.
     """
 
     def __init__(self, table, hash_bits: int = 64) -> None:
+        if not 1 <= hash_bits <= 64:
+            raise InvalidInputError("hash_bits must be in [1, 64]")
         self.table = table
         self.hash_bits = hash_bits
         self._hash_mask = (1 << hash_bits) - 1

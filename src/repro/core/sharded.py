@@ -557,7 +557,6 @@ def build_sharded_store(
     out_path: str,
     shards: int = 4,
     processes: int = 1,
-    backend: str = "rolling",
     order=None,
 ) -> str:
     """Compress *paths* against *table* into a sharded store at *out_path*.
@@ -588,12 +587,12 @@ def build_sharded_store(
         corpus = order.transform_corpus(corpus)
     obs = get_active()
     if obs is None:
-        return _build_sharded(corpus, table, out_path, shards, processes, backend, order)
+        return _build_sharded(corpus, table, out_path, shards, processes, order)
     with obs.tracer.span(catalog.SPAN_SHARD_BUILD) as span, obs.registry.timeit(
         catalog.SHARD_BUILD_SECONDS
     ):
         manifest_path = _build_sharded(
-            corpus, table, out_path, shards, processes, backend, order
+            corpus, table, out_path, shards, processes, order
         )
         if span is not None:
             span.add("shards", shards)
@@ -609,14 +608,13 @@ def _build_sharded(
     out_path: str,
     shards: int,
     processes: int,
-    backend: str,
     order=None,
 ) -> str:
     from repro.core.parallel import _serialize_shards
     from repro.core.serialize import append_order_section
 
     parts = partition_corpus(corpus, shards)
-    blobs = _serialize_shards(parts, table, processes=processes, backend=backend)
+    blobs = _serialize_shards(parts, table, processes=processes)
     table_crc = zlib.crc32(dumps_table(table))
     directory = os.path.dirname(os.path.abspath(out_path))
     stem = os.path.splitext(os.path.basename(out_path))[0]

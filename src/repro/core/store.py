@@ -30,8 +30,8 @@ class CompressedPathStore(PathReader):
 
     :param table: the supernode table paths are compressed against.
     :param matcher_backend: longest-match backend of per-path ingestion
-        (``"hash"``, ``"multilevel"`` or ``"rolling"``); output is identical
-        across backends, only probe cost differs.  Bulk ingestion runs the
+        (``"hash"`` or ``"multilevel"``); output is identical across
+        backends, only probe cost differs.  Bulk ingestion runs the
         vectorized batch kernel whatever the backend.
     :param order: optional :class:`~repro.paths.reorder.VertexOrder` the
         table was built under.  With an order, ingestion relabels incoming

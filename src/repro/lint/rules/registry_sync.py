@@ -3,18 +3,15 @@
 ``MATCHER_BACKENDS`` in :mod:`repro.core.config` is the single source of
 truth for the longest-match backends whose byte-identical equivalence
 is the paper's §IV claim.  A backend that exists but is missing from the
-CLI, the equivalence test, or the performance docs is a silent hole in that
-claim — the linter cross-references all four artifacts **by AST/structure**,
-not by grepping for the word:
+factory, the equivalence test, or the performance docs is a silent hole in
+that claim — the linter cross-references all four artifacts **by
+AST/structure**, not by grepping for the word:
 
 * ``src/repro/core/config.py`` — the ``MATCHER_BACKENDS`` tuple literal;
 * ``src/repro/core/matcher.py`` — ``make_candidate_set``'s dispatch chain
   (every key must be handled, and the handled key set must not drift ahead
   of the registry either); the chain also yields the key -> backend-class
   mapping used for the test check;
-* ``src/repro/cli.py`` — the ``--backend`` argparse ``choices``: either a
-  direct ``Name`` reference to the imported ``MATCHER_BACKENDS`` (complete
-  by construction) or a literal that must cover every key;
 * ``tests/test_matcher_equivalence.py`` — must reference each backend's
   class name (the test is class-parameterized, not string-parameterized);
 * ``docs/performance.md`` — must mention each key in backticks.
@@ -25,18 +22,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.engine import (
-    Finding,
-    ParsedModule,
-    Project,
-    Rule,
-    import_aliases,
-    string_constant,
-)
+from repro.lint.engine import Finding, Project, Rule, string_constant
 
 CONFIG_PATH = "src/repro/core/config.py"
 MATCHER_PATH = "src/repro/core/matcher.py"
-CLI_PATH = "src/repro/cli.py"
 TEST_PATH = "tests/test_matcher_equivalence.py"
 DOCS_PATH = "docs/performance.md"
 
@@ -56,7 +45,6 @@ class RegistrySyncRule(Rule):
             return
         keys, registry_line = registry
         yield from self._check_factory(project, keys, registry_line)
-        yield from self._check_cli(project, keys)
         yield from self._check_test(project, keys)
         yield from self._check_docs(project, keys)
 
@@ -147,75 +135,6 @@ class RegistrySyncRule(Rule):
                 f"from {REGISTRY_NAME}",
                 hint=f"add \"{key}\" to the {REGISTRY_NAME} tuple",
             )
-
-    # -- CLI choices -----------------------------------------------------------
-
-    def _check_cli(self, project: Project, keys: List[str]) -> Iterator[Finding]:
-        module = project.module(CLI_PATH)
-        if module is None:
-            return
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add_argument"
-            ):
-                continue
-            if not any(string_constant(arg) == "--backend" for arg in node.args):
-                continue
-            choices = next(
-                (kw.value for kw in node.keywords if kw.arg == "choices"), None
-            )
-            if choices is None:
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    "--backend has no choices= restriction",
-                    hint=f"pass choices={REGISTRY_NAME} so argparse rejects "
-                    "unknown backends",
-                )
-                return
-            if isinstance(choices, ast.Name):
-                origin = aliases.get(choices.id, "")
-                if choices.id == REGISTRY_NAME or origin.endswith(
-                    f".{REGISTRY_NAME}"
-                ):
-                    return  # complete by construction
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    f"--backend choices come from {choices.id!r}, not "
-                    f"{REGISTRY_NAME}",
-                    hint=f"import {REGISTRY_NAME} from repro.core.config and "
-                    "use it directly",
-                )
-                return
-            if isinstance(choices, (ast.Tuple, ast.List)):
-                literal = {
-                    key
-                    for key in (string_constant(e) for e in choices.elts)
-                    if key is not None
-                }
-                for key in keys:
-                    if key not in literal:
-                        yield self.finding(
-                            module,
-                            node.lineno,
-                            f"--backend choices literal is missing backend "
-                            f"{key!r}",
-                            hint=f"use choices={REGISTRY_NAME} instead of a "
-                            "literal that can drift",
-                        )
-                return
-        # No --backend option at all.
-        yield self.finding(
-            CLI_PATH,
-            1,
-            "CLI defines no --backend option",
-            hint=f"add an argparse option with choices={REGISTRY_NAME}",
-        )
 
     # -- equivalence test ------------------------------------------------------
 

@@ -13,7 +13,10 @@ import os
 import pytest
 
 from repro.core.config import OFFSConfig
+from repro.core.flatcorpus import FlatCorpus
+from repro.core.matcher import CandidateSet, static_matcher_from_table
 from repro.core.offs import OFFSCodec
+from repro.core.rollhash import FlatBatchKernel
 from repro.paths.dataset import PathDataset
 from repro.workloads.registry import make_dataset
 
@@ -64,6 +67,32 @@ def make_fd_leak_guard(slack: int = 1):
         )
 
     return _fd_leak_guard
+
+
+def narrow_kernel_matcher(table, hash_bits: int) -> CandidateSet:
+    """A static matcher over *table* whose batch kernel hashes *hash_bits* bits.
+
+    The narrow kernel sits in the matcher's per-table kernel memo, so
+    ``compress_paths_flat`` runs it in place of the 64-bit one.
+    """
+    matcher = static_matcher_from_table(table)
+    kernel = FlatBatchKernel(table, hash_bits=hash_bits)
+    matcher._kernel = kernel
+    assert matcher.flat_kernel(table) is kernel
+    return matcher
+
+
+def narrow_only_nominations(table, paths, hash_bits: int) -> int:
+    """Positions of *paths* where the *hash_bits* kernel nominates a length
+    the 64-bit kernel does not.
+
+    Each one is a hash collision that bulk encode must verify and descend
+    past, so a positive count proves the verify/descend loop runs.
+    """
+    corpus = FlatCorpus.from_paths(paths)
+    narrow = FlatBatchKernel(table, hash_bits=hash_bits).best_lengths(corpus)
+    wide = FlatBatchKernel(table).best_lengths(corpus)
+    return sum(n > w for n, w in zip(narrow, wide))
 
 
 @pytest.fixture()

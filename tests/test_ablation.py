@@ -23,7 +23,7 @@ from repro.core.errors import InvalidInputError
 
 #: A two-knob registry keeping executor tests to a handful of fast cells.
 SMALL_KNOBS = (
-    knob_by_name("matcher"),
+    knob_by_name("capacity"),
     knob_by_name("store_format"),
 )
 
@@ -49,8 +49,8 @@ class TestRunIds:
         ids = {c.run_id for c in generate_matrix(["rome"], knobs=SMALL_KNOBS)}
         assert ids == {
             "rome-baseline",
-            "rome-matcher=hash",
-            "rome-matcher=multilevel",
+            "rome-capacity=64",
+            "rome-capacity=1024",
             "rome-store_format=v2",
         }
 
@@ -79,7 +79,7 @@ class TestRunIds:
             for c in generate_matrix(["rome"], knobs=SMALL_KNOBS, mode="pairwise")
         }
         assert single < pairwise
-        assert "rome-matcher=hash+store_format=v2" in pairwise
+        assert "rome-capacity=64+store_format=v2" in pairwise
 
     def test_default_registry_covers_six_plus_knobs(self):
         assert len({k.name for k in KNOBS}) >= 6
@@ -147,7 +147,7 @@ class TestResume:
         return [
             c
             for c in generate_matrix(["rome"], knobs=SMALL_KNOBS)
-            if c.run_id in ("rome-baseline", "rome-matcher=hash")
+            if c.run_id in ("rome-baseline", "rome-capacity=64")
         ]
 
     def test_resume_skips_completed_cells(self, tmp_path):
@@ -200,7 +200,7 @@ class TestResume:
             echo=seen.append,
         )
         assert "skip rome-baseline (resumed)" not in seen
-        assert "skip rome-matcher=hash (resumed)" in seen
+        assert "skip rome-capacity=64 (resumed)" in seen
 
 
 class TestImportance:
@@ -275,13 +275,31 @@ class TestReport:
             workloads=["w"], size="tiny", seed=0, rounds=1,
         )
         report["knobs"].append(
-            {"name": "hash_bits", "component": "rolling-hash width",
-             "target": "config.hash_bits", "values": ["12", "32"],
-             "requires": [["config.matcher", "rolling"]], "summary": ""}
+            {"name": "processes", "component": "parallel compression",
+             "target": "spec.processes", "values": ["2"],
+             "requires": [], "summary": ""}
         )
         target = tmp_path / "BENCH_ablation.json"
         target.write_text(json.dumps(report))
-        with pytest.raises(InvalidInputError, match="'hash_bits'.*make bench-ablation"):
+        with pytest.raises(InvalidInputError, match="'processes'.*make bench-ablation"):
+            load_report(str(target))
+
+    def test_load_rejects_a_report_listing_the_matcher_knob(self, tmp_path):
+        # Reports measured while the matcher backend was a knob name a
+        # config choice this build no longer offers.
+        report = build_report(
+            {"w-baseline": _result("w", None, "baseline", "baseline", cr=2.0)},
+            workloads=["w"], size="tiny", seed=0, rounds=1,
+        )
+        report["knobs"].insert(
+            0,
+            {"name": "matcher", "component": "matcher backend",
+             "target": "config.matcher", "values": ["hash", "multilevel"],
+             "requires": [], "summary": ""},
+        )
+        target = tmp_path / "BENCH_ablation.json"
+        target.write_text(json.dumps(report))
+        with pytest.raises(InvalidInputError, match="'matcher'.*make bench-ablation"):
             load_report(str(target))
 
     def test_load_rejects_a_report_naming_a_retired_knob_value(self, tmp_path):
@@ -289,9 +307,9 @@ class TestReport:
             {"w-baseline": _result("w", None, "baseline", "baseline", cr=2.0)},
             workloads=["w"], size="tiny", seed=0, rounds=1,
         )
-        matcher = next(k for k in report["knobs"] if k["name"] == "matcher")
-        matcher["values"] = ["hash", "trie"]
+        reorder = next(k for k in report["knobs"] if k["name"] == "reorder")
+        reorder["values"] = ["frequency", "bfs"]
         target = tmp_path / "BENCH_ablation.json"
         target.write_text(json.dumps(report))
-        with pytest.raises(InvalidInputError, match="matcher=trie.*make bench-ablation"):
+        with pytest.raises(InvalidInputError, match="reorder=bfs.*make bench-ablation"):
             load_report(str(target))

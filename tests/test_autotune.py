@@ -99,7 +99,6 @@ def synthetic_report(entries, knobs=None):
         "benchmark": "ablation",
         "schema_version": 1,
         "knobs": knobs or [
-            {"name": "matcher", "target": "config.matcher", "requires": []},
             {"name": "capacity", "target": "config.capacity", "requires": []},
             {"name": "iterations", "target": "config.iterations", "requires": []},
             {"name": "sample_exponent", "target": "config.sample_exponent",

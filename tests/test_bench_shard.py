@@ -1,5 +1,7 @@
-"""The sharded-store benchmark's ingest children report their own peak RSS."""
+"""The sharded-store benchmark: one build timing set, and ingest children
+that report their own peak RSS."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,3 +27,17 @@ def test_child_peak_rss_is_its_own_under_a_large_parent():
     peak = json.loads(child.stdout)["peak_rss_mb"]
     assert CHILD_MB <= peak <= CHILD_MB + 40
     del fat
+
+
+def test_build_reports_one_timing_set():
+    spec = importlib.util.spec_from_file_location(
+        "bench_shard", os.path.join(BENCH_DIR, "bench_shard.py")
+    )
+    bench_shard = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_shard)
+    build = bench_shard.bench_build("tiny", shards=2, processes=1)
+    assert build["rounds"] == bench_shard.ROUNDS and build["cpus"] >= 1
+    assert "backends" not in build
+    assert len(build["per_shard_seconds"]) == 2
+    for key in ("monolithic_seconds", "sharded_seconds", "projected_parallel_seconds"):
+        assert build[key] > 0

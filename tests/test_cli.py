@@ -57,27 +57,14 @@ class TestCompressDecompress:
         assert main(["decompress", str(out), str(restored)]) == 0
         assert load_text(restored) == ds
 
-    @pytest.mark.parametrize("backend", ["multilevel", "rolling"])
-    def test_backend_selection_archives_identically(self, paths_file, tmp_path, backend):
-        # Backends differ only in probe cost: the archive bytes must match
-        # the default hash backend's exactly.
-        source, ds = paths_file
-        baseline = tmp_path / "hash.offs"
-        assert main(["compress", str(source), str(baseline),
-                     "--sample-exponent", "0"]) == 0
-        out = tmp_path / f"{backend}.offs"
-        assert main(["compress", str(source), str(out),
-                     "--sample-exponent", "0", "--backend", backend]) == 0
-        assert out.read_bytes() == baseline.read_bytes()
-        restored = tmp_path / "r.txt"
-        assert main(["decompress", str(out), str(restored)]) == 0
-        assert load_text(restored) == ds
-
     def test_unknown_backend_rejected(self, paths_file, tmp_path, capsys):
+        # The flat hash is the only production matcher: there is no
+        # --backend option to pick another.
         source, _ = paths_file
         with pytest.raises(SystemExit):
             main(["compress", str(source), str(tmp_path / "x.offs"),
-                  "--backend", "bloom"])
+                  "--backend", "hash"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestV2Format:

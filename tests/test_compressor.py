@@ -22,6 +22,8 @@ from repro.core.rollhash import FlatBatchKernel
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import instrumented
 
+from conftest import narrow_kernel_matcher, narrow_only_nominations
+
 
 @pytest.fixture()
 def table():
@@ -107,7 +109,7 @@ class TestRoundtrip:
 class TestFlatBatch:
     PATHS = [(1, 2, 3, 9), (4, 5), (6, 7), (), (1, 2, 3, 4, 5, 1, 2)]
 
-    @pytest.mark.parametrize("backend", ["hash", "multilevel", "rolling"])
+    @pytest.mark.parametrize("backend", MATCHER_BACKENDS)
     def test_matches_per_path_loop(self, table, backend):
         matcher = static_matcher_from_table(table, backend)
         expected = compress_dataset(self.PATHS, table)
@@ -118,7 +120,7 @@ class TestFlatBatch:
         assert compress_paths_flat(corpus, table) == compress_dataset(self.PATHS, table)
 
     def test_as_corpus_round_trip(self, table):
-        matcher = static_matcher_from_table(table, "rolling")
+        matcher = static_matcher_from_table(table)
         tokens = compress_paths_flat(self.PATHS, table, matcher, as_corpus=True)
         assert isinstance(tokens, FlatCorpus)
         restored = decompress_paths_flat(tokens, table)
@@ -131,22 +133,20 @@ class TestFlatBatch:
         assert restored.to_paths() == [tuple(p) for p in self.PATHS]
 
     def test_literal_collision_raises_for_every_backend(self, table):
-        for backend in ("hash", "rolling"):
+        for backend in MATCHER_BACKENDS:
             matcher = static_matcher_from_table(table, backend)
             with pytest.raises(TableError, match="collides"):
                 compress_paths_flat([(100, 1)], table, matcher)
 
     def test_empty_corpus(self, table):
-        matcher = static_matcher_from_table(table, "rolling")
+        matcher = static_matcher_from_table(table)
         assert compress_paths_flat([], table, matcher) == []
         assert decompress_paths_flat([], table) == []
 
+    @pytest.mark.skipif(rollhash._np is None, reason="numpy unavailable")
     def test_adversarial_hash_bits_still_identical(self, table):
-        from repro.core.rollhash import RollingHashCandidates
-
-        matcher = RollingHashCandidates(hash_bits=2)
-        for _, subpath in table:
-            matcher.add(subpath, 0)
+        assert narrow_only_nominations(table, self.PATHS, 2) > 0
+        matcher = narrow_kernel_matcher(table, 2)
         expected = compress_dataset(self.PATHS, table)
         assert compress_paths_flat(self.PATHS, table, matcher) == expected
 

@@ -70,6 +70,8 @@ class TestValidation:
             OFFSConfig(**kwargs)
 
     def test_all_matcher_backends_accepted(self):
+        # Algorithm 6 is the production matcher; Algorithm 7 its reference.
+        assert MATCHER_BACKENDS == ("hash", "multilevel")
         for backend in MATCHER_BACKENDS:
             assert OFFSConfig(matcher=backend).matcher == backend
 

@@ -114,31 +114,23 @@ class TestDeterminismRule:
 
 
 _R002_COMPLETE = {
-    "src/repro/core/config.py": 'MATCHER_BACKENDS = ("hash", "rolling")\n',
+    "src/repro/core/config.py": 'MATCHER_BACKENDS = ("hash", "multilevel")\n',
     "src/repro/core/matcher.py": (
         "class HashCandidates:\n    pass\n"
-        "class RollingHashCandidates:\n    pass\n"
+        "class MultiLevelCandidates:\n    pass\n"
         "def make_candidate_set(backend, alpha=5):\n"
         '    if backend == "hash":\n'
         "        return HashCandidates()\n"
-        '    if backend == "rolling":\n'
-        "        return RollingHashCandidates()\n"
+        '    if backend == "multilevel":\n'
+        "        return MultiLevelCandidates()\n"
         '    raise KeyError(backend)\n'
     ),
-    "src/repro/cli.py": (
-        "import argparse\n"
-        "from repro.core.config import MATCHER_BACKENDS\n"
-        "def make_parser():\n"
-        "    p = argparse.ArgumentParser()\n"
-        '    p.add_argument("--backend", choices=MATCHER_BACKENDS)\n'
-        "    return p\n"
-    ),
     "tests/test_matcher_equivalence.py": (
-        "from repro.core.matcher import HashCandidates, RollingHashCandidates\n"
+        "from repro.core.matcher import HashCandidates, MultiLevelCandidates\n"
         "def test_equivalent():\n"
-        "    assert HashCandidates and RollingHashCandidates\n"
+        "    assert HashCandidates and MultiLevelCandidates\n"
     ),
-    "docs/performance.md": "Backends: `hash` vs `rolling`.\n",
+    "docs/performance.md": "Backends: `hash` vs `multilevel`.\n",
 }
 
 
@@ -156,13 +148,6 @@ class TestRegistrySyncRule:
             "        return HashCandidates()\n"
             '    raise KeyError(backend)\n'
         )
-        files["src/repro/cli.py"] = (
-            "import argparse\n"
-            "def make_parser():\n"
-            "    p = argparse.ArgumentParser()\n"
-            '    p.add_argument("--backend", choices=("hash",))\n'
-            "    return p\n"
-        )
         files["tests/test_matcher_equivalence.py"] = (
             "from repro.core.matcher import HashCandidates\n"
             "def test_equivalent():\n"
@@ -172,9 +157,8 @@ class TestRegistrySyncRule:
         found = messages(run_rules(project := make_project(tmp_path, files),
                                    [RegistrySyncRule()]))
         assert any("not handled" in m for m in found)  # factory
-        assert any("choices literal is missing" in m for m in found)  # CLI
-        assert any("never exercises backend 'rolling'" in m for m in found)
-        assert any("does not document backend 'rolling'" in m for m in found)
+        assert any("never exercises backend 'multilevel'" in m for m in found)
+        assert any("does not document backend 'multilevel'" in m for m in found)
 
     def test_factory_key_missing_from_registry(self, tmp_path):
         files = dict(_R002_COMPLETE)

@@ -1,34 +1,42 @@
 """Property-based equivalence of the matcher backends.
 
-Algorithm 6 (flat hash), Algorithm 7 (two-level hash) and the rolling-hash
-backend must be *observationally identical*: same contents
-→ same weights, same longest-match answers at every position and cap.  Only
-probe cost may differ.  Hypothesis drives random candidate sets and queries
-through all of them at once.
+Algorithm 6 (flat hash) and Algorithm 7 (two-level hash) must be
+*observationally identical*: same contents → same weights, same
+longest-match answers at every position and cap.  Only probe cost may
+differ.  Hypothesis drives random candidate sets and queries through both
+at once.
 
-The rolling backend appears twice: at full 64-bit hash width and at an
-adversarial 2-bit width, where nearly every window hash collides — the
-explicit verify step must keep answers exact regardless.
+Bulk encode probes neither backend: it runs the batch kernel's rolling
+window hashes and verifies every nomination.  The kernel appears here at
+an adversarial 2-bit hash width, where nearly every window collides — the
+verify/descend loop must keep its output identical to the per-path loop.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import rollhash
+from repro.core.compressor import compress_dataset, compress_paths_flat
 from repro.core.matcher import HashCandidates
 from repro.core.multilevel import MultiLevelCandidates
-from repro.core.rollhash import RollingHashCandidates
+from repro.core.supernode_table import SupernodeTable
+
+from conftest import narrow_kernel_matcher, narrow_only_nominations
 
 candidate = st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=8).map(tuple)
 candidates = st.lists(st.tuples(candidate, st.integers(min_value=1, max_value=5)), max_size=30)
 query_path = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=20).map(tuple)
 
+#: A fixed corpus over the same alphabet, long enough that a 2-bit kernel
+#: collides on it for any non-empty table.
+_RNG = random.Random(0)
+_COLLISION_PROBE = [tuple(_RNG.randrange(10) for _ in range(20)) for _ in range(30)]
+
 
 def _populate(entries):
-    backends = [
-        HashCandidates(),
-        MultiLevelCandidates(alpha=4),
-        RollingHashCandidates(),
-        RollingHashCandidates(hash_bits=2),  # adversarial collision regime
-    ]
+    backends = [HashCandidates(), MultiLevelCandidates(alpha=4)]
     for seq, weight in entries:
         for backend in backends:
             backend.add(seq, weight)
@@ -83,3 +91,14 @@ def test_prune_then_match_identical(entries, path):
     for pos in range(len(path)):
         answers = {b.longest_match(path, pos, 8) for b in backends}
         assert len(answers) == 1
+
+
+@pytest.mark.skipif(rollhash._np is None, reason="numpy unavailable")
+@settings(max_examples=50)
+@given(st.lists(candidate, min_size=1, max_size=30), st.lists(query_path, max_size=10))
+def test_colliding_kernel_encodes_identically(entries, queries):
+    table = SupernodeTable(100, sorted(set(entries)))
+    paths = queries + _COLLISION_PROBE
+    assert narrow_only_nominations(table, paths, 2) > 0
+    matcher = narrow_kernel_matcher(table, 2)
+    assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)

@@ -1,21 +1,19 @@
-"""Unit tests for the three candidate-set / prefix-matcher backends.
+"""Unit tests for the two candidate-set / prefix-matcher backends.
 
-The contract: all backends return identical longest-match lengths for the
-same contents (Algorithm 6 vs Algorithm 7 vs the rolling hash differ only in
-probe cost).  Backend-specific behaviour is tested in its own class; the
-equivalence property lives in ``test_matcher_equivalence.py``.
+The contract: both backends return identical longest-match lengths for the
+same contents (Algorithm 6 and Algorithm 7 differ only in probe cost).
+Backend-specific behaviour is tested in its own class; the equivalence
+property lives in ``test_matcher_equivalence.py``.
 """
 
 import pytest
 
+from repro.core.config import MATCHER_BACKENDS
 from repro.core.matcher import HashCandidates, make_candidate_set
 from repro.core.multilevel import MultiLevelCandidates
-from repro.core.rollhash import RollingHashCandidates
-
-BACKENDS = ["hash", "multilevel", "rolling"]
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=MATCHER_BACKENDS)
 def cands(request):
     return make_candidate_set(request.param, alpha=3)
 
@@ -179,4 +177,3 @@ class TestFactory:
     def test_factory_types(self):
         assert isinstance(make_candidate_set("hash"), HashCandidates)
         assert isinstance(make_candidate_set("multilevel"), MultiLevelCandidates)
-        assert isinstance(make_candidate_set("rolling"), RollingHashCandidates)

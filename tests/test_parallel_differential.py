@@ -57,14 +57,6 @@ class TestByteIdentical:
                                  chunk_size=29) == sequential
 
     @pytest.mark.parametrize("processes", PROCESS_COUNTS)
-    @pytest.mark.parametrize("backend", ("multilevel", "rolling"))
-    def test_every_backend_matches_sequential(self, setup, processes, backend):
-        paths, table = setup
-        sequential = compress_dataset(paths, table)
-        assert parallel_compress(paths, table, processes=processes,
-                                 chunk_size=29, backend=backend) == sequential
-
-    @pytest.mark.parametrize("processes", PROCESS_COUNTS)
     def test_decompress_matches_sequential(self, setup, processes):
         paths, table = setup
         tokens = compress_dataset(paths, table)
@@ -110,21 +102,20 @@ class TestMetricConservation:
         assert {name: counters.get(name, 0) for name in CONSERVED_DECOMPRESS} == expected
 
     @pytest.mark.parametrize("processes", PROCESS_COUNTS)
-    def test_rolling_backend_counters_equal_single_process(self, setup, processes):
+    def test_batch_counters_equal_single_process(self, setup, processes):
         # The batch kernel's probe accounting differs from the sequential
         # matcher's (it counts vectorized window tests), but it must still be
         # additive over path-aligned chunks: any process count and chunking
         # yields the same totals as one process running one big batch.
         paths, table = setup
         with instrumented() as obs:
-            parallel_compress(paths, table, processes=1, backend="rolling")
+            parallel_compress(paths, table, processes=1)
         expected = {
             name: obs.registry.counters().get(name, 0) for name in CONSERVED_COMPRESS
         }
         assert all(expected.values())
         with instrumented() as obs:
-            parallel_compress(paths, table, processes=processes, chunk_size=37,
-                              backend="rolling")
+            parallel_compress(paths, table, processes=processes, chunk_size=37)
         counters = obs.registry.counters()
         assert {name: counters.get(name, 0) for name in CONSERVED_COMPRESS} == expected
 
@@ -137,14 +128,14 @@ class TestMetricConservation:
         # batch over the whole corpus.
         paths, table = setup
         with instrumented() as obs:
-            parallel_compress(paths, table, processes=1, backend="rolling")
+            parallel_compress(paths, table, processes=1)
         expected = {
             name: obs.registry.counters().get(name, 0) for name in CONSERVED_COMPRESS
         }
         assert all(expected.values())
         with instrumented() as obs:
             build_sharded_store(paths, table, str(tmp_path / "store.rpsm"),
-                                shards=3, processes=processes, backend="rolling")
+                                shards=3, processes=processes)
         counters = obs.registry.counters()
         assert {name: counters.get(name, 0) for name in CONSERVED_COMPRESS} == expected
 

@@ -1,22 +1,24 @@
-"""Tests for the rolling-hash backend and its vectorized batch kernel.
+"""Tests for the vectorized batch kernel of bulk encode.
 
-The contract under test: ``RollingHashCandidates`` returns match lengths
-identical to the baseline ``HashCandidates`` for any contents (including
-under forced hash collisions), and ``FlatBatchKernel`` nominations drive
-``compress_paths_flat`` to output byte-identical to the per-path loop.
+The contract under test: ``FlatBatchKernel`` nominations drive
+``compress_paths_flat`` to output byte-identical to the per-path loop,
+including under forced hash collisions.
 """
 
 import random
 
 import pytest
 
+from repro.core import rollhash
 from repro.core.builder import TableBuilder
 from repro.core.compressor import compress_dataset, compress_paths_flat
 from repro.core.config import OFFSConfig
 from repro.core.flatcorpus import FlatCorpus
-from repro.core.matcher import HashCandidates, make_candidate_set, static_matcher_from_table
-from repro.core.rollhash import FlatBatchKernel, RollingHashCandidates, _hash_sequence
+from repro.core.matcher import static_matcher_from_table
+from repro.core.rollhash import FlatBatchKernel, _hash_sequence
 from repro.core.supernode_table import SupernodeTable
+
+from conftest import narrow_kernel_matcher, narrow_only_nominations
 
 
 def _random_corpus(rng, n_paths=120, alphabet=12, max_len=15):
@@ -24,70 +26,6 @@ def _random_corpus(rng, n_paths=120, alphabet=12, max_len=15):
         tuple(rng.randrange(alphabet) for _ in range(rng.randrange(max_len)))
         for _ in range(n_paths)
     ]
-
-
-class TestDynamicBackend:
-    def test_factory_registration(self):
-        assert isinstance(make_candidate_set("rolling"), RollingHashCandidates)
-
-    def test_bad_hash_bits(self):
-        with pytest.raises(ValueError):
-            RollingHashCandidates(hash_bits=0)
-        with pytest.raises(ValueError):
-            RollingHashCandidates(hash_bits=65)
-
-    @pytest.mark.parametrize("hash_bits", [64, 8, 2, 1])
-    def test_matches_baseline_on_random_contents(self, hash_bits):
-        rng = random.Random(hash_bits)
-        baseline = HashCandidates()
-        rolling = RollingHashCandidates(hash_bits=hash_bits)
-        for _ in range(60):
-            seq = tuple(rng.randrange(8) for _ in range(rng.randrange(2, 7)))
-            baseline.add(seq, 1)
-            rolling.add(seq, 1)
-        for path in _random_corpus(rng, n_paths=80, alphabet=8):
-            for pos in range(len(path)):
-                for cap in (2, 4, 8):
-                    assert rolling.longest_match(path, pos, cap) == \
-                        baseline.longest_match(path, pos, cap), (path, pos, cap)
-
-    def test_discard_updates_buckets(self):
-        rolling = RollingHashCandidates()
-        rolling.add((1, 2, 3))
-        rolling.add((1, 2))
-        assert rolling.longest_match((1, 2, 3), 0, 8) == 3
-        rolling.discard((1, 2, 3))
-        assert rolling.longest_match((1, 2, 3), 0, 8) == 2
-        rolling.discard((1, 2))
-        assert rolling.longest_match((1, 2, 3), 0, 8) == 1
-        assert len(rolling) == 0
-
-    def test_shared_hash_distinct_candidates_survive_discard(self):
-        # With hash_bits=1 every candidate shares one of two buckets;
-        # discarding one must not evict the others (refcounted buckets).
-        rolling = RollingHashCandidates(hash_bits=1)
-        seqs = [(1, 2), (2, 3), (3, 4), (4, 5)]
-        for s in seqs:
-            rolling.add(s)
-        rolling.discard(seqs[0])
-        for s in seqs[1:]:
-            assert rolling.longest_match(s, 0, 8) == 2
-
-    def test_probe_stats_move(self):
-        rolling = RollingHashCandidates()
-        rolling.add((1, 2, 3))
-        rolling.longest_match((1, 2, 3, 4), 0, 8)
-        assert rolling.stats.probes >= 1
-        assert rolling.stats.hashed_vertices >= 1
-
-    def test_builder_with_rolling_matcher_builds_same_table(self):
-        from repro.workloads.registry import make_dataset
-
-        ds = make_dataset("alibaba", "tiny", seed=3)
-        cfg = OFFSConfig(iterations=2, sample_exponent=1)
-        hash_table, _ = TableBuilder(cfg).build(ds)
-        roll_table, _ = TableBuilder(cfg.with_(matcher="rolling")).build(ds)
-        assert roll_table == hash_table
 
 
 class TestHashSequence:
@@ -106,6 +44,12 @@ class TestFlatBatchKernel:
     @pytest.fixture()
     def table(self):
         return SupernodeTable(100, [(1, 2, 3), (1, 2), (4, 5), (2, 3, 4, 5)])
+
+    def test_bad_hash_bits(self, table):
+        with pytest.raises(ValueError):
+            FlatBatchKernel(table, hash_bits=0)
+        with pytest.raises(ValueError):
+            FlatBatchKernel(table, hash_bits=65)
 
     def test_kernel_nominations_superset_of_matches(self, table):
         kernel = FlatBatchKernel(table)
@@ -149,7 +93,7 @@ class TestFlatBatchKernel:
 
 
 class TestBatchEquivalence:
-    """compress_paths_flat(rolling) must be byte-identical to the loop."""
+    """compress_paths_flat must be byte-identical to the per-path loop."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_tables_and_corpora(self, seed):
@@ -161,9 +105,10 @@ class TestBatchEquivalence:
             subpaths.add(sp)
         table = SupernodeTable(1000, sorted(subpaths))
         expected = compress_dataset(paths, table)
-        matcher = static_matcher_from_table(table, "rolling")
+        matcher = static_matcher_from_table(table)
         assert compress_paths_flat(paths, table, matcher) == expected
 
+    @pytest.mark.skipif(rollhash._np is None, reason="numpy unavailable")
     @pytest.mark.parametrize("hash_bits", [8, 2, 1])
     def test_adversarial_collisions(self, hash_bits):
         # Tiny hash widths make nearly every window a false-positive
@@ -178,9 +123,8 @@ class TestBatchEquivalence:
                 for _ in range(30)
             }),
         )
-        matcher = RollingHashCandidates(hash_bits=hash_bits)
-        for _, sp in table:
-            matcher.add(sp, 0)
+        assert narrow_only_nominations(table, paths, hash_bits) > 0
+        matcher = narrow_kernel_matcher(table, hash_bits)
         assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
 
     def test_workload_scale(self):
@@ -189,5 +133,5 @@ class TestBatchEquivalence:
         ds = make_dataset("alibaba", "tiny", seed=11)
         table, _ = TableBuilder(OFFSConfig(iterations=3, sample_exponent=1)).build(ds)
         expected = compress_dataset(list(ds), table)
-        matcher = static_matcher_from_table(table, "rolling")
+        matcher = static_matcher_from_table(table)
         assert compress_paths_flat(ds.to_flat(), table, matcher) == expected
