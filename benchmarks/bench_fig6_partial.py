@@ -43,7 +43,7 @@ def test_fig6b_partial_decompression_table(benchmark, config, report):
 def store(config):
     dataset = make_dataset("alibaba", config.size, config.seed)
     codec = OFFSCodec(config.offs_config()).fit(dataset)
-    return CompressedPathStore.from_dataset(dataset, codec.table)
+    return CompressedPathStore.from_corpus(dataset, codec.table)
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)

@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     dataset = make_dataset(args.workload, args.size, seed=0)
     table, _ = TableBuilder(OFFSConfig(iterations=3, sample_exponent=2)).build(dataset)
     store = CompressedPathStore(table)
-    store.extend_flat(dataset)
+    store.extend(dataset)
 
     fd, store_path = tempfile.mkstemp(suffix=".rpc2")
     os.close(fd)

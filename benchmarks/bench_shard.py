@@ -109,46 +109,47 @@ def _ingest_child(total: int) -> int:
     print one JSON line."""
     from repro.core.sharded import ShardedIngest, ShardedPathStore
 
-    out = os.path.join(tempfile.mkdtemp(prefix="bench_shard_"), "stream.rpsm")
-    started = time.perf_counter()
-    with ShardedIngest(
-        out,
-        train_after=TRAIN_AFTER,
-        memtable_paths=MEMTABLE_PATHS,
-        base_id=BASE_ID,
-    ) as ingest:
-        for _, chunk in _generate_chunks(total):
-            ingest.feed_many(chunk)
-    elapsed = time.perf_counter() - started
+    with tempfile.TemporaryDirectory(prefix="bench_shard_") as workdir:
+        out = os.path.join(workdir, "stream.rpsm")
+        started = time.perf_counter()
+        with ShardedIngest(
+            out,
+            train_after=TRAIN_AFTER,
+            memtable_paths=MEMTABLE_PATHS,
+            base_id=BASE_ID,
+        ) as ingest:
+            for _, chunk in _generate_chunks(total):
+                ingest.feed_many(chunk)
+        elapsed = time.perf_counter() - started
 
-    # Correctness gate: sealed shards must hold exactly the fed stream.
-    # Chunks are deterministic, so re-generate and sample-check before
-    # reporting any number.
-    store = ShardedPathStore.open(out)
-    if len(store) != total:
-        raise SystemExit(f"ingest lost paths: fed {total}, stored {len(store)}")
-    offset = 0
-    for _, chunk in _generate_chunks(total):
-        for position in range(0, len(chunk), max(1, len(chunk) // 8)):
-            got = store.retrieve(offset + position)
-            if got != tuple(chunk[position]):
-                raise SystemExit(
-                    f"ingested path {offset + position} diverges: "
-                    f"{got!r} != {tuple(chunk[position])!r}"
-                )
-        offset += len(chunk)
-    shard_count = store.shard_count
-    mapped = store.mapped_bytes
-    store.close()
-    return _report_child({
-        "mode": "sharded",
-        "paths": total,
-        "seconds": round(elapsed, 4),
-        "paths_per_second": round(total / elapsed, 1) if elapsed else 0.0,
-        "shards": shard_count,
-        "mapped_bytes": mapped,
-        "memtable_paths": MEMTABLE_PATHS,
-    })
+        # Correctness gate: sealed shards must hold exactly the fed stream.
+        # Chunks are deterministic, so re-generate and sample-check before
+        # reporting any number.
+        store = ShardedPathStore.open(out)
+        if len(store) != total:
+            raise SystemExit(f"ingest lost paths: fed {total}, stored {len(store)}")
+        offset = 0
+        for _, chunk in _generate_chunks(total):
+            for position in range(0, len(chunk), max(1, len(chunk) // 8)):
+                got = store.retrieve(offset + position)
+                if got != tuple(chunk[position]):
+                    raise SystemExit(
+                        f"ingested path {offset + position} diverges: "
+                        f"{got!r} != {tuple(chunk[position])!r}"
+                    )
+            offset += len(chunk)
+        shard_count = store.shard_count
+        mapped = store.mapped_bytes
+        store.close()
+        return _report_child({
+            "mode": "sharded",
+            "paths": total,
+            "seconds": round(elapsed, 4),
+            "paths_per_second": round(total / elapsed, 1) if elapsed else 0.0,
+            "shards": shard_count,
+            "mapped_bytes": mapped,
+            "memtable_paths": MEMTABLE_PATHS,
+        })
 
 
 def _mono_child(total: int) -> int:
@@ -160,29 +161,30 @@ def _mono_child(total: int) -> int:
     from repro.core.mapped import MappedPathStore
     from repro.core.serialize import dumps_store_v2_tokens
 
-    out = os.path.join(tempfile.mkdtemp(prefix="bench_shard_"), "mono.rpc2")
-    started = time.perf_counter()
-    paths = []
-    for _, chunk in _generate_chunks(total):
-        paths.extend(chunk)
-    table = build_supernode_table(paths[:TRAIN_AFTER], base_id=BASE_ID)
-    tokens = compress_paths_flat(paths, table)
-    with open(out, "wb") as fh:
-        fh.write(dumps_store_v2_tokens(table, tokens))
-    elapsed = time.perf_counter() - started
+    with tempfile.TemporaryDirectory(prefix="bench_shard_") as workdir:
+        out = os.path.join(workdir, "mono.rpc2")
+        started = time.perf_counter()
+        paths = []
+        for _, chunk in _generate_chunks(total):
+            paths.extend(chunk)
+        table = build_supernode_table(paths[:TRAIN_AFTER], base_id=BASE_ID)
+        tokens = compress_paths_flat(paths, table)
+        with open(out, "wb") as fh:
+            fh.write(dumps_store_v2_tokens(table, tokens))
+        elapsed = time.perf_counter() - started
 
-    with MappedPathStore.open(out) as store:
-        if len(store) != total:
-            raise SystemExit(f"monolithic build lost paths: {len(store)} != {total}")
-        for gid in range(0, total, max(1, total // 64)):
-            if store.retrieve(gid) != tuple(paths[gid]):
-                raise SystemExit(f"monolithic path {gid} diverges")
-    return _report_child({
-        "mode": "monolithic",
-        "paths": total,
-        "seconds": round(elapsed, 4),
-        "paths_per_second": round(total / elapsed, 1) if elapsed else 0.0,
-    })
+        with MappedPathStore.open(out) as store:
+            if len(store) != total:
+                raise SystemExit(f"monolithic build lost paths: {len(store)} != {total}")
+            for gid in range(0, total, max(1, total // 64)):
+                if store.retrieve(gid) != tuple(paths[gid]):
+                    raise SystemExit(f"monolithic path {gid} diverges")
+        return _report_child({
+            "mode": "monolithic",
+            "paths": total,
+            "seconds": round(elapsed, 4),
+            "paths_per_second": round(total / elapsed, 1) if elapsed else 0.0,
+        })
 
 
 def _run_child(mode_flag: str, total: int) -> dict:

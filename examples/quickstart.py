@@ -39,7 +39,7 @@ def main() -> None:
     print(f"table:   {codec.build_report.summary()}")
 
     # 3. Compress everything into a randomly accessible store.
-    store = CompressedPathStore.from_dataset(dataset, codec.table)
+    store = CompressedPathStore.from_corpus(dataset, codec.table)
     print(f"ratio:   CR = {store.compression_ratio():.2f} "
           f"({store.raw_size_bytes():,} B -> {store.compressed_size_bytes():,} B)")
 

@@ -13,7 +13,7 @@ Quickstart::
 
     dataset = PathDataset([[1, 2, 3, 4, 9], [0, 1, 2, 3, 4], [1, 2, 3, 4, 7]])
     codec = OFFSCodec.default().fit(dataset)
-    store = CompressedPathStore.from_dataset(dataset, codec.table)
+    store = CompressedPathStore.from_corpus(dataset, codec.table)
     assert store.retrieve(1) == (0, 1, 2, 3, 4)
     print(store.compression_ratio())
 

@@ -220,7 +220,7 @@ def exp_fig6_partial(
     """
     dataset = make_dataset(dataset_name, config.size, config.seed)
     codec = OFFSCodec(config.offs_config()).fit(dataset)
-    store = CompressedPathStore.from_dataset(dataset, codec.table)
+    store = CompressedPathStore.from_corpus(dataset, codec.table)
     rows: Rows = [("fraction", "PDS (MB/s)", "retrieved MB")]
     speeds: List[float] = []
     for fraction in fractions:

@@ -4,7 +4,7 @@ These are the hot loops of the system.  Both operate per path — the property
 that gives OFFS its per-path random access ("the finest granularity of
 (de)compression ... as small as a path") — and both are pure functions of
 their inputs, so callers may fan them out over processes freely (the paper's
-OpenMP parallelism; see :func:`compress_dataset`'s ``chunked`` helpers).
+OpenMP parallelism; see :mod:`repro.core.parallel`).
 
 * :func:`compress_path` — greedy longest-match replacement of subpaths by
   supernode ids (Algorithm 2); ``O(|P| · δ²)`` with the hash matcher.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import InvalidInputError, TableError
+from repro.core.errors import TableError
 from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
 from repro.core.matcher import CandidateSet, static_matcher_from_table
 from repro.core.supernode_table import SupernodeTable
@@ -419,25 +419,3 @@ def _decompress_corpus(corpus: FlatCorpus, table: SupernodeTable) -> FlatCorpus:
         mark(len(out_buffer))
         start = end
     return FlatCorpus(out_buffer, out_offsets, name=corpus.name)
-
-
-def chunked(items: Sequence, chunk_size: int) -> Iterable[Sequence]:
-    """Split *items* into contiguous chunks for parallel fan-out.
-
-    The algorithms are pure per path, so a pool can map
-    ``compress_dataset``/``decompress_dataset`` over these chunks to realize
-    the paper's ``O(|P| · δ² / p)`` parallel bound.
-
-    Raises :class:`~repro.core.errors.InvalidInputError` (a ValueError) for
-    ``chunk_size <= 0`` *eagerly* (at call time, not first iteration) — a
-    generator that validated lazily would let ``chunked(items, 0)`` pass
-    silently anywhere the result is stored before being consumed.
-    """
-    if chunk_size < 1:
-        raise InvalidInputError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    def _generate() -> Iterable[Sequence]:
-        for start in range(0, len(items), chunk_size):
-            yield items[start : start + chunk_size]
-
-    return _generate()

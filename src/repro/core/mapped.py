@@ -316,6 +316,7 @@ class MappedPathStore(PathReader):
         token: List[int] = []
         push = token.append
         pos = begin
+        # Inlined, not encoding.read_varint: a call per symbol would dominate point reads.
         while pos < end:
             start = pos
             value = buf[pos]
@@ -395,6 +396,7 @@ class MappedPathStore(PathReader):
         :meth:`close` stays possible, even while a traceback of this
         frame is alive.
         """
+        # Vectorized, not encoding.read_varint: a call per symbol would dominate bulk decode.
         np = _np
         header = self._header
         index = np.array(self._offsets(), dtype=np.uint64)

@@ -168,9 +168,10 @@ class FlatBatchKernel:
     def _membership(self, length: int, windows):
         """Vectorized ``windows ∈ table-hashes-of-length`` (may over-report).
 
-        Uses a direct-addressed bitmap filter over the low hash bits; false
-        positives are fine (the greedy loop verifies every nomination), so
-        the filter width only trades memory for verify frequency.
+        Uses a direct-addressed bitmap filter over the low hash bits, eight
+        slots to a byte (128 KiB per length at 20 bits); false positives
+        are fine (the greedy loop verifies every nomination), so the filter
+        width only trades memory for verify frequency.
         """
         np = _np
         hashes = self._by_length[length]
@@ -179,8 +180,10 @@ class FlatBatchKernel:
         key = f"_filter_{length}_{filter_bits}"
         bitmap = getattr(self, key, None)
         if bitmap is None:
-            bitmap = np.zeros(1 << filter_bits, dtype=bool)
+            bitmap = np.zeros(((1 << filter_bits) + 7) >> 3, dtype=np.uint8)
             idx = np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
-            bitmap[(idx & fmask).astype(np.int64)] = True
+            slots = (idx & fmask).astype(np.int64)
+            np.bitwise_or.at(bitmap, slots >> 3, np.left_shift(1, slots & 7).astype(np.uint8))
             setattr(self, key, bitmap)
-        return bitmap[(windows & fmask).astype(np.int64)]
+        slots = (windows & fmask).astype(np.int64)
+        return ((bitmap[slots >> 3] >> (slots & 7).astype(np.uint8)) & 1).view(bool)

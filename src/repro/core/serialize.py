@@ -44,7 +44,7 @@ from repro.core.errors import (
 )
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
-from repro.paths.encoding import VarintEncoding
+from repro.paths.encoding import VarintEncoding, read_varint
 
 _TABLE_MAGIC = b"RPST"
 _STORE_MAGIC = b"RPCS"
@@ -97,12 +97,12 @@ def loads_table(data: bytes) -> Tuple[SupernodeTable, int]:
     pos = 4 + struct.calcsize("<BII")
     subpaths: List[Tuple[int, ...]] = []
     for _ in range(count):
-        length, pos = _read_varint(data, pos)
+        length, pos = read_varint(data, pos)
         if length < 2:
             raise CorruptDataError(f"table entry of invalid length {length}")
         entry = []
         for _ in range(length):
-            value, pos = _read_varint(data, pos)
+            value, pos = read_varint(data, pos)
             entry.append(value)
         subpaths.append(tuple(entry))
     try:
@@ -166,10 +166,10 @@ def loads_store(data: bytes) -> CompressedPathStore:
     base = table.base_id
     limit = base + len(table)
     for _ in range(count):
-        length, pos = _read_varint(data, pos)
+        length, pos = read_varint(data, pos)
         token = []
         for _ in range(length):
-            value, pos = _read_varint(data, pos)
+            value, pos = read_varint(data, pos)
             if value >= limit:
                 raise CorruptDataError(
                     f"token references supernode {value} beyond table (limit {limit})"
@@ -289,11 +289,11 @@ def dumps_store_v2_tokens(table: SupernodeTable, tokens, order=None) -> bytes:
     header = header[:-4] + struct.pack("<I", header_crc)
     blob = header + table_blob + bytes(index) + bytes(payload)
     if order is not None:
-        blob += dumps_order_section(order)
+        blob += _dumps_order_section(order)
     return blob
 
 
-def dumps_order_section(order) -> bytes:
+def _dumps_order_section(order) -> bytes:
     """Frame a :class:`~repro.paths.reorder.VertexOrder` as an RPOT section.
 
     Layout: magic ``RPOT``, u32 body length, u32 CRC32 of the body, then
@@ -304,45 +304,6 @@ def dumps_order_section(order) -> bytes:
     return _ORDER_SECTION_PREFIX.pack(
         ORDER_SECTION_MAGIC, len(body), zlib.crc32(body)
     ) + body
-
-
-def loads_order_section(data: bytes):
-    """Decode a standalone RPOT section back into its ``VertexOrder``.
-
-    The exact inverse of :func:`dumps_order_section`: validates the magic,
-    the declared body length and the body CRC32, then decodes the body.
-    Raises :class:`CorruptDataError` / :class:`TruncatedDataError` on a
-    damaged frame.  Readers of whole v2 files use
-    :func:`parse_order_section` instead, which locates the section via the
-    header; this function round-trips the framed bytes on their own.
-    """
-    if len(data) < _ORDER_SECTION_PREFIX.size:
-        raise TruncatedDataError(
-            f"order-table section needs at least {_ORDER_SECTION_PREFIX.size}"
-            f" bytes, got {len(data)}"
-        )
-    magic, body_size, body_crc = _ORDER_SECTION_PREFIX.unpack_from(data, 0)
-    if magic != ORDER_SECTION_MAGIC:
-        raise CorruptDataError(
-            f"bad order-table magic {magic!r} (expected {ORDER_SECTION_MAGIC!r})"
-        )
-    body = bytes(data[_ORDER_SECTION_PREFIX.size:_ORDER_SECTION_PREFIX.size
-                      + body_size])
-    if len(body) != body_size:
-        raise TruncatedDataError(
-            f"order-table body declares {body_size} bytes but only"
-            f" {len(body)} are present"
-        )
-    if len(data) != _ORDER_SECTION_PREFIX.size + body_size:
-        raise CorruptDataError(
-            f"{len(data) - _ORDER_SECTION_PREFIX.size - body_size}"
-            " trailing bytes after the order-table body"
-        )
-    if zlib.crc32(body) != body_crc:
-        raise CorruptDataError("order-table checksum mismatch")
-    from repro.paths.reorder import VertexOrder
-
-    return VertexOrder.from_bytes(body)
 
 
 def append_order_section(blob: bytes, order) -> bytes:
@@ -363,7 +324,7 @@ def append_order_section(blob: bytes, order) -> bytes:
     flagged[5] |= STORE_V2_FLAG_ORDER
     header_crc = zlib.crc32(bytes(flagged[:-4]))
     flagged[-4:] = struct.pack("<I", header_crc)
-    return bytes(flagged) + blob[STORE_V2_HEADER_SIZE:] + dumps_order_section(order)
+    return bytes(flagged) + blob[STORE_V2_HEADER_SIZE:] + _dumps_order_section(order)
 
 
 def parse_order_section(data, header: StoreV2Header):
@@ -372,7 +333,9 @@ def parse_order_section(data, header: StoreV2Header):
     Returns the :class:`~repro.paths.reorder.VertexOrder`, or ``None``
     when the header carries no order flag.  The body CRC is verified here
     — readers call this lazily on first inversion, keeping open cost at
-    the 64-byte header even for ordered files.
+    the 64-byte header even for ordered files.  A body that passes its CRC
+    but does not decode raises its error with the body's file offset
+    appended (offsets inside the message count from the body's start).
     """
     if not header.has_order:
         return None
@@ -386,7 +349,13 @@ def parse_order_section(data, header: StoreV2Header):
         )
     if zlib.crc32(body) != header.order_body_crc:
         raise CorruptDataError("order-table checksum mismatch (file is corrupt)")
-    return VertexOrder.from_bytes(body)
+    try:
+        return VertexOrder.from_bytes(body)
+    except CorruptDataError as exc:
+        raise type(exc)(
+            f"{exc}; the order-table body starts at file byte offset "
+            f"{header.order_body_offset}"
+        ) from exc
 
 
 def loads_store_v2(data: bytes):
@@ -504,36 +473,3 @@ def load_store_file(path: str):
 
     return MappedPathStore.open(path)
 
-
-def _read_varint(data, pos: int) -> Tuple[int, int]:
-    """Decode one varint at *pos*; returns ``(value, new_pos)``.
-
-    Bounds are validated on every byte: a read past the end *or before the
-    start* of the buffer raises :class:`TruncatedDataError` carrying the
-    byte offset (a negative *pos* must never silently wrap to the buffer's
-    tail the way raw ``data[pos]`` indexing would).
-    """
-    size = len(data)
-    if pos < 0 or pos > size:
-        raise TruncatedDataError(
-            f"varint read at byte offset {pos} outside buffer of {size} bytes"
-        )
-    value = 0
-    shift = 0
-    start = pos
-    while True:
-        if pos >= size:
-            raise TruncatedDataError(
-                f"truncated varint at byte offset {start} "
-                f"(buffer ends at {size})"
-            )
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-        if shift > 63:
-            raise CorruptDataError(
-                f"varint too long at byte offset {start} (corrupt stream)"
-            )

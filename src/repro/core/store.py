@@ -29,9 +29,9 @@ class CompressedPathStore(PathReader):
     """Compressed, individually-retrievable storage for a path set.
 
     :param table: the supernode table paths are compressed against.
-    :param matcher_backend: longest-match backend of per-path ingestion
+    :param matcher_backend: longest-match backend of :meth:`append`
         (``"hash"`` or ``"multilevel"``); output is identical across
-        backends, only probe cost differs.  Bulk ingestion runs the
+        backends, only probe cost differs.  :meth:`extend` runs the
         vectorized batch kernel whatever the backend.
     :param order: optional :class:`~repro.paths.reorder.VertexOrder` the
         table was built under.  With an order, ingestion relabels incoming
@@ -39,9 +39,9 @@ class CompressedPathStore(PathReader):
         callers always speak original ids; ``token()`` stays raw (new-id
         space), matching what the table expands to.
 
-    Build one with :meth:`from_dataset` (fits nothing — bring a trained
-    table or codec), bulk-ingest a flat corpus with :meth:`from_corpus`, or
-    ingest incrementally with :meth:`append`.
+    Build one with :meth:`from_corpus` (fits nothing — bring a trained
+    table) or :meth:`from_codec`, bulk-append with :meth:`extend`, or
+    ingest one path at a time with :meth:`append`.
     """
 
     def __init__(
@@ -59,30 +59,17 @@ class CompressedPathStore(PathReader):
     # -- construction -------------------------------------------------------------
 
     @classmethod
-    def from_dataset(
-        cls, dataset, table: SupernodeTable, matcher_backend: str = "hash",
-        order=None,
-    ) -> "CompressedPathStore":
-        """Compress every path of *dataset* into a new store."""
-        store = cls(table, matcher_backend=matcher_backend, order=order)
-        store.extend(dataset)
-        return store
-
-    @classmethod
     def from_corpus(
         cls, corpus, table: SupernodeTable, matcher_backend: str = "hash",
         order=None,
     ) -> "CompressedPathStore":
-        """Bulk-ingest a :class:`~repro.core.flatcorpus.FlatCorpus` (or any
-        path iterable) through the batch compression entry point.
-
-        Identical contents to :meth:`from_dataset`; the difference is purely
-        mechanical — one :func:`~repro.core.compressor.compress_paths_flat`
-        call (vectorized with numpy, whatever the backend) instead of a
-        per-path loop.
+        """Compress every path of *corpus* (a
+        :class:`~repro.core.flatcorpus.FlatCorpus` or any path iterable, such
+        as a :class:`~repro.paths.dataset.PathDataset`) into a new store
+        with one :meth:`extend`.
         """
         store = cls(table, matcher_backend=matcher_backend, order=order)
-        store.extend_flat(corpus)
+        store.extend(corpus)
         return store
 
     @classmethod
@@ -106,42 +93,6 @@ class CompressedPathStore(PathReader):
         store._tokens.extend(tuple(token) for token in tokens)
         return store
 
-    def extend_flat(self, paths: Iterable[Sequence[int]]) -> List[int]:
-        """Bulk-append *paths* via the flat batch kernel; returns their ids.
-
-        Equivalent to :meth:`extend` token-for-token and counter-for-counter
-        (``store.ingested_*`` totals match); the batch route additionally
-        publishes the ``compress.*`` counters of the underlying
-        :func:`~repro.core.compressor.compress_paths_flat` call.
-        """
-        from repro.core.compressor import compress_paths_flat
-        from repro.core.flatcorpus import as_flat_corpus
-
-        corpus = as_flat_corpus(paths)
-        if self.order is not None:
-            corpus = self.order.transform_corpus(corpus)
-        first_id = len(self._tokens)
-        obs = get_active()
-        if obs is None:
-            tokens = compress_paths_flat(corpus, self.table, self._matcher)
-            self._tokens.extend(tokens)
-            return list(range(first_id, len(self._tokens)))
-        with obs.tracer.span(catalog.SPAN_STORE_INGEST) as span, obs.registry.timeit(
-            catalog.STORE_INGEST_SECONDS
-        ):
-            tokens = compress_paths_flat(corpus, self.table, self._matcher)
-            self._tokens.extend(tokens)
-            if span is not None:
-                span.add("paths", len(tokens))
-                span.add("flat", 1)
-        registry = obs.registry
-        registry.counter(catalog.STORE_INGESTED_PATHS).inc(len(tokens))
-        registry.counter(catalog.STORE_INGESTED_SYMBOLS_IN).inc(corpus.total_symbols)
-        registry.counter(catalog.STORE_INGESTED_SYMBOLS_OUT).inc(
-            sum(len(t) for t in tokens)
-        )
-        return list(range(first_id, len(self._tokens)))
-
     @classmethod
     def from_codec(cls, dataset, codec) -> "CompressedPathStore":
         """Fit *codec* on *dataset* and ingest the whole dataset.
@@ -152,9 +103,7 @@ class CompressedPathStore(PathReader):
         and retrieves in original ids exactly like the codec does.
         """
         codec.fit(dataset)
-        return cls.from_dataset(
-            dataset, codec.table, order=getattr(codec, "order", None)
-        )
+        return cls.from_corpus(dataset, codec.table, order=getattr(codec, "order", None))
 
     def append(self, path: Sequence[int]) -> int:
         """Compress and store one path; returns its path id."""
@@ -173,26 +122,42 @@ class CompressedPathStore(PathReader):
         return len(self._tokens) - 1
 
     def extend(self, paths: Iterable[Sequence[int]]) -> List[int]:
-        """Append many paths; returns their ids in order.
+        """Append many paths in one batch; returns their ids in order.
 
-        With :mod:`repro.obs` active the batch is one ``store.ingest`` span;
-        the shared matcher's probe work over the batch lands on the registry
-        as ``matcher.probes`` / ``matcher.hashed_vertices``.
+        One :func:`~repro.core.compressor.compress_paths_flat` call
+        (vectorized with numpy, whatever the backend), token-for-token
+        identical to :meth:`append` per path.  The batch is all-or-nothing:
+        if any path fails to compress (say, a vertex id at or above the
+        table's ``base_id``), the error propagates and the store is
+        unchanged.  With :mod:`repro.obs` active the batch is one
+        ``store.ingest`` span and also publishes the ``compress.*`` and
+        ``matcher.*`` counters of the underlying call.
         """
+        from repro.core.compressor import compress_paths_flat
+        from repro.core.flatcorpus import as_flat_corpus
+
+        corpus = as_flat_corpus(paths)
+        if self.order is not None:
+            corpus = self.order.transform_corpus(corpus)
         obs = get_active()
         if obs is None:
-            return [self.append(p) for p in paths]
-        probes_before = self._matcher.stats.snapshot()
-        with obs.tracer.span(catalog.SPAN_STORE_INGEST) as span, obs.registry.timeit(
-            catalog.STORE_INGEST_SECONDS
-        ):
-            ids = [self.append(p) for p in paths]
-            if span is not None:
-                span.add("paths", len(ids))
-        self._matcher.stats.delta_since(probes_before).publish(
-            obs.registry, catalog.PROBE_PREFIX_MATCHER
-        )
-        return ids
+            tokens = compress_paths_flat(corpus, self.table, self._matcher)
+        else:
+            with obs.tracer.span(catalog.SPAN_STORE_INGEST) as span, obs.registry.timeit(
+                catalog.STORE_INGEST_SECONDS
+            ):
+                tokens = compress_paths_flat(corpus, self.table, self._matcher)
+                if span is not None:
+                    span.add("paths", len(tokens))
+            registry = obs.registry
+            registry.counter(catalog.STORE_INGESTED_PATHS).inc(len(tokens))
+            registry.counter(catalog.STORE_INGESTED_SYMBOLS_IN).inc(corpus.total_symbols)
+            registry.counter(catalog.STORE_INGESTED_SYMBOLS_OUT).inc(
+                sum(len(t) for t in tokens)
+            )
+        first_id = len(self._tokens)
+        self._tokens.extend(tokens)
+        return list(range(first_id, len(self._tokens)))
 
     # -- token source (the PathReader contract) ------------------------------------
 

@@ -104,10 +104,9 @@ class StreamingCompressor:
             # Generous head-room: future paths will carry unseen ids.
             base_id = max(1, (warmup.max_vertex_id() + 1) * 4)
         table, _ = TableBuilder(self.config).build(warmup, base_id=base_id)
-        self._store = CompressedPathStore(table)
-        buffered, self._buffer = self._buffer, []
-        for path in buffered:
-            self._store.append(path)
+        store = CompressedPathStore(table)
+        store.extend(self._buffer)
+        self._store, self._buffer = store, []
 
     # -- compaction support ----------------------------------------------------------
 

@@ -29,36 +29,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.paths.encoding import VarintEncoding, read_varint
+
 MIN_MATCH = 4
 _MAX_CHAIN = 32  # positions probed per anchor; bounds worst-case search cost
 _HASH_BYTES = 4
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _read_varint(data: bytes, pos: int) -> "tuple[int, int]":
-    value = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise ValueError("truncated varint in LZ77 stream")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-        if shift > 63:
-            raise ValueError("varint too long in LZ77 stream")
+_VARINT = VarintEncoding()
 
 
 def lz77_compress(data: bytes, zdict: bytes = b"") -> bytes:
@@ -84,12 +60,11 @@ def lz77_compress(data: bytes, zdict: bytes = b"") -> bytes:
 
     def flush_literals(up_to: int, match: Optional["tuple[int, int]"]) -> None:
         literals = buf[literal_start:up_to]
-        _write_varint(out, len(literals))
+        out.extend(_VARINT.encode((len(literals),)))
         out.extend(literals)
         if match is not None:
             offset, length = match
-            _write_varint(out, offset)
-            _write_varint(out, length - MIN_MATCH)
+            out.extend(_VARINT.encode((offset, length - MIN_MATCH)))
 
     while pos < n:
         match = None
@@ -139,22 +114,24 @@ def lz77_decompress(blob: bytes, zdict: bytes = b"") -> bytes:
     """Restore the bytes compressed by :func:`lz77_compress`.
 
     Raises :class:`ValueError` on any malformed stream (truncation, offsets
-    reaching before the dictionary, zero offsets).
+    reaching before the dictionary, zero offsets); a damaged varint raises
+    :class:`~repro.core.errors.CorruptDataError`, a ``ValueError`` that
+    carries its byte offset.
     """
     out = bytearray(zdict)
     start = len(zdict)
     pos = 0
     n = len(blob)
     while pos < n:
-        lit_len, pos = _read_varint(blob, pos)
+        lit_len, pos = read_varint(blob, pos)
         if pos + lit_len > n:
             raise ValueError("truncated literal run in LZ77 stream")
         out += blob[pos : pos + lit_len]
         pos += lit_len
         if pos >= n:
             break
-        offset, pos = _read_varint(blob, pos)
-        extra, pos = _read_varint(blob, pos)
+        offset, pos = read_varint(blob, pos)
+        extra, pos = read_varint(blob, pos)
         length = extra + MIN_MATCH
         src = len(out) - offset
         if offset < 1 or src < 0:

@@ -20,7 +20,7 @@ Quick start::
 
     with instrumented() as obs:
         codec = OFFSCodec().fit(dataset)
-        store = CompressedPathStore.from_dataset(dataset, codec.table)
+        store = CompressedPathStore.from_corpus(dataset, codec.table)
     print(render_text(obs))          # or write_json(obs, "metrics.json")
 
 See docs/observability.md for metric and span naming conventions.

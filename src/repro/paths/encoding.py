@@ -13,12 +13,21 @@ bits", Section II-C).  Two encodings are provided:
 Both encodings are exact codecs: :func:`encode_stream` produces bytes that
 :func:`decode_stream` restores losslessly, so "size in bytes" is always the
 length of a real byte string, never an estimate.
+
+This module owns the varint byte layout: :meth:`VarintEncoding.encode` is
+the one writer, :meth:`VarintEncoding.decode` reads a whole stream, and
+:func:`read_varint` is the checked scalar reader of the archive parsers
+(tables, v1 stores, order bodies, LZ77 streams).  Only the mapped store's
+per-token loop and its numpy bulk parse (:mod:`repro.core.mapped`) read
+varints on their own, for speed.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
+
+from repro.core.errors import CorruptDataError, TruncatedDataError
 
 
 class FixedWidthEncoding:
@@ -117,6 +126,41 @@ class VarintEncoding:
 
     def __repr__(self) -> str:
         return "VarintEncoding()"
+
+
+def read_varint(data, pos: int) -> Tuple[int, int]:
+    """Decode one varint at *pos*; returns ``(value, new_pos)``.
+
+    Bounds are validated on every byte: a read past the end *or before the
+    start* of the buffer raises :class:`TruncatedDataError` carrying the
+    byte offset (a negative *pos* must never silently wrap to the buffer's
+    tail the way raw ``data[pos]`` indexing would), and a varint longer
+    than 64 bits raises :class:`CorruptDataError` with its offset.
+    """
+    size = len(data)
+    if pos < 0 or pos > size:
+        raise TruncatedDataError(
+            f"varint read at byte offset {pos} outside buffer of {size} bytes"
+        )
+    value = 0
+    shift = 0
+    start = pos
+    while True:
+        if pos >= size:
+            raise TruncatedDataError(
+                f"truncated varint at byte offset {start} "
+                f"(buffer ends at {size})"
+            )
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise CorruptDataError(
+                f"varint too long at byte offset {start} (corrupt stream)"
+            )
 
 
 Encoding = Union[FixedWidthEncoding, VarintEncoding]

@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.core.errors import CorruptDataError, InvalidInputError
 from repro.obs import catalog
 from repro.obs.runtime import active_timer, get_active
-from repro.paths.encoding import VarintEncoding
+from repro.paths.encoding import VarintEncoding, read_varint
 
 #: The strategies :func:`fit_order` fits, ``identity`` first (the default).
 ORDER_STRATEGIES: Tuple[str, ...] = ("identity", "frequency")
@@ -41,38 +41,6 @@ ORDER_STRATEGIES: Tuple[str, ...] = ("identity", "frequency")
 _KNOWN_NAMES: Tuple[str, ...] = ORDER_STRATEGIES + ("bfs", "locality")
 
 _VARINT = VarintEncoding()
-
-
-def _varint(value: int) -> bytes:
-    """One unsigned LEB128 varint."""
-    if value < 0:
-        raise InvalidInputError("varint encoding requires non-negative integers")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    """Decode one varint at *pos*; returns ``(value, next_pos)``."""
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CorruptDataError("truncated varint in order-table body")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise CorruptDataError("varint in order-table body exceeds 64 bits")
 
 
 class VertexOrder:
@@ -230,17 +198,19 @@ class VertexOrder:
         framing (magic, length, CRC) lives in :mod:`repro.core.serialize`.
         """
         name = self.strategy.encode("utf-8")
-        out = bytearray(_varint(len(name)))
-        out += name
-        out += _varint(len(self._backward))
-        for old in self._backward:
-            out += _varint(old)
-        return bytes(out)
+        return (
+            _VARINT.encode((len(name),)) + name
+            + _VARINT.encode((len(self._backward),)) + _VARINT.encode(self._backward)
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VertexOrder":
-        """Decode a :meth:`to_bytes` body (raises ``CorruptDataError``)."""
-        name_len, pos = _read_varint(data, 0)
+        """Decode a :meth:`to_bytes` body.
+
+        Raises :class:`~repro.core.errors.CorruptDataError` (a damaged
+        varint's error carries its byte offset within *data*).
+        """
+        name_len, pos = read_varint(data, 0)
         if pos + name_len > len(data):
             raise CorruptDataError("order-table strategy name overruns the body")
         try:
@@ -252,10 +222,10 @@ class VertexOrder:
             raise CorruptDataError(
                 f"order-table names unknown strategy {strategy!r}"
             )
-        count, pos = _read_varint(data, pos)
+        count, pos = read_varint(data, pos)
         backward: List[int] = []
         for _ in range(count):
-            old, pos = _read_varint(data, pos)
+            old, pos = read_varint(data, pos)
             backward.append(old)
         if pos != len(data):
             raise CorruptDataError(

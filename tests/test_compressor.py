@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import flatcorpus, rollhash
 from repro.core.compressor import (
-    chunked,
     compress_dataset,
     compress_path,
     compress_paths_flat,
@@ -247,24 +246,3 @@ class TestBlockedBulkEncode:
         assert counters[0][0] > 0
         assert counters == [counters[0]] * len(MATCHER_BACKENDS)
 
-
-class TestChunked:
-    def test_chunks_cover_everything_in_order(self):
-        items = list(range(10))
-        chunks = list(chunked(items, 3))
-        assert [list(c) for c in chunks] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-
-    def test_single_chunk(self):
-        assert [list(c) for c in chunked([1, 2], 5)] == [[1, 2]]
-
-    def test_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
-
-    @pytest.mark.parametrize("bad", [0, -1, -2048])
-    def test_bad_chunk_size_raises_eagerly(self, bad):
-        # Regression: chunked() used to be a bare generator, so a bad size
-        # only surfaced at first iteration — storing the result silently
-        # yielded nothing.  Validation must fire at call time.
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            chunked([1, 2, 3], bad)

@@ -92,7 +92,7 @@ class TestMeasurement:
 
     def test_measure_partial_decompression(self, simple_dataset, exhaustive_config):
         codec = OFFSCodec(exhaustive_config).fit(simple_dataset)
-        store = CompressedPathStore.from_dataset(simple_dataset, codec.table)
+        store = CompressedPathStore.from_corpus(simple_dataset, codec.table)
         mbps, out_bytes = measure_partial_decompression(store, 0.5, repeats=2)
         assert mbps > 0
         assert out_bytes > 0

@@ -332,7 +332,7 @@ class TestCoreIntegration:
             simple_dataset
         )
         with instrumented() as obs:
-            store = CompressedPathStore.from_dataset(simple_dataset, codec.table)
+            store = CompressedPathStore.from_corpus(simple_dataset, codec.table)
             store.retrieve(0)
             store.compression_ratio()
         counters = obs.registry.counters()

@@ -33,9 +33,7 @@ from repro.core.serialize import (
     ORDER_SECTION_MAGIC,
     STORE_V2_FLAG_ORDER,
     append_order_section,
-    dumps_order_section,
     dumps_store,
-    loads_order_section,
     dumps_store_v2,
     loads_store_v2,
     parse_store_v2_header,
@@ -348,28 +346,40 @@ class TestArchivePersistence:
         with pytest.raises(InvalidInputError):
             append_order_section(stamped, order)
 
-    def test_loads_order_section_round_trip(self):
-        ds, _, _ = _stores("identity")
-        order = fit_order("frequency", [tuple(p) for p in ds])
-        section = dumps_order_section(order)
-        assert loads_order_section(section) == order
+    @pytest.mark.parametrize("damage", ["bad-magic", "trailing-bytes", "short-prefix"])
+    def test_damaged_order_frame_rejected(self, damage):
+        # With test_corrupt_order_body_detected (CRC mismatch) and
+        # test_truncated_order_section_detected (truncated body), every
+        # damage to the RPOT frame is caught through the file's own parser.
+        _, _, store = _stores("frequency")
+        blob = dumps_store_v2(store)
+        section = parse_store_v2_header(blob).total_size
+        damaged = {
+            "bad-magic": blob[:section] + b"XXXX" + blob[section + 4:],
+            "trailing-bytes": blob + b"\x00",
+            "short-prefix": blob[: section + 5],
+        }[damage]
+        with pytest.raises(CorruptDataError):
+            loads_store_v2(damaged).order
 
-    def test_loads_order_section_rejects_damage(self):
-        ds, _, _ = _stores("identity")
-        order = fit_order("frequency", [tuple(p) for p in ds])
-        section = dumps_order_section(order)
-        with pytest.raises(CorruptDataError):
-            loads_order_section(b"XXXX" + section[4:])  # bad magic
-        with pytest.raises(CorruptDataError):
-            loads_order_section(section[:-1])  # truncated body
-        with pytest.raises(CorruptDataError):
-            loads_order_section(section + b"\x00")  # trailing bytes
-        with pytest.raises(CorruptDataError):
-            loads_order_section(section[:5])  # shorter than the prefix
-        flipped = bytearray(section)
-        flipped[-1] ^= 0xFF
-        with pytest.raises(CorruptDataError):
-            loads_order_section(bytes(flipped))  # body CRC mismatch
+    @pytest.mark.parametrize("damage", ["truncated-varint", "over-long-varint"])
+    def test_undecodable_order_body_names_its_byte_offset(self, damage):
+        _, order, store = _stores("frequency")
+        blob = dumps_store_v2(store)
+        section = parse_store_v2_header(blob).total_size
+        body = order.to_bytes()
+        if damage == "truncated-varint":
+            body = body[:-1] + bytes([body[-1] | 0x80])
+        else:
+            name = order.strategy.encode("utf-8")
+            body = bytes([len(name)]) + name + b"\x80" * 10 + b"\x01"
+        # A well-framed section with a valid CRC: only the body decode fails.
+        damaged = blob[:section] + struct.pack(
+            "<4sII", ORDER_SECTION_MAGIC, len(body), zlib.crc32(body)
+        ) + body
+        mapped = loads_store_v2(damaged)
+        with pytest.raises(CorruptDataError, match=r"byte offset \d+"):
+            mapped.order
 
     def test_corrupt_order_body_detected(self):
         _, _, store = _stores("frequency")

@@ -33,7 +33,6 @@ from repro.core.errors import BoundsError, CorruptDataError, TruncatedDataError
 from repro.core.offs import OFFSCodec
 from repro.core.serialize import (
     STORE_V2_HEADER_SIZE,
-    _read_varint,
     dumps_store,
     dumps_store_v2,
     loads_store,
@@ -42,6 +41,7 @@ from repro.core.serialize import (
 )
 from repro.core.store import CompressedPathStore
 from repro.paths.dataset import PathDataset
+from repro.paths.encoding import read_varint
 
 
 @pytest.fixture(scope="module")
@@ -201,23 +201,23 @@ class TestV2Garbage:
 class TestVarintBounds:
     def test_negative_position_does_not_wrap(self):
         with pytest.raises(TruncatedDataError) as exc_info:
-            _read_varint(b"\x01\x02\x03", -1)
+            read_varint(b"\x01\x02\x03", -1)
         assert "-1" in str(exc_info.value)
 
     def test_position_past_end_reports_offset(self):
         with pytest.raises(TruncatedDataError) as exc_info:
-            _read_varint(b"\x01", 5)
+            read_varint(b"\x01", 5)
         assert "5" in str(exc_info.value)
 
     def test_truncated_continuation_reports_start_offset(self):
         with pytest.raises(TruncatedDataError) as exc_info:
-            _read_varint(b"\x00\x80", 1)  # continuation bit set, no next byte
+            read_varint(b"\x00\x80", 1)  # continuation bit set, no next byte
         assert "1" in str(exc_info.value)
 
     def test_overlong_varint_is_corrupt_not_bounds(self):
         blob = b"\x80" * 10 + b"\x01"
         with pytest.raises(CorruptDataError) as exc_info:
-            _read_varint(blob, 0)
+            read_varint(blob, 0)
         assert not isinstance(exc_info.value, BoundsError)
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core import rollhash
 from repro.core.config import OFFSConfig
-from repro.core.errors import PathIdError
+from repro.core.errors import PathIdError, TableError
 from repro.core.offs import OFFSCodec
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
@@ -29,10 +30,23 @@ class TestIngest:
         assert s.append((7, 8)) == 1
         assert len(s) == 2
 
-    def test_from_dataset(self, table):
+    def test_from_corpus(self, table):
         ds = PathDataset([[1, 2, 3], [4, 5]])
-        s = CompressedPathStore.from_dataset(ds, table)
+        s = CompressedPathStore.from_corpus(ds, table)
         assert len(s) == 2
+
+    @pytest.mark.parametrize("route", ["numpy", "no-numpy"])
+    def test_extend_is_all_or_nothing(self, store, route, monkeypatch):
+        if route == "no-numpy":
+            monkeypatch.setattr(rollhash, "_np", None)
+        elif rollhash._np is None:
+            pytest.skip("numpy unavailable")
+        before = list(store.tokens())
+        # Vertex 100 is the table's base_id: it would decode as a supernode.
+        with pytest.raises(TableError):
+            store.extend([(1, 2, 3), (7, 8), (9, 100)])
+        assert len(store) == 3
+        assert store.tokens() == before
 
     def test_from_codec_fits_and_ingests(self, simple_dataset, exhaustive_config):
         codec = OFFSCodec(exhaustive_config)
@@ -141,7 +155,7 @@ class TestRetrieveSlice:
 class TestSizes:
     def test_compression_ratio_above_one_for_redundant_data(self, table):
         ds = PathDataset([[1, 2, 3, 4, 5]] * 20)
-        s = CompressedPathStore.from_dataset(ds, table)
+        s = CompressedPathStore.from_corpus(ds, table)
         assert s.compression_ratio() > 1.0
 
     def test_raw_size_matches_original(self, store):
