@@ -59,6 +59,7 @@ from typing import (
 from repro.analysis.sizing import dataset_raw_bytes
 from repro.core.config import OFFSConfig
 from repro.core.errors import InvalidInputError
+from repro.core.serialize import publish_file
 from repro.obs import catalog
 from repro.obs.runtime import active_span, active_timer, get_active
 
@@ -578,10 +579,8 @@ def _write_partial(
         "seed": seed,
         "results": results,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    publish_file(path, text.encode("utf-8"))
 
 
 def run_matrix(

@@ -61,7 +61,7 @@ from typing import List, Optional
 from repro.analysis.stats import format_table
 from repro.core.config import OFFSConfig
 from repro.core.offs import OFFSCodec
-from repro.core.serialize import dumps_store
+from repro.core.serialize import dumps_store, publish_file
 from repro.core.store import CompressedPathStore
 from repro.paths.io import load_text, save_text
 from repro.paths.reorder import ORDER_STRATEGIES
@@ -302,8 +302,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             blob = dumps_store_v2(store)
         else:
             blob = dumps_store(store)
-    with open(args.output, "wb") as fh:
-        fh.write(blob)
+    publish_file(args.output, blob)
     print(f"{len(store):,} paths -> {args.output} "
           f"({len(blob):,} bytes, {args.fmt}, CR={ratio:.2f}, "
           f"table={len(codec.table)} entries)")

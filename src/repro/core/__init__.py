@@ -79,7 +79,6 @@ from repro.core.serialize import (
     dumps_store,
     dumps_store_v2,
     dumps_table,
-    load_store_file,
     loads_store,
     loads_store_v2,
     loads_table,
@@ -132,7 +131,6 @@ __all__ = [
     "dumps_store",
     "dumps_store_v2",
     "dumps_table",
-    "load_store_file",
     "loads_store",
     "loads_store_v2",
     "loads_table",

@@ -213,11 +213,14 @@ class FlatCorpus:
         return FlatCorpus(buffer, offsets, name=f"{self.name}[{start}:{stop}]")
 
     def chunks(self, chunk_size: int) -> Iterator["FlatCorpus"]:
-        """Contiguous zero-copy chunks of at most *chunk_size* paths."""
+        """Contiguous zero-copy chunks of at most *chunk_size* paths.
+
+        *chunk_size* is checked here, not at the first iteration.
+        """
         if chunk_size < 1:
             raise InvalidInputError("chunk_size must be >= 1")
-        for start in range(0, len(self), chunk_size):
-            yield self.chunk(start, start + chunk_size)
+        starts = range(0, len(self), chunk_size)
+        return (self.chunk(start, start + chunk_size) for start in starts)
 
     def blocks(self) -> Iterator["FlatCorpus"]:
         """Zero-copy chunks of whole paths, each about :data:`BLOCK_SYMBOLS`.

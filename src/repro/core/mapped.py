@@ -20,8 +20,7 @@ structures and Log(Graph)'s offset-indexed mmap layouts:
   the mapping's lifecycle.
 
 Write files with :func:`repro.core.serialize.dump_store_file`; open them
-with :func:`~repro.core.serialize.load_store_file`, :meth:`MappedPathStore.open`,
-or construct directly over any bytes-like buffer (the in-memory route used
+with :meth:`MappedPathStore.open`, or construct directly over any bytes-like buffer (the in-memory route used
 by :func:`~repro.core.serialize.loads_store_v2` and the fuzz tests).
 """
 

@@ -10,7 +10,8 @@ Implementation notes:
 
 * Every fan-out goes through one helper, :func:`_map_corpora`: one process
   runs the work in-process against one matcher; more map it over a ``fork``
-  pool.
+  pool.  The sharded build (:mod:`repro.core.sharded`) passes it its own
+  per-shard work.
   The parent builds the table's matcher once *before* forking, so workers
   inherit (table, matcher) copy-on-write — zero per-worker rebuild, and
   per-chunk pickling cost is the chunk payload only, never table copies.
@@ -46,7 +47,6 @@ from repro.core.compressor import compress_paths_flat, decompress_paths_flat
 from repro.core.errors import InvalidInputError
 from repro.core.flatcorpus import FlatCorpus, ShippedCorpus, as_flat_corpus
 from repro.core.matcher import CandidateSet, static_matcher_from_table
-from repro.core.serialize import dumps_store_v2_tokens
 from repro.core.supernode_table import SupernodeTable
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import Instrumentation, activate, get_active
@@ -145,13 +145,6 @@ def _decompress_chunk(
     return decompress_paths_flat(corpus, table, as_corpus=True)
 
 
-def _serialize_shard(
-    table: SupernodeTable, matcher: CandidateSet, corpus: FlatCorpus
-) -> Tuple[bytes, int]:
-    tokens = compress_paths_flat(corpus, table, matcher)
-    return dumps_store_v2_tokens(table, tokens), len(tokens)
-
-
 def _chunked(
     work: _Work,
     items: Sequence[Sequence[int]],
@@ -188,18 +181,3 @@ def parallel_decompress(
     """Decompress *tokens* across *processes* workers (order-preserving)."""
     return _chunked(_decompress_chunk, tokens, table, processes, chunk_size)
 
-
-def _serialize_shards(
-    corpora: Sequence[FlatCorpus],
-    table: SupernodeTable,
-    processes: int = 1,
-) -> List[Tuple[bytes, int]]:
-    """Compress each corpus and serialize it to a v2 blob inside the worker.
-
-    The sharded build's fan-out: serialization is pure per-shard work, so
-    shipping finished blobs instead of token lists keeps the parent's
-    critical path at ``partition + spawn + max(shard)`` rather than
-    re-paying every shard's serialization sequentially after the barrier.
-    Each ``(blob, count)`` is byte-identical for any process count.
-    """
-    return _map_corpora(_serialize_shard, corpora, table, processes)

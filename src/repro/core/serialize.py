@@ -32,6 +32,9 @@ smaller than the 4-bytes-per-symbol accounting the paper uses.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
 import struct
 import zlib
 from typing import List, Tuple
@@ -50,6 +53,8 @@ _TABLE_MAGIC = b"RPST"
 _STORE_MAGIC = b"RPCS"
 _VERSION = 1
 _VARINT = VarintEncoding()
+#: Per-process sequence that makes :func:`publish_file`'s temp names unique.
+_TEMP_IDS = itertools.count()
 
 #: v2 single-file layout (see docs/formats.md): fixed header, table blob,
 #: u64 offset index, varint token payload.
@@ -255,11 +260,11 @@ def dumps_store_v2_tokens(table: SupernodeTable, tokens, order=None) -> bytes:
     """The v2 blob for a bare ``(table, tokens)`` pair.
 
     Byte-identical to :func:`dumps_store_v2` over a store holding the same
-    table and tokens.  This is the writer the sharded build path uses: a
-    shard's tokens come back from a worker process as plain tuples and
-    wrapping them in a throwaway :class:`CompressedPathStore` would rebuild
-    the matcher (hash table over every table entry) once per shard for no
-    reason.
+    table and tokens.  This is the writer of every shard: the sharded
+    build's workers and :class:`~repro.core.sharded.ShardedIngest` hold
+    plain token tuples, and wrapping them in a throwaway
+    :class:`CompressedPathStore` would rebuild the matcher (hash table over
+    every table entry) once per shard for no reason.
 
     *order*, when given, is the :class:`~repro.paths.reorder.VertexOrder`
     the tokens were compressed under (tokens are already in new-id space);
@@ -306,27 +311,6 @@ def _dumps_order_section(order) -> bytes:
     ) + body
 
 
-def append_order_section(blob: bytes, order) -> bytes:
-    """Stamp a finished (unordered) v2 *blob* with *order*'s section.
-
-    Sets the header flag, recomputes the header CRC, and appends the
-    framed section — the sharded build path uses this so worker processes
-    can keep producing plain blobs while the coordinator applies the
-    store-wide order once per shard.  ``order=None`` returns *blob*
-    unchanged.
-    """
-    if order is None:
-        return blob
-    header = parse_store_v2_header(blob)
-    if header.has_order:
-        raise InvalidInputError("v2 blob already carries an order-table section")
-    flagged = bytearray(blob[:STORE_V2_HEADER_SIZE])
-    flagged[5] |= STORE_V2_FLAG_ORDER
-    header_crc = zlib.crc32(bytes(flagged[:-4]))
-    flagged[-4:] = struct.pack("<I", header_crc)
-    return bytes(flagged) + blob[STORE_V2_HEADER_SIZE:] + _dumps_order_section(order)
-
-
 def parse_order_section(data, header: StoreV2Header):
     """Decode the order-table section *header* declares inside *data*.
 
@@ -362,8 +346,8 @@ def loads_store_v2(data: bytes):
     """Open a v2 blob for random access (lazy table, zero-copy tokens).
 
     Returns a :class:`~repro.core.mapped.MappedPathStore` over *data*; use
-    :func:`load_store_file` to map a file from disk instead of holding the
-    bytes in memory.  Unlike :func:`loads_store` nothing beyond the header
+    :meth:`MappedPathStore.open` to map a file from disk instead of holding
+    the bytes in memory.  Unlike :func:`loads_store` nothing beyond the header
     is parsed here — the table and tokens decode on first access.
     """
     from repro.core.mapped import MappedPathStore
@@ -450,26 +434,42 @@ def parse_store_v2_header(data) -> StoreV2Header:
     return parsed
 
 
+def publish_file(path: str, data: bytes) -> int:
+    """Publish *data* as the whole file at *path*; returns bytes written.
+
+    The one way the library puts a file on disk.  *data* goes to a fresh
+    temp file beside *path* (``<path>.<pid>.<n>.tmp``, created exclusively
+    with mode ``0o666`` so the umask applies exactly as for
+    ``open(path, "wb")``), which is then renamed onto *path*.  A reader
+    therefore sees either the previous file or the complete new one, never
+    a torn one, and a failed write leaves the previous file and no temp
+    file behind.  Nothing is fsynced yet: after a crash the rename may be
+    lost and a stray temp file may remain.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(directory, f"{name}.{os.getpid()}.{next(_TEMP_IDS)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:  # a stray temp file from a crashed writer
+            continue
+        break
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:  # the rename consumed the temp file, unless something failed
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return len(data)
+
+
 def dump_store_file(store: CompressedPathStore, path: str) -> int:
-    """Write *store* to *path* in the v2 layout; returns bytes written.
+    """Publish *store* at *path* in the v2 layout; returns bytes written.
 
     The file is the native format of
     :class:`~repro.core.mapped.MappedPathStore`: reopen it with
-    :func:`load_store_file` for O(1)-seek retrievals without a full parse.
+    :meth:`MappedPathStore.open` for O(1)-seek retrievals without a full
+    parse.
     """
-    blob = dumps_store_v2(store)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
-
-
-def load_store_file(path: str):
-    """Memory-map a v2 store file written by :func:`dump_store_file`.
-
-    Returns a :class:`~repro.core.mapped.MappedPathStore`; opening costs
-    only the 64-byte header validation regardless of archive size.
-    """
-    from repro.core.mapped import MappedPathStore
-
-    return MappedPathStore.open(path)
-
+    return publish_file(path, dumps_store_v2(store))

@@ -34,6 +34,7 @@ is isolated and any v2 tooling can open one directly.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -42,6 +43,7 @@ import zlib
 from bisect import bisect_right
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.compressor import compress_paths_flat
 from repro.core.errors import (
     CorruptDataError,
     InvalidInputError,
@@ -51,8 +53,9 @@ from repro.core.errors import (
 )
 from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
 from repro.core.mapped import MappedPathStore
+from repro.core.parallel import _map_corpora
 from repro.core.reader import PathReader
-from repro.core.serialize import dumps_table, dumps_store_v2_tokens
+from repro.core.serialize import dumps_store_v2_tokens, dumps_table, publish_file
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
 from repro.obs.runtime import get_active
@@ -114,12 +117,7 @@ class ShardManifest:
     is a distinct plain name inside the manifest's directory.
     """
 
-    def __init__(self, partition: str, shards: Sequence[ShardInfo]) -> None:
-        if partition != PARTITION_RANGE:
-            raise InvalidInputError(
-                f"unknown partition fn {partition!r}; only {PARTITION_RANGE!r} exists"
-            )
-        self.partition = partition
+    def __init__(self, shards: Sequence[ShardInfo]) -> None:
         self.shards: Tuple[ShardInfo, ...] = tuple(shards)
         self.path_count = sum(info.count for info in self.shards)
         expected = 0
@@ -162,8 +160,7 @@ class ShardManifest:
 
     def __repr__(self) -> str:
         return (
-            f"ShardManifest(partition={self.partition!r}, "
-            f"shards={len(self.shards)}, paths={self.path_count})"
+            f"ShardManifest(shards={len(self.shards)}, paths={self.path_count})"
         )
 
 
@@ -180,7 +177,7 @@ def dumps_manifest(manifest: ShardManifest) -> bytes:
     """Serialize *manifest* to the ``RPSM`` wire form (CRC'd JSON)."""
     document = {
         "schema_version": 1,
-        "partition": {"fn": manifest.partition},
+        "partition": {"fn": PARTITION_RANGE},
         "path_count": manifest.path_count,
         "shards": [info.as_json() for info in manifest.shards],
     }
@@ -259,7 +256,7 @@ def _manifest_from_json(document: Any) -> ShardManifest:
             f"{PARTITION_RANGE!r} manifests open (open each shard on its own "
             "with MappedPathStore.open)"
         )
-    manifest = ShardManifest(PARTITION_RANGE, shards)
+    manifest = ShardManifest(shards)
     declared = document.get("path_count")
     if declared is not None and declared != manifest.path_count:
         raise CorruptDataError(
@@ -269,11 +266,9 @@ def _manifest_from_json(document: Any) -> ShardManifest:
     return manifest
 
 
-def _write_file_atomic(path: str, blob: bytes) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+def _publish_manifest(path: str, shards: Sequence[ShardInfo]) -> None:
+    """Publish the manifest of *shards* at *path* (the one manifest writer)."""
+    publish_file(path, dumps_manifest(ShardManifest(shards)))
 
 
 class ShardedPathStore(PathReader):
@@ -563,10 +558,11 @@ def build_sharded_store(
 
     Per-shard compression *and serialization* fan out over *processes*
     workers (the FlatCorpus shipping path of :mod:`repro.core.parallel`,
-    shipping finished v2 blobs back), then each shard is written as a self-contained v2 file
-    next to the manifest.  Output is bit-identical to the sequential monolithic
-    build for every ``(shards, processes)`` combination, because
-    compression is a pure per-path function of ``(path, table)``.
+    shipping finished v2 blobs back), then each shard is published as a
+    self-contained v2 file next to the manifest.  Output is bit-identical
+    to the sequential monolithic build for every ``(shards, processes)``
+    combination, because compression is a pure per-path function of
+    ``(path, table)``.
 
     :param paths: any path iterable or a :class:`FlatCorpus` — in
         *original* vertex ids; the order (if any) is applied here.
@@ -575,11 +571,10 @@ def build_sharded_store(
     :param out_path: manifest file to write; shard files land beside it as
         ``<stem>.shard-00000.rpc2`` etc.
     :param order: optional :class:`~repro.paths.reorder.VertexOrder`.  The
-        corpus is relabelled before partitioning, and every shard blob is
-        stamped with the order section
-        (:func:`~repro.core.serialize.append_order_section`) so each shard
-        file stays self-contained — a shard opened on its own inverts ids
-        exactly like the manifest-routed store does.
+        corpus is relabelled before partitioning, and every worker writes
+        the order section into its shard blob, so each shard file stays
+        self-contained — a shard opened on its own inverts ids exactly like
+        the manifest-routed store does.
     :returns: *out_path*, for chaining into :meth:`ShardedPathStore.open`.
     """
     corpus = as_flat_corpus(paths)
@@ -610,11 +605,10 @@ def _build_sharded(
     processes: int,
     order=None,
 ) -> str:
-    from repro.core.parallel import _serialize_shards
-    from repro.core.serialize import append_order_section
-
     parts = partition_corpus(corpus, shards)
-    blobs = _serialize_shards(parts, table, processes=processes)
+    blobs = _map_corpora(
+        functools.partial(_shard_blob, order), parts, table, processes
+    )
     table_crc = zlib.crc32(dumps_table(table))
     directory = os.path.dirname(os.path.abspath(out_path))
     stem = os.path.splitext(os.path.basename(out_path))[0]
@@ -622,22 +616,20 @@ def _build_sharded(
     start = 0
     for index, (blob, count) in enumerate(blobs):
         filename = shard_filename(stem, index)
-        # Workers ship plain (unordered) blobs; the coordinator stamps the
-        # store-wide order on each so shard files stay self-contained.
-        blob = append_order_section(blob, order)
-        _write_file_atomic(os.path.join(directory, filename), blob)
-        infos.append(
-            ShardInfo(
-                file=filename,
-                start=start,
-                count=count,
-                table_crc=table_crc,
-            )
-        )
+        publish_file(os.path.join(directory, filename), blob)
+        infos.append(ShardInfo(filename, start, count, table_crc))
         start += count
-    manifest = ShardManifest(PARTITION_RANGE, infos)
-    _write_file_atomic(out_path, dumps_manifest(manifest))
+    _publish_manifest(out_path, infos)
     return out_path
+
+
+def _shard_blob(
+    order, table: SupernodeTable, matcher, corpus: FlatCorpus
+) -> Tuple[bytes, int]:
+    """One shard's ``(v2 blob, path count)``, built inside the worker so the
+    parent never re-pays every shard's serialization after the barrier."""
+    tokens = compress_paths_flat(corpus, table, matcher)
+    return dumps_store_v2_tokens(table, tokens, order), len(tokens)
 
 
 # -- streaming ingest -------------------------------------------------------------
@@ -689,6 +681,7 @@ class ShardedIngest:
             config=config, train_after=train_after, base_id=base_id
         )
         self._sealed_paths = 0
+        self._table_crc: Optional[int] = None
         self._infos: List[ShardInfo] = []
         self._directory = os.path.dirname(os.path.abspath(out_path))
         self._stem = os.path.splitext(os.path.basename(out_path))[0]
@@ -751,12 +744,14 @@ class ShardedIngest:
         if not tokens:
             return
         table = stream.store.table
+        if self._table_crc is None:  # the table is fixed once fit
+            self._table_crc = zlib.crc32(dumps_table(table))
         index = len(self._infos)
         info = ShardInfo(
             file=shard_filename(self._stem, index),
             start=self._sealed_paths,
             count=len(tokens),
-            table_crc=zlib.crc32(dumps_table(table)),
+            table_crc=self._table_crc,
         )
         obs = get_active()
         if obs is None:
@@ -778,11 +773,8 @@ class ShardedIngest:
     def _write_seal(self, info: ShardInfo, table, tokens) -> None:
         """Publish a sealed shard, then the manifest that names it."""
         shard_file = os.path.join(self._directory, info.file)
-        _write_file_atomic(shard_file, dumps_store_v2_tokens(table, tokens))
-        _write_file_atomic(
-            self.out_path,
-            dumps_manifest(ShardManifest(PARTITION_RANGE, self._infos + [info])),
-        )
+        publish_file(shard_file, dumps_store_v2_tokens(table, tokens))
+        _publish_manifest(self.out_path, self._infos + [info])
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -801,9 +793,7 @@ class ShardedIngest:
         if len(self._stream) > 0:
             self._seal()
         if not os.path.exists(self.out_path) or not self._infos:
-            _write_file_atomic(
-                self.out_path, dumps_manifest(ShardManifest(PARTITION_RANGE, self._infos))
-            )
+            _publish_manifest(self.out_path, self._infos)
         self._closed = True
         return self.out_path
 

@@ -107,21 +107,34 @@ class VarintEncoding:
         return bytes(out)
 
     def decode(self, data: bytes) -> List[int]:
+        """Decode a whole varint stream.
+
+        A stream that ends inside a varint raises :class:`TruncatedDataError`
+        and a varint longer than 64 bits :class:`CorruptDataError`, each
+        naming the varint's byte offset (both subclass ``ValueError``).
+        """
         values: List[int] = []
         value = 0
         shift = 0
-        for byte in data:
+        start = 0
+        for pos, byte in enumerate(data):
             value |= (byte & 0x7F) << shift
             if byte & 0x80:
                 shift += 7
                 if shift > 63:
-                    raise ValueError("varint too long (corrupt stream)")
+                    raise CorruptDataError(
+                        f"varint too long at byte offset {start} (corrupt stream)"
+                    )
             else:
                 values.append(value)
                 value = 0
                 shift = 0
+                start = pos + 1
         if shift:
-            raise ValueError("truncated varint at end of stream")
+            raise TruncatedDataError(
+                f"truncated varint at byte offset {start} "
+                f"(stream ends at {len(data)})"
+            )
         return values
 
     def __repr__(self) -> str:

@@ -18,11 +18,13 @@ import struct
 from pathlib import Path as FsPath
 from typing import List, Tuple, Union
 
+from repro.core.errors import CorruptDataError, TruncatedDataError
 from repro.paths.dataset import PathDataset
 from repro.paths.encoding import VarintEncoding
 
 _MAGIC = b"RPPD"  # RePro Path Dataset
 _VERSION = 1
+_HEADER = struct.Struct("<4sBI")  # magic, version, path count
 _VARINT = VarintEncoding()
 
 
@@ -72,10 +74,20 @@ def loads_binary(data: bytes, name: str = "dataset") -> PathDataset:
     """Restore a dataset from :func:`dumps_binary` output."""
     if data[:4] != _MAGIC:
         raise ValueError("not a repro path-dataset blob (bad magic)")
-    version, count = struct.unpack_from("<BI", data, 4)
+    if len(data) < _HEADER.size:
+        raise TruncatedDataError(
+            f"path-dataset header needs {_HEADER.size} bytes, blob has "
+            f"{len(data)} (truncated at byte offset {len(data)})"
+        )
+    _, version, count = _HEADER.unpack_from(data)
     if version != _VERSION:
         raise ValueError(f"unsupported path-dataset version {version}")
-    values = _VARINT.decode(data[9:])
+    try:
+        values = _VARINT.decode(data[_HEADER.size:])
+    except CorruptDataError as exc:
+        raise type(exc)(
+            f"{exc}; the varint payload starts at byte offset {_HEADER.size}"
+        ) from exc
     paths: List[Tuple[int, ...]] = []
     pos = 0
     for _ in range(count):

@@ -42,6 +42,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import InvalidInputError, ReproError, StateError
 from repro.core.mapped import MappedPathStore
+from repro.core.serialize import publish_file
 from repro.core.sharded import ShardedPathStore, open_store
 from repro.serve.app import StoreApp
 from repro.serve.protocol import (
@@ -313,11 +314,8 @@ def _worker_main(
     loop.join()
     httpd.server_close()      # drain in-flight handler threads
     if metrics_path is not None:
-        snapshot = app.snapshot()
-        tmp = f"{metrics_path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-        os.replace(tmp, metrics_path)
+        snapshot = json.dumps(app.snapshot(), indent=2, sort_keys=True)
+        publish_file(metrics_path, snapshot.encode("utf-8"))
     store.close()
 
 

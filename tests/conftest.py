@@ -69,6 +69,23 @@ def make_fd_leak_guard(slack: int = 1):
     return _fd_leak_guard
 
 
+@pytest.fixture(autouse=True)
+def _no_stray_temp_files(request):
+    """Fail any test that requested ``tmp_path`` and left a ``*.tmp`` file there.
+
+    The runtime twin of the one-publish-path rule: every file the library
+    writes goes to a temp file that is renamed onto its destination, so a
+    leftover temp file is a write that failed without cleaning up.
+    """
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    stray = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.tmp"))
+    assert not stray, f"stray temp files left in tmp_path: {stray}"
+
+
 def narrow_kernel_matcher(table, hash_bits: int) -> CandidateSet:
     """A static matcher over *table* whose batch kernel hashes *hash_bits* bits.
 

@@ -92,7 +92,7 @@ def _sharded(directory, table, blobs) -> ShardedPathStore:
         count = len(MappedPathStore(blob))
         infos.append(ShardInfo(name, start, count, crc))
         start += count
-    return ShardedPathStore(ShardManifest("range", infos), str(directory))
+    return ShardedPathStore(ShardManifest(infos), str(directory))
 
 
 def _outcome(call):

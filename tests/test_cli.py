@@ -1,5 +1,9 @@
 """Unit tests for the command-line interface (in-process via cli.main)."""
 
+import builtins
+import errno
+import os
+
 import pytest
 
 from repro.cli import main
@@ -361,3 +365,43 @@ class TestAutoCompress:
         assert main(["tune", str(source), "--pilot", "30",
                      "--ablation-report", str(report_file)]) == 0
         assert "recommended (ablation-guided)" in capsys.readouterr().out
+
+
+class _FullDiskWriter:
+    """A binary file whose writes fail as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def test_failed_compress_write_keeps_previous_archive(
+    archive, paths_file, monkeypatch, capsys
+):
+    out, _ = archive
+    before = out.read_bytes()
+    real_open = builtins.open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDiskWriter(fh) if "w" in mode and "b" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", full_disk_open)
+    source, _ = paths_file
+    code = main(["compress", str(source), str(out), "--sample-exponent", "0"])
+    monkeypatch.undo()
+    assert code == 1
+    assert "no space left" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(out.parent)) == ["paths.offs", "paths.txt"]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.errors import CorruptDataError, TruncatedDataError
 from repro.paths.encoding import (
     DEFAULT_ENCODING,
     FixedWidthEncoding,
@@ -78,6 +79,15 @@ class TestVarint:
         data = enc.encode([300])
         with pytest.raises(ValueError):
             enc.decode(data[:-1])
+
+    def test_truncated_varint_is_typed_with_its_offset(self):
+        # 0x01 is a whole varint; the one starting at offset 1 never ends.
+        with pytest.raises(TruncatedDataError, match="byte offset 1"):
+            VarintEncoding().decode(b"\x01\x80")
+
+    def test_overlong_varint_is_typed_with_its_offset(self):
+        with pytest.raises(CorruptDataError, match="byte offset 1"):
+            VarintEncoding().decode(b"\x05" + b"\xff" * 10 + b"\x01")
 
     def test_module_level_helpers(self):
         values = [3, 1, 4, 1, 5]

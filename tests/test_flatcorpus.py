@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import flatcorpus
+from repro.core.errors import InvalidInputError
 from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
 from repro.paths.dataset import PathDataset
 
@@ -125,9 +126,10 @@ class TestChunking:
         rejoined = [p for c in corpus.chunks(2) for p in c]
         assert rejoined == list(PATHS)
 
-    def test_chunks_bad_size(self, corpus):
-        with pytest.raises(ValueError):
-            list(corpus.chunks(0))
+    def test_chunks_bad_size(self):
+        # Checked at the call, not at the first iteration.
+        with pytest.raises(InvalidInputError):
+            FlatCorpus.from_paths([(1, 2), (3,)]).chunks(0)
 
     def test_blocks_hold_whole_paths_within_the_budget(self, monkeypatch):
         monkeypatch.setattr(flatcorpus, "BLOCK_SYMBOLS", 4)

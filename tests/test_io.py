@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import TruncatedDataError
 from repro.paths.dataset import PathDataset
 from repro.paths.io import (
     dumps_binary,
@@ -70,6 +71,15 @@ class TestBinary:
         blob = dumps_binary(ds)
         with pytest.raises(ValueError):
             loads_binary(blob[:-2])
+
+    def test_blob_shorter_than_its_header_is_truncation(self, ds):
+        with pytest.raises(TruncatedDataError, match="byte offset 4"):
+            loads_binary(dumps_binary(ds)[:4])
+
+    def test_truncated_payload_names_its_file_offset(self):
+        blob = dumps_binary(PathDataset([[300]]))
+        with pytest.raises(TruncatedDataError, match="payload starts at byte offset 9"):
+            loads_binary(blob[:-1])
 
     def test_trailing_garbage_rejected(self, ds):
         blob = dumps_binary(ds)

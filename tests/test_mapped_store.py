@@ -28,7 +28,6 @@ from repro.core.serialize import (
     dump_store_file,
     dumps_store,
     dumps_store_v2,
-    load_store_file,
     loads_store,
     loads_store_v2,
 )
@@ -120,7 +119,7 @@ class TestFileRoundTrip:
         memory = _make_small_store()
         path = str(tmp_path / "archive.rpc2")
         written = dump_store_file(memory, path)
-        with load_store_file(path) as mapped:
+        with MappedPathStore.open(path) as mapped:
             assert len(mapped._buf) == written
             assert mapped.retrieve_all() == memory.retrieve_all()
 

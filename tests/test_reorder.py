@@ -32,7 +32,6 @@ from repro.core.offs import OFFSCodec
 from repro.core.serialize import (
     ORDER_SECTION_MAGIC,
     STORE_V2_FLAG_ORDER,
-    append_order_section,
     dumps_store,
     dumps_store_v2,
     loads_store_v2,
@@ -321,30 +320,6 @@ class TestArchivePersistence:
         _, _, store = _stores("frequency")
         with pytest.raises(InvalidInputError):
             dumps_store(store)
-
-    def test_append_order_section(self):
-        ds, _, plain = _stores("identity")
-        order = fit_order("frequency", [tuple(p) for p in ds])
-        # The section is appended to a store whose tokens are already in
-        # new-id space — rebuild the payload from the transformed corpus.
-        codec = OFFSCodec(
-            OFFSConfig(iterations=2, sample_exponent=0, reorder="frequency")
-        ).fit(ds.to_flat())
-        unordered_blob = dumps_store_v2(
-            CompressedPathStore.from_corpus(
-                order.transform_corpus(ds.to_flat()), codec.table
-            )
-        )
-        stamped = append_order_section(unordered_blob, order)
-        assert stamped[: len(unordered_blob)] != unordered_blob  # CRC + flag differ
-        assert ORDER_SECTION_MAGIC in stamped
-        mapped = loads_store_v2(stamped)
-        assert mapped.order == order
-        assert mapped.retrieve_all() == [tuple(p) for p in ds]
-        # None order is a no-op; double-stamping is an error.
-        assert append_order_section(unordered_blob, None) == unordered_blob
-        with pytest.raises(InvalidInputError):
-            append_order_section(stamped, order)
 
     @pytest.mark.parametrize("damage", ["bad-magic", "trailing-bytes", "short-prefix"])
     def test_damaged_order_frame_rejected(self, damage):

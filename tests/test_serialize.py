@@ -1,9 +1,19 @@
 """Unit tests for binary serialization of tables and stores."""
 
+import itertools
+import os
+
 import pytest
 
+from repro.core import serialize
 from repro.core.errors import CorruptDataError
-from repro.core.serialize import dumps_store, dumps_table, loads_store, loads_table
+from repro.core.serialize import (
+    dumps_store,
+    dumps_table,
+    loads_store,
+    loads_table,
+    publish_file,
+)
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
 from repro.paths.dataset import PathDataset
@@ -109,3 +119,63 @@ class TestStoreBlob:
         ds = PathDataset([[1, 2, 3, 4, 5, 6, 7, 8]] * 200)
         store = CompressedPathStore.from_codec(ds, OFFSCodec(exhaustive_config))
         assert len(dumps_store(store)) < len(dumps_binary(ds))
+
+
+class TestPublishFile:
+    def test_publishes_the_whole_file(self, tmp_path):
+        path = str(tmp_path / "out.bin")
+        assert publish_file(path, b"first") == 5
+        assert publish_file(path, b"second!") == 7
+        with open(path, "rb") as fh:
+            assert fh.read() == b"second!"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    @staticmethod
+    def _modes(directory):
+        plain = str(directory / "plain.bin")
+        with open(plain, "wb") as fh:
+            fh.write(b"x")
+        published = str(directory / "published.bin")
+        publish_file(published, b"x")
+        return os.stat(published).st_mode, os.stat(plain).st_mode
+
+    def test_mode_matches_open_wb(self, tmp_path):
+        published, plain = self._modes(tmp_path)
+        assert published == plain
+        (tmp_path / "narrow").mkdir()
+        previous = os.umask(0o027)
+        try:
+            published, plain = self._modes(tmp_path / "narrow")
+        finally:
+            os.umask(previous)
+        assert published == plain and published & 0o777 == 0o640
+
+    def test_failed_rename_keeps_previous_bytes_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "out.bin")
+        publish_file(path, b"old")
+
+        def fail(src, dst):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(serialize.os, "replace", fail)
+        with pytest.raises(OSError, match="injected"):
+            publish_file(path, b"new")
+        monkeypatch.undo()
+        with open(path, "rb") as fh:
+            assert fh.read() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_stray_temp_name_is_skipped_not_reused(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "out.bin")
+        stray = f"{path}.{os.getpid()}.0.tmp"
+        with open(stray, "wb") as fh:
+            fh.write(b"crashed writer")
+        monkeypatch.setattr(serialize, "_TEMP_IDS", itertools.count())
+        publish_file(path, b"data")
+        with open(stray, "rb") as fh:
+            assert fh.read() == b"crashed writer"
+        with open(path, "rb") as fh:
+            assert fh.read() == b"data"
+        os.unlink(stray)

@@ -30,7 +30,7 @@ from repro.core.errors import (
 )
 from repro.core.mapped import MappedPathStore
 from repro.core.offs import OFFSCodec
-from repro.core.serialize import dumps_store_v2, dumps_table
+from repro.core.serialize import dumps_store_v2, dumps_table, loads_store_v2
 from repro.core.sharded import (
     MANIFEST_MAGIC,
     ShardInfo,
@@ -108,17 +108,18 @@ def monolithic(corpus_and_table):
 class TestManifestCodec:
     def _manifest(self):
         return ShardManifest(
-            "range",
             [
                 ShardInfo("a.shard-00000.rpc2", 0, 10, 0xDEAD),
                 ShardInfo("a.shard-00001.rpc2", 10, 5, 0xDEAD),
-            ],
+            ]
         )
 
     def test_round_trip(self):
         manifest = self._manifest()
-        again = loads_manifest(dumps_manifest(manifest))
-        assert again.partition == "range"
+        blob = dumps_manifest(manifest)
+        # The one partition fn is still written, so older readers open it.
+        assert json.loads(blob[16:])["partition"] == {"fn": "range"}
+        again = loads_manifest(blob)
         assert again.path_count == 15
         assert [s.as_json() for s in again.shards] == [
             s.as_json() for s in manifest.shards
@@ -142,20 +143,13 @@ class TestManifestCodec:
 
     def test_range_must_tile(self):
         with pytest.raises(CorruptDataError):
-            ShardManifest(
-                "range",
-                [ShardInfo("a", 0, 10, 0), ShardInfo("b", 11, 5, 0)],
-            )
-
-    def test_unknown_partition_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ShardManifest("zebra", [])
+            ShardManifest([ShardInfo("a", 0, 10, 0), ShardInfo("b", 11, 5, 0)])
 
     def test_routing_is_invertible(self):
         counts = [4, 4, 3]
         starts = [0, 4, 8]
         manifest = ShardManifest(
-            "range", [ShardInfo(f"f{i}", starts[i], counts[i], 0) for i in range(3)]
+            [ShardInfo(f"f{i}", starts[i], counts[i], 0) for i in range(3)]
         )
         seen = set()
         for gid in range(manifest.path_count):
@@ -337,14 +331,31 @@ class TestDifferentialIdentity:
         assert sharded.table == monolithic.table
 
 
+@pytest.fixture(scope="module")
+def frequency_codec(corpus_and_table):
+    corpus, table = corpus_and_table
+    config = OFFSConfig(iterations=3, sample_exponent=0, reorder="frequency")
+    return OFFSCodec(config, base_id=table.base_id).fit(corpus)
+
+
+@pytest.fixture(params=[None, "frequency"])
+def build_inputs(request, corpus_and_table):
+    """``(corpus, table, order)`` for an unordered and an ordered build."""
+    corpus, table = corpus_and_table
+    if request.param is None:
+        return corpus, table, None
+    codec = request.getfixturevalue("frequency_codec")
+    return corpus, codec.table, codec.order
+
+
 class TestBuildDeterminism:
-    def test_identical_across_process_counts(self, corpus_and_table, tmp_path):
-        corpus, table = corpus_and_table
+    def test_identical_across_process_counts(self, build_inputs, tmp_path):
+        corpus, table, order = build_inputs
         blobs = []
         for processes in (1, 3):
             out = str(tmp_path / f"p{processes}.rpsm")
             build_sharded_store(
-                corpus, table, out, shards=3, processes=processes
+                corpus, table, out, shards=3, processes=processes, order=order
             )
             shard_blobs = []
             for i in range(3):
@@ -353,6 +364,8 @@ class TestBuildDeterminism:
                     shard_blobs.append(fh.read())
             blobs.append(shard_blobs)
         assert blobs[0] == blobs[1]
+        # Each shard carries the store's order section (or none).
+        assert [loads_store_v2(blob).order for blob in blobs[0]] == [order] * 3
 
     def test_shards_are_self_contained_v2_files(self, corpus_and_table, tmp_path):
         corpus, table = corpus_and_table
@@ -364,10 +377,11 @@ class TestBuildDeterminism:
         assert shard0.retrieve(0) == corpus.to_paths()[0]
         shard0.close()
 
-    def test_single_shard_equals_monolithic_file(self, corpus_and_table, monolithic, tmp_path):
-        corpus, table = corpus_and_table
+    def test_single_shard_equals_monolithic_file(self, build_inputs, tmp_path):
+        corpus, table, order = build_inputs
         out = str(tmp_path / "one.rpsm")
-        build_sharded_store(corpus, table, out, shards=1)
+        build_sharded_store(corpus, table, out, shards=1, order=order)
+        monolithic = CompressedPathStore.from_corpus(corpus, table, order=order)
         with open(str(tmp_path / shard_filename("one", 0)), "rb") as fh:
             assert fh.read() == dumps_store_v2(monolithic)
 
@@ -702,7 +716,7 @@ class TestStreamingIngest:
     ):
         import repro.core.sharded as sharded_module
 
-        real_write = sharded_module._write_file_atomic
+        real_write = sharded_module.publish_file
         failed = []
 
         def fail_first_shard_write(path, blob):
@@ -712,7 +726,7 @@ class TestStreamingIngest:
             real_write(path, blob)
 
         monkeypatch.setattr(
-            sharded_module, "_write_file_atomic", fail_first_shard_write
+            sharded_module, "publish_file", fail_first_shard_write
         )
         paths = self._paths(500)
         out = str(tmp_path / "flaky.rpsm")
