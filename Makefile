@@ -47,12 +47,13 @@ bench-shard:
 
 # Component-ablation matrix (baseline + one cell per knob value, per
 # workload) with the ranked importance report autotune consumes; resumable
-# via BENCH_ablation.json.partial.  The quick variant is the CI-sized run.
+# via BENCH_ablation.json.partial.  The quick variant is the CI-sized run; it
+# writes its own file so it never overwrites the committed small-tier report.
 bench-ablation:
 	PYTHONPATH=src python benchmarks/bench_ablation.py --size small --out BENCH_ablation.json
 
 bench-ablation-quick:
-	PYTHONPATH=src python benchmarks/bench_ablation.py --size tiny --rounds 1 --out BENCH_ablation.json
+	PYTHONPATH=src python benchmarks/bench_ablation.py --size tiny --rounds 1 --out BENCH_ablation_quick.json
 
 # Vertex-reordering grid: every ordering strategy on every workload (CR /
 # CS / DS / PDS plus varint bytes saved), each cell round-trip verified

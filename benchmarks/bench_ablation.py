@@ -1,9 +1,10 @@
 """Component-ablation benchmark — ``make bench-ablation``.
 
 Runs the :mod:`repro.bench.ablation` matrix (baseline + one cell per knob
-value, per workload), round-trip-verifying every cell, and emits one JSON
-report (``BENCH_ablation.json``) with stable run ids and the ranked
-per-component importance table that ``repro.core.autotune`` consumes.
+value, per workload), in-process and one cell at a time, round-trip-verifying
+every cell, and emits one JSON report (``BENCH_ablation.json``) with stable
+run ids and the ranked per-component importance table that
+``repro.core.autotune`` consumes.
 
 The run is resumable: pass ``--partial FILE`` (kept by default next to the
 output) and an interrupted campaign continues where it stopped — completed
@@ -12,7 +13,7 @@ run ids are skipped, not re-measured.
 ::
 
     PYTHONPATH=src python benchmarks/bench_ablation.py --size small --out BENCH_ablation.json
-    PYTHONPATH=src python benchmarks/bench_ablation.py --size tiny --rounds 1 --processes 4
+    PYTHONPATH=src python benchmarks/bench_ablation.py --size tiny --rounds 1 --workloads rome
 """
 
 from __future__ import annotations
@@ -28,17 +29,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
     from repro.analysis.stats import format_table
     from repro.bench.ablation import DEFAULT_WORKLOADS, run_ablation
+    from repro.core.serialize import publish_file
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--size", default="small", choices=("tiny", "small", "medium"))
     parser.add_argument("--workloads", nargs="+", default=list(DEFAULT_WORKLOADS),
                         help="workload names (default: %(default)s)")
-    parser.add_argument("--mode", default="single", choices=("single", "pairwise"),
-                        help="off-by-one matrix or the pairwise interaction grid")
     parser.add_argument("--rounds", type=int, default=2,
                         help="min-of-N rounds per timed region")
-    parser.add_argument("--processes", type=int, default=1,
-                        help="fan the matrix out over N worker processes")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="BENCH_ablation.json")
     parser.add_argument("--partial", default=None, metavar="FILE",
@@ -57,13 +55,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         size=args.size,
         seed=args.seed,
         rounds=args.rounds,
-        processes=args.processes,
-        mode=args.mode,
         partial_path=partial,
         echo=lambda line: print(line, flush=True),
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    publish_file(args.out, json.dumps(report, indent=2, sort_keys=True).encode("utf-8"))
     if os.path.exists(partial):
         os.remove(partial)  # campaign finished; the report is the artifact
 

@@ -2,7 +2,7 @@
 
 The system has more knobs than anyone can reason about by hand: table
 capacity, construction iterations and sampling, top-down refinement, store
-format v1/v2, the expansion cache, sharding, vertex reordering.
+format v1/v2, the expansion cache, sharding.
 This module switches each one off (or swaps its value) against a fixed
 baseline, measures every cell with the Section VI-B metrics (CR / CS / DS /
 PDS plus raw compress/decompress latency, min-of-N), and ranks the components
@@ -16,19 +16,17 @@ The three layers, each usable alone:
   entries.  Each names its component, its non-baseline values, and *how to
   apply it*: a dotted target (``config.capacity`` mutates the
   :class:`~repro.core.config.OFFSConfig`, ``spec.store_format`` mutates the
-  surrounding pipeline :class:`RunSpec`) plus optional ``requires`` settings
-  for coupled knobs (``reorder`` pins the v2 store format).
+  surrounding pipeline :class:`RunSpec`).
 * **Run matrix** — :func:`generate_matrix` expands workloads x knobs into
   :class:`Cell` entries with deterministic run ids
   (``<workload>-<knob>=<value>``; ``<workload>-baseline`` anchors each
-  workload; pairwise mode adds ``<workload>-<a>=<va>+<b>=<vb>``).  Ids are a
-  pure function of the registry — independent of input ordering, hash seeds
-  and Python version, which makes them usable as resume keys and artifact
-  names.
-* **Executor + report** — :func:`run_matrix` measures cells (optionally
-  fanned out over worker processes; every cell round-trip-verifies its decode
-  against the original paths before any number is reported), resumes from a
-  partial-results file keyed by run id, and :func:`build_report` emits the
+  workload).  Ids are a pure function of the registry — independent of input
+  ordering, hash seeds and Python version, which makes them usable as resume
+  keys and artifact names.
+* **Executor + report** — :func:`run_matrix` measures cells in-process, one
+  at a time (every cell round-trip-verifies its decode against the original
+  paths before any number is reported), resumes from a partial-results file
+  keyed by run id, and :func:`build_report` emits the
   ``BENCH_ablation.json`` payload with the ranked importance table that
   :func:`repro.core.autotune.autotune` consumes.
 
@@ -44,7 +42,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -65,7 +62,7 @@ from repro.obs.runtime import active_span, active_timer, get_active
 
 #: Bumped whenever the report or partial-results layout changes shape;
 #: consumers (autotune, the nightly diff tooling) refuse unknown versions.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The default workload pair the nightly matrix covers: the cloud-trace
 #: surrogate and the road-network surrogate stress opposite ends of the
@@ -137,9 +134,6 @@ class Knob:
         pipeline fields.
     :param values: the non-baseline values to sweep (the baseline cell
         supplies the default).
-    :param requires: extra ``(target, value)`` settings a value only makes
-        sense with (e.g. ``reorder`` pins ``spec.store_format`` to
-        ``v2``).
     :param summary: one line for the report and docs.
     """
 
@@ -147,16 +141,11 @@ class Knob:
     component: str
     target: str
     values: Tuple[object, ...]
-    requires: Tuple[Tuple[str, object], ...] = ()
     summary: str = ""
 
-    def settings_for(self, value: object) -> Tuple[Tuple[str, object], ...]:
-        """The full, ordered ``(target, value)`` list one cell applies."""
-        return self.requires + ((self.target, value),)
 
-
-#: The registry.  Order is meaningful: it fixes pairwise enumeration and the
-#: tie-break order of the importance table, so append — don't reorder.
+#: The registry.  Order is meaningful: it fixes the report's ``knobs`` list,
+#: so append — don't reorder.
 KNOBS: Tuple[Knob, ...] = (
     Knob(
         name="iterations",
@@ -210,16 +199,6 @@ KNOBS: Tuple[Knob, ...] = (
         values=(2,),
         summary="partition into RPC2 shards under an RPSM manifest and "
         "decode through the one-table sharded reader",
-    ),
-    Knob(
-        name="reorder",
-        component="vertex reordering",
-        target="config.reorder",
-        values=("frequency",),
-        requires=(("spec.store_format", "v2"),),
-        summary="fit a hottest-first vertex order before table "
-        "construction; hot vertices get small (cheap-varint) ids and the "
-        "invertible mapping persists in the archive's order section",
     ),
 )
 
@@ -285,19 +264,14 @@ class Cell:
 def generate_matrix(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     knobs: Sequence[Knob] = KNOBS,
-    mode: str = "single",
 ) -> List[Cell]:
     """Expand *workloads* x *knobs* into the sorted, deduplicated cell list.
 
-    ``single`` is the off-by-one-component matrix (baseline + one cell per
-    knob value); ``pairwise`` additionally crosses every knob pair's values,
-    which prices interactions (does the expansion cache still matter under
-    the mmap store?) at quadratic cost.  Cells come back sorted by run id —
-    input ordering, set iteration and hash seeds cannot influence the
-    output, as the stability tests assert.
+    The off-by-one-component matrix: a baseline plus one cell per knob
+    value.  Cells come back sorted by run id — input ordering, set
+    iteration and hash seeds cannot influence the output, as the stability
+    tests assert.
     """
-    if mode not in ("single", "pairwise"):
-        raise InvalidInputError(f"mode must be 'single' or 'pairwise', got {mode!r}")
     cells: Dict[str, Cell] = {}
     for workload in sorted(set(workloads)):
         anchor = Cell(
@@ -318,28 +292,9 @@ def generate_matrix(
                     knob=knob.name,
                     component=knob.component,
                     value_label=label,
-                    settings=knob.settings_for(value),
+                    settings=((knob.target, value),),
                 )
                 cells[cell.run_id] = cell
-        if mode == "pairwise":
-            for i, first in enumerate(knobs):
-                for second in knobs[i + 1:]:
-                    for v1 in first.values:
-                        for v2 in second.values:
-                            l1, l2 = format_value(v1), format_value(v2)
-                            cell = Cell(
-                                run_id=(
-                                    f"{workload}-{first.name}={l1}"
-                                    f"+{second.name}={l2}"
-                                ),
-                                workload=workload,
-                                knob=f"{first.name}+{second.name}",
-                                component=f"{first.component} x {second.component}",
-                                value_label=f"{l1}+{l2}",
-                                settings=first.settings_for(v1)
-                                + second.settings_for(v2),
-                            )
-                            cells[cell.run_id] = cell
     return [cells[run_id] for run_id in sorted(cells)]
 
 
@@ -392,18 +347,13 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
     codec = OFFSCodec(config).fit(corpus)
     fit_seconds = time.perf_counter() - started
     table = codec.table
-    # Under a reordering config the table lives in new-id space, so the
-    # timed compression must run over the transformed corpus; the stores
-    # invert on retrieval, so verification still compares original ids.
-    order = codec.order
-    work_corpus = corpus if order is None else order.transform_corpus(corpus)
     matcher = static_matcher_from_table(table)
 
     def compress() -> List[Tuple[int, ...]]:
-        return compress_paths_flat(work_corpus, table, matcher)
+        return compress_paths_flat(corpus, table, matcher)
 
     tokens, compress_seconds = _min_of(compress, rounds)
-    store = CompressedPathStore.from_tokens(table, tokens, order=order)
+    store = CompressedPathStore.from_tokens(table, tokens)
 
     def _timed_decode(reader: object) -> Tuple[bool, float, float, float]:
         """(verified, decompress_s, pds_s, sample_bytes) for one store."""
@@ -433,13 +383,7 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
 
         with tempfile.TemporaryDirectory(prefix="ablation-shards-") as tmp:
             manifest = os.path.join(tmp, "store.rpsm")
-            build_sharded_store(
-                corpus,
-                table,
-                manifest,
-                shards=spec.shards,
-                order=order,
-            )
+            build_sharded_store(corpus, table, manifest, shards=spec.shards)
             with ShardedPathStore.open(manifest) as sharded:
                 compressed_bytes = sharded.mapped_bytes
                 verified, decompress_seconds, pds_seconds, sample_bytes = (
@@ -501,65 +445,24 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
     }
 
 
-def _run_cell_payload(payload: Dict[str, object]) -> Dict[str, object]:
-    """Process-pool entry point: pure-data payload in, result dict out."""
-    cell = Cell(
-        run_id=payload["run_id"],
-        workload=payload["workload"],
-        knob=payload["knob"],
-        component=payload["component"],
-        value_label=payload["value_label"],
-        settings=tuple((t, v) for t, v in payload["settings"]),
-    )
-    spec = cell.spec(size=payload["size"], seed=payload["seed"])
-    result = measure_cell(spec, rounds=payload["rounds"])
-    result.update(
-        run_id=cell.run_id,
-        workload=cell.workload,
-        knob=cell.knob,
-        component=cell.component,
-        value=cell.value_label,
-    )
-    return result
-
-
-def _cell_payload(
-    cell: Cell, size: str, seed: int, rounds: int
-) -> Dict[str, object]:
-    return {
-        "run_id": cell.run_id,
-        "workload": cell.workload,
-        "knob": cell.knob,
-        "component": cell.component,
-        "value_label": cell.value_label,
-        "settings": list(cell.settings),
-        "size": size,
-        "seed": seed,
-        "rounds": rounds,
-    }
-
-
 # -- the executor ----------------------------------------------------------------
 
 
 def _load_partial(
-    path: Optional[str], size: str, seed: int
+    path: Optional[str], campaign: Dict[str, object]
 ) -> Dict[str, Dict[str, object]]:
     """Completed results from a resumable partial file, or ``{}``.
 
-    A partial written for a different schema version, size tier or seed is
-    ignored wholesale — resuming across incompatible campaigns would splice
-    unrelated measurements under matching run ids.
+    A partial whose *campaign* header (schema version, size tier, seed,
+    round count) differs is ignored wholesale — resuming across
+    incompatible campaigns would splice unrelated measurements under
+    matching run ids.
     """
     if not path or not os.path.exists(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if (
-        data.get("schema_version") != SCHEMA_VERSION
-        or data.get("size") != size
-        or data.get("seed") != seed
-    ):
+    if any(data.get(key) != value for key, value in campaign.items()):
         return {}
     results = data.get("results", {})
     return {
@@ -570,16 +473,10 @@ def _load_partial(
 
 
 def _write_partial(
-    path: str, size: str, seed: int, results: Dict[str, Dict[str, object]]
+    path: str, campaign: Dict[str, object], results: Dict[str, Dict[str, object]]
 ) -> None:
     """Atomically persist *results* keyed by run id (crash-safe resume)."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "size": size,
-        "seed": seed,
-        "results": results,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps({**campaign, "results": results}, indent=2, sort_keys=True)
     publish_file(path, text.encode("utf-8"))
 
 
@@ -588,22 +485,25 @@ def run_matrix(
     size: str = "small",
     seed: int = 0,
     rounds: int = 2,
-    processes: int = 1,
     partial_path: Optional[str] = None,
     echo: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Dict[str, object]]:
-    """Measure every cell, resuming past completed run ids.
+    """Measure every cell in-process, one at a time, resuming past completed
+    run ids.
 
-    :param processes: > 1 fans cells out over a process pool (each worker
-        regenerates its workload from the seeded registry, so nothing but
-        pure-data payloads crosses the fork boundary).
     :param partial_path: JSON file of completed results; read at start
         (matching cells are skipped and counted on
         ``ablation.cells_skipped``) and rewritten after every completion.
     :returns: run id -> result dict for *all* cells, resumed and fresh.
     """
     say = echo or (lambda message: None)
-    results = _load_partial(partial_path, size, seed)
+    campaign = {
+        "schema_version": SCHEMA_VERSION,
+        "size": size,
+        "seed": seed,
+        "rounds": rounds,
+    }
+    results = _load_partial(partial_path, campaign)
     completed = {r: results[r] for r in results if any(c.run_id == r for c in cells)}
     pending = [cell for cell in cells if cell.run_id not in completed]
     obs = get_active()
@@ -612,40 +512,28 @@ def run_matrix(
     for run_id in sorted(completed):
         say(f"skip {run_id} (resumed)")
 
-    def record(run_id: str, result: Dict[str, object]) -> None:
-        completed[run_id] = result
-        if obs is not None:
-            obs.registry.counter(catalog.ABLATION_CELLS).inc()
-        if partial_path:
-            _write_partial(partial_path, size, seed, completed)
-        say(
-            f"done {run_id}: CR={result['compression_ratio']} "
-            f"CS={result['compression_speed_mbps']}MB/s "
-            f"DS={result['decompression_speed_mbps']}MB/s"
-        )
-
     with active_timer(catalog.ABLATION_SECONDS):
-        if processes > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                futures = {
-                    pool.submit(
-                        _run_cell_payload, _cell_payload(cell, size, seed, rounds)
-                    ): cell.run_id
-                    for cell in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        record(futures[future], future.result())
-        else:
-            for cell in pending:
-                with active_span(catalog.SPAN_ABLATION_CELL, run_id=cell.run_id):
-                    with active_timer(catalog.ABLATION_CELL_SECONDS):
-                        result = _run_cell_payload(
-                            _cell_payload(cell, size, seed, rounds)
-                        )
-                record(cell.run_id, result)
+        for cell in pending:
+            with active_span(catalog.SPAN_ABLATION_CELL, run_id=cell.run_id):
+                with active_timer(catalog.ABLATION_CELL_SECONDS):
+                    result = measure_cell(cell.spec(size, seed), rounds=rounds)
+            result.update(
+                run_id=cell.run_id,
+                workload=cell.workload,
+                knob=cell.knob,
+                component=cell.component,
+                value=cell.value_label,
+            )
+            completed[cell.run_id] = result
+            if obs is not None:
+                obs.registry.counter(catalog.ABLATION_CELLS).inc()
+            if partial_path:
+                _write_partial(partial_path, campaign, completed)
+            say(
+                f"done {cell.run_id}: CR={result['compression_ratio']} "
+                f"CS={result['compression_speed_mbps']}MB/s "
+                f"DS={result['decompression_speed_mbps']}MB/s"
+            )
     return {cell.run_id: completed[cell.run_id] for cell in cells}
 
 
@@ -670,8 +558,8 @@ def importance_table(
     grouped: Dict[Tuple[str, str], List[Dict[str, object]]] = {}
     for result in results.values():
         knob = result.get("knob")
-        if knob is None or "+" in str(knob):
-            continue  # baselines anchor; pairwise cells price interactions only
+        if knob is None:
+            continue  # baselines anchor the deltas
         grouped.setdefault((result["workload"], str(knob)), []).append(result)
 
     entries: List[Dict[str, object]] = []
@@ -736,14 +624,12 @@ def build_report(
     size: str,
     seed: int,
     rounds: int,
-    mode: str = "single",
     knobs: Sequence[Knob] = KNOBS,
 ) -> Dict[str, object]:
     """The ``BENCH_ablation.json`` payload: runs + ranked importance."""
     return {
         "benchmark": "ablation",
         "schema_version": SCHEMA_VERSION,
-        "mode": mode,
         "size": size,
         "seed": seed,
         "rounds": rounds,
@@ -754,7 +640,6 @@ def build_report(
                 "component": knob.component,
                 "target": knob.target,
                 "values": [format_value(v) for v in knob.values],
-                "requires": [[t, format_value(v)] for t, v in knob.requires],
                 "summary": knob.summary,
             }
             for knob in knobs
@@ -769,25 +654,22 @@ def run_ablation(
     size: str = "small",
     seed: int = 0,
     rounds: int = 2,
-    processes: int = 1,
-    mode: str = "single",
     partial_path: Optional[str] = None,
     knobs: Sequence[Knob] = KNOBS,
     echo: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
     """One call: generate the matrix, execute it, build the report."""
-    cells = generate_matrix(workloads, knobs=knobs, mode=mode)
+    cells = generate_matrix(workloads, knobs=knobs)
     results = run_matrix(
         cells,
         size=size,
         seed=seed,
         rounds=rounds,
-        processes=processes,
         partial_path=partial_path,
         echo=echo,
     )
     return build_report(
-        results, workloads, size=size, seed=seed, rounds=rounds, mode=mode, knobs=knobs
+        results, workloads, size=size, seed=seed, rounds=rounds, knobs=knobs
     )
 
 

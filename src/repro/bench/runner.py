@@ -38,6 +38,7 @@ from repro.bench.experiments import (
     exp_table3,
 )
 from repro.bench.harness import BenchConfig
+from repro.core.serialize import publish_file
 from repro.workloads.registry import DATASET_NAMES
 
 #: name -> (callable(config) -> (rows, shape), optional chart spec)
@@ -132,8 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = "\n\n".join(sections)
     print(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
+        publish_file(args.out, (report + "\n").encode("utf-8"))
     return 0
 
 

@@ -53,7 +53,6 @@ non-zero with a one-line message on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from contextlib import nullcontext
 from typing import List, Optional
@@ -260,12 +259,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             ablation_report=_load_ablation_report(args.ablation_report),
         )
         config = result.best_config(base=config)
-        if config.reorder != "identity" and args.fmt == "v1" and args.shards == 0:
-            # An autotuned pick (unlike an explicit flag) degrades gracefully:
-            # the v1 blob cannot persist an order table, so drop the order.
-            print(f"note: dropping autotuned reorder={config.reorder} "
-                  f"(v1 format cannot persist an order table)", file=sys.stderr)
-            config = dataclasses.replace(config, reorder="identity")
         note = ""
         if result.used_ablation:
             note = " (ablation-guided"

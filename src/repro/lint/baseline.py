@@ -81,4 +81,6 @@ def save_baseline(path: Path | str, findings: Sequence[Finding]) -> None:
         for rule, rel, message in sorted({f.key() for f in findings})
     ]
     payload = {"schema_version": SCHEMA_VERSION, "entries": rows}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    from repro.core.serialize import publish_file
+
+    publish_file(str(path), (json.dumps(payload, indent=2) + "\n").encode("utf-8"))

@@ -45,10 +45,10 @@ def from_json(document: str) -> Snapshot:
 
 
 def write_json(source: Union[Instrumentation, Snapshot], path: str) -> None:
-    """Write the JSON export of *source* to *path*."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(source))
-        fh.write("\n")
+    """Publish the JSON export of *source* at *path*."""
+    from repro.core.serialize import publish_file
+
+    publish_file(path, (to_json(source) + "\n").encode("utf-8"))
 
 
 def render_text(source: Union[Instrumentation, Snapshot]) -> str:

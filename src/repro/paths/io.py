@@ -19,6 +19,7 @@ from pathlib import Path as FsPath
 from typing import List, Tuple, Union
 
 from repro.core.errors import CorruptDataError, TruncatedDataError
+from repro.core.serialize import publish_file
 from repro.paths.dataset import PathDataset
 from repro.paths.encoding import VarintEncoding
 
@@ -29,11 +30,9 @@ _VARINT = VarintEncoding()
 
 
 def save_text(dataset: PathDataset, path: Union[str, FsPath]) -> None:
-    """Write *dataset* as one space-separated path per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for p in dataset:
-            fh.write(" ".join(str(v) for v in p))
-            fh.write("\n")
+    """Publish *dataset* as one space-separated path per line."""
+    text = "".join(" ".join(str(v) for v in p) + "\n" for p in dataset)
+    publish_file(str(path), text.encode("ascii"))
 
 
 def load_text(path: Union[str, FsPath], name: str = "dataset") -> PathDataset:
@@ -105,9 +104,8 @@ def loads_binary(data: bytes, name: str = "dataset") -> PathDataset:
 
 
 def save_binary(dataset: PathDataset, path: Union[str, FsPath]) -> None:
-    """Write the binary form of *dataset* to *path*."""
-    with open(path, "wb") as fh:
-        fh.write(dumps_binary(dataset))
+    """Publish the binary form of *dataset* at *path*."""
+    publish_file(str(path), dumps_binary(dataset))
 
 
 def load_binary(path: Union[str, FsPath], name: str = "dataset") -> PathDataset:

@@ -68,25 +68,12 @@ class TestRunIds:
         assert forward == backward
 
     def test_cells_sorted_by_run_id(self):
-        cells = generate_matrix(mode="single")
+        cells = generate_matrix()
         ids = [c.run_id for c in cells]
         assert ids == sorted(ids)
 
-    def test_pairwise_mode_adds_interaction_cells(self):
-        single = {c.run_id for c in generate_matrix(["rome"], knobs=SMALL_KNOBS)}
-        pairwise = {
-            c.run_id
-            for c in generate_matrix(["rome"], knobs=SMALL_KNOBS, mode="pairwise")
-        }
-        assert single < pairwise
-        assert "rome-capacity=64+store_format=v2" in pairwise
-
     def test_default_registry_covers_six_plus_knobs(self):
         assert len({k.name for k in KNOBS}) >= 6
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(InvalidInputError):
-            generate_matrix(mode="exhaustive")
 
     def test_value_formatting_is_canonical(self):
         assert format_value(True) == "on"
@@ -98,13 +85,6 @@ class TestRunIds:
 
 
 class TestKnobRegistry:
-    def test_requires_settings_precede_the_knob_value(self):
-        knob = knob_by_name("reorder")
-        assert knob.settings_for("frequency") == (
-            ("spec.store_format", "v2"),
-            ("config.reorder", "frequency"),
-        )
-
     def test_unknown_knob_rejected(self):
         with pytest.raises(InvalidInputError):
             knob_by_name("quantum_tunneling")
@@ -172,17 +152,20 @@ class TestResume:
         assert skipped == len(cells) and measured == 0
         assert all(line.startswith("skip ") for line in seen)
 
-    def test_partial_for_other_seed_is_ignored(self, tmp_path):
+    @pytest.mark.parametrize("changed", ["seed", "rounds"])
+    def test_partial_for_other_seed_is_ignored(self, tmp_path, changed):
         partial = tmp_path / "partial.json"
         cells = self._cells()
-        run_matrix(cells, size="tiny", seed=0, rounds=1, partial_path=str(partial))
+        first = {"seed": 0, "rounds": 1}
+        run_matrix(cells, size="tiny", partial_path=str(partial), **first)
         data = json.loads(partial.read_text())
         assert data["schema_version"] == SCHEMA_VERSION
+        assert data["rounds"] == 1
 
         seen = []
         run_matrix(
-            cells, size="tiny", seed=1, rounds=1,
-            partial_path=str(partial), echo=seen.append,
+            cells, size="tiny", partial_path=str(partial), echo=seen.append,
+            **{**first, changed: 2},
         )
         assert not any(line.startswith("skip ") for line in seen)
 
@@ -230,13 +213,6 @@ class TestImportance:
         with pytest.raises(InvalidInputError):
             importance_table(rows)
 
-    def test_pairwise_cells_do_not_score(self):
-        results = self._tied_results()
-        pair = _result("w", "alpha+zeta", "c x c", "1+1", cr=9.0)
-        results[pair["run_id"]] = pair
-        entries = importance_table(results)
-        assert {e["knob"] for e in entries} == {"alpha", "zeta"}
-
     def test_best_value_maximizes_cr(self):
         results = self._tied_results()
         worse = _result("w", "alpha", "bbb component", "2", cr=1.5)
@@ -270,19 +246,23 @@ class TestReport:
             load_report(str(target))
 
     def test_load_rejects_a_report_naming_a_retired_knob(self, tmp_path):
-        report = build_report(
-            {"w-baseline": _result("w", None, "baseline", "baseline", cr=2.0)},
-            workloads=["w"], size="tiny", seed=0, rounds=1,
+        retired = (
+            ("processes", "spec.processes", "2"),
+            ("reorder", "config.reorder", "frequency"),
         )
-        report["knobs"].append(
-            {"name": "processes", "component": "parallel compression",
-             "target": "spec.processes", "values": ["2"],
-             "requires": [], "summary": ""}
-        )
-        target = tmp_path / "BENCH_ablation.json"
-        target.write_text(json.dumps(report))
-        with pytest.raises(InvalidInputError, match="'processes'.*make bench-ablation"):
-            load_report(str(target))
+        for name, target_field, value in retired:
+            report = build_report(
+                {"w-baseline": _result("w", None, "baseline", "baseline", cr=2.0)},
+                workloads=["w"], size="tiny", seed=0, rounds=1,
+            )
+            report["knobs"].append(
+                {"name": name, "component": "retired", "target": target_field,
+                 "values": [value], "summary": ""}
+            )
+            target = tmp_path / "BENCH_ablation.json"
+            target.write_text(json.dumps(report))
+            with pytest.raises(InvalidInputError, match=f"'{name}'.*make bench-ablation"):
+                load_report(str(target))
 
     def test_load_rejects_a_report_listing_the_matcher_knob(self, tmp_path):
         # Reports measured while the matcher backend was a knob name a
@@ -295,7 +275,7 @@ class TestReport:
             0,
             {"name": "matcher", "component": "matcher backend",
              "target": "config.matcher", "values": ["hash", "multilevel"],
-             "requires": [], "summary": ""},
+             "summary": ""},
         )
         target = tmp_path / "BENCH_ablation.json"
         target.write_text(json.dumps(report))
@@ -307,9 +287,9 @@ class TestReport:
             {"w-baseline": _result("w", None, "baseline", "baseline", cr=2.0)},
             workloads=["w"], size="tiny", seed=0, rounds=1,
         )
-        reorder = next(k for k in report["knobs"] if k["name"] == "reorder")
-        reorder["values"] = ["frequency", "bfs"]
+        shards = next(k for k in report["knobs"] if k["name"] == "shards")
+        shards["values"] = ["2", "4"]
         target = tmp_path / "BENCH_ablation.json"
         target.write_text(json.dumps(report))
-        with pytest.raises(InvalidInputError, match="reorder=bfs.*make bench-ablation"):
+        with pytest.raises(InvalidInputError, match="shards=4.*make bench-ablation"):
             load_report(str(target))

@@ -97,12 +97,11 @@ def synthetic_report(entries, knobs=None):
     """A minimal BENCH_ablation.json payload for override tests."""
     return {
         "benchmark": "ablation",
-        "schema_version": 1,
+        "schema_version": 2,
         "knobs": knobs or [
-            {"name": "capacity", "target": "config.capacity", "requires": []},
-            {"name": "iterations", "target": "config.iterations", "requires": []},
-            {"name": "sample_exponent", "target": "config.sample_exponent",
-             "requires": []},
+            {"name": "capacity", "target": "config.capacity"},
+            {"name": "iterations", "target": "config.iterations"},
+            {"name": "sample_exponent", "target": "config.sample_exponent"},
         ],
         "importance": entries,
     }

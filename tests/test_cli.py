@@ -368,7 +368,7 @@ class TestAutoCompress:
 
 
 class _FullDiskWriter:
-    """A binary file whose writes fail as on a full disk."""
+    """A file whose writes fail as on a full disk."""
 
     def __init__(self, fh):
         self._fh = fh
@@ -386,18 +386,23 @@ class _FullDiskWriter:
         self.close()
 
 
+def _fill_disk(monkeypatch):
+    """Make every file opened for writing fail its writes with ENOSPC."""
+    real_open = builtins.open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDiskWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", full_disk_open)
+
+
 def test_failed_compress_write_keeps_previous_archive(
     archive, paths_file, monkeypatch, capsys
 ):
     out, _ = archive
     before = out.read_bytes()
-    real_open = builtins.open
-
-    def full_disk_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        return _FullDiskWriter(fh) if "w" in mode and "b" in mode else fh
-
-    monkeypatch.setattr(builtins, "open", full_disk_open)
+    _fill_disk(monkeypatch)
     source, _ = paths_file
     code = main(["compress", str(source), str(out), "--sample-exponent", "0"])
     monkeypatch.undo()
@@ -405,3 +410,18 @@ def test_failed_compress_write_keeps_previous_archive(
     assert "no space left" in capsys.readouterr().err
     assert out.read_bytes() == before
     assert sorted(os.listdir(out.parent)) == ["paths.offs", "paths.txt"]
+
+
+def test_failed_decompress_write_keeps_previous_output(
+    archive, monkeypatch, capsys
+):
+    out, _ = archive
+    restored = out.parent / "restored.txt"
+    restored.write_text("previous output\n")
+    _fill_disk(monkeypatch)
+    code = main(["decompress", str(out), str(restored)])
+    monkeypatch.undo()
+    assert code == 1
+    assert "no space left" in capsys.readouterr().err
+    assert restored.read_text() == "previous output\n"
+    assert not [name for name in os.listdir(out.parent) if name.endswith(".tmp")]
