@@ -126,6 +126,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_reorder.json")
     args = parser.parse_args(argv)
 
+    from repro.bench.harness import available_cpus
+    from repro.core.serialize import publish_file
     from repro.paths.reorder import ORDER_STRATEGIES
     from repro.workloads.registry import make_dataset
 
@@ -171,6 +173,7 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "seed": args.seed,
         "python": platform.python_version(),
+        "cpus": available_cpus(),
         "workloads": workloads,
         "headline": {
             "all_verified": all_verified,
@@ -181,8 +184,7 @@ def main(argv=None) -> int:
         },
     }
     blob = json.dumps(result, indent=2, sort_keys=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(blob + "\n")
+    publish_file(args.out, (blob + "\n").encode("utf-8"))
     print(blob)
     print(
         f"\nreorder: winners={winners} saved={total_saved}B "

@@ -109,10 +109,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_serve.json")
     args = parser.parse_args(argv)
 
+    from repro.bench.harness import available_cpus
     from repro.core.builder import TableBuilder
     from repro.core.config import OFFSConfig
     from repro.core.mapped import MappedPathStore
-    from repro.core.serialize import dump_store_file
+    from repro.core.serialize import dump_store_file, publish_file
     from repro.core.store import CompressedPathStore
     from repro.serve import PathServer, ServeConfig
     from repro.workloads.registry import make_dataset
@@ -172,6 +173,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "size": args.size,
         "python": platform.python_version(),
+        "cpus": available_cpus(),
         "paths": len(store),
         "table_entries": len(table),
         "client_threads": args.threads,
@@ -181,8 +183,7 @@ def main(argv=None) -> int:
             for r in results if base
         },
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    publish_file(args.out, json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"))
     print(f"wrote {args.out}")
     return 0
 

@@ -57,12 +57,6 @@ TRAIN_AFTER = 1000
 BASE_ID = 1 << 30
 
 
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _timed(fn) -> float:
     started = time.perf_counter()
     fn()
@@ -280,6 +274,7 @@ def _bench_build_times(corpus, table, shards: int, processes: int, workdir: str)
 
 def bench_build(size: str, shards: int, processes: int) -> dict:
     """Min-of-ROUNDS monolithic vs sharded build on one corpus + table."""
+    from repro.bench.harness import available_cpus
     from repro.core.builder import TableBuilder
     from repro.core.config import OFFSConfig
     from repro.workloads.registry import make_dataset
@@ -289,7 +284,7 @@ def bench_build(size: str, shards: int, processes: int) -> dict:
     table, _ = TableBuilder(OFFSConfig(iterations=3, sample_exponent=2)).build(dataset)
     with tempfile.TemporaryDirectory(prefix="bench_shard_build_") as workdir:
         times = _bench_build_times(corpus, table, shards, processes, workdir)
-    cpus = _cpus()
+    cpus = available_cpus()
     return {
         "workload": "alibaba",
         "size": size,
@@ -323,6 +318,7 @@ def main(argv=None) -> int:
     if args.mono_child is not None:
         return _mono_child(args.mono_child)
 
+    from repro.core.serialize import publish_file
     from repro.workloads.registry import SIZE_PRESETS
 
     build = bench_build(args.size, args.shards, args.processes)
@@ -360,8 +356,7 @@ def main(argv=None) -> int:
             },
         },
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    publish_file(args.out, json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"))
     print(f"wrote {args.out}")
     return 0
 

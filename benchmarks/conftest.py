@@ -23,6 +23,7 @@ import pytest
 from repro.analysis.charts import chart_from_rows
 from repro.analysis.stats import format_table
 from repro.bench.harness import BenchConfig
+from repro.core.serialize import publish_file
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -75,7 +76,6 @@ def report():
         # tests' output — run `pytest benchmarks/ --benchmark-only -s`
         # to watch the reproduced artifacts scroll by).
         print("\n" + text, flush=True)
-        with open(RESULTS_DIR / f"{name}.txt", "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        publish_file(str(RESULTS_DIR / f"{name}.txt"), (text + "\n").encode("utf-8"))
 
     return emit

@@ -150,10 +150,12 @@ def main(argv=None) -> int:
     parser.add_argument("--decode-out", default="BENCH_decode.json")
     args = parser.parse_args(argv)
 
+    from repro.bench.harness import available_cpus
     from repro.core.builder import TableBuilder
     from repro.core.compressor import compress_dataset, compress_paths_flat
     from repro.core.config import OFFSConfig
     from repro.core.matcher import static_matcher_from_table
+    from repro.core.serialize import publish_file
     from repro.obs import instrumented
     from repro.workloads.registry import make_dataset
 
@@ -193,6 +195,7 @@ def main(argv=None) -> int:
         "size": args.size,
         "rounds": args.rounds,
         "python": platform.python_version(),
+        "cpus": available_cpus(),
         "paths": len(paths),
         "symbols": total_symbols,
         "table_entries": len(table),
@@ -219,8 +222,7 @@ def main(argv=None) -> int:
     }
 
     blob = json.dumps(result, indent=2, sort_keys=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(blob + "\n")
+    publish_file(args.out, (blob + "\n").encode("utf-8"))
     print(blob)
     print(f"\nsmoke: {result['speedup']}x flat-rolling over seed loop "
           f"(identical={identical}) -> {args.out}", file=sys.stderr)
@@ -230,10 +232,9 @@ def main(argv=None) -> int:
 
     decode = bench_decode(table, baseline_tokens, paths, args.rounds)
     decode.update({"workload": args.workload, "size": args.size,
-                   "python": platform.python_version()})
+                   "python": platform.python_version(), "cpus": available_cpus()})
     blob = json.dumps(decode, indent=2, sort_keys=True)
-    with open(args.decode_out, "w", encoding="utf-8") as fh:
-        fh.write(blob + "\n")
+    publish_file(args.decode_out, (blob + "\n").encode("utf-8"))
     print(blob)
     print(f"smoke: {decode['speedup']}x flat-batch decode over seed loop "
           f"(identical={decode['identical_output']}) -> {args.decode_out}",

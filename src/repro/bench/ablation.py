@@ -27,8 +27,8 @@ The three layers, each usable alone:
   at a time (every cell round-trip-verifies its decode against the original
   paths before any number is reported), resumes from a partial-results file
   keyed by run id, and :func:`build_report` emits the
-  ``BENCH_ablation.json`` payload with the ranked importance table that
-  :func:`repro.core.autotune.autotune` consumes.
+  ``BENCH_ablation.json`` payload with a ranked importance table for human
+  readers; :func:`repro.core.autotune.autotune` reads only its CR deltas.
 
 Cell timings are machine numbers; run ids, matrix shape, verification flags
 and byte sizes are deterministic.  The importance *ranking* is deterministic

@@ -10,6 +10,7 @@ centralizes the scaled equivalents and every bench file reads from it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -51,6 +52,17 @@ class BenchConfig:
     def offs_fast_config(self, **overrides) -> OFFSConfig:
         """The campaign's OFFS* fast-mode configuration."""
         return self.offs_config(iterations=self.fast_iterations, **overrides)
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one).
+
+    Every bench JSON records it: a timing means little without the number
+    of CPUs it was measured on.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 #: The default campaign used by every ``benchmarks/bench_*.py`` file.  Kept

@@ -10,8 +10,8 @@ The operational surface a deployment needs, over the text/binary formats of
   ``RPSM`` manifest plus N self-contained v2 shard files, compressed in
   parallel across ``--processes`` workers; see docs/formats.md).
   ``--auto`` tunes the config on a pilot sample first and compresses with
-  the pick; add ``--ablation-report BENCH_ablation.json`` to prune the
-  search with measured component importance (see docs/ablation.md).
+  the pick; add ``--ablation-report BENCH_ablation.json`` to seed the
+  sweep with the report's measured CR gains (see docs/ablation.md).
   ``--reorder frequency`` fits a hottest-first vertex order first; the
   invertible mapping persists inside the v2/sharded archive and every
   reader keeps answering in original ids.
@@ -132,9 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "compress with the pick (explicit knob flags become "
                         "the tuning base)")
     p.add_argument("--ablation-report", metavar="JSON", default=None,
-                   help="with --auto: a BENCH_ablation.json report; prunes "
-                        "the search to components that measured as important "
-                        "and applies their best values (guard-verified)")
+                   help="with --auto: a BENCH_ablation.json report; applies "
+                        "the component values that measured a CR gain "
+                        "(guard-verified)")
     p.add_argument("--auto-pilot", type=int, default=2000, metavar="N",
                    help="paths measured per tuning grid point (with --auto)")
     _add_offs_options(p)
@@ -197,9 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pilot", type=int, default=2000,
                    help="paths measured per grid point")
     p.add_argument("--ablation-report", metavar="JSON", default=None,
-                   help="BENCH_ablation.json report; prunes the sweep to "
-                        "important components and emits a guard-verified "
-                        "recommended config")
+                   help="BENCH_ablation.json report; seeds the sweep with "
+                        "the component values that measured a CR gain and "
+                        "emits a guard-verified recommended config")
 
     p = sub.add_parser("verify", help="validate an archive's integrity")
     p.add_argument("input", help="archive file")
@@ -260,10 +260,11 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         )
         config = result.best_config(base=config)
         note = ""
-        if result.used_ablation:
+        if result.recommended_config is not None:
             note = " (ablation-guided"
             note += ", guard fell back to default)" if result.fallback_to_default else ")"
         print(f"autotuned: i={config.iterations} k={config.sample_exponent} "
+              f"capacity={config.capacity} topdown_rounds={config.topdown_rounds} "
               f"reorder={config.reorder}{note}", file=sys.stderr)
     corpus = dataset.to_flat()
     with _metrics_scope(args) as obs:
@@ -417,13 +418,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
           f"(CR {d.compression_ratio:.2f}, CS {d.compression_speed_mbps:.2f} MB/s)")
     print(f"fast mode:    i={f.iterations} k={f.sample_exponent} "
           f"(CR {f.compression_ratio:.2f}, CS {f.compression_speed_mbps:.2f} MB/s)")
-    if result.used_ablation:
-        rec = result.best_config()
+    if result.recommended_config is not None:
+        rec = result.recommended_config
         print(f"\nrecommended (ablation-guided): i={rec.iterations} "
               f"k={rec.sample_exponent} capacity={rec.capacity} "
               f"topdown_rounds={rec.topdown_rounds}")
-        if result.pruned_components:
-            print("pruned components: " + ", ".join(result.pruned_components))
         if result.fallback_to_default:
             print("guard: recommendation lost CR to the default -> kept default")
     return 0

@@ -28,7 +28,6 @@ The paper's primary contribution lives here:
 """
 
 from repro.core.autotune import (
-    DEFAULT_MIN_IMPORTANCE,
     TuningResult,
     ablation_overrides,
     autotune,
@@ -88,7 +87,6 @@ from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
 
 __all__ = [
-    "DEFAULT_MIN_IMPORTANCE",
     "TuningResult",
     "ablation_overrides",
     "autotune",

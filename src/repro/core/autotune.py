@@ -17,19 +17,18 @@ independent of archive size — the same reason table construction samples.
 
 **Ablation-guided mode.**  Given an ``ablation_report`` (the
 ``BENCH_ablation.json`` payload of :mod:`repro.bench.ablation`),
-:func:`autotune` stops treating every knob as equally suspect:
+:func:`autotune` reads one exact signal from it — compression-ratio gains,
+which are byte-exact and so carry no timing noise:
 
-* components the report scored below ``min_importance`` are pinned to their
-  defaults (the (i, k) grid collapses to a single row/column when table
-  construction or sampling did not move any metric);
-* components that *did* matter contribute their measured best value —
-  CR-improving values are applied outright, CR-neutral ones only when they
-  buy speed — as config overrides for the sweep base;
+* every config knob outside the (i, k) grid whose report cells measured a
+  CR gain contributes its best-gaining value as a config override for the
+  sweep base; values with no CR gain never override, whatever their speed
+  delta, and the full (i, k) grid is always swept;
 * the final pick is **guarded**: the recommended config and the untouched
   default are both measured on the same pilot with full round-trip
   verification, and if the recommendation does not hold the default's CR the
-  tuner falls back to the default.  An ablation report can therefore narrow
-  and speed up tuning, but never talk it into a worse or corrupt config.
+  tuner falls back to the default.  An ablation report can therefore seed
+  tuning, but never talk it into a worse or corrupt config.
 """
 
 from __future__ import annotations
@@ -43,12 +42,6 @@ from repro.core.config import OFFSConfig
 from repro.core.errors import InvalidInputError
 from repro.core.offs import OFFSCodec
 from repro.paths.dataset import PathDataset
-
-#: Components below this importance (max relative headline-metric delta,
-#: see :func:`repro.bench.ablation.importance_table`) are pruned from the
-#: guided search space.
-DEFAULT_MIN_IMPORTANCE = 0.02
-
 
 @dataclass(frozen=True)
 class TuningPoint:
@@ -75,9 +68,9 @@ class TuningResult:
     In ablation-guided mode (``autotune(..., ablation_report=...)``) the
     result additionally carries the guarded recommendation:
     ``recommended_config`` is the full per-workload config (sweep pick plus
-    the report's component overrides), ``pruned_components`` lists what the
-    report let the tuner skip, and ``fallback_to_default`` records that the
-    guard rejected a recommendation that failed to hold the default's CR.
+    the report's component overrides), and ``fallback_to_default`` records
+    that the guard rejected a recommendation that failed to hold the
+    default's CR.
     """
 
     default_mode: TuningPoint
@@ -86,8 +79,6 @@ class TuningResult:
     pilot_paths: int
     elapsed_seconds: float
     recommended_config: Optional[OFFSConfig] = None
-    pruned_components: Tuple[str, ...] = ()
-    used_ablation: bool = False
     fallback_to_default: bool = False
 
     def default_config(self, base: Optional[OFFSConfig] = None) -> OFFSConfig:
@@ -187,71 +178,30 @@ def _parse_knob_value(label: str) -> object:
         return label
 
 
-def _workload_entries(
-    report: Mapping[str, object], workload: Optional[str]
-) -> List[Mapping[str, object]]:
-    """The report's importance entries for *workload*.
+def ablation_overrides(
+    report: Mapping[str, object], workload: Optional[str] = None
+) -> Dict[str, object]:
+    """The :class:`OFFSConfig` overrides a report's CR gains support.
 
-    Falls back to the per-knob maximum-importance entry across every
-    workload when the dataset's workload was not in the campaign — a
-    component that mattered anywhere stays in the search space.
+    For each config-targeted knob outside the (i, k) grid, the value label
+    with the largest ``delta_cr > 0`` becomes an override; values with no
+    CR gain never do.  Reads *workload*'s importance entries, or every
+    workload's when *workload* is not in the report.
     """
     entries = list(report.get("importance", ()))
     named = [e for e in entries if e.get("workload") == workload]
-    if named:
-        return named
-    best: Dict[str, Mapping[str, object]] = {}
-    for entry in entries:
-        knob = str(entry["knob"])
-        if knob not in best or entry["importance"] > best[knob]["importance"]:
-            best[knob] = entry
-    return sorted(
-        best.values(), key=lambda e: (-float(e["importance"]), str(e["knob"]))
-    )
-
-
-def ablation_overrides(
-    report: Mapping[str, object],
-    workload: Optional[str] = None,
-    min_importance: float = DEFAULT_MIN_IMPORTANCE,
-) -> Tuple[Dict[str, object], Tuple[str, ...], Tuple[str, ...]]:
-    """Distill a report into sweep inputs for one workload.
-
-    :returns: ``(config_overrides, important_knobs, pruned_components)`` —
-        overrides are :class:`OFFSConfig` field values taken from each
-        important config-targeted knob's best cell (CR-improving values
-        outright, CR-neutral ones only when they bought speed);
-        ``important_knobs`` names every knob at or above *min_importance*
-        (the (i, k) grid prunes on it); ``pruned_components`` is the
-        complement, for reporting.
-    """
     meta = {str(knob["name"]): knob for knob in report.get("knobs", ())}
-    overrides: Dict[str, object] = {}
-    important: List[str] = []
-    pruned: List[str] = []
-    for entry in _workload_entries(report, workload):
-        knob = str(entry["knob"])
-        if float(entry["importance"]) < min_importance:
-            pruned.append(str(entry["component"]))
-            continue
-        important.append(knob)
-        target = str(meta.get(knob, {}).get("target", ""))
+    best: Dict[str, Tuple[float, object]] = {}
+    for entry in named or entries:
+        target = str(meta.get(str(entry["knob"]), {}).get("target", ""))
         scope, _, fieldname = target.partition(".")
         if scope != "config" or fieldname in ("iterations", "sample_exponent"):
             continue  # pipeline knobs and the (i, k) grid are not overrides
-        values: Mapping[str, Mapping[str, float]] = entry.get("values", {})
-        if not values:
-            continue
-        label, deltas = max(
-            values.items(),
-            key=lambda item: (item[1]["delta_cr"], item[1]["delta_cs"], item[0]),
-        )
-        if deltas["delta_cr"] < 0 or (
-            deltas["delta_cr"] == 0 and deltas["delta_cs"] <= 0
-        ):
-            continue  # the knob mattered, but no swept value beat the baseline
-        overrides[fieldname] = _parse_knob_value(label)
-    return overrides, tuple(important), tuple(pruned)
+        for label, deltas in entry.get("values", {}).items():
+            gain = float(deltas["delta_cr"])
+            if gain > best.get(fieldname, (0.0, None))[0]:
+                best[fieldname] = (gain, _parse_knob_value(label))
+    return {fieldname: value for fieldname, (_, value) in best.items()}
 
 
 def autotune(
@@ -265,36 +215,25 @@ def autotune(
     k_values: Sequence[int] = (0, 1, 2, 3, 4),
     ablation_report: Optional[Mapping[str, object]] = None,
     workload: Optional[str] = None,
-    min_importance: float = DEFAULT_MIN_IMPORTANCE,
 ) -> TuningResult:
     """One-call tuning: sweep the grid, pick the two operating points.
 
     With *ablation_report* (a loaded ``BENCH_ablation.json``, see
-    :func:`repro.bench.ablation.load_report`) the sweep is pruned to the
-    components the report scored as mattering for *workload* (defaulting to
-    the dataset's name), the report's best component values are applied to
-    the sweep base, and the returned :attr:`TuningResult.recommended_config`
-    is guard-verified: measured against the unmodified default on the same
-    pilot with full round-trip verification, falling back to the default if
-    it scores a worse CR.
+    :func:`repro.bench.ablation.load_report`) the report's CR-gaining
+    component values for *workload* (defaulting to the dataset's name, see
+    :func:`ablation_overrides`) are applied to the sweep base, and the
+    returned :attr:`TuningResult.recommended_config` is guard-verified:
+    measured against the unmodified default on the same pilot with full
+    round-trip verification, falling back to the default if it scores a
+    worse CR.
     """
     started = time.perf_counter()
     base = base or OFFSConfig()
-    overrides: Dict[str, object] = {}
-    important: Tuple[str, ...] = ()
-    pruned: Tuple[str, ...] = ()
     sweep_base = base
     if ablation_report is not None:
-        overrides, important, pruned = ablation_overrides(
-            ablation_report,
-            workload=workload or getattr(dataset, "name", None),
-            min_importance=min_importance,
-        )
-        sweep_base = base.with_(**overrides)
-        if "iterations" not in important:
-            i_values = (base.iterations,)
-        if "sample_exponent" not in important:
-            k_values = (base.sample_exponent,)
+        sweep_base = base.with_(**ablation_overrides(
+            ablation_report, workload or getattr(dataset, "name", None)
+        ))
 
     points = sweep(
         dataset,
@@ -334,7 +273,5 @@ def autotune(
         pilot_paths=min(pilot_paths, len(dataset)),
         elapsed_seconds=time.perf_counter() - started,
         recommended_config=recommended,
-        pruned_components=pruned,
-        used_ablation=ablation_report is not None,
         fallback_to_default=fallback,
     )

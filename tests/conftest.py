@@ -7,6 +7,8 @@ in ``benchmarks/``, not here.
 
 from __future__ import annotations
 
+import builtins
+import errno
 import gc
 import os
 
@@ -19,6 +21,38 @@ from repro.core.offs import OFFSCodec
 from repro.core.rollhash import FlatBatchKernel
 from repro.paths.dataset import PathDataset
 from repro.workloads.registry import make_dataset
+
+
+class _FullDiskWriter:
+    """A file whose writes fail as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+@pytest.fixture()
+def fill_disk(monkeypatch):
+    """Call the returned function to make every file opened for writing
+    fail its writes with ENOSPC; ``monkeypatch.undo()`` frees the disk."""
+    real_open = builtins.open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDiskWriter(fh) if "w" in mode else fh
+
+    return lambda: monkeypatch.setattr(builtins, "open", full_disk_open)
 
 
 def open_fd_count() -> int:

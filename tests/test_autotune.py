@@ -1,5 +1,7 @@
 """Unit tests for the (i, k) auto-tuner."""
 
+import os
+
 import pytest
 
 from repro.core.autotune import TuningPoint, autotune, choose, sweep
@@ -118,17 +120,14 @@ def entry(knob, component, importance, values=None, workload="w"):
 
 
 class TestAblationOverrides:
-    def test_unimportant_components_are_pruned(self):
+    def test_grid_knobs_are_not_overrides(self):
         from repro.core.autotune import ablation_overrides
 
         report = synthetic_report([
-            entry("iterations", "table construction", 0.5),
-            entry("capacity", "candidate capacity", 0.001),
+            entry("iterations", "table construction", 0.5,
+                  {"2": {"delta_cr": 0.5, "delta_cs": 0.0}}),
         ])
-        overrides, important, pruned = ablation_overrides(report, workload="w")
-        assert important == ("iterations",)
-        assert pruned == ("candidate capacity",)
-        assert overrides == {}  # the (i, k) grid owns iterations
+        assert ablation_overrides(report, "w") == {}  # the (i, k) grid owns it
 
     def test_cr_improving_value_becomes_an_override(self):
         from repro.core.autotune import ablation_overrides
@@ -136,32 +135,44 @@ class TestAblationOverrides:
         report = synthetic_report([
             entry("capacity", "candidate capacity", 0.3,
                   {"64": {"delta_cr": 0.3, "delta_cs": 0.0},
+                   "256": {"delta_cr": 0.1, "delta_cs": 0.9},
                    "1024": {"delta_cr": -0.1, "delta_cs": 0.5}}),
         ])
-        overrides, _, _ = ablation_overrides(report, workload="w")
-        assert overrides == {"capacity": 64}
+        assert ablation_overrides(report, "w") == {"capacity": 64}
 
-    def test_cr_losing_values_never_override(self):
+    @pytest.mark.parametrize("deltas", [
+        {"delta_cr": -0.3, "delta_cs": 2.0},
+        {"delta_cr": 0.0, "delta_cs": 0.5},
+    ], ids=["cr-loss", "cr-neutral"])
+    def test_no_cr_gain_never_overrides(self, deltas):
         from repro.core.autotune import ablation_overrides
 
         report = synthetic_report([
-            entry("capacity", "candidate capacity", 0.3,
-                  {"64": {"delta_cr": -0.3, "delta_cs": 2.0}}),
+            entry("capacity", "candidate capacity", 0.3, {"64": deltas}),
         ])
-        overrides, _, _ = ablation_overrides(report, workload="w")
-        assert overrides == {}
+        assert ablation_overrides(report, "w") == {}
 
-    def test_unknown_workload_falls_back_to_cross_workload_max(self):
+    def test_unknown_workload_reads_every_workload(self):
         from repro.core.autotune import ablation_overrides
 
         report = synthetic_report([
-            entry("capacity", "candidate capacity", 0.001, workload="a"),
+            entry("capacity", "candidate capacity", 0.1,
+                  {"64": {"delta_cr": 0.1, "delta_cs": 0.0}}, workload="a"),
             entry("capacity", "candidate capacity", 0.4,
-                  {"64": {"delta_cr": 0.4, "delta_cs": 0.0}}, workload="b"),
+                  {"1024": {"delta_cr": 0.4, "delta_cs": 0.0}}, workload="b"),
         ])
-        overrides, important, _ = ablation_overrides(report, workload="zzz")
-        assert overrides == {"capacity": 64}
-        assert important == ("capacity",)
+        assert ablation_overrides(report, "a") == {"capacity": 64}
+        assert ablation_overrides(report, "zzz") == {"capacity": 1024}
+
+    @pytest.mark.parametrize("workload", ["alibaba", "rome", "porto"])
+    def test_committed_report_overrides_only_capacity(self, workload):
+        from repro.bench.ablation import load_report
+        from repro.core.autotune import ablation_overrides
+
+        report = load_report(
+            os.path.join(os.path.dirname(__file__), "..", "BENCH_ablation.json")
+        )
+        assert ablation_overrides(report, workload) == {"capacity": 1024}
 
 
 class TestAblationGuidedAutotune:
@@ -170,28 +181,20 @@ class TestAblationGuidedAutotune:
 
         return run_ablation(workloads=["alibaba"], size="tiny", rounds=1)
 
-    def test_pruned_grid_shrinks_the_sweep(self):
+    def test_full_grid_always_runs(self):
         from repro.core.autotune import autotune
 
         dataset = make_dataset("alibaba", "tiny")
         report = synthetic_report([
-            entry("capacity", "candidate capacity", 0.001, workload="alibaba"),
-            entry("iterations", "table construction", 0.5, workload="alibaba"),
-            entry("sample_exponent", "construction sampling", 0.001,
+            entry("sample_exponent", "construction sampling", 0.0,
                   workload="alibaba"),
         ])
         result = autotune(
             dataset, pilot_paths=150, ablation_report=report,
             i_values=(1, 2), k_values=(0, 1, 2),
         )
-        # sample_exponent scored unimportant: its axis collapses to the
-        # base default, leaving len(i_values) x 1 points.
-        assert result.used_ablation
-        assert len(result.points) == 2
-        assert {p.sample_exponent for p in result.points} == {
-            OFFSConfig().sample_exponent
-        }
-        assert "construction sampling" in result.pruned_components
+        assert len(result.points) == 6
+        assert result.recommended_config is not None
 
     def test_guard_rejects_a_lying_report(self):
         from repro.core.autotune import autotune
@@ -259,7 +262,5 @@ class TestAblationGuidedAutotune:
 
         dataset = make_dataset("sanfrancisco", "tiny")
         result = autotune(dataset, pilot_paths=100)
-        assert not result.used_ablation
         assert result.recommended_config is None
-        assert result.pruned_components == ()
         assert result.best_config() == result.default_config()

@@ -85,6 +85,7 @@ class TestCompare:
     def test_environment_keys_ignored(self):
         fresh = json.loads(json.dumps(BASE))
         fresh["python"] = "3.10.9"
+        fresh["cpus"] = 64  # absent from the baseline: the machine, not a metric
         assert bench_compare.compare_payloads(fresh, BASE, "f.json") == []
 
     def test_missing_and_novel_metrics_are_errors(self):

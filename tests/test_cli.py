@@ -1,7 +1,5 @@
 """Unit tests for the command-line interface (in-process via cli.main)."""
 
-import builtins
-import errno
 import os
 
 import pytest
@@ -342,7 +340,9 @@ class TestAutoCompress:
         assert main(["compress", str(source), str(out), "--auto",
                      "--ablation-report", str(report_file),
                      "--auto-pilot", "30"]) == 0
-        assert "ablation-guided" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ablation-guided" in err
+        assert "capacity=" in err
         restored = tmp_path / "restored.txt"
         assert main(["decompress", str(out), str(restored)]) == 0
         assert load_text(restored) == ds
@@ -367,42 +367,12 @@ class TestAutoCompress:
         assert "recommended (ablation-guided)" in capsys.readouterr().out
 
 
-class _FullDiskWriter:
-    """A file whose writes fail as on a full disk."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, "injected: no space left on device")
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-
-def _fill_disk(monkeypatch):
-    """Make every file opened for writing fail its writes with ENOSPC."""
-    real_open = builtins.open
-
-    def full_disk_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        return _FullDiskWriter(fh) if "w" in mode else fh
-
-    monkeypatch.setattr(builtins, "open", full_disk_open)
-
-
 def test_failed_compress_write_keeps_previous_archive(
-    archive, paths_file, monkeypatch, capsys
+    archive, paths_file, fill_disk, monkeypatch, capsys
 ):
     out, _ = archive
     before = out.read_bytes()
-    _fill_disk(monkeypatch)
+    fill_disk()
     source, _ = paths_file
     code = main(["compress", str(source), str(out), "--sample-exponent", "0"])
     monkeypatch.undo()
@@ -413,12 +383,12 @@ def test_failed_compress_write_keeps_previous_archive(
 
 
 def test_failed_decompress_write_keeps_previous_output(
-    archive, monkeypatch, capsys
+    archive, fill_disk, monkeypatch, capsys
 ):
     out, _ = archive
     restored = out.parent / "restored.txt"
     restored.write_text("previous output\n")
-    _fill_disk(monkeypatch)
+    fill_disk()
     code = main(["decompress", str(out), str(restored)])
     monkeypatch.undo()
     assert code == 1

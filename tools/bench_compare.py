@@ -37,7 +37,7 @@ import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Leaf keys that describe the machine, not the code under test.
-IGNORED_KEYS = frozenset({"python", "platform", "hostname", "timestamp"})
+IGNORED_KEYS = frozenset({"python", "platform", "hostname", "timestamp", "cpus"})
 
 #: Leaf-name suffixes / infixes marking a metric as timing-derived.
 _TIMING_SUFFIXES = ("seconds", "_per_s", "_mbps", "_qps", "_p50", "_p95", "_p99")
