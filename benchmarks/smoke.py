@@ -3,8 +3,11 @@
 A fig5-style speed run small enough for CI: build one table on one
 workload, then time the seed pipeline (per-path loop, flat hash matcher)
 against the flat batch pipeline (the vectorized rolling-hash kernel),
-min-of-N each, asserting byte-identical output.  Emits one JSON blob (``BENCH_smoke.json``
-by default) so CI can archive a timing trajectory next to the test logs.
+min-of-N each, asserting byte-identical output.  The v2 blob of the same
+tokens is timed too (``serialize_seconds``), and its bytes are checked
+against a per-token ``encode`` loop (``serialize_matches_scalar``).
+Emits one JSON blob (``BENCH_smoke.json`` by default) so CI can archive a
+timing trajectory next to the test logs.
 
 The same run benchmarks the decode path into a second blob
 (``BENCH_decode.json``): cold vs warm expansion cache, the per-path
@@ -141,6 +144,29 @@ def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
     }
 
 
+def scalar_v2_sections(table, tokens) -> bytes:
+    """The table, index and payload sections of a v2 blob, one ``encode`` per token.
+
+    The reference the bulk writer is held to: the layout of docs/formats.md
+    spelled out token by token.
+    """
+    import struct
+
+    from repro.paths.encoding import VarintEncoding
+
+    encode = VarintEncoding().encode
+    table_blob = b"RPST" + struct.pack("<BII", 1, table.base_id, len(table))
+    for sid in range(table.base_id, table.base_id + len(table)):
+        entry = table.expand(sid)
+        table_blob += encode([len(entry)]) + encode(entry)
+    payload = b""
+    index = struct.pack("<Q", 0)
+    for token in tokens:
+        payload += encode(token)
+        index += struct.pack("<Q", len(payload))
+    return table_blob + index + payload
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", default="tiny", choices=("tiny", "small", "medium"))
@@ -155,7 +181,11 @@ def main(argv=None) -> int:
     from repro.core.compressor import compress_dataset, compress_paths_flat
     from repro.core.config import OFFSConfig
     from repro.core.matcher import static_matcher_from_table
-    from repro.core.serialize import publish_file
+    from repro.core.serialize import (
+        STORE_V2_HEADER_SIZE,
+        dumps_store_v2_tokens,
+        publish_file,
+    )
     from repro.obs import instrumented
     from repro.workloads.registry import make_dataset
 
@@ -179,6 +209,13 @@ def main(argv=None) -> int:
     baseline_s = min_of(lambda: compress_dataset(paths, table, matcher), args.rounds)
     flat_s = min_of(lambda: compress_paths_flat(corpus, table, matcher), args.rounds)
     intern_s = min_of(lambda: dataset.to_flat(), args.rounds)
+
+    # The v2 blob of the same tokens: bulk writer against the per-token loop.
+    v2_blob = dumps_store_v2_tokens(table, baseline_tokens)
+    serialize_matches = v2_blob[STORE_V2_HEADER_SIZE:] == scalar_v2_sections(
+        table, baseline_tokens
+    )
+    serialize_s = min_of(lambda: dumps_store_v2_tokens(table, baseline_tokens), args.rounds)
 
     def probe_counters(run: Callable[[], object]) -> Dict[str, int]:
         with instrumented() as obs:
@@ -219,6 +256,9 @@ def main(argv=None) -> int:
             },
         },
         "speedup": round(baseline_s / flat_s, 3) if flat_s else None,
+        "serialize_seconds": round(serialize_s, 4),
+        "serialize_bytes": len(v2_blob),
+        "serialize_matches_scalar": serialize_matches,
     }
 
     blob = json.dumps(result, indent=2, sort_keys=True)
@@ -228,6 +268,10 @@ def main(argv=None) -> int:
           f"(identical={identical}) -> {args.out}", file=sys.stderr)
     if not identical:
         print("smoke: OUTPUT MISMATCH — flat pipeline diverged", file=sys.stderr)
+        return 1
+    if not serialize_matches:
+        print("smoke: OUTPUT MISMATCH — bulk v2 writer diverged from the "
+              "per-token loop", file=sys.stderr)
         return 1
 
     decode = bench_decode(table, baseline_tokens, paths, args.rounds)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import mmap
 import os
 import zlib
-from array import array
 from typing import List, Optional, Tuple
 
 from repro.core.errors import (
@@ -47,16 +46,14 @@ from repro.core.serialize import (
 from repro.core.reader import PathReader
 from repro.obs import catalog
 from repro.obs.runtime import get_active
+from repro.paths.encoding import VarintEncoding
 
 try:  # soft dependency — without numpy every token goes through token()
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
 
-#: Bytes in the longest varint the bulk parse decodes: 9 × 7 = 63 bits
-#: always fit a non-negative int64.  A longer varint (only a
-#: non-canonical or corrupt one) sends the parse to the scalar loop.
-_BULK_VARINT_BYTES = 9
+_VARINT = VarintEncoding()
 
 
 class MappedPathStore(PathReader):
@@ -378,24 +375,17 @@ class MappedPathStore(PathReader):
     def _bulk_parse(self) -> Optional[FlatCorpus]:
         """The tokens parsed with numpy, or ``None`` when a check fails.
 
-        The window ``[index[0], index[n])`` of the payload is checked, in
-        order, for:
-
-        1. a monotone index whose end lies within the payload, compared
-           as uint64 before any int64 cast;
-        2. no non-empty token whose last byte continues a varint, so
-           every varint ends inside its own token;
-        3. no varint longer than :data:`_BULK_VARINT_BYTES` bytes;
-        4. every value below ``table.base_id + len(table)``.
-
-        Values are the sums (``np.add.reduceat``) of each varint's 7-bit
-        groups shifted into place; a token's symbol offset counts the
-        varint terminators before its end.  The parse works on copies of
-        the index and of the window, so no numpy view pins the mapping:
-        :meth:`close` stays possible, even while a traceback of this
-        frame is alive.
+        The window ``[index[0], index[n])`` of the payload goes to
+        :meth:`VarintEncoding.decode_runs
+        <repro.paths.encoding.VarintEncoding.decode_runs>` (no token may
+        end inside a varint, no varint may exceed 9 bytes) after a
+        monotone index whose end lies within the payload, compared as
+        uint64 before any int64 cast; every value must then lie below
+        ``table.base_id + len(table)``.  The parse works on copies of the
+        index and of the window, so no numpy view pins the mapping:
+        :meth:`close` stays possible, even while a traceback of this frame
+        is alive.
         """
-        # Vectorized, not encoding.read_varint: a call per symbol would dominate bulk decode.
         np = _np
         header = self._header
         index = np.array(self._offsets(), dtype=np.uint64)
@@ -406,28 +396,14 @@ class MappedPathStore(PathReader):
         first = int(bounds[0])
         bounds -= first
         begin = header.payload_offset + first
-        data = np.frombuffer(
-            bytes(self._buf[begin : begin + int(bounds[-1])]), dtype=np.uint8
-        )
-        ends = bounds[1:]
-        if (data[ends[ends > bounds[:-1]] - 1] >= 0x80).any():
+        window = bytes(self._buf[begin : begin + int(bounds[-1])])
+        try:
+            values, offsets = _VARINT.decode_runs(window, bounds)
+        except CorruptDataError:
             return None
-        stops = np.flatnonzero(data < 0x80)
-        starts = np.zeros(len(stops), dtype=np.int64)
-        starts[1:] = stops[:-1] + 1
-        sizes = stops - starts + 1
-        if (sizes > _BULK_VARINT_BYTES).any():
+        if values and np.frombuffer(values, dtype=np.int64).max() >= limit:
             return None
-        place = np.arange(len(data), dtype=np.int64) - np.repeat(starts, sizes)
-        groups = (data & 0x7F).astype(np.int64) << (7 * place)
-        values = np.add.reduceat(groups, starts)
-        if (values >= limit).any():
-            return None
-        buffer = array("q")
-        buffer.frombytes(values.tobytes())
-        offsets = array("q")
-        offsets.frombytes(np.searchsorted(stops, bounds).astype(np.int64).tobytes())
-        return FlatCorpus(buffer, offsets)
+        return FlatCorpus(values, offsets)
 
     def to_store(self):
         """Materialize a fully in-memory :class:`CompressedPathStore` copy."""

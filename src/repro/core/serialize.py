@@ -36,7 +36,9 @@ import contextlib
 import itertools
 import os
 import struct
+import sys
 import zlib
+from array import array
 from typing import List, Tuple
 
 from repro.core.errors import (
@@ -47,6 +49,8 @@ from repro.core.errors import (
 )
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
+from repro.obs import catalog
+from repro.obs.runtime import get_active
 from repro.paths.encoding import VarintEncoding, read_varint
 
 _TABLE_MAGIC = b"RPST"
@@ -79,14 +83,11 @@ _ORDER_SECTION_PREFIX = struct.Struct("<4sII")
 
 def dumps_table(table: SupernodeTable) -> bytes:
     """Serialize a supernode table to bytes."""
-    out = bytearray()
-    out += _TABLE_MAGIC
-    out += struct.pack("<BII", _VERSION, table.base_id, len(table))
-    for sid in range(table.base_id, table.base_id + len(table)):
-        subpath = table.expand(sid)
-        out += _VARINT.encode([len(subpath)])
-        out += _VARINT.encode(subpath)
-    return bytes(out)
+    entries = [table.expand(sid) for sid in range(table.base_id, table.base_id + len(table))]
+    payload, _ = _VARINT.encode_runs(entries, prefixed=True)
+    return (
+        _TABLE_MAGIC + struct.pack("<BII", _VERSION, table.base_id, len(table)) + payload
+    )
 
 
 def loads_table(data: bytes) -> Tuple[SupernodeTable, int]:
@@ -123,24 +124,39 @@ def dumps_store(store: CompressedPathStore) -> bytes:
     The v1 blob has no order-table section, so a store holding a vertex
     reordering cannot round-trip through it — the reordered payload would
     silently decode to wrong ids.  Such stores must use the v2 layout
-    (:func:`dumps_store_v2`); asking for v1 raises eagerly.
+    (:func:`dumps_store_v2`); asking for v1 raises eagerly.  With
+    :mod:`repro.obs` active the call is timed as ``store.serialize.seconds``
+    under a ``store.serialize`` span.
     """
     if getattr(store, "order", None) is not None:
         raise InvalidInputError(
             "v1 store blobs cannot persist a vertex order; "
             "write reordered stores with dumps_store_v2"
         )
-    payload = bytearray()
-    payload += dumps_table(store.table)
-    payload += struct.pack("<I", len(store))
-    for token in store.tokens():
-        payload += _VARINT.encode([len(token)])
-        payload += _VARINT.encode(token)
-    out = bytearray()
-    out += _STORE_MAGIC
-    out += struct.pack("<BI", _VERSION, zlib.crc32(bytes(payload)))
-    out += payload
-    return bytes(out)
+    obs = get_active()
+    if obs is not None:
+        return _observed(obs, _store_v1_blob, store)
+    return _store_v1_blob(store)
+
+
+def _store_v1_blob(store: CompressedPathStore) -> bytes:
+    tokens, _ = _VARINT.encode_runs(store.tokens(), prefixed=True)
+    payload = dumps_table(store.table) + struct.pack("<I", len(store)) + tokens
+    return _STORE_MAGIC + struct.pack("<BI", _VERSION, zlib.crc32(payload)) + payload
+
+
+def _observed(obs, write, *args) -> bytes:
+    """``write(*args)`` under the ``store.serialize`` span and timer.
+
+    The span carries the blob's size as its ``bytes`` count.
+    """
+    with obs.tracer.span(catalog.SPAN_STORE_SERIALIZE) as span, obs.registry.timeit(
+        catalog.STORE_SERIALIZE_SECONDS
+    ):
+        blob = write(*args)
+        if span is not None:
+            span.add("bytes", len(blob))
+    return blob
 
 
 def loads_store(data: bytes) -> CompressedPathStore:
@@ -271,20 +287,26 @@ def dumps_store_v2_tokens(table: SupernodeTable, tokens, order=None) -> bytes:
     it is persisted as the trailing order-table section and the header
     flag is set.  ``None`` produces a byte-identical blob to the pre-flag
     format.
+
+    With :mod:`repro.obs` active the call is timed as
+    ``store.serialize.seconds`` under a ``store.serialize`` span.
     """
+    obs = get_active()
+    if obs is not None:
+        return _observed(obs, _store_v2_blob, table, tokens, order)
+    return _store_v2_blob(table, tokens, order)
+
+
+def _store_v2_blob(table: SupernodeTable, tokens, order) -> bytes:
     table_blob = dumps_table(table)
-    payload = bytearray()
-    index = bytearray(struct.pack("<Q", 0))
-    count = 0
-    for token in tokens:
-        payload += _VARINT.encode(token)
-        index += struct.pack("<Q", len(payload))
-        count += 1
+    payload, ends = _VARINT.encode_runs(tokens)
+    count = len(ends) - 1
+    index = _u64_le(ends)
     flags = STORE_V2_FLAG_ORDER if order is not None else 0
     table_offset = STORE_V2_HEADER_SIZE
     index_offset = table_offset + len(table_blob)
     payload_offset = index_offset + len(index)
-    meta_crc = zlib.crc32(bytes(table_blob + bytes(index)))
+    meta_crc = zlib.crc32(table_blob + index)
     header = STORE_V2_HEADER.pack(
         STORE_V2_MAGIC, STORE_V2_VERSION, flags, count, table_offset,
         len(table_blob), index_offset, payload_offset, len(payload),
@@ -292,10 +314,18 @@ def dumps_store_v2_tokens(table: SupernodeTable, tokens, order=None) -> bytes:
     )
     header_crc = zlib.crc32(header[:-4])
     header = header[:-4] + struct.pack("<I", header_crc)
-    blob = header + table_blob + bytes(index) + bytes(payload)
+    blob = header + table_blob + index + payload
     if order is not None:
         blob += _dumps_order_section(order)
     return blob
+
+
+def _u64_le(values: array) -> bytes:
+    """The non-negative ``array('q')`` *values* as little-endian u64 bytes."""
+    if sys.byteorder == "big":
+        values = array("q", values)
+        values.byteswap()
+    return values.tobytes()
 
 
 def _dumps_order_section(order) -> bytes:

@@ -118,6 +118,7 @@ STORE_RETRIEVE_SECONDS = _timer("store.retrieve.seconds")
 STORE_RETRIEVE_SLICE_SECONDS = _timer("store.retrieve_slice.seconds")
 STORE_RETRIEVE_ALL_SECONDS = _timer("store.retrieve_all.seconds")
 STORE_OPEN_SECONDS = _timer("store.open.seconds")
+STORE_SERIALIZE_SECONDS = _timer("store.serialize.seconds")
 
 # -- path-query serving layer (repro.serve) --------------------------------------
 #
@@ -226,6 +227,7 @@ SPAN_BUILD_TOPDOWN_ROUND = _span("build.topdown.round")
 SPAN_STORE_INGEST = _span("store.ingest")
 SPAN_STORE_RETRIEVE_ALL = _span("store.retrieve_all")
 SPAN_STORE_OPEN = _span("store.open")
+SPAN_STORE_SERIALIZE = _span("store.serialize")
 SPAN_SHARD_BUILD = _span("shard.build")
 SPAN_SHARD_SEAL = _span("shard.seal")
 SPAN_SHARD_OPEN = _span("shard.open")

@@ -14,20 +14,47 @@ Both encodings are exact codecs: :func:`encode_stream` produces bytes that
 :func:`decode_stream` restores losslessly, so "size in bytes" is always the
 length of a real byte string, never an estimate.
 
-This module owns the varint byte layout: :meth:`VarintEncoding.encode` is
-the one writer, :meth:`VarintEncoding.decode` reads a whole stream, and
-:func:`read_varint` is the checked scalar reader of the archive parsers
-(tables, v1 stores, order bodies, LZ77 streams).  Only the mapped store's
-per-token loop and its numpy bulk parse (:mod:`repro.core.mapped`) read
-varints on their own, for speed.
+This module owns the varint byte layout, in both directions and at both
+grains:
+
+* scalar — :meth:`VarintEncoding.encode` writes a stream value by value,
+  :meth:`VarintEncoding.decode` reads a whole stream, and
+  :func:`read_varint` is the checked one-value reader of the archive
+  parsers (tables, v1 stores, order bodies, LZ77 streams);
+* bulk — :meth:`VarintEncoding.encode_runs` writes many runs of integers
+  in vectorized passes (every archive payload, index, table and dataset
+  is written through it), and :meth:`VarintEncoding.decode_runs`, its
+  inverse, parses a payload back into one flat buffer (the mapped store's
+  bulk decode).
+
+Only the mapped store's per-token loop (:meth:`MappedPathStore.token
+<repro.core.mapped.MappedPathStore.token>`) still reads varints on its
+own, because a call per symbol would dominate point reads.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence, Tuple, Union
+from array import array
+from bisect import bisect_right
+from itertools import chain
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import CorruptDataError, TruncatedDataError
+
+try:  # soft dependency — without numpy the bulk pair runs scalar loops
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on numpy-less installs
+    _np = None
+
+#: Bytes in the longest varint the bulk pair handles: 9 × 7 = 63 bits
+#: always fit a non-negative int64.
+_BULK_VARINT_BYTES = 9
+
+#: Symbols per block of the bulk writer.  Its numpy temporaries take about
+#: 50 bytes a symbol, so at 8K symbols its peak memory stays near the
+#: scalar writer's, whatever the size of the archive.
+_WRITE_BLOCK_SYMBOLS = 1 << 13
 
 
 class FixedWidthEncoding:
@@ -137,8 +164,201 @@ class VarintEncoding:
             )
         return values
 
+    def encode_runs(
+        self, runs: Iterable[Sequence[int]], prefixed: bool = False
+    ) -> Tuple[bytes, array]:
+        """Encode every run of *runs* back to back; returns ``(payload, ends)``.
+
+        ``ends`` is an ``array('q')`` of ``len(runs) + 1`` byte offsets
+        from 0 to ``len(payload)``: run *i* occupies
+        ``payload[ends[i]:ends[i + 1]]``.  With *prefixed* each run is
+        preceded by the varint of its length, the layout of v1 stores,
+        tables and path datasets; without it the runs are bare and
+        ``ends`` delimits them, the layout of the v2 payload.
+
+        The bytes are those :meth:`encode` writes for the same integers in
+        the same order.  With numpy they are computed in vectorized passes
+        over blocks of about 8K symbols.  Without numpy, or when any value
+        is not an integer in ``[0, 2**63)``, the scalar loop writes them
+        instead, so a larger value gets the same bytes and a bad one raises
+        :meth:`encode`'s error (``ValueError`` for a negative,
+        ``TypeError`` for a non-integer).
+        """
+        runs = list(runs)
+        encoded = _bulk_encode_runs(runs, prefixed) if _np is not None else None
+        if encoded is None:
+            payload = bytearray()
+            ends = array("q", [0])
+            for run in runs:
+                if prefixed:
+                    payload += self.encode((len(run),))
+                payload += self.encode(run)
+                ends.append(len(payload))
+            encoded = bytes(payload), ends
+        return encoded
+
+    def decode_runs(self, data, ends: Sequence[int]) -> Tuple[array, array]:
+        """Parse the bare runs :meth:`encode_runs` wrote; the inverse pair.
+
+        *data* is the payload and *ends* its ``len(runs) + 1`` byte
+        offsets, monotone from 0 to ``len(data)``.  Returns
+        ``(values, offsets)``, two ``array('q')`` in the
+        :class:`~repro.core.flatcorpus.FlatCorpus` layout: run *i* is
+        ``values[offsets[i]:offsets[i + 1]]``.
+
+        Raises :class:`CorruptDataError` when a non-empty run's last byte
+        continues a varint (so a varint would run into the next run or off
+        the payload) and when a varint is longer than 9 bytes, which only a
+        value of ``2**63`` or more, or a padded encoding, needs; each
+        message names a byte offset into *data*.  With numpy the parse is
+        one vectorized pass; without it, each varint goes through
+        :func:`read_varint`.
+        """
+        if _np is not None:
+            return _bulk_decode_runs(data, ends)
+        for run in range(len(ends) - 1):
+            if ends[run] < ends[run + 1] and data[ends[run + 1] - 1] >= 0x80:
+                raise _unterminated_run(run, ends[run + 1])
+        values = array("q")
+        offsets = array("q", [0])
+        for begin, end in zip(ends, ends[1:]):
+            pos = begin
+            while pos < end:
+                value, after = read_varint(data, pos)
+                if after - pos > _BULK_VARINT_BYTES:
+                    raise _overlong_varint(pos)
+                values.append(value)
+                pos = after
+            offsets.append(len(values))
+        return values, offsets
+
     def __repr__(self) -> str:
         return "VarintEncoding()"
+
+
+def _bulk_encode_runs(runs: List[Sequence[int]], prefixed: bool) -> Optional[Tuple[bytes, array]]:
+    """:meth:`VarintEncoding.encode_runs` in numpy, or ``None`` for the scalar loop.
+
+    The runs are encoded in blocks of whole runs of about
+    :data:`_WRITE_BLOCK_SYMBOLS` symbols; a run longer than that is a
+    block of its own.
+    """
+    np = _np
+    lengths = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
+    firsts = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=firsts[1:])
+    pieces = []
+    ends = array("q", [0])
+    written = 0
+    start = 0
+    while start < len(runs):
+        limit = firsts[start] + _WRITE_BLOCK_SYMBOLS
+        stop = max(start + 1, bisect_right(firsts, limit, start + 1, len(runs) + 1) - 1)
+        block = _bulk_encode_block(runs[start:stop], lengths[start:stop], prefixed)
+        if block is None:
+            return None
+        payload, run_ends = block
+        pieces.append(payload)
+        ends.frombytes((run_ends + written).tobytes())
+        written += len(payload)
+        start = stop
+    return b"".join(pieces), ends
+
+
+def _bulk_encode_block(runs, lengths, prefixed: bool):
+    """One block's ``(payload, byte end of each run)``, or ``None``.
+
+    The runs are flattened into an ``array('q')``, whose ``fromlist``
+    rejects non-integers and values past int64 without truncating them
+    (``np.fromiter`` would turn 1.5 into 1).  Each value's byte count is
+    one plus its nonzero 7-bit shifts; their ``cumsum`` places every
+    varint, and one masked scatter per 7-bit group writes the bytes.
+    """
+    np = _np
+    flat = array("q")
+    try:
+        flat.fromlist(list(chain.from_iterable(runs)))
+    except (TypeError, OverflowError):
+        return None
+    values = np.frombuffer(flat, dtype=np.int64)
+    if values.size and values.min() < 0:
+        return None
+    run_ends = np.cumsum(lengths)
+    if prefixed:
+        heads = run_ends - lengths + np.arange(len(runs))
+        merged = np.empty(values.size + len(runs), dtype=np.int64)
+        body = np.ones(merged.size, dtype=bool)
+        body[heads] = False
+        merged[heads] = lengths
+        merged[body] = values
+        values = merged
+        run_ends += np.arange(1, len(runs) + 1)
+    sizes = np.ones(values.size, dtype=np.uint8)
+    rest = values >> 7
+    while rest.any():
+        sizes += rest != 0
+        rest >>= 7
+    byte_ends = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=byte_ends[1:])
+    del sizes, rest
+    payload = np.empty(int(byte_ends[-1]), dtype=np.uint8)
+    where = byte_ends[:-1]
+    rest = values
+    while where.size:
+        group = (rest & 0x7F).astype(np.uint8)
+        more = rest > 0x7F
+        group[more] |= 0x80
+        payload[where] = group
+        where = where[more]
+        where += 1
+        rest = rest[more]
+        rest >>= 7
+    return payload.tobytes(), byte_ends[run_ends]
+
+
+def _bulk_decode_runs(data, ends: Sequence[int]) -> Tuple[array, array]:
+    """:meth:`VarintEncoding.decode_runs` in numpy.
+
+    Values are the sums (``np.add.reduceat``) of each varint's 7-bit
+    groups shifted into place; a run's symbol offset counts the varint
+    terminators before its end.
+    """
+    np = _np
+    data = np.frombuffer(data, dtype=np.uint8)
+    bounds = np.asarray(ends, dtype=np.int64)
+    stops_at = bounds[1:]
+    filled = stops_at > bounds[:-1]
+    unterminated = data[stops_at[filled] - 1] >= 0x80
+    if unterminated.any():
+        run = int(np.flatnonzero(filled)[unterminated.argmax()])
+        raise _unterminated_run(run, int(stops_at[run]))
+    stops = np.flatnonzero(data < 0x80)
+    starts = np.zeros(stops.size, dtype=np.int64)
+    starts[1:] = stops[:-1] + 1
+    sizes = stops - starts + 1
+    overlong = sizes > _BULK_VARINT_BYTES
+    if overlong.any():
+        raise _overlong_varint(int(starts[overlong.argmax()]))
+    place = np.arange(data.size, dtype=np.int64) - np.repeat(starts, sizes)
+    groups = (data & 0x7F).astype(np.int64) << (7 * place)
+    values = array("q")
+    values.frombytes(np.add.reduceat(groups, starts).tobytes())
+    offsets = array("q")
+    offsets.frombytes(np.searchsorted(stops, bounds).astype(np.int64).tobytes())
+    return values, offsets
+
+
+def _unterminated_run(run: int, end: int) -> CorruptDataError:
+    return CorruptDataError(
+        f"run {run} ends inside a varint at byte offset {end} (corrupt stream)"
+    )
+
+
+def _overlong_varint(start: int) -> CorruptDataError:
+    return CorruptDataError(
+        f"varint longer than {_BULK_VARINT_BYTES} bytes at byte offset {start} "
+        "(past the 63-bit bulk range)"
+    )
 
 
 def read_varint(data, pos: int) -> Tuple[int, int]:

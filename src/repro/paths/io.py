@@ -13,7 +13,6 @@ Both are exact: ``load(save(ds)) == ds``.
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path as FsPath
 from typing import List, Tuple, Union
@@ -60,13 +59,8 @@ def dumps_binary(dataset: PathDataset) -> bytes:
     Layout: magic, version byte, path count (u32), then for each path a
     varint length followed by varint vertex ids.
     """
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<BI", _VERSION, len(dataset)))
-    for p in dataset:
-        buf.write(_VARINT.encode([len(p)]))
-        buf.write(_VARINT.encode(p))
-    return buf.getvalue()
+    payload, _ = _VARINT.encode_runs(dataset, prefixed=True)
+    return _HEADER.pack(_MAGIC, _VERSION, len(dataset)) + payload
 
 
 def loads_binary(data: bytes, name: str = "dataset") -> PathDataset:

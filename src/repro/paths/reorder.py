@@ -198,10 +198,8 @@ class VertexOrder:
         framing (magic, length, CRC) lives in :mod:`repro.core.serialize`.
         """
         name = self.strategy.encode("utf-8")
-        return (
-            _VARINT.encode((len(name),)) + name
-            + _VARINT.encode((len(self._backward),)) + _VARINT.encode(self._backward)
-        )
+        backward, _ = _VARINT.encode_runs([self._backward], prefixed=True)
+        return _VARINT.encode((len(name),)) + name + backward
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VertexOrder":

@@ -34,6 +34,7 @@ from repro.core.serialize import (
 from repro.core.sharded import ShardedPathStore, ShardInfo, ShardManifest
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
+from repro.paths import encoding
 from repro.paths.dataset import PathDataset
 from repro.paths.encoding import VarintEncoding
 from repro.paths.reorder import VertexOrder
@@ -326,7 +327,7 @@ def stores(request, tmp_path):
 
 
 def _without_numpy(monkeypatch) -> None:
-    for module in (mapped, flatcorpus, expansion):
+    for module in (mapped, flatcorpus, expansion, encoding):
         monkeypatch.setattr(module, "_np", None)
 
 

@@ -1,9 +1,13 @@
 """Unit and property tests for the integer stream encodings."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import CorruptDataError, TruncatedDataError
+from repro.paths import encoding
 from repro.paths.encoding import (
     DEFAULT_ENCODING,
     FixedWidthEncoding,
@@ -110,3 +114,173 @@ def test_varint_roundtrip_property(values):
 def test_varint_size_accounting_is_exact(values):
     enc = VarintEncoding()
     assert enc.size_of(values) == len(enc.encode(values))
+
+
+# -- the bulk pair: encode_runs / decode_runs -------------------------------------
+
+BOUNDARIES = [0, 127, 128, 16383, 16384, 2**35, 2**63 - 1]
+ROUTES = ["numpy", "scalar"]
+
+
+@contextmanager
+def _route(name):
+    """Run the bulk pair on its numpy route or with numpy switched off."""
+    if name == "numpy":
+        pytest.importorskip("numpy")
+        yield
+    else:
+        with mock.patch.object(encoding, "_np", None):
+            yield
+
+
+def _reference_runs(runs, prefixed=False):
+    """``encode_runs`` spelled as the per-run ``encode`` loop."""
+    enc = VarintEncoding()
+    payload = b""
+    ends = [0]
+    for run in runs:
+        if prefixed:
+            payload += enc.encode([len(run)])
+        payload += enc.encode(run)
+        ends.append(len(payload))
+    return payload, ends
+
+
+def _split(values, offsets):
+    return [tuple(values[offsets[i]:offsets[i + 1]]) for i in range(len(offsets) - 1)]
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+class TestEncodeRuns:
+    @pytest.mark.parametrize("prefixed", [False, True], ids=["bare", "prefixed"])
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [[value] for value in BOUNDARIES],
+            [BOUNDARIES, [], BOUNDARIES[::-1]],
+            [[]],
+            [],
+        ],
+        ids=["one-per-run", "with-empty-run", "one-empty-run", "zero-runs"],
+    )
+    def test_boundaries_equal_the_scalar_writer(self, route, runs, prefixed):
+        with _route(route):
+            payload, ends = VarintEncoding().encode_runs(runs, prefixed=prefixed)
+        assert (payload, list(ends)) == _reference_runs(runs, prefixed)
+        assert isinstance(payload, bytes)
+
+    @pytest.mark.parametrize("prefixed", [False, True], ids=["bare", "prefixed"])
+    def test_runs_spanning_many_blocks(self, route, prefixed):
+        # Blocks hold whole runs: one run longer than a block, many short
+        # runs on both sides of it, and empty runs at block edges.
+        block = encoding._WRITE_BLOCK_SYMBOLS
+        runs = [[i % 300, i] for i in range(block)] + [list(range(block + 5))]
+        runs += [[], [2**40]] * 100 + [[7] * (block - 1), [], [1]]
+        with _route(route):
+            payload, ends = VarintEncoding().encode_runs(runs, prefixed=prefixed)
+        assert (payload, list(ends)) == _reference_runs(runs, prefixed)
+
+    def test_values_past_int64_take_the_scalar_loop(self, route):
+        runs = [[1, 2**63], [2**64 + 5, 3], [2**70]]
+        with _route(route):
+            if route == "numpy":
+                assert encoding._bulk_encode_runs(runs, False) is None
+            for prefixed in (False, True):
+                payload, ends = VarintEncoding().encode_runs(runs, prefixed=prefixed)
+                assert (payload, list(ends)) == _reference_runs(runs, prefixed)
+
+    @pytest.mark.parametrize(
+        "runs",
+        [[[1, -1]], [[1.5]], [[2], [3.0]], [["7"]], [[-1, 1.5]], [[1.5, -1]]],
+        ids=["negative", "float", "integral-float", "string", "negative-first",
+             "float-first"],
+    )
+    def test_bad_values_raise_what_encode_raises(self, route, runs):
+        flat = [value for run in runs for value in run]
+        expected = _outcome(lambda: VarintEncoding().encode(flat))
+        assert expected[0] in (ValueError, TypeError)
+        with _route(route):
+            for prefixed in (False, True):
+                got = _outcome(lambda: VarintEncoding().encode_runs(runs, prefixed))
+                assert got == expected
+
+    def test_negative_is_value_error_and_float_is_type_error(self, route):
+        with _route(route):
+            with pytest.raises(ValueError):
+                VarintEncoding().encode_runs([[-1]])
+            with pytest.raises(TypeError):
+                VarintEncoding().encode_runs([[1.5]])
+
+    def test_prefixed_form_reads_back_with_the_scalar_decoder(self, route):
+        runs = [[5, 300], [], [2**40]]
+        with _route(route):
+            payload, _ = VarintEncoding().encode_runs(runs, prefixed=True)
+        assert VarintEncoding().decode(payload) == [2, 5, 300, 0, 1, 2**40]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+class TestDecodeRuns:
+    def test_boundaries_round_trip(self, route):
+        runs = [BOUNDARIES, [], [1], BOUNDARIES[::-1], []]
+        with _route(route):
+            enc = VarintEncoding()
+            values, offsets = enc.decode_runs(*enc.encode_runs(runs))
+        assert _split(values, offsets) == [tuple(run) for run in runs]
+
+    @pytest.mark.parametrize(
+        "payload, ends, message",
+        [
+            (b"\x01\x81", [0, 1, 2], "run 1 ends inside a varint at byte offset 2"),
+            (b"\x01\x81\x01", [0, 2, 3], "run 0 ends inside a varint at byte offset 2"),
+            (b"\x05" + b"\x81" * 9 + b"\x00", [0, 11],
+             "varint longer than 9 bytes at byte offset 1"),
+            (b"\x80" * 9 + b"\x01\x81", [0, 10, 11], "run 1 ends inside a varint"),
+        ],
+        ids=["last-run-open", "middle-run-open", "ten-byte-varint", "open-before-long"],
+    )
+    def test_damage_is_typed_with_its_offset(self, route, payload, ends, message):
+        with _route(route):
+            with pytest.raises(CorruptDataError, match=message):
+                VarintEncoding().decode_runs(payload, ends)
+
+    def test_varint_past_ten_bytes(self, route):
+        with _route(route):
+            with pytest.raises(CorruptDataError, match="at byte offset 1 "):
+                VarintEncoding().decode_runs(b"\x05" + b"\xff" * 12 + b"\x01", [0, 14])
+
+    def test_empty_runs(self, route):
+        with _route(route):
+            enc = VarintEncoding()
+            assert _split(*enc.decode_runs(b"", [0, 0, 0])) == [(), ()]
+            assert _split(*enc.decode_runs(b"", [0])) == []
+
+
+_RUNS = st.lists(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=8),
+                 max_size=12)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@given(runs=_RUNS)
+def test_runs_round_trip_property(route, runs):
+    with _route(route):
+        enc = VarintEncoding()
+        payload, ends = enc.encode_runs(runs)
+        values, offsets = enc.decode_runs(payload, ends)
+    assert (payload, list(ends)) == _reference_runs(runs)
+    assert _split(values, offsets) == [tuple(run) for run in runs]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@given(runs=st.lists(st.lists(st.integers(min_value=0, max_value=2**80), max_size=6),
+                     max_size=8))
+def test_prefixed_runs_equal_the_scalar_writer_property(route, runs):
+    with _route(route):
+        payload, ends = VarintEncoding().encode_runs(runs, prefixed=True)
+    assert (payload, list(ends)) == _reference_runs(runs, prefixed=True)

@@ -356,3 +356,34 @@ class TestCoreIntegration:
         assert plain.table.subpaths == observed.table.subpaths
         for path in simple_dataset:
             assert plain.compress_path(path) == observed.compress_path(path)
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_compress_metrics_report_the_serialize_timer(self, tmp_path, fmt):
+        from repro.cli import main
+
+        paths = tmp_path / "paths.txt"
+        paths.write_text("".join(f"{i} {i + 1} {i + 2} 1 2 3\n" for i in range(40)))
+        archive = tmp_path / f"store.{fmt}"
+        snapshot = tmp_path / "metrics.json"
+        assert main(["compress", str(paths), str(archive), "--format", fmt,
+                     "--sample-exponent", "0", "--metrics", str(snapshot)]) == 0
+        payload = json.loads(snapshot.read_text())
+        assert payload["metrics"]["timers"]["store.serialize.seconds"]["count"] == 1
+        serialize_spans = [s for s in payload["spans"] if s["name"] == "store.serialize"]
+        assert len(serialize_spans) == 1
+        assert serialize_spans[0]["counts"]["bytes"] == archive.stat().st_size
+
+    def test_serialize_is_uninstrumented_when_off(self, simple_dataset):
+        from repro.core.config import OFFSConfig
+        from repro.core.offs import OFFSCodec
+        from repro.core.serialize import dumps_store, dumps_store_v2
+        from repro.core.store import CompressedPathStore
+
+        codec = OFFSCodec(OFFSConfig(iterations=2, sample_exponent=0)).fit(simple_dataset)
+        store = CompressedPathStore.from_corpus(simple_dataset, codec.table)
+        plain = (dumps_store(store), dumps_store_v2(store))
+        with instrumented() as obs:
+            observed = (dumps_store(store), dumps_store_v2(store))
+        assert observed == plain
+        assert obs.registry.as_dict()["timers"]["store.serialize.seconds"]["count"] == 2
+        assert get_active() is None
