@@ -3,8 +3,11 @@
 A fig5-style speed run small enough for CI: build one table on one
 workload, then time the seed pipeline (per-path loop, flat hash matcher)
 against the flat batch pipeline (the vectorized rolling-hash kernel),
-min-of-N each, asserting byte-identical output.  The v2 blob of the same
-tokens is timed too (``serialize_seconds``), and its bytes are checked
+min-of-N each, asserting byte-identical output.  The build's table CRC
+(``table_crc``) and its Algorithm 5 accounting (``build_counters``:
+candidates pruned, probes, hashed vertices) are recorded, so that
+``make bench-check`` fails on any drift in construction.  The v2 blob of
+the same tokens is timed too (``serialize_seconds``), and its bytes are checked
 against a per-token ``encode`` loop (``serialize_matches_scalar``).
 Emits one JSON blob (``BENCH_smoke.json`` by default) so CI can archive a
 timing trajectory next to the test logs.
@@ -34,6 +37,7 @@ import platform
 import sys
 import tempfile
 import time
+import zlib
 from typing import Callable, Dict
 
 
@@ -184,6 +188,7 @@ def main(argv=None) -> int:
     from repro.core.serialize import (
         STORE_V2_HEADER_SIZE,
         dumps_store_v2_tokens,
+        dumps_table,
         publish_file,
     )
     from repro.obs import instrumented
@@ -192,7 +197,13 @@ def main(argv=None) -> int:
     dataset = make_dataset(args.workload, args.size, seed=0)
     sample_exponent = {"tiny": 0, "small": 2, "medium": 4}[args.size]
     config = OFFSConfig(iterations=4, sample_exponent=sample_exponent)
-    table, report = TableBuilder(config).build(dataset)
+    with instrumented() as build_obs:
+        table, report = TableBuilder(config).build(dataset)
+    build_counters = {
+        name: build_obs.registry.counters().get(name, 0)
+        for name in ("build.candidates_pruned", "build.matcher.probes",
+                     "build.matcher.hashed_vertices")
+    }
 
     paths = list(dataset)
     corpus = dataset.to_flat()
@@ -236,6 +247,8 @@ def main(argv=None) -> int:
         "paths": len(paths),
         "symbols": total_symbols,
         "table_entries": len(table),
+        "table_crc": zlib.crc32(dumps_table(table)),
+        "build_counters": build_counters,
         "build_seconds": round(report.elapsed_seconds, 4),
         "intern_seconds": round(intern_s, 4),
         "identical_output": identical,

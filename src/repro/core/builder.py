@@ -107,11 +107,12 @@ class TableBuilder:
         """Stage 1: seed the candidate set with every distinct edge, weight 1."""
         with active_span(catalog.SPAN_BUILD_INITIALIZE) as span:
             cands = make_candidate_set(self.config.matcher, alpha=self.config.alpha)
-            for path in paths:
-                for i in range(len(path) - 1):
-                    edge = (path[i], path[i + 1])
-                    if edge not in cands:
-                        cands.add(edge, 1)
+            # Distinct edges in first-seen order: one dict lookup per edge.
+            edges = dict.fromkeys(
+                edge for path in paths for edge in zip(path, path[1:])
+            )
+            for edge in edges:
+                cands.add(edge, 1)
             if span is not None:
                 span.annotate(seed_candidates=len(cands))
         return cands
@@ -177,7 +178,14 @@ class TableBuilder:
                         if length > 1 and len(pre) < delta:
                             cands.add(pre + (path[pos],))
                     pos += length
-            pruned = cands.prune_to_top(lam)
+            scanned = len(cands)
+            with active_span(catalog.SPAN_BUILD_PRUNE) as prune_span:
+                pruned = cands.prune_to_top(lam)
+                if prune_span is not None:
+                    prune_span.annotate(
+                        candidates_before=scanned, candidates_after=len(cands)
+                    )
+                    prune_span.add("pruned", pruned)
             if span is not None:
                 span.annotate(candidates_before=before, candidates_after=len(cands))
                 span.add("matches", matches_counted)

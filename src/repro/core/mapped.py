@@ -361,7 +361,7 @@ class MappedPathStore(PathReader):
     def token_corpus(self) -> FlatCorpus:
         """Every token in path-id order as one :class:`FlatCorpus`.
 
-        With numpy the whole payload is parsed in one vectorized pass
+        With numpy the whole payload is parsed in vectorized blocks
         (:meth:`_bulk_parse`), which accepts only payloads that
         :meth:`token` returns unchanged.  Without numpy, or when any of
         its checks fails, every token goes through :meth:`token`, which

@@ -21,6 +21,7 @@ keeping (de)compression side-effect free.
 
 from __future__ import annotations
 
+import heapq
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -130,21 +131,16 @@ class CandidateSet(ABC):
             self.add(tuple(seq), weight - current)
 
     def top_candidates(self, count: int) -> List[Tuple[Subpath, int]]:
-        """The *count* best candidates under the paper's ranking.
+        """The *count* best candidates under the paper's ranking, best first.
 
         Ranking is by practical weighted frequency ``weight × length``;
         ties prefer the longer candidate *unless* its weight is 1
         (Example 1's stated rule), then higher weight, then lexicographic
-        order for determinism.
+        order for determinism (:func:`_rank_key`).  Only the winners are
+        sorted; :func:`_top_indices` selects them.
         """
-        def key(entry: Tuple[Subpath, int]):
-            seq, w = entry
-            gain = w * len(seq)
-            tie_len = len(seq) if w > 1 else 0
-            return (-gain, -tie_len, -w, seq)
-
-        ranked = sorted(self.items(), key=key)
-        return ranked[:count]
+        entries = list(self.items())
+        return sorted((entries[i] for i in _top_indices(entries, count)), key=_rank_key)
 
     def prune_to_top(self, count: int) -> int:
         """Keep only the top-*count* candidates; return how many were dropped.
@@ -153,13 +149,51 @@ class CandidateSet(ABC):
         """
         if len(self) <= count:
             return 0
-        keep = {seq for seq, _ in self.top_candidates(count)}
-        dropped = 0
-        for seq, _ in list(self.items()):
+        entries = list(self.items())
+        keep = {entries[i][0] for i in _top_indices(entries, count)}
+        for seq, _ in entries:
             if seq not in keep:
                 self.discard(seq)
-                dropped += 1
-        return dropped
+        return len(entries) - len(keep)
+
+
+def _rank_key(entry: Tuple[Subpath, int]) -> Tuple[int, int, int, Subpath]:
+    """Sort key of a ``(candidate, weight)`` pair: best ranks first.
+
+    ``(-gain, -tie_len, -weight, candidate)`` with ``gain = weight ×
+    length`` and ``tie_len`` the length, or 0 for a weight-1 candidate.
+    Distinct candidates never share a key, so the order is total.
+    """
+    seq, w = entry
+    tie_len = len(seq) if w > 1 else 0
+    return (-w * len(seq), -tie_len, -w, seq)
+
+
+def _top_indices(entries: List[Tuple[Subpath, int]], count: int) -> List[int]:
+    """Positions in *entries*, ascending, of ``sorted(entries, key=_rank_key)[:count]``.
+
+    Exact selection instead of the full sort: the *count*-th largest gain
+    ``t`` comes from :func:`heapq.nlargest` over plain ints; every entry
+    with a gain above ``t`` ranks before every entry at ``t``, so all of
+    them are kept, and only the tie group at ``t`` is ranked with
+    :func:`_rank_key` to fill the remaining places.  Fewer than *count*
+    gains exceed ``t`` and at least *count* reach it, so the kept set is
+    the sorted prefix exactly (the key is total).
+    """
+    if count < 0:
+        raise InvalidInputError(f"count must be >= 0, got {count}")
+    if count >= len(entries):
+        return list(range(len(entries)))
+    if count == 0:
+        return []
+    gains = [w * len(seq) for seq, w in entries]
+    threshold = heapq.nlargest(count, gains)[-1]
+    chosen = [i for i, gain in enumerate(gains) if gain > threshold]
+    tied = [i for i, gain in enumerate(gains) if gain == threshold]
+    tied.sort(key=lambda i: _rank_key(entries[i]))
+    chosen += tied[: count - len(chosen)]
+    chosen.sort()
+    return chosen
 
 
 class HashCandidates(CandidateSet):
@@ -188,16 +222,42 @@ class HashCandidates(CandidateSet):
     def discard(self, seq: Sequence[int]) -> None:
         self._weights.pop(tuple(seq), None)
 
+    def increment(self, seq: Sequence[int], by: int = 1) -> None:
+        sp = tuple(seq)
+        weights = self._weights
+        current = weights.get(sp)
+        if current is None:
+            self.add(sp, by)
+        else:
+            weights[sp] = current + by
+
     def longest_match(self, path: Sequence[int], pos: int, cap: int) -> int:
         limit = min(cap, self._max_len, len(path) - pos)
         weights = self._weights
-        stats = self.stats
+        # Every length from limit down to the answer (or to 2) is probed,
+        # one hash of each: the counters take the sum in closed form.
         for length in range(limit, 1, -1):
-            stats.probes += 1
-            stats.hashed_vertices += length
             if tuple(path[pos : pos + length]) in weights:
+                probed = limit - length + 1
+                stats = self.stats
+                stats.probes += probed
+                stats.hashed_vertices += (limit + length) * probed // 2
                 return length
+        if limit > 1:
+            stats = self.stats
+            stats.probes += limit - 1
+            stats.hashed_vertices += (limit + 2) * (limit - 1) // 2
         return 1
+
+    def prune_to_top(self, count: int) -> int:
+        weights = self._weights
+        if len(weights) <= count:
+            return 0
+        entries = list(weights.items())
+        # The survivors in insertion order; ``_max_len`` stays put, as it
+        # does after ``discard``, so later probe counts are unchanged.
+        self._weights = dict(entries[i] for i in _top_indices(entries, count))
+        return len(entries) - len(self._weights)
 
     def items(self) -> Iterator[Tuple[Subpath, int]]:
         return iter(list(self._weights.items()))

@@ -221,6 +221,7 @@ SPAN_DECOMPRESS = _span("decompress")
 SPAN_BUILD = _span("build")
 SPAN_BUILD_INITIALIZE = _span("build.initialize")
 SPAN_BUILD_ITERATION = _span("build.iteration")
+SPAN_BUILD_PRUNE = _span("build.prune")
 SPAN_BUILD_FINALIZE = _span("build.finalize")
 SPAN_BUILD_TOPDOWN = _span("build.topdown")
 SPAN_BUILD_TOPDOWN_ROUND = _span("build.topdown.round")

@@ -56,6 +56,11 @@ _BULK_VARINT_BYTES = 9
 #: scalar writer's, whatever the size of the archive.
 _WRITE_BLOCK_SYMBOLS = 1 << 13
 
+#: Payload bytes per block of the bulk reader.  Its numpy temporaries take
+#: about 40 bytes a payload byte, so its peak memory beyond the decoded
+#: values stays near 1.3 MB, whatever the size of the archive.
+_READ_BLOCK_BYTES = 1 << 15
+
 
 class FixedWidthEncoding:
     """Fixed-width little-endian unsigned integer encoding.
@@ -211,8 +216,8 @@ class VarintEncoding:
         the payload) and when a varint is longer than 9 bytes, which only a
         value of ``2**63`` or more, or a padded encoding, needs; each
         message names a byte offset into *data*.  With numpy the parse is
-        one vectorized pass; without it, each varint goes through
-        :func:`read_varint`.
+        vectorized over blocks of whole runs; without it, each varint goes
+        through :func:`read_varint`.
         """
         if _np is not None:
             return _bulk_decode_runs(data, ends)
@@ -319,33 +324,62 @@ def _bulk_encode_block(runs, lengths, prefixed: bool):
 def _bulk_decode_runs(data, ends: Sequence[int]) -> Tuple[array, array]:
     """:meth:`VarintEncoding.decode_runs` in numpy.
 
-    Values are the sums (``np.add.reduceat``) of each varint's 7-bit
-    groups shifted into place; a run's symbol offset counts the varint
-    terminators before its end.
+    Like the writer, it works on blocks of whole runs, here of about
+    :data:`_READ_BLOCK_BYTES` payload bytes (a run longer than that is a
+    block of its own), so its temporaries stay bounded whatever the size
+    of the payload.  Every run end is checked before any block is parsed,
+    so an unterminated run anywhere is reported ahead of an overlong
+    varint, as a single pass over the payload would.
     """
     np = _np
     data = np.frombuffer(data, dtype=np.uint8)
     bounds = np.asarray(ends, dtype=np.int64)
-    stops_at = bounds[1:]
-    filled = stops_at > bounds[:-1]
-    unterminated = data[stops_at[filled] - 1] >= 0x80
-    if unterminated.any():
-        run = int(np.flatnonzero(filled)[unterminated.argmax()])
-        raise _unterminated_run(run, int(stops_at[run]))
-    stops = np.flatnonzero(data < 0x80)
+    runs = len(bounds) - 1
+    # The run ends are checked in slices of as many runs as a block has
+    # bytes, which bounds those temporaries the same way.
+    for first in range(0, runs, _READ_BLOCK_BYTES):
+        last = min(first + _READ_BLOCK_BYTES, runs)
+        highs = bounds[first + 1 : last + 1]
+        filled = highs > bounds[first:last]
+        unterminated = data[highs[filled] - 1] >= 0x80
+        if unterminated.any():
+            run = first + int(np.flatnonzero(filled)[unterminated.argmax()])
+            raise _unterminated_run(run, int(bounds[run + 1]))
+    values = array("q")
+    offsets = array("q")
+    run = 0
+    while run < runs:
+        begin = int(bounds[run])
+        stop = int(np.searchsorted(bounds, begin + _READ_BLOCK_BYTES, side="right")) - 1
+        stop = max(run + 1, stop)
+        block = data[begin : int(bounds[stop])]
+        stops = np.flatnonzero(block < 0x80)
+        firsts = np.searchsorted(stops, bounds[run:stop] - begin) + len(values)
+        offsets.frombytes(firsts.astype(np.int64, copy=False).tobytes())
+        if stops.size:
+            values.frombytes(_decode_block(block, stops, begin))
+        run = stop
+    offsets.append(len(values))
+    return values, offsets
+
+
+def _decode_block(block, stops, at: int) -> bytes:
+    """The int64 bytes of the varints in *block*, which ends at ``stops[-1]``.
+
+    *stops* holds the position of every terminator in *block* (payload
+    bytes from offset *at*).  Each value is the sum (``np.add.reduceat``)
+    of its varint's 7-bit groups shifted into place.
+    """
+    np = _np
     starts = np.zeros(stops.size, dtype=np.int64)
     starts[1:] = stops[:-1] + 1
     sizes = stops - starts + 1
     overlong = sizes > _BULK_VARINT_BYTES
     if overlong.any():
-        raise _overlong_varint(int(starts[overlong.argmax()]))
-    place = np.arange(data.size, dtype=np.int64) - np.repeat(starts, sizes)
-    groups = (data & 0x7F).astype(np.int64) << (7 * place)
-    values = array("q")
-    values.frombytes(np.add.reduceat(groups, starts).tobytes())
-    offsets = array("q")
-    offsets.frombytes(np.searchsorted(stops, bounds).astype(np.int64).tobytes())
-    return values, offsets
+        raise _overlong_varint(at + int(starts[overlong.argmax()]))
+    place = np.arange(block.size, dtype=np.int64) - np.repeat(starts, sizes)
+    groups = (block & 0x7F).astype(np.int64) << (7 * place)
+    return np.add.reduceat(groups, starts).tobytes()
 
 
 def _unterminated_run(run: int, end: int) -> CorruptDataError:

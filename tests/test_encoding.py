@@ -284,3 +284,57 @@ def test_prefixed_runs_equal_the_scalar_writer_property(route, runs):
     with _route(route):
         payload, ends = VarintEncoding().encode_runs(runs, prefixed=True)
     assert (payload, list(ends)) == _reference_runs(runs, prefixed=True)
+
+
+def _cut_payloads():
+    """``(payload, ends)`` pairs: valid encodings and arbitrary damaged bytes."""
+    valid = _RUNS.map(lambda runs: _reference_runs(runs))
+    # Varints of 1 to 12 bytes: the longer ones are past the bulk range.
+    varints = st.lists(st.integers(0, 11), max_size=8).map(
+        lambda sizes: b"".join(b"\x80" * size + b"\x01" for size in sizes)
+    )
+    damaged = st.one_of(st.binary(max_size=48), varints).flatmap(
+        lambda data: st.lists(st.integers(0, len(data)), max_size=8).map(
+            lambda cuts: (data, [0] + sorted(cuts) + [len(data)])
+        )
+    )
+    return st.one_of(valid, damaged)
+
+
+@given(cut=_cut_payloads(), block=st.integers(1, 8))
+def test_blocked_decode_equals_one_block_property(cut, block):
+    """Any block size gives the answers and errors of one block for the whole payload."""
+    pytest.importorskip("numpy")
+    payload, ends = cut
+
+    def decode():
+        values, offsets = VarintEncoding().decode_runs(payload, ends)
+        return list(values), list(offsets)
+
+    whole = _outcome(decode)
+    with mock.patch.object(encoding, "_READ_BLOCK_BYTES", block):
+        assert _outcome(decode) == whole
+
+
+def test_blocked_decode_memory_stays_bounded():
+    """Temporaries of a multi-MB parse stay under a bound set by the block size."""
+    import tracemalloc
+    from array import array
+
+    np = pytest.importorskip("numpy")
+    pattern = [1, 300, 2**40, 0, 127, 128]
+    run = VarintEncoding().encode(pattern * 4)
+    count = (4 << 20) // len(run)
+    payload = run * count
+    ends = array("q", range(0, len(payload) + 1, len(run)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        values, offsets = VarintEncoding().decode_runs(payload, ends)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 4 << 20
+    assert len(offsets) == count + 1 and offsets[-1] == len(values)
+    decoded = np.frombuffer(values, dtype=np.int64).reshape(count, len(pattern) * 4)
+    assert (decoded == np.array(pattern * 4, dtype=np.int64)).all()

@@ -323,6 +323,31 @@ class TestCoreIntegration:
         assert child_names.count("build.iteration") == 3
         assert "build.initialize" in child_names and "build.finalize" in child_names
 
+    def test_each_iteration_holds_one_prune_span(self, simple_dataset):
+        from repro.core.builder import TableBuilder
+        from repro.core.config import OFFSConfig
+
+        with instrumented() as obs:
+            TableBuilder(
+                OFFSConfig(iterations=3, sample_exponent=0, capacity=3)
+            ).build(simple_dataset)
+        iterations = [
+            c for c in obs.tracer.roots[0].children if c.name == "build.iteration"
+        ]
+        prunes = []
+        for iteration in iterations:
+            inner = [c for c in iteration.children if c.name == "build.prune"]
+            assert len(inner) == 1
+            prunes.extend(inner)
+        assert len(prunes) == 3
+        for prune in prunes:
+            before, after = prune.attrs["candidates_before"], prune.attrs["candidates_after"]
+            assert before - after == prune.counts.get("pruned", 0)
+            assert after <= 3
+        pruned = obs.registry.counters()["build.candidates_pruned"]
+        assert pruned > 0
+        assert sum(p.counts.get("pruned", 0) for p in prunes) == pruned
+
     def test_store_counts_and_gauges(self, simple_dataset):
         from repro.core.config import OFFSConfig
         from repro.core.offs import OFFSCodec
