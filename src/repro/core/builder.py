@@ -247,8 +247,8 @@ class TableBuilder:
         report = BuildReport()
 
         with active_span(catalog.SPAN_BUILD, matcher=self.config.matcher) as span:
-            # Intern the dataset once: base_id becomes a single (vectorized
-            # where numpy exists) max over the flat buffer, and sampling
+            # Intern the dataset once: base_id becomes a single vectorized
+            # max over the flat buffer, and sampling
             # materializes only the sampled paths as tuples — the full
             # dataset never becomes a list of tuples here.
             corpus = as_flat_corpus(dataset)

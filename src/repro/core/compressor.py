@@ -11,16 +11,19 @@ OpenMP parallelism; see :mod:`repro.core.parallel`).
 * :func:`decompress_path` — one-pass supernode expansion (Algorithm 1);
   ``O(|P|)`` in the decompressed length (Lemma 1).
 * :func:`compress_paths_flat` / :func:`decompress_paths_flat` — the batch
-  entry points over a :class:`~repro.core.flatcorpus.FlatCorpus`.  With
-  numpy present, compression runs the vectorized
+  entry points over a :class:`~repro.core.flatcorpus.FlatCorpus`.
+  Compression runs the vectorized
   :class:`~repro.core.rollhash.FlatBatchKernel` in bounded blocks whatever
-  the matcher backend; without it, the per-path loop.  Results are
+  the matcher backend.  Results are
   bit-identical to the per-path loop with any backend.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.errors import TableError
 from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
@@ -185,11 +188,10 @@ def compress_paths_flat(
     """Compress a whole corpus in one batch (the flat pipeline entry point).
 
     Bit-identical to :func:`compress_dataset` over the same paths with any
-    matcher backend.  With numpy available, the probe work runs through the
+    matcher backend.  The probe work runs through the
     vectorized :class:`~repro.core.rollhash.FlatBatchKernel` — window
     hashes over each block of the flat buffer, then a thin greedy verify
-    loop — for every backend; without numpy, the per-path loop runs on
-    *matcher*.
+    loop — for every backend.
 
     :param paths: a :class:`FlatCorpus` (preferred; anything else is
         interned first).
@@ -235,13 +237,11 @@ def _compress_corpus(
 ) -> List[CompressedPath]:
     """Bulk encode for :func:`compress_paths_flat` (obs-free inner part).
 
-    With numpy, the matcher's :meth:`~repro.core.matcher.CandidateSet.
+    The matcher's :meth:`~repro.core.matcher.CandidateSet.
     flat_kernel` nominates match lengths block by block, whatever the
-    backend; without it, the per-path loop runs on *matcher* itself.
+    backend.
     """
     kernel = matcher.flat_kernel(table)
-    if not kernel.available:
-        return [compress_path(corpus.path(i), table, matcher) for i in range(len(corpus))]
     base_id = table.base_id
     max_vertex = corpus.max_vertex()
     if max_vertex >= base_id:
@@ -319,8 +319,7 @@ def decompress_paths_flat(
     :func:`decompress_dataset`.
 
     The kernel writes straight into one flat output buffer through the
-    table's precomputed expansion offsets — a single vectorized gather
-    when numpy is available, an ``array('q')`` extend loop otherwise —
+    table's precomputed expansion offsets in a single vectorized gather,
     and is byte-identical to per-path :func:`decompress_path` over the
     same tokens.
 
@@ -355,67 +354,36 @@ def decompress_paths_flat(
 def _decompress_corpus(corpus: FlatCorpus, table: SupernodeTable) -> FlatCorpus:
     """Batch-expand a token corpus into a fresh path corpus (obs-free inner).
 
-    numpy route: per-symbol output lengths come from the expansion cache's
+    Per-symbol output lengths come from the expansion cache's
     dense length array; their prefix sum places every symbol's expansion in
     the output, and one gather through a combined source (expansions
     concatenated ++ the token buffer itself, for literals) fills the whole
     buffer without per-path Python work.
     """
-    from array import array
-
-    cache = table.expansions()
-    arrays = corpus.as_numpy()
-    cache_arrays = cache.as_numpy()
-    if arrays is not None and cache_arrays is not None and len(corpus.buffer):
-        import numpy as np
-
-        buf, offs = arrays
-        concat, starts, exp_lengths = cache_arrays
-        base = table.base_id
-        mask = buf >= base
-        sids = buf[mask] - base
-        if len(sids) and (int(sids.max()) >= len(exp_lengths) or int(sids.min()) < 0):
-            bad = int(sids.max()) + base
-            raise TableError(f"unknown supernode id {bad}")
-        lengths = np.ones(len(buf), dtype=np.int64)
-        lengths[mask] = exp_lengths[sids]
-        out_starts = np.empty(len(buf) + 1, dtype=np.int64)
-        out_starts[0] = 0
-        np.cumsum(lengths, out=out_starts[1:])
-        # Unified gather source: expansion vertices first, then the token
-        # buffer itself so a literal at position i reads combined[C + i].
-        combined = np.concatenate((concat, buf))
-        src_start = np.arange(len(concat), len(concat) + len(buf), dtype=np.int64)
-        src_start[mask] = starts[sids]
-        within = np.arange(int(out_starts[-1]), dtype=np.int64) - np.repeat(
-            out_starts[:-1], lengths
-        )
-        out = combined[np.repeat(src_start, lengths) + within]
-        out_buffer = array("q")
-        out_buffer.frombytes(np.ascontiguousarray(out, dtype="<i8").tobytes())
-        out_offsets = array("q")
-        out_offsets.frombytes(
-            np.ascontiguousarray(out_starts[offs], dtype="<i8").tobytes()
-        )
-        return FlatCorpus(out_buffer, out_offsets, name=corpus.name)
-
-    # Pure-Python fallback: one pass, extending a flat buffer through the
-    # memoized expansions (still no per-path tuple materialization).
+    buf, offs = corpus.as_numpy()
+    concat, starts, exp_lengths = table.expansions().as_numpy()
     base = table.base_id
-    expand = cache.expand
-    buffer = corpus.buffer
+    mask = buf >= base
+    sids = buf[mask] - base
+    if len(sids) and (int(sids.max()) >= len(exp_lengths) or int(sids.min()) < 0):
+        bad = int(sids.max()) + base
+        raise TableError(f"unknown supernode id {bad}")
+    lengths = np.ones(len(buf), dtype=np.int64)
+    lengths[mask] = exp_lengths[sids]
+    out_starts = np.empty(len(buf) + 1, dtype=np.int64)
+    out_starts[0] = 0
+    np.cumsum(lengths, out=out_starts[1:])
+    # Unified gather source: expansion vertices first, then the token
+    # buffer itself so a literal at position i reads combined[C + i].
+    combined = np.concatenate((concat, buf))
+    src_start = np.arange(len(concat), len(concat) + len(buf), dtype=np.int64)
+    src_start[mask] = starts[sids]
+    within = np.arange(int(out_starts[-1]), dtype=np.int64) - np.repeat(
+        out_starts[:-1], lengths
+    )
+    out = combined[np.repeat(src_start, lengths) + within]
     out_buffer = array("q")
-    out_offsets = array("q", [0])
-    extend = out_buffer.extend
-    append = out_buffer.append
-    mark = out_offsets.append
-    start = 0
-    for end in list(corpus.offsets)[1:]:
-        for symbol in buffer[start:end]:
-            if symbol >= base:
-                extend(expand(symbol))
-            else:
-                append(symbol)
-        mark(len(out_buffer))
-        start = end
+    out_buffer.frombytes(np.ascontiguousarray(out, dtype="<i8").tobytes())
+    out_offsets = array("q")
+    out_offsets.frombytes(np.ascontiguousarray(out_starts[offs], dtype="<i8").tobytes())
     return FlatCorpus(out_buffer, out_offsets, name=corpus.name)

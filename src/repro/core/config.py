@@ -23,8 +23,8 @@ The paper's tunables, with its deployed defaults (Section VI-A):
 * ``matcher`` — prefix-match backend of table construction and per-path
   ``append``: ``"hash"`` (Algorithm 6, the production matcher) or
   ``"multilevel"`` (Algorithm 7, the paper's reference).  Output is
-  identical across backends.  Bulk encode does not depend on it: with numpy
-  it always runs the vectorized batch kernel.
+  identical across backends.  Bulk encode does not depend on it: it always
+  runs the vectorized batch kernel.
 * ``topdown_rounds`` (default 0 = off) — hybrid top-down refinement passes
   after the bottom-up iterations (the §IV-D optimization (1); see
   :mod:`repro.core.topdown`).

@@ -27,14 +27,11 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.errors import TableError
 
 Subpath = Tuple[int, ...]
-
-try:  # soft dependency, same policy as repro.core.flatcorpus
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 
 def flatten_subpaths(
@@ -186,18 +183,16 @@ class ExpansionCache:
         return self._starts
 
     def as_numpy(self):
-        """``(concat, starts, lengths)`` int64 views, or ``None`` sans numpy."""
-        if _np is None:
-            return None
+        """``(concat, starts, lengths)`` int64 views."""
         if self._np_arrays is None:
             self._np_arrays = (
-                _np.frombuffer(self._concat, dtype=_np.int64)
+                np.frombuffer(self._concat, dtype=np.int64)
                 if len(self._concat)
-                else _np.zeros(0, dtype=_np.int64),
-                _np.frombuffer(self._starts, dtype=_np.int64),
-                _np.frombuffer(self._lengths, dtype=_np.int64)
+                else np.zeros(0, dtype=np.int64),
+                np.frombuffer(self._starts, dtype=np.int64),
+                np.frombuffer(self._lengths, dtype=np.int64)
                 if len(self._lengths)
-                else _np.zeros(0, dtype=_np.int64),
+                else np.zeros(0, dtype=np.int64),
             )
         return self._np_arrays
 

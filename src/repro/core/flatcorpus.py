@@ -12,20 +12,19 @@ A :class:`FlatCorpus` interns the same data as two ``array('q')`` buffers:
   ``buffer[offsets[i]:offsets[i+1]]``.
 
 This is the layout the batch kernels of :mod:`repro.core.rollhash` consume
-directly (prefix hashes are computed over ``buffer`` in one vectorized pass
-when numpy is available), and the layout :mod:`repro.core.parallel` ships to
+directly (prefix hashes are computed over ``buffer`` in one vectorized
+pass), and the layout :mod:`repro.core.parallel` ships to
 worker processes: a chunk is a buffer *slice* plus rebased offsets, picked up
 as machine bytes rather than a forest of tuples.
-
-numpy is optional everywhere: :meth:`as_numpy` returns ``None`` when it is
-unavailable and every consumer falls back to the pure-Python path.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.errors import BoundsError, InvalidInputError
 
@@ -35,11 +34,6 @@ Subpath = Tuple[int, ...]
 #: offsets bytes.  Deliberately plain (two ``bytes`` objects) so pickling a
 #: chunk costs two memcpy-speed blobs.
 ShippedCorpus = Tuple[bytes, bytes]
-
-try:  # soft dependency — the container itself never requires numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 #: Symbols per block of the vectorized bulk passes (the batch encode
 #: kernel and the order relabel).  Their numpy temporaries scale with the
@@ -168,10 +162,7 @@ class FlatCorpus:
         """Largest vertex id in the corpus; ``-1`` when empty."""
         if len(self.buffer) == 0:
             return -1
-        arrays = self.as_numpy()
-        if arrays is not None:
-            return int(arrays[0].max())
-        return max(self.buffer)
+        return int(self.as_numpy()[0].max())
 
     def to_paths(self) -> List[Subpath]:
         """Materialize every path as a tuple (the legacy representation)."""
@@ -184,15 +175,9 @@ class FlatCorpus:
         return PathDataset(self, name=self.name)
 
     def as_numpy(self):
-        """Zero-copy numpy views ``(buffer, offsets)`` as int64, or ``None``.
-
-        ``None`` means numpy is unavailable; callers must take their
-        pure-Python fallback.
-        """
-        if _np is None:
-            return None
-        buf = _np.frombuffer(self.buffer, dtype=_np.int64)
-        offs = _np.frombuffer(self.offsets, dtype=_np.int64)
+        """Zero-copy numpy views ``(buffer, offsets)`` as int64."""
+        buf = np.frombuffer(self.buffer, dtype=np.int64)
+        offs = np.frombuffer(self.offsets, dtype=np.int64)
         return buf, offs
 
     # -- chunking (parallel fan-out) ----------------------------------------------

@@ -31,6 +31,8 @@ import os
 import zlib
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.errors import (
     CorruptDataError,
     StateError,
@@ -47,11 +49,6 @@ from repro.core.reader import PathReader
 from repro.obs import catalog
 from repro.obs.runtime import get_active
 from repro.paths.encoding import VarintEncoding
-
-try:  # soft dependency — without numpy every token goes through token()
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 _VARINT = VarintEncoding()
 
@@ -361,38 +358,38 @@ class MappedPathStore(PathReader):
     def token_corpus(self) -> FlatCorpus:
         """Every token in path-id order as one :class:`FlatCorpus`.
 
-        With numpy the whole payload is parsed in vectorized blocks
+        The whole payload is parsed in vectorized blocks
         (:meth:`_bulk_parse`), which accepts only payloads that
-        :meth:`token` returns unchanged.  Without numpy, or when any of
+        :meth:`token` returns unchanged.  When any of
         its checks fails, every token goes through :meth:`token`, which
         raises the exact typed error with its byte offset.
         """
-        corpus = self._bulk_parse() if _np is not None and len(self) else None
+        corpus = self._bulk_parse() if len(self) else None
         if corpus is None:
             corpus = FlatCorpus.from_paths(self.token(pid) for pid in range(len(self)))
         return corpus
 
     def _bulk_parse(self) -> Optional[FlatCorpus]:
-        """The tokens parsed with numpy, or ``None`` when a check fails.
+        """The tokens parsed in bulk, or ``None`` when a check fails.
 
         The window ``[index[0], index[n])`` of the payload goes to
         :meth:`VarintEncoding.decode_runs
         <repro.paths.encoding.VarintEncoding.decode_runs>` (no token may
         end inside a varint, no varint may exceed 9 bytes) after a
         monotone index whose end lies within the payload, compared as
-        uint64 before any int64 cast; every value must then lie below
+        uint64 before the copy is reinterpreted as int64 (every offset is
+        then below 2**63); every value must then lie below
         ``table.base_id + len(table)``.  The parse works on copies of the
         index and of the window, so no numpy view pins the mapping:
         :meth:`close` stays possible, even while a traceback of this frame
         is alive.
         """
-        np = _np
         header = self._header
         index = np.array(self._offsets(), dtype=np.uint64)
         if (index[1:] < index[:-1]).any() or int(index[-1]) > header.payload_size:
             return None
         limit = self.table.base_id + len(self.table)
-        bounds = index.astype(np.int64)
+        bounds = index.view(np.int64)
         first = int(bounds[0])
         bounds -= first
         begin = header.payload_offset + first

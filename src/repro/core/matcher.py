@@ -50,7 +50,7 @@ class CandidateSet(ABC):
     :mod:`repro.obs` layer consumes it via snapshot/delta, never by
     replacing the object.
 
-    With numpy, bulk encode does not call :meth:`longest_match`: whatever
+    Bulk encode does not call :meth:`longest_match`: whatever
     the backend, :func:`~repro.core.compressor.compress_paths_flat` runs the
     vectorized :class:`~repro.core.rollhash.FlatBatchKernel` from
     :meth:`flat_kernel` and publishes the kernel's work on ``self.stats``.

@@ -21,8 +21,7 @@ Implementation notes:
   memoryview of the shared buffer), back as result corpora whose ``array``
   buffers pickle as bytes — never a forest of integer tuples.
 * Workers run the batch entry points (:func:`~repro.core.compressor.
-  compress_paths_flat`); with numpy each chunk goes through the vectorized
-  kernel, and without it through the flat hash matcher's per-path loop.
+  compress_paths_flat`); each chunk goes through the vectorized kernel.
   ``processes=1`` runs the *same* chunk functions in-process, so metric
   totals and probe counts are identical across process counts.
 

@@ -13,7 +13,7 @@ per-position best-candidate-length array, leaving compression proper a
 thin greedy verify loop
 (:func:`~repro.core.compressor.compress_paths_flat`, which runs the kernel
 for every matcher through :meth:`~repro.core.matcher.CandidateSet.
-flat_kernel`).  Without numpy, bulk encode runs the per-path loop.
+flat_kernel`).
 
 Correctness is never entrusted to the hash: every nomination is verified
 against the exact table before a match is emitted, so output is
@@ -24,15 +24,12 @@ collisions and exercise the verify step).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.core.errors import InvalidInputError
 from repro.core.flatcorpus import FlatCorpus
-
-try:  # soft dependency — pure-Python fallbacks exist throughout
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 #: Polynomial base: an odd 64-bit constant (odd ⇒ invertible mod 2**64,
 #: which the vectorized kernel's cumulative-sum formulation needs).
@@ -83,33 +80,21 @@ class FlatBatchKernel:
         #: by the greedy loop in :func:`repro.core.compressor.compress_paths_flat`).
         self.batch_probes = 0
 
-    @property
-    def available(self) -> bool:
-        """Whether the vectorized pass can run (numpy present)."""
-        return _np is not None
+    def best_lengths(self, corpus: FlatCorpus) -> List[int]:
+        """Per-symbol best hash-nominated candidate length.
 
-    def best_lengths(self, corpus: FlatCorpus) -> Optional[List[int]]:
-        """Per-symbol best hash-nominated candidate length, or ``None``.
-
-        ``None`` means numpy is unavailable; the caller must fall back to a
-        per-path matcher.  The returned list has one entry per symbol of
+        The returned list has one entry per symbol of
         ``corpus.buffer``; entry values are 1 (no candidate nominated) or a
         candidate length L ≥ 2 with ``hash(window) ∈ table hashes``.
         Nominations are upper bounds: the greedy loop must verify (and on a
         rare collision, descend to shorter lengths).
         """
-        if _np is None:
-            return None
-        arrays = corpus.as_numpy()
-        if arrays is None:  # pragma: no cover - as_numpy is None iff _np is
-            return None
-        buf_i64, offs = arrays
+        buf_i64, offs = corpus.as_numpy()
         n_symbols = len(buf_i64)
         if n_symbols == 0 or not self.lengths:
             self.batch_probes = 0
             return [1] * n_symbols
 
-        np = _np
         buf = buf_i64.view(np.uint64)
         path_lengths = np.diff(offs)
         max_path_len = int(path_lengths.max()) if len(path_lengths) else 0
@@ -173,7 +158,6 @@ class FlatBatchKernel:
         are fine (the greedy loop verifies every nomination), so the filter
         width only trades memory for verify frequency.
         """
-        np = _np
         hashes = self._by_length[length]
         filter_bits = min(20, self.hash_bits)
         fmask = np.uint64((1 << filter_bits) - 1)

@@ -200,6 +200,11 @@ def loads_manifest(data: bytes) -> ShardManifest:
         raise CorruptDataError("not a shard manifest (bad magic)")
     if version != MANIFEST_VERSION:
         raise CorruptDataError(f"unsupported shard-manifest version {version}")
+    for offset in range(5, 8):  # the header's three pad bytes
+        if data[offset]:
+            raise CorruptDataError(
+                f"shard manifest header pad byte at byte offset {offset} is not zero"
+            )
     payload = data[_MANIFEST_HEADER.size:]
     if len(payload) != length:
         raise TruncatedDataError(

@@ -125,7 +125,7 @@ class CompressedPathStore(PathReader):
         """Append many paths in one batch; returns their ids in order.
 
         One :func:`~repro.core.compressor.compress_paths_flat` call
-        (vectorized with numpy, whatever the backend), token-for-token
+        (vectorized whatever the backend), token-for-token
         identical to :meth:`append` per path.  The batch is all-or-nothing:
         if any path fails to compress (say, a vertex id at or above the
         table's ``base_id``), the error propagates and the store is

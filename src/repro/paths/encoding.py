@@ -40,12 +40,9 @@ from bisect import bisect_right
 from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import CorruptDataError, TruncatedDataError
+import numpy as np
 
-try:  # soft dependency — without numpy the bulk pair runs scalar loops
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from repro.core.errors import CorruptDataError, TruncatedDataError
 
 #: Bytes in the longest varint the bulk pair handles: 9 × 7 = 63 bits
 #: always fit a non-negative int64.
@@ -182,15 +179,15 @@ class VarintEncoding:
         ``ends`` delimits them, the layout of the v2 payload.
 
         The bytes are those :meth:`encode` writes for the same integers in
-        the same order.  With numpy they are computed in vectorized passes
-        over blocks of about 8K symbols.  Without numpy, or when any value
+        the same order.  They are computed in vectorized passes
+        over blocks of about 8K symbols.  When any value
         is not an integer in ``[0, 2**63)``, the scalar loop writes them
         instead, so a larger value gets the same bytes and a bad one raises
         :meth:`encode`'s error (``ValueError`` for a negative,
         ``TypeError`` for a non-integer).
         """
         runs = list(runs)
-        encoded = _bulk_encode_runs(runs, prefixed) if _np is not None else None
+        encoded = _bulk_encode_runs(runs, prefixed)
         if encoded is None:
             payload = bytearray()
             ends = array("q", [0])
@@ -215,27 +212,10 @@ class VarintEncoding:
         continues a varint (so a varint would run into the next run or off
         the payload) and when a varint is longer than 9 bytes, which only a
         value of ``2**63`` or more, or a padded encoding, needs; each
-        message names a byte offset into *data*.  With numpy the parse is
-        vectorized over blocks of whole runs; without it, each varint goes
-        through :func:`read_varint`.
+        message names a byte offset into *data*.  The parse is vectorized
+        over blocks of whole runs.
         """
-        if _np is not None:
-            return _bulk_decode_runs(data, ends)
-        for run in range(len(ends) - 1):
-            if ends[run] < ends[run + 1] and data[ends[run + 1] - 1] >= 0x80:
-                raise _unterminated_run(run, ends[run + 1])
-        values = array("q")
-        offsets = array("q", [0])
-        for begin, end in zip(ends, ends[1:]):
-            pos = begin
-            while pos < end:
-                value, after = read_varint(data, pos)
-                if after - pos > _BULK_VARINT_BYTES:
-                    raise _overlong_varint(pos)
-                values.append(value)
-                pos = after
-            offsets.append(len(values))
-        return values, offsets
+        return _bulk_decode_runs(data, ends)
 
     def __repr__(self) -> str:
         return "VarintEncoding()"
@@ -248,7 +228,6 @@ def _bulk_encode_runs(runs: List[Sequence[int]], prefixed: bool) -> Optional[Tup
     :data:`_WRITE_BLOCK_SYMBOLS` symbols; a run longer than that is a
     block of its own.
     """
-    np = _np
     lengths = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
     firsts = np.zeros(len(runs) + 1, dtype=np.int64)
     np.cumsum(lengths, out=firsts[1:])
@@ -279,7 +258,6 @@ def _bulk_encode_block(runs, lengths, prefixed: bool):
     one plus its nonzero 7-bit shifts; their ``cumsum`` places every
     varint, and one masked scatter per 7-bit group writes the bytes.
     """
-    np = _np
     flat = array("q")
     try:
         flat.fromlist(list(chain.from_iterable(runs)))
@@ -331,7 +309,6 @@ def _bulk_decode_runs(data, ends: Sequence[int]) -> Tuple[array, array]:
     so an unterminated run anywhere is reported ahead of an overlong
     varint, as a single pass over the payload would.
     """
-    np = _np
     data = np.frombuffer(data, dtype=np.uint8)
     bounds = np.asarray(ends, dtype=np.int64)
     runs = len(bounds) - 1
@@ -370,7 +347,6 @@ def _decode_block(block, stops, at: int) -> bytes:
     bytes from offset *at*).  Each value is the sum (``np.add.reduceat``)
     of its varint's 7-bit groups shifted into place.
     """
-    np = _np
     starts = np.zeros(stops.size, dtype=np.int64)
     starts[1:] = stops[:-1] + 1
     sizes = stops - starts + 1

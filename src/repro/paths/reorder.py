@@ -28,6 +28,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.errors import CorruptDataError, InvalidInputError
 from repro.obs import catalog
 from repro.obs.runtime import active_timer, get_active
@@ -126,11 +128,11 @@ class VertexOrder:
     def transform_corpus(self, corpus):
         """A new :class:`~repro.core.FlatCorpus` with every vertex relabelled.
 
-        With numpy the relabel runs over blocks of
+        The relabel runs over blocks of
         :data:`~repro.core.flatcorpus.BLOCK_SYMBOLS` symbols, each a sorted
-        lookup written into one preallocated output buffer; without it, a
-        dict lookup per symbol.  Either way the first vertex the order does
-        not cover raises :class:`~repro.core.errors.InvalidInputError`.
+        lookup written into one preallocated output buffer.  The first
+        vertex the order does not cover raises
+        :class:`~repro.core.errors.InvalidInputError`.
         """
         from array import array
 
@@ -138,23 +140,12 @@ class VertexOrder:
 
         flat = as_flat_corpus(corpus)
         name = f"{flat.name}/{self.strategy}"
-        arrays = flat.as_numpy()
-        if arrays is None:
-            forward = self._forward
-            try:
-                buffer = array("q", (forward[v] for v in flat.buffer))
-            except KeyError as exc:
-                raise self._uncovered(exc.args[0]) from None
-            return FlatCorpus(buffer, flat.offsets, name=name)
-
-        import numpy as np
-
         if self._lookup is None:
             old = np.array(self._backward, dtype=np.int64)
             by_old = np.argsort(old)
             self._lookup = (old[by_old], by_old)
         keys, new_ids = self._lookup
-        source = arrays[0]
+        source = flat.as_numpy()[0]
         buffer = array("q", [0]) * len(source)
         target = np.frombuffer(buffer, dtype=np.int64)
         for lo in range(0, len(source), BLOCK_SYMBOLS):

@@ -1,14 +1,13 @@
 """The bulk payload parse and the flat restore answer exactly like the scalar loop.
 
-:meth:`MappedPathStore.token_corpus` parses the whole v2 payload with numpy
+:meth:`MappedPathStore.token_corpus` parses the whole v2 payload in bulk
 and only accepts what :meth:`MappedPathStore.token` would return unchanged;
 anything else falls back to that per-token loop, which raises the typed
 error with its byte offset.  So, for every input here — clean, bit-flipped
 or hand-crafted, on a plain v2 buffer and inside a sharded store —
 ``tokens()`` / ``retrieve_all()`` must equal the per-id ``token()`` /
 ``retrieve()`` results, or raise the same exception type with the same
-message.  The numpy-less route and the order restore are held to the same
-answers.
+message.  The order restore is held to the same answers.
 """
 
 import struct
@@ -17,7 +16,6 @@ from itertools import accumulate
 
 import pytest
 
-from repro.core import expansion, flatcorpus, mapped
 from repro.core.config import OFFSConfig
 from repro.core.errors import CorruptDataError, InvalidInputError
 from repro.core.mapped import MappedPathStore
@@ -34,7 +32,6 @@ from repro.core.serialize import (
 from repro.core.sharded import ShardedPathStore, ShardInfo, ShardManifest
 from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
-from repro.paths import encoding
 from repro.paths.dataset import PathDataset
 from repro.paths.encoding import VarintEncoding
 from repro.paths.reorder import VertexOrder
@@ -239,7 +236,6 @@ class TestCraftedParity:
 
 class TestRoutes:
     def test_clean_payload_takes_the_bulk_parse(self, fuzz_store, monkeypatch):
-        pytest.importorskip("numpy")
         store = MappedPathStore(dumps_store_v2(fuzz_store))
         calls = []
         scalar = MappedPathStore.token
@@ -326,36 +322,23 @@ def stores(request, tmp_path):
     sharded.close()
 
 
-def _without_numpy(monkeypatch) -> None:
-    for module in (mapped, flatcorpus, expansion, encoding):
-        monkeypatch.setattr(module, "_np", None)
-
-
-class TestWithoutNumpy:
-    def test_same_answers_on_both_routes(self, stores, monkeypatch):
+class TestOrderRestore:
+    def test_every_store_restores_original_ids(self, stores):
         paths, kinds = stores
         batch = [3, 0, 20, 3]
-        expected = {
-            id(store): (store.tokens(), store.retrieve_all(), store.retrieve_batch(batch))
-            for store in kinds
-        }
-        _without_numpy(monkeypatch)
         for store in kinds:
-            tokens, everything, some = expected[id(store)]
-            assert store.tokens() == tokens
-            assert store.retrieve_all() == everything == paths
-            assert store.retrieve_batch(batch) == some == [paths[i] for i in batch]
+            assert store.tokens() == kinds[0].tokens()
+            assert store.retrieve_all() == paths
+            assert store.retrieve_batch(batch) == [paths[i] for i in batch]
+            _assert_parity(store)
 
-    @pytest.mark.parametrize("numpy_route", [True, False], ids=["numpy", "fallback"])
-    def test_decoded_id_outside_the_order(self, tmp_path, monkeypatch, numpy_route):
+    def test_decoded_id_outside_the_order(self, tmp_path):
         order = VertexOrder("frequency", [4, 2, 0, 1, 3])
         table = SupernodeTable(base_id=10)
         tokens = [(0, 1, 2), (3, 7), (4,)]  # new id 7 has no original id
         memory = CompressedPathStore.from_tokens(table, tokens, order=order)
         blob = dumps_store_v2_tokens(table, tokens, order=order)
         sharded = _sharded(tmp_path, table, [blob])
-        if not numpy_route:
-            _without_numpy(monkeypatch)
         for store in (memory, MappedPathStore(blob), sharded):
             assert store.retrieve(0) == (4, 2, 0)
             for call in (store.retrieve_all, lambda: store.retrieve_batch([0, 1])):

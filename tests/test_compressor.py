@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import flatcorpus, rollhash
+from repro.core import flatcorpus
 from repro.core.compressor import (
     compress_dataset,
     compress_path,
@@ -142,7 +142,6 @@ class TestFlatBatch:
         assert compress_paths_flat([], table, matcher) == []
         assert decompress_paths_flat([], table) == []
 
-    @pytest.mark.skipif(rollhash._np is None, reason="numpy unavailable")
     def test_adversarial_hash_bits_still_identical(self, table):
         assert narrow_only_nominations(table, self.PATHS, 2) > 0
         matcher = narrow_kernel_matcher(table, 2)
@@ -183,11 +182,6 @@ def blocked_case():
     return table, paths
 
 
-def _needs_kernel():
-    if rollhash._np is None:
-        pytest.skip("numpy unavailable")
-
-
 @pytest.mark.usefixtures("small_blocks")
 class TestBlockedBulkEncode:
     """Bulk encode runs one blocked kernel route, whatever the backend."""
@@ -202,7 +196,6 @@ class TestBlockedBulkEncode:
     def test_kernel_route_sees_one_block_per_call(
         self, blocked_case, backend, monkeypatch
     ):
-        _needs_kernel()
         table, paths = blocked_case
         seen = []
         original = FlatBatchKernel.best_lengths
@@ -220,19 +213,7 @@ class TestBlockedBulkEncode:
             assert len(block) == 1 or sum(map(len, block)) <= SMALL_BLOCK
         assert [paths[30]] in seen
 
-    @pytest.mark.parametrize("backend", MATCHER_BACKENDS)
-    def test_without_numpy_the_per_path_loop_runs(
-        self, blocked_case, backend, monkeypatch
-    ):
-        table, paths = blocked_case
-        monkeypatch.setattr(rollhash, "_np", None)
-        # A call to the kernel would now raise: the fallback must not make one.
-        monkeypatch.setattr(FlatBatchKernel, "best_lengths", None)
-        matcher = static_matcher_from_table(table, backend)
-        assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
-
     def test_probe_counters_equal_across_backends(self, blocked_case):
-        _needs_kernel()
         table, paths = blocked_case
         counters = []
         for backend in MATCHER_BACKENDS:

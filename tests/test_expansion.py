@@ -9,8 +9,8 @@ Covers the tentpole contracts:
   ``add``, and observable through ``table.expansion_cache.*`` metrics;
 * :func:`slice_token` matches ``decompress_path(...)[start:stop]`` for
   every slice shape Python allows (property-tested);
-* :func:`decompress_paths_flat` is identical to the per-path loop on both
-  the numpy gather kernel and the pure-Python fallback.
+* :func:`decompress_paths_flat` (the vectorized gather kernel) is
+  identical to the per-path loop.
 """
 
 import pytest
@@ -119,10 +119,7 @@ class TestExpansionCache:
 
     def test_as_numpy_matches_arrays(self, table):
         cache = ExpansionCache.from_table(table)
-        arrays = cache.as_numpy()
-        if arrays is None:
-            pytest.skip("numpy not available")
-        concat, starts, lengths = arrays
+        concat, starts, lengths = cache.as_numpy()
         assert list(concat) == list(cache.flat_concat)
         assert list(starts) == list(cache.flat_starts)
         assert list(lengths) == [3, 2, 4]
@@ -203,13 +200,6 @@ class TestFlatDecodeIdentity:
         ]
 
     def test_numpy_kernel_matches_per_path(self, table):
-        tokens = self._tokens()
-        expected = [decompress_path(t, table) for t in tokens]
-        assert decompress_paths_flat(tokens, table) == expected
-
-    def test_fallback_matches_per_path(self, table, monkeypatch):
-        # Force the pure-Python route regardless of installed numpy.
-        monkeypatch.setattr(FlatCorpus, "as_numpy", lambda self: None)
         tokens = self._tokens()
         expected = [decompress_path(t, table) for t in tokens]
         assert decompress_paths_flat(tokens, table) == expected

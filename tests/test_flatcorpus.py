@@ -91,10 +91,7 @@ class TestAccessors:
         assert corpus.max_vertex() == 10
 
     def test_as_numpy_agrees_when_available(self, corpus):
-        arrays = corpus.as_numpy()
-        if arrays is None:
-            pytest.skip("numpy unavailable")
-        buf, offs = arrays
+        buf, offs = corpus.as_numpy()
         assert buf.tolist() == [v for p in PATHS for v in p]
         assert offs[0] == 0 and offs[-1] == corpus.total_symbols
 

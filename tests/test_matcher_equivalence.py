@@ -17,7 +17,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import rollhash
 from repro.core.compressor import compress_dataset, compress_paths_flat
 from repro.core.matcher import HashCandidates
 from repro.core.multilevel import MultiLevelCandidates
@@ -93,7 +92,6 @@ def test_prune_then_match_identical(entries, path):
         assert len(answers) == 1
 
 
-@pytest.mark.skipif(rollhash._np is None, reason="numpy unavailable")
 @settings(max_examples=50)
 @given(st.lists(candidate, min_size=1, max_size=30), st.lists(query_path, max_size=10))
 def test_colliding_kernel_encodes_identically(entries, queries):

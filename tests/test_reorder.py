@@ -129,7 +129,7 @@ class TestVertexOrder:
 
 
 class TestBlockedRelabel:
-    """The numpy relabel runs in blocks and agrees with the dict relabel."""
+    """The relabel runs in blocks and agrees with the per-path relabel."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -137,13 +137,7 @@ class TestBlockedRelabel:
 
         monkeypatch.setattr(flatcorpus, "BLOCK_SYMBOLS", 8)
 
-    @staticmethod
-    def _dict_route(monkeypatch):
-        from repro.core.flatcorpus import FlatCorpus
-
-        monkeypatch.setattr(FlatCorpus, "as_numpy", lambda self: None)
-
-    def test_numpy_relabel_equals_dict_relabel(self, monkeypatch):
+    def test_blocked_relabel_equals_apply_path(self):
         from repro.core.flatcorpus import FlatCorpus
 
         rng = random.Random(3)
@@ -154,30 +148,21 @@ class TestBlockedRelabel:
         corpus = FlatCorpus.from_paths(paths)
         order = fit_order("frequency", paths)
         blocked = order.transform_corpus(corpus)
-        self._dict_route(monkeypatch)
-        per_symbol = order.transform_corpus(corpus)
-        assert blocked.to_paths() == per_symbol.to_paths()
         assert blocked.to_paths() == [order.apply_path(p) for p in paths]
         assert list(blocked.offsets) == list(corpus.offsets)
 
-    @pytest.mark.parametrize("route", ["numpy", "dict"])
-    def test_first_uncovered_vertex_past_a_block_is_named(self, route, monkeypatch):
+    def test_first_uncovered_vertex_past_a_block_is_named(self):
         from repro.core.flatcorpus import FlatCorpus
 
         paths = [(1, 2, 3)] * 5 + [(2, 99, 3, 77)]
         order = VertexOrder("frequency", [3, 2, 1])
-        if route == "dict":
-            self._dict_route(monkeypatch)
         with pytest.raises(InvalidInputError, match="vertex 99 is not covered"):
             order.transform_corpus(FlatCorpus.from_paths(paths))
 
-    @pytest.mark.parametrize("route", ["numpy", "dict"])
-    def test_empty_order_covers_nothing(self, route, monkeypatch):
+    def test_empty_order_covers_nothing(self):
         from repro.core.flatcorpus import FlatCorpus
 
         order = VertexOrder("frequency", [])
-        if route == "dict":
-            self._dict_route(monkeypatch)
         assert order.transform_corpus(FlatCorpus.from_paths([(), ()])).to_paths() == [(), ()]
         with pytest.raises(InvalidInputError, match="vertex 5 is not covered"):
             order.transform_corpus(FlatCorpus.from_paths([(), (5, 6)]))

@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from repro.core import rollhash
 from repro.core.builder import TableBuilder
 from repro.core.compressor import compress_dataset, compress_paths_flat
 from repro.core.config import OFFSConfig
@@ -53,8 +52,6 @@ class TestFlatBatchKernel:
 
     def test_kernel_nominations_superset_of_matches(self, table):
         kernel = FlatBatchKernel(table)
-        if not kernel.available:
-            pytest.skip("numpy unavailable")
         paths = [(1, 2, 3, 4, 5), (4, 5, 1, 2), (9, 9)]
         corpus = FlatCorpus.from_paths(paths)
         best = kernel.best_lengths(corpus)
@@ -73,21 +70,15 @@ class TestFlatBatchKernel:
 
     def test_batch_probes_counted(self, table):
         kernel = FlatBatchKernel(table)
-        if not kernel.available:
-            pytest.skip("numpy unavailable")
         kernel.best_lengths(FlatCorpus.from_paths([(1, 2, 3, 4, 5)]))
         assert kernel.batch_probes > 0
 
     def test_empty_corpus(self, table):
         kernel = FlatBatchKernel(table)
-        if not kernel.available:
-            pytest.skip("numpy unavailable")
         assert kernel.best_lengths(FlatCorpus.from_paths([])) == []
 
     def test_empty_table(self):
         kernel = FlatBatchKernel(SupernodeTable(100))
-        if not kernel.available:
-            pytest.skip("numpy unavailable")
         best = kernel.best_lengths(FlatCorpus.from_paths([(1, 2, 3)]))
         assert best == [1, 1, 1]
 
@@ -108,7 +99,6 @@ class TestBatchEquivalence:
         matcher = static_matcher_from_table(table)
         assert compress_paths_flat(paths, table, matcher) == expected
 
-    @pytest.mark.skipif(rollhash._np is None, reason="numpy unavailable")
     @pytest.mark.parametrize("hash_bits", [8, 2, 1])
     def test_adversarial_collisions(self, hash_bits):
         # Tiny hash widths make nearly every window a false-positive

@@ -79,6 +79,10 @@ def _manifest_document(shards, fn="range"):
     }
 
 
+def _flip_bit(blob: bytes, position: int, bit: int) -> bytes:
+    return blob[:position] + bytes([blob[position] ^ (1 << bit)]) + blob[position + 1 :]
+
+
 def _manifest_blob(document) -> bytes:
     """*document* framed as an RPSM file, bypassing the writer's checks."""
     payload = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
@@ -134,6 +138,25 @@ class TestManifestCodec:
             loads_manifest(blob[:8])
         with pytest.raises(TruncatedDataError):
             loads_manifest(blob[:-3])
+
+    def test_every_truncation_and_bit_flip_is_typed(self):
+        blob = dumps_manifest(self._manifest())
+        for size in range(len(blob)):
+            with pytest.raises(TruncatedDataError):
+                loads_manifest(blob[:size])
+        flips = 0
+        for position in range(len(blob)):
+            for bit in range(8):
+                with pytest.raises(CorruptDataError):
+                    loads_manifest(_flip_bit(blob, position, bit))
+                flips += 1
+        assert flips == 8 * len(blob)
+
+    @pytest.mark.parametrize("offset", [5, 6, 7])
+    def test_nonzero_pad_byte_names_its_offset(self, offset):
+        blob = _flip_bit(dumps_manifest(self._manifest()), offset, 0)
+        with pytest.raises(CorruptDataError, match=f"pad byte at byte offset {offset} "):
+            loads_manifest(blob)
 
     def test_json_crc_detects_corruption(self):
         blob = bytearray(dumps_manifest(self._manifest()))

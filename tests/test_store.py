@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import rollhash
 from repro.core.config import OFFSConfig
 from repro.core.errors import PathIdError, TableError
 from repro.core.offs import OFFSCodec
@@ -35,12 +34,7 @@ class TestIngest:
         s = CompressedPathStore.from_corpus(ds, table)
         assert len(s) == 2
 
-    @pytest.mark.parametrize("route", ["numpy", "no-numpy"])
-    def test_extend_is_all_or_nothing(self, store, route, monkeypatch):
-        if route == "no-numpy":
-            monkeypatch.setattr(rollhash, "_np", None)
-        elif rollhash._np is None:
-            pytest.skip("numpy unavailable")
+    def test_extend_is_all_or_nothing(self, store):
         before = list(store.tokens())
         # Vertex 100 is the table's base_id: it would decode as a supernode.
         with pytest.raises(TableError):
