@@ -38,10 +38,11 @@ bench-smoke:
 bench-serve:
 	PYTHONPATH=src python benchmarks/bench_serve.py --size small --out BENCH_serve.json
 
-# Sharded write path: parallel build speedup (wall + projected), streaming
-# ingest peak-RSS flatness at 1x/2x/4x the medium tier, and the
-# monolithic-vs-sharded crossover; CI archives the JSON as a non-blocking
-# artifact.
+# Sharded write path: the build at 1 process against min(cpus, shards),
+# alternating, at 1x and 5x the medium tier (median and spread per side,
+# and where the fan-out starts to win), streaming ingest peak-RSS flatness
+# at 1x/2x/4x, and the monolithic-vs-sharded crossover; CI archives the
+# JSON as a non-blocking artifact.
 bench-shard:
 	PYTHONPATH=src python benchmarks/bench_shard.py --size medium --out BENCH_shard.json
 

@@ -30,12 +30,9 @@ from typing import Callable, Dict
 
 
 def min_of(run: Callable[[], object], rounds: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, rounds)):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
+    from repro.analysis.metrics import time_rounds
+
+    return time_rounds([run], rounds)[0].min
 
 
 def bench_cell(dataset, strategy: str, sample_exponent: int, rounds: int, seed: int):

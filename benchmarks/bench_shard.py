@@ -4,18 +4,14 @@ Three claims of the sharded subsystem, measured end to end and emitted as
 one JSON blob (``BENCH_shard.json`` by default):
 
 * **parallel build** — wall-clock of :func:`repro.core.sharded.
-  build_sharded_store` (4 shards × 4 worker processes, per-shard
-  compression *and* serialization in the workers) against the sequential
-  monolithic v2 build of the same corpus with the same pre-built table,
-  min-of-``ROUNDS`` each.  The sharded output
-  is checked token-identical to the monolithic archive *before* any timing
-  is reported — a fast wrong build would otherwise look like a win.
-  Because CI runners may expose fewer cores than workers, the report
-  carries the runner's ``cpus`` and, alongside the measured wall numbers,
-  a clearly-labelled critical-path projection (measured fixed overhead +
-  the slowest single shard's in-process time) — the wall-clock a
-  ``processes``-core machine would see, in the "(projected)" style of the
-  in-memory-vs-streaming comparison this bench follows.
+  build_sharded_store` (4 shards, per-shard compression *and*
+  serialization in the workers) with ``processes=1`` against
+  ``processes=min(cpus, shards)``, the two sides alternating for
+  ``ROUNDS`` rounds, at 1× and 5× the size tier.  Each side reports its
+  min, median and spread; the crossover is the smallest corpus at which
+  the fan-out wins by more than the combined spread.  Both archives are
+  checked token-identical to the in-process compression *before* any
+  timing is reported — a fast wrong build would otherwise look like a win.
 * **constant-memory streaming ingest** — :class:`repro.core.sharded.
   ShardedIngest` fed 1×, 2× and 4× the largest size tier, each run in its
   own subprocess that reports its own peak RSS (``VmHWM``), with source paths
@@ -42,6 +38,7 @@ not for truth.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -50,17 +47,12 @@ import sys
 import tempfile
 import time
 
-ROUNDS = 3  # report min-of-3
+ROUNDS = 3  # alternating rounds per build side
+BUILD_MULTIPLIERS = (1, 5)
 INGEST_CHUNK = 5000
 MEMTABLE_PATHS = 4096
 TRAIN_AFTER = 1000
 BASE_ID = 1 << 30
-
-
-def _timed(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
 
 
 def _generate_chunks(total: int):
@@ -197,105 +189,73 @@ def _run_child(mode_flag: str, total: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _bench_build_times(corpus, table, shards: int, processes: int, workdir: str) -> dict:
-    """Monolithic vs sharded wall time, plus the critical-path
-    decomposition that projects multi-core wall-clock."""
-    from repro.core.compressor import compress_paths_flat
-    from repro.core.flatcorpus import FlatCorpus
-    from repro.core.mapped import MappedPathStore
-    from repro.core.matcher import static_matcher_from_table
-    from repro.core.serialize import dumps_store_v2_tokens
-    from repro.core.sharded import ShardedPathStore, build_sharded_store, partition_corpus
-
-    mono_path = os.path.join(workdir, "mono.rpc2")
-    sharded_path = os.path.join(workdir, "sharded.rpsm")
-
-    def build_monolithic() -> None:
-        matcher = static_matcher_from_table(table)
-        tokens = compress_paths_flat(corpus, table, matcher)
-        blob = dumps_store_v2_tokens(table, tokens)
-        with open(mono_path, "wb") as fh:
-            fh.write(blob)
-
-    def build_sharded() -> None:
-        build_sharded_store(
-            corpus, table, sharded_path, shards=shards, processes=processes
-        )
-
-    # Correctness gate before any timing: the sharded archive must answer
-    # token-identically to the monolithic one.
-    build_monolithic()
-    build_sharded()
-    with MappedPathStore.open(mono_path) as mono:
-        sharded_store = ShardedPathStore.open(sharded_path)
-        if sharded_store.tokens() != mono.tokens():
-            raise SystemExit("sharded build diverges from monolithic tokens")
-        sample = list(range(0, len(mono), max(1, len(mono) // 64)))
-        if sharded_store.retrieve_batch(sample) != mono.retrieve_batch(sample):
-            raise SystemExit("sharded retrieval diverges from monolithic")
-        sharded_store.close()
-
-    mono_seconds = min(_timed(build_monolithic) for _ in range(ROUNDS))
-    sharded_seconds = min(_timed(build_sharded) for _ in range(ROUNDS))
-
-    # Critical-path decomposition: fixed overhead is the sharded build of a
-    # corpus with ~no compression work (spawn + partition + manifest), the
-    # parallel part is the slowest single shard compressed+serialized
-    # in-process.  Their sum is the wall a `processes`-core runner would
-    # see; on runners with fewer cores than workers the measured wall above
-    # is contention-bound, so both are reported, clearly labelled.
-    tiny = FlatCorpus.from_paths(list(corpus)[: shards])
-    overhead_path = os.path.join(workdir, "overhead.rpsm")
-    overhead_seconds = min(
-        _timed(lambda: build_sharded_store(
-            tiny, table, overhead_path, shards=shards, processes=processes
-        ))
-        for _ in range(ROUNDS)
-    )
-    matcher = static_matcher_from_table(table)
-    per_shard = []
-    for part in partition_corpus(corpus, shards):
-        per_shard.append(min(
-            _timed(lambda: dumps_store_v2_tokens(
-                table, compress_paths_flat(part, table, matcher)))
-            for _ in range(ROUNDS)
-        ))
-    projected = overhead_seconds + max(per_shard)
+def _seconds(timing) -> dict:
     return {
-        "monolithic_seconds": round(mono_seconds, 4),
-        "sharded_seconds": round(sharded_seconds, 4),
-        "wall_speedup": round(mono_seconds / sharded_seconds, 3) if sharded_seconds else 0.0,
-        "fixed_overhead_seconds": round(overhead_seconds, 4),
-        "per_shard_seconds": [round(s, 4) for s in per_shard],
-        "projected_parallel_seconds": round(projected, 4),
-        "projected_speedup": round(mono_seconds / projected, 3) if projected else 0.0,
+        "min": round(timing.min, 4),
+        "median": round(timing.median, 4),
+        "spread": round(timing.spread, 4),
     }
 
 
-def bench_build(size: str, shards: int, processes: int) -> dict:
-    """Min-of-ROUNDS monolithic vs sharded build on one corpus + table."""
+def _bench_build_scale(corpus, table, shards: int, processes: int, workdir: str) -> dict:
+    """One process against *processes* workers on one corpus, alternating."""
+    from repro.analysis.metrics import relative_delta, time_rounds
+    from repro.core.compressor import compress_paths_flat
+    from repro.core.sharded import ShardedPathStore, build_sharded_store
+
+    def build(workers: int) -> str:
+        out = os.path.join(workdir, f"sharded-{workers}.rpsm")
+        build_sharded_store(corpus, table, out, shards=shards, processes=workers)
+        return out
+
+    one, fan = time_rounds(
+        [functools.partial(build, 1), functools.partial(build, processes)], ROUNDS
+    )
+    # Correctness gate before any timing is reported: both archives must
+    # hold exactly the in-process compression's tokens.
+    expected = compress_paths_flat(corpus, table)
+    for timing in (one, fan):
+        with ShardedPathStore.open(timing.result) as store:
+            if store.tokens() != expected:
+                raise SystemExit("sharded build diverges from in-process tokens")
+    gain = relative_delta(one.median, fan.median, one.spread, fan.spread)
+    return {
+        "paths": len(corpus),
+        "table_entries": len(table),
+        "one_process_seconds": _seconds(one),
+        "fan_out_seconds": _seconds(fan),
+        "speedup": round(one.median / fan.median, 3),
+        "fan_out_wins": gain > 0,
+    }
+
+
+def bench_build(size: str, shards: int) -> dict:
+    """``processes=1`` against ``min(cpus, shards)`` at each build multiplier."""
     from repro.bench.harness import available_cpus
     from repro.core.builder import TableBuilder
     from repro.core.config import OFFSConfig
-    from repro.workloads.registry import make_dataset
+    from repro.workloads.registry import SIZE_PRESETS
+    from repro.workloads.synthetic import alibaba_cloud_workload
 
-    dataset = make_dataset("alibaba", size, seed=0)
-    corpus = dataset.to_flat()
-    table, _ = TableBuilder(OFFSConfig(iterations=3, sample_exponent=2)).build(dataset)
-    with tempfile.TemporaryDirectory(prefix="bench_shard_build_") as workdir:
-        times = _bench_build_times(corpus, table, shards, processes, workdir)
     cpus = available_cpus()
+    processes = min(cpus, shards)
+    scales = []
+    for multiplier in BUILD_MULTIPLIERS:
+        dataset = alibaba_cloud_workload(SIZE_PRESETS[size]["alibaba"] * multiplier, seed=0)
+        table, _ = TableBuilder(OFFSConfig(iterations=3, sample_exponent=2)).build(dataset)
+        with tempfile.TemporaryDirectory(prefix="bench_shard_build_") as workdir:
+            scale = _bench_build_scale(dataset.to_flat(), table, shards, processes, workdir)
+        scales.append({"multiplier": multiplier, **scale})
+    wins = [scale["paths"] for scale in scales if scale["fan_out_wins"]]
     return {
         "workload": "alibaba",
         "size": size,
-        "paths": len(corpus),
-        "table_entries": len(table),
         "shards": shards,
         "processes": processes,
         "rounds": ROUNDS,
         "cpus": cpus,
-        "cpu_limited": cpus < processes,
-        **times,
+        "scales": scales,
+        "crossover_paths": wins[0] if wins else None,
     }
 
 
@@ -303,7 +263,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", default="medium", choices=("tiny", "small", "medium"))
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--processes", type=int, default=4)
     parser.add_argument("--ingest-multipliers", default="1,2,4",
                         help="stream lengths as multiples of the size tier")
     parser.add_argument("--out", default="BENCH_shard.json")
@@ -321,12 +280,14 @@ def main(argv=None) -> int:
     from repro.core.serialize import publish_file
     from repro.workloads.registry import SIZE_PRESETS
 
-    build = bench_build(args.size, args.shards, args.processes)
-    print(f"build[{args.size}]: monolithic {build['monolithic_seconds']}s, "
-          f"sharded({args.shards}x{args.processes}) {build['sharded_seconds']}s "
-          f"(wall {build['wall_speedup']}x on {build['cpus']} cpu(s); "
-          f"projected {build['projected_speedup']}x at {args.processes} cores)",
-          flush=True)
+    build = bench_build(args.size, args.shards)
+    for scale in build["scales"]:
+        one, fan = scale["one_process_seconds"], scale["fan_out_seconds"]
+        print(f"build[{scale['paths']} paths]: 1 process {one['median']}s "
+              f"(spread {one['spread']}), {build['processes']} processes "
+              f"{fan['median']}s (spread {fan['spread']}) on {build['cpus']} "
+              f"cpu(s): {scale['speedup']}x, wins={scale['fan_out_wins']}",
+              flush=True)
 
     tier = SIZE_PRESETS[args.size]["alibaba"]
     multipliers = [int(part) for part in args.ingest_multipliers.split(",") if part.strip()]

@@ -3,7 +3,9 @@
 A fig5-style speed run small enough for CI: build one table on one
 workload, then time the seed pipeline (per-path loop, flat hash matcher)
 against the flat batch pipeline (the vectorized rolling-hash kernel),
-min-of-N each, asserting byte-identical output.  The build's table CRC
+asserting byte-identical output.  Compared routes alternate round by
+round; each ``seconds`` is the fastest round's, and ``spread_seconds``
+records how far every timed quantity's rounds disagree.  The build's table CRC
 (``table_crc``) and its Algorithm 5 accounting (``build_counters``:
 candidates pruned, probes, hashed vertices) are recorded, so that
 ``make bench-check`` fails on any drift in construction.  The v2 blob of
@@ -36,18 +38,22 @@ import os
 import platform
 import sys
 import tempfile
-import time
 import zlib
 from typing import Callable, Dict
 
 
-def min_of(run: Callable[[], object], rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
+def timed(rounds: int, **runs: Callable[[], object]) -> Dict[str, object]:
+    """name -> ``Timing`` of every run, alternating round by round."""
+    from repro.analysis.metrics import time_rounds
+
+    return dict(zip(runs, time_rounds(list(runs.values()), rounds)))
+
+
+def spreads(timings: Dict[str, object]) -> Dict[str, float]:
+    return {
+        f"{name}_seconds": round(timing.spread, 6)
+        for name, timing in sorted(timings.items())
+    }
 
 
 def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
@@ -76,18 +82,20 @@ def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
     identical = loop_out == list(paths) and flat_out.to_paths() == loop_out
 
     # Cold = cache built inside the timed region (first decode after load);
-    # warm = the steady state every later decode enjoys.
+    # warm = the steady state every later decode enjoys (the cold round
+    # just before it rebuilt the cache).
     def cold_first_decode():
         table._expansion_cache = None
         return seed_loop()
 
-    cold_s = min_of(cold_first_decode, rounds)
-    table.expansions()
-    warm_s = min_of(seed_loop, rounds)
-    flat_s = min_of(
-        lambda: decompress_paths_flat(token_corpus, table, as_corpus=True), rounds
-    )
-    flat_paths_s = min_of(lambda: decompress_paths_flat(token_corpus, table), rounds)
+    t = timed(rounds, cold_first_decode=cold_first_decode, warm_decode=seed_loop)
+    t.update(timed(
+        rounds,
+        flat_batch_corpus=lambda: decompress_paths_flat(
+            token_corpus, table, as_corpus=True
+        ),
+        flat_batch_to_paths=lambda: decompress_paths_flat(token_corpus, table),
+    ))
 
     # Point retrievals: every path once, in-memory store vs mapped v2 file;
     # then the bulk retrieve_all of both (mapped: one payload parse).
@@ -96,7 +104,9 @@ def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
     os.close(fd)
     try:
         dump_store_file(store, v2_path)
-        open_s = min_of(lambda: MappedPathStore.open(v2_path).close(), rounds)
+        t.update(timed(
+            rounds, mapped_open=lambda: MappedPathStore.open(v2_path).close()
+        ))
         with MappedPathStore.open(v2_path) as mapped:
             identical = (
                 identical
@@ -104,12 +114,26 @@ def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
                 and store.retrieve_all() == loop_out
                 and mapped.retrieve_all() == loop_out
             )
-            memory_s = min_of(lambda: [store.retrieve(i) for i in sample], rounds)
-            mapped_s = min_of(lambda: [mapped.retrieve(i) for i in sample], rounds)
-            memory_all_s = min_of(store.retrieve_all, rounds)
-            mapped_all_s = min_of(mapped.retrieve_all, rounds)
+            t.update(timed(
+                rounds,
+                memory_retrieve_all_ids=lambda: [store.retrieve(i) for i in sample],
+                mapped_retrieve_all_ids=lambda: [mapped.retrieve(i) for i in sample],
+            ))
+            t.update(timed(
+                rounds,
+                memory_retrieve_all=store.retrieve_all,
+                mapped_retrieve_all=mapped.retrieve_all,
+            ))
     finally:
         os.unlink(v2_path)
+    cold_s, warm_s, flat_s, flat_paths_s, open_s = (t[name].min for name in (
+        "cold_first_decode", "warm_decode", "flat_batch_corpus",
+        "flat_batch_to_paths", "mapped_open",
+    ))
+    memory_s, mapped_s, memory_all_s, mapped_all_s = (t[name].min for name in (
+        "memory_retrieve_all_ids", "mapped_retrieve_all_ids",
+        "memory_retrieve_all", "mapped_retrieve_all",
+    ))
 
     def msym(seconds: float) -> float:
         return round(total_symbols / seconds / 1e6, 3) if seconds else 0.0
@@ -145,6 +169,7 @@ def bench_decode(table, tokens, paths, rounds: int) -> Dict[str, object]:
             ),
         },
         "speedup": round(warm_s / flat_s, 3) if flat_s else None,
+        "spread_seconds": spreads(t),
     }
 
 
@@ -175,7 +200,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", default="tiny", choices=("tiny", "small", "medium"))
     parser.add_argument("--workload", default="alibaba")
-    parser.add_argument("--rounds", type=int, default=3, help="report min-of-N")
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="timed rounds per route (fastest reported)")
     parser.add_argument("--out", default="BENCH_smoke.json")
     parser.add_argument("--decode-out", default="BENCH_decode.json")
     args = parser.parse_args(argv)
@@ -217,16 +243,24 @@ def main(argv=None) -> int:
     # Symmetric inputs: each pipeline is timed on its natural prebuilt
     # representation (list of tuples for the seed loop, FlatCorpus for the
     # batch route); the one-off interning cost is reported separately.
-    baseline_s = min_of(lambda: compress_dataset(paths, table, matcher), args.rounds)
-    flat_s = min_of(lambda: compress_paths_flat(corpus, table, matcher), args.rounds)
-    intern_s = min_of(lambda: dataset.to_flat(), args.rounds)
+    t = timed(
+        args.rounds,
+        seed_hash_loop=lambda: compress_dataset(paths, table, matcher),
+        flat_rolling_batch=lambda: compress_paths_flat(corpus, table, matcher),
+    )
+    t.update(timed(args.rounds, intern=dataset.to_flat))
 
     # The v2 blob of the same tokens: bulk writer against the per-token loop.
     v2_blob = dumps_store_v2_tokens(table, baseline_tokens)
     serialize_matches = v2_blob[STORE_V2_HEADER_SIZE:] == scalar_v2_sections(
         table, baseline_tokens
     )
-    serialize_s = min_of(lambda: dumps_store_v2_tokens(table, baseline_tokens), args.rounds)
+    t.update(timed(
+        args.rounds, serialize=lambda: dumps_store_v2_tokens(table, baseline_tokens)
+    ))
+    baseline_s, flat_s, intern_s, serialize_s = (t[name].min for name in (
+        "seed_hash_loop", "flat_rolling_batch", "intern", "serialize",
+    ))
 
     def probe_counters(run: Callable[[], object]) -> Dict[str, int]:
         with instrumented() as obs:
@@ -272,6 +306,7 @@ def main(argv=None) -> int:
         "serialize_seconds": round(serialize_s, 4),
         "serialize_bytes": len(v2_blob),
         "serialize_matches_scalar": serialize_matches,
+        "spread_seconds": spreads(t),
     }
 
     blob = json.dumps(result, indent=2, sort_keys=True)

@@ -13,13 +13,17 @@
 Throughputs are reported in MB/s (1 MB = 10⁶ bytes, as speed plots usually
 do).  Absolute values are pure-Python-scale; the benchmarks compare methods
 against each other, which is the paper's claim shape.
+
+Repeated timings go through :func:`time_rounds`; :func:`relative_delta`
+reads a difference inside the combined spread as none at all.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.sizing import dataset_raw_bytes, tokens_total_bytes
 from repro.paths.encoding import DEFAULT_ENCODING, Encoding
@@ -67,6 +71,53 @@ class CompressionMeasurement:
             round(self.compression_speed_mbps, 3),
             round(self.decompression_speed_mbps, 3),
         )
+
+
+@dataclass(frozen=True)
+class Timing:
+    """One side's last result and min / median / spread (max − min) seconds."""
+
+    result: Any
+    min: float
+    median: float
+    spread: float
+
+    def rate(self, amount: float) -> Tuple[float, float]:
+        """``(amount / median, spread)`` of the rate *amount* per second."""
+        return amount / self.median, amount / self.min - amount / (self.min + self.spread)
+
+
+def time_rounds(runs: Sequence[Callable[[], Any]], rounds: int) -> List[Timing]:
+    """Time every callable of *runs* for *rounds* rounds, round-major.
+
+    Round ``r`` of every side runs before round ``r + 1`` of any side, so a
+    drift in the machine's speed lands on all sides alike.  The clock is
+    the module's ``time`` (tests substitute it).
+    """
+    seconds: List[List[float]] = [[] for _ in runs]
+    results: List[Any] = [None] * len(runs)
+    for _ in range(max(1, rounds)):
+        for side, run in enumerate(runs):
+            started = time.perf_counter()
+            results[side] = run()
+            seconds[side].append(time.perf_counter() - started)
+    return [
+        Timing(result, min(s), statistics.median(s), max(s) - min(s))
+        for result, s in zip(results, seconds)
+    ]
+
+
+def relative_delta(
+    a: float, b: float, spread_a: float = 0.0, spread_b: float = 0.0
+) -> float:
+    """``(a - b) / b``, or 0.0 when ``|a - b| <= spread_a + spread_b``.
+
+    The noise floor: two measurements that differ by no more than their
+    combined spread are not told apart.
+    """
+    if not b or abs(a - b) <= spread_a + spread_b:
+        return 0.0
+    return (a - b) / b
 
 
 def compression_ratio(codec, dataset, tokens: Sequence[Any], encoding: Encoding = DEFAULT_ENCODING) -> float:

@@ -5,8 +5,8 @@ capacity, construction iterations and sampling, top-down refinement, store
 format v1/v2, the expansion cache, sharding.
 This module switches each one off (or swaps its value) against a fixed
 baseline, measures every cell with the Section VI-B metrics (CR / CS / DS /
-PDS plus raw compress/decompress latency, min-of-N), and ranks the components
-by the marginal metric delta of toggling them — the aumai-ablation pattern:
+PDS, each timing a median with its spread over N rounds), and ranks the
+components by the marginal metric delta of toggling them — the aumai-ablation pattern:
 generate the run matrix, give every cell a stable run id, turn the measured
 numbers into a per-component importance report.
 
@@ -31,7 +31,8 @@ The three layers, each usable alone:
   readers; :func:`repro.core.autotune.autotune` reads only its CR deltas.
 
 Cell timings are machine numbers; run ids, matrix shape, verification flags
-and byte sizes are deterministic.  The importance *ranking* is deterministic
+and byte sizes are deterministic.  A timing delta inside the combined spread
+of the two cells reads as 0.0, so noise cannot rank a component.  The importance *ranking* is deterministic
 for tied scores (ties break on component then knob name), which keeps the
 report diffable across runs of the same machine.
 """
@@ -41,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -53,6 +53,7 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.metrics import Timing, relative_delta, time_rounds
 from repro.analysis.sizing import dataset_raw_bytes
 from repro.core.config import OFFSConfig
 from repro.core.errors import InvalidInputError
@@ -62,7 +63,7 @@ from repro.obs.runtime import active_span, active_timer, get_active
 
 #: Bumped whenever the report or partial-results layout changes shape;
 #: consumers (autotune, the nightly diff tooling) refuse unknown versions.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: The default workload pair the nightly matrix covers: the cloud-trace
 #: surrogate and the road-network surrogate stress opposite ends of the
@@ -73,12 +74,13 @@ DEFAULT_WORKLOADS: Tuple[str, ...] = ("alibaba", "rome")
 #: of the paper's k=7 that ``repro.bench.runner`` uses.
 _SIZE_SAMPLE_EXPONENT = {"tiny": 0, "small": 2, "medium": 4}
 
-#: Metrics the importance score reads, as (report key, pretty name).
+#: Metrics the importance score reads, as (report key, pretty name, spread
+#: key).  CR is byte-exact, so it has no spread key.
 _HEADLINE_METRICS = (
-    ("compression_ratio", "CR"),
-    ("compression_speed_mbps", "CS"),
-    ("decompression_speed_mbps", "DS"),
-    ("partial_decompression_speed_mbps", "PDS"),
+    ("compression_ratio", "CR", None),
+    ("compression_speed_mbps", "CS", "compression_speed_spread_mbps"),
+    ("decompression_speed_mbps", "DS", "decompression_speed_spread_mbps"),
+    ("partial_decompression_speed_mbps", "PDS", "partial_decompression_speed_spread_mbps"),
 )
 
 
@@ -301,17 +303,6 @@ def generate_matrix(
 # -- measuring one cell ----------------------------------------------------------
 
 
-def _min_of(run: Callable[[], object], rounds: int) -> Tuple[object, float]:
-    """``(last result, best wall seconds)`` over *rounds* runs."""
-    best = float("inf")
-    result: object = None
-    for _ in range(max(1, rounds)):
-        started = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - started)
-    return result, best
-
-
 def _invalidate_expansions(store: object) -> None:
     """Force the cold decode path where the store exposes its table."""
     table = getattr(store, "table", None)
@@ -322,17 +313,17 @@ def _invalidate_expansions(store: object) -> None:
 def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
     """Run one cell's full pipeline and return its metrics dict.
 
-    Build the table (timed once — construction cost is part of CS, the
-    paper's Exp-1 shape), compress min-of-*rounds*, serialize per the
-    spec's store format, decode min-of-*rounds* through that format's store,
-    and retrieve a seeded 10% sample for PDS.  The decode output is
-    verified path-for-path against the originals **before** any timing is
-    trusted; a lossy cell raises instead of reporting.
+    Fit the table and compress (timed together over *rounds* — construction
+    cost is part of CS, the paper's Exp-1 shape), serialize per the spec's
+    store format, then decode through that format's store and retrieve a
+    seeded 10% sample for PDS, both over *rounds*.  Each speed is the
+    median round's, with the spread across rounds beside it.  The decode
+    output is verified path-for-path against the originals **before** any
+    timing is trusted; a lossy cell raises instead of reporting.
     """
     import tempfile
 
     from repro.core.compressor import compress_paths_flat
-    from repro.core.matcher import static_matcher_from_table
     from repro.core.offs import OFFSCodec
     from repro.core.store import CompressedPathStore
     from repro.workloads.registry import make_dataset
@@ -343,40 +334,34 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
     corpus = dataset.to_flat()
     raw_bytes = dataset_raw_bytes(paths)
 
-    started = time.perf_counter()
-    codec = OFFSCodec(config).fit(corpus)
-    fit_seconds = time.perf_counter() - started
-    table = codec.table
-    matcher = static_matcher_from_table(table)
+    def fit_and_compress() -> Tuple[object, List[Tuple[int, ...]]]:
+        table = OFFSCodec(config).fit(corpus).table
+        return table, compress_paths_flat(corpus, table)
 
-    def compress() -> List[Tuple[int, ...]]:
-        return compress_paths_flat(corpus, table, matcher)
-
-    tokens, compress_seconds = _min_of(compress, rounds)
+    [compress] = time_rounds([fit_and_compress], rounds)
+    table, tokens = compress.result
     store = CompressedPathStore.from_tokens(table, tokens)
 
-    def _timed_decode(reader: object) -> Tuple[bool, float, float, float]:
-        """(verified, decompress_s, pds_s, sample_bytes) for one store."""
+    def _timed_decode(reader: object) -> Tuple[bool, Timing, Timing, int]:
+        """(verified, full decode, partial decode, sample bytes) for one store."""
         restored = reader.retrieve_all()
         verified = [tuple(p) for p in restored] == paths
+        count = max(1, min(len(paths) // 10, 256))
+        sample_ids = sorted(random.Random(spec.seed).sample(range(len(paths)), count))
+        sample_bytes = dataset_raw_bytes([paths[i] for i in sample_ids])
 
         def full_decode() -> object:
             if not spec.expansion_cache:
                 _invalidate_expansions(reader)
             return reader.retrieve_all()
 
-        _, decompress_s = _min_of(full_decode, rounds)
-        count = max(1, min(len(paths) // 10, 256))
-        sample_ids = sorted(random.Random(spec.seed).sample(range(len(paths)), count))
-        sample_bytes = dataset_raw_bytes([paths[i] for i in sample_ids])
-
         def partial_decode() -> object:
             if not spec.expansion_cache:
                 _invalidate_expansions(reader)
             return [reader.retrieve(i) for i in sample_ids]
 
-        _, pds_s = _min_of(partial_decode, rounds)
-        return verified, decompress_s, pds_s, sample_bytes
+        full, partial = time_rounds([full_decode, partial_decode], rounds)
+        return verified, full, partial, sample_bytes
 
     if spec.shards > 0:
         from repro.core.sharded import ShardedPathStore, build_sharded_store
@@ -386,9 +371,7 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
             build_sharded_store(corpus, table, manifest, shards=spec.shards)
             with ShardedPathStore.open(manifest) as sharded:
                 compressed_bytes = sharded.mapped_bytes
-                verified, decompress_seconds, pds_seconds, sample_bytes = (
-                    _timed_decode(sharded)
-                )
+                verified, full, partial, sample_bytes = _timed_decode(sharded)
     elif spec.store_format == "v2":
         from repro.core.mapped import MappedPathStore
         from repro.core.serialize import dumps_store_v2
@@ -400,16 +383,14 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
             with MappedPathStore.open(v2_path) as mapped:
-                verified, decompress_seconds, pds_seconds, sample_bytes = (
-                    _timed_decode(mapped)
-                )
+                verified, full, partial, sample_bytes = _timed_decode(mapped)
         finally:
             os.unlink(v2_path)
     elif spec.store_format == "v1":
         from repro.core.serialize import dumps_store
 
         compressed_bytes = len(dumps_store(store))
-        verified, decompress_seconds, pds_seconds, sample_bytes = _timed_decode(store)
+        verified, full, partial, sample_bytes = _timed_decode(store)
     else:
         raise InvalidInputError(f"unknown store format {spec.store_format!r}")
 
@@ -419,8 +400,15 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
             "report metrics for a corrupt cell"
         )
 
-    compress_total = fit_seconds + compress_seconds
-    _mb = 1_000_000.0
+    speeds: Dict[str, object] = {}
+    for key, timing, amount in (
+        ("compression_speed", compress, raw_bytes),
+        ("decompression_speed", full, raw_bytes),
+        ("partial_decompression_speed", partial, sample_bytes),
+    ):
+        median, spread = timing.rate(amount / 1_000_000.0)
+        speeds[f"{key}_mbps"] = round(median, 4)
+        speeds[f"{key}_spread_mbps"] = round(spread, 4)
     return {
         "raw_bytes": raw_bytes,
         "compressed_bytes": compressed_bytes,
@@ -430,18 +418,9 @@ def measure_cell(spec: RunSpec, rounds: int = 2) -> Dict[str, object]:
         "compression_ratio": round(raw_bytes / compressed_bytes, 4)
         if compressed_bytes
         else 0.0,
-        "compression_speed_mbps": round(raw_bytes / _mb / compress_total, 4)
-        if compress_total > 0
-        else 0.0,
-        "decompression_speed_mbps": round(raw_bytes / _mb / decompress_seconds, 4)
-        if decompress_seconds > 0
-        else 0.0,
-        "partial_decompression_speed_mbps": round(sample_bytes / _mb / pds_seconds, 4)
-        if pds_seconds > 0
-        else 0.0,
-        "fit_seconds": round(fit_seconds, 4),
-        "compress_seconds": round(compress_seconds, 4),
-        "decompress_seconds": round(decompress_seconds, 4),
+        **speeds,
+        "compress_seconds": round(compress.median, 4),
+        "decompress_seconds": round(full.median, 4),
     }
 
 
@@ -547,7 +526,8 @@ def importance_table(
 
     A knob's importance is the largest relative headline-metric delta
     (|ΔCR|, |ΔCS|, |ΔDS|, |ΔPDS|, each relative to the workload's baseline
-    cell) over all its cells, rounded to 4 decimals.  Rank is per workload;
+    cell) over all its cells, rounded to 4 decimals.  A timing delta within
+    the two cells' combined spread reads as 0.0 (the noise floor).  Rank is per workload;
     exact ties break on component name then knob name, so the ordering is a
     pure function of the scores — re-running on identical numbers can never
     shuffle the table.
@@ -575,12 +555,12 @@ def importance_table(
         best_value, best_cr = None, float("-inf")
         for cell in sorted(cells, key=lambda c: str(c["value"])):
             deltas: Dict[str, float] = {}
-            for key, pretty in _HEADLINE_METRICS:
-                base_metric = float(base[key])
-                delta = (
-                    (float(cell[key]) - base_metric) / base_metric
-                    if base_metric
-                    else 0.0
+            for key, pretty, spread_key in _HEADLINE_METRICS:
+                delta = relative_delta(
+                    float(cell[key]),
+                    float(base[key]),
+                    float(cell.get(spread_key, 0.0)),
+                    float(base.get(spread_key, 0.0)),
                 )
                 deltas[f"delta_{pretty.lower()}"] = round(delta, 4)
             per_value[str(cell["value"])] = deltas

@@ -15,6 +15,7 @@ from repro.analysis.metrics import (
     measure_codec,
     measure_decompression,
     measure_partial_decompression,
+    time_rounds,
 )
 from repro.analysis.sizing import dataset_raw_bytes, tokens_total_bytes
 from repro.analysis.stats import dataset_stats_table
@@ -336,10 +337,9 @@ def exp_flat_batch(
     Two rows: the seed pipeline (per-path loop over tuples, flat hash
     matcher) against :func:`~repro.core.compressor.compress_paths_flat`,
     which runs the vectorized :class:`~repro.core.rollhash.FlatBatchKernel`.
-    Output is byte-identical (checked); timings are min-of-*rounds*.
+    Output is byte-identical (checked); the two alternate for *rounds*
+    rounds and each reports its fastest.
     """
-    import time
-
     from repro.core.compressor import compress_dataset, compress_paths_flat
     from repro.core.matcher import static_matcher_from_table
 
@@ -351,19 +351,13 @@ def exp_flat_batch(
     corpus = dataset.to_flat()
     total_symbols = corpus.total_symbols
 
-    def min_of(run) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            started = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - started)
-        return best
-
     matcher = static_matcher_from_table(table)
-    baseline_tokens = compress_dataset(paths, table, matcher)
-    baseline_seconds = min_of(lambda: compress_dataset(paths, table, matcher))
-    identical = compress_paths_flat(corpus, table, matcher) == baseline_tokens
-    seconds = min_of(lambda: compress_paths_flat(corpus, table, matcher))
+    baseline, flat = time_rounds([
+        lambda: compress_dataset(paths, table, matcher),
+        lambda: compress_paths_flat(corpus, table, matcher),
+    ], rounds)
+    identical = flat.result == baseline.result
+    baseline_seconds, seconds = baseline.min, flat.min
     speedup = baseline_seconds / seconds if seconds else float("inf")
 
     rows: Rows = [("pipeline", "compress (s)", "Msym/s", "speedup", "identical")]

@@ -411,7 +411,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         pilot_paths=args.pilot,
         ablation_report=_load_ablation_report(args.ablation_report),
     )
-    rows = [("i", "k", "CR", "CS (MB/s)")] + [p.as_row() for p in result.points]
+    rows = [("i", "k", "CR", "CS (MB/s)", "CS spread")] + [
+        (*p.as_row(), round(p.compression_speed_spread_mbps, 3)) for p in result.points
+    ]
     print(format_table(rows, title=f"tuning sweep ({result.pilot_paths} pilot paths)"))
     d, f = result.default_mode, result.fast_mode
     print(f"\ndefault mode: i={d.iterations} k={d.sample_exponent} "

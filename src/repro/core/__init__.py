@@ -58,7 +58,6 @@ from repro.core.errors import (
 )
 from repro.core.expansion import ExpansionCache, slice_token
 from repro.core.matcher import CandidateSet, HashCandidates, make_candidate_set
-from repro.core.parallel import parallel_compress, parallel_decompress
 from repro.core.stream import StreamingCompressor
 from repro.core.topdown import TopDownRefiner
 from repro.core.validate import ValidationReport, validate_store
@@ -117,8 +116,6 @@ __all__ = [
     "StateError",
     "TableError",
     "CandidateSet",
-    "parallel_compress",
-    "parallel_decompress",
     "StreamingCompressor",
     "TopDownRefiner",
     "HashCandidates",

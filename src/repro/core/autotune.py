@@ -5,12 +5,16 @@ curves: "Regarding the trade-off between CS and CR, we pick two sets of
 (i, k), the default mode (4, 7) and the fast mode (2, 7)."  This module
 automates that decision for a new workload:
 
-* :func:`sweep` measures CR and CS over a grid of (i, k) on a pilot sample
-  of the data;
+* :func:`sweep` measures CR and the median CS, with its spread, over a
+  grid of (i, k) on a pilot sample of the data, timing what
+  ``repro compress`` runs (fit plus ``compress_paths_flat``);
 * :func:`choose` applies the paper's selection logic: among configurations
   within ``cr_tolerance`` of the best compression ratio, take the fastest
   (the "default mode" pick), and also report the fastest configuration
-  losing at most ``fast_cr_loss`` absolute CR (the "fast mode" pick).
+  losing at most ``fast_cr_loss`` absolute CR that is measurably faster
+  than the default (the "fast mode" pick).  Points within the combined
+  spread of the fastest tie with it, and ties break by smaller ``i``,
+  then larger ``k``, so timing noise cannot move the pick.
 
 The sweep measures on a bounded pilot (``pilot_paths``), so tuning cost is
 independent of archive size — the same reason table construction samples.
@@ -33,24 +37,33 @@ which are byte-exact and so carry no timing noise:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import measure_codec
+from repro.analysis.metrics import measure_codec, relative_delta, time_rounds
+from repro.analysis.sizing import dataset_raw_bytes, tokens_total_bytes
+from repro.core.compressor import compress_paths_flat
 from repro.core.config import OFFSConfig
 from repro.core.errors import InvalidInputError
 from repro.core.offs import OFFSCodec
 from repro.paths.dataset import PathDataset
 
+#: Timed rounds per grid point: enough for a median and a spread.
+SWEEP_ROUNDS = 3
+
+
 @dataclass(frozen=True)
 class TuningPoint:
-    """One measured (i, k) configuration."""
+    """One measured (i, k) configuration: median CS over the sweep's rounds
+    and the spread between its fastest and slowest round."""
 
     iterations: int
     sample_exponent: int
     compression_ratio: float
     compression_speed_mbps: float
+    compression_speed_spread_mbps: float = 0.0
 
     def as_row(self) -> Tuple[int, int, float, float]:
         return (
@@ -105,6 +118,13 @@ class TuningResult:
         return self.default_config(base)
 
 
+def _fit_and_compress(config: OFFSConfig, corpus) -> int:
+    """Fit and bulk-compress *corpus* as ``repro compress`` does: ``|P'| + |R|``."""
+    codec = OFFSCodec(config).fit(corpus)
+    source = corpus if codec.order is None else codec.order.transform_corpus(corpus)
+    return tokens_total_bytes(codec, compress_paths_flat(source, codec.table))
+
+
 def sweep(
     dataset,
     i_values: Sequence[int] = (1, 2, 3, 4, 6),
@@ -113,24 +133,41 @@ def sweep(
     pilot_paths: int = 2000,
     seed: int = 0,
 ) -> List[TuningPoint]:
-    """Measure CR and CS over the (i, k) grid on a pilot sample."""
+    """Measure CR and CS over the (i, k) grid on a pilot sample, every
+    point ``SWEEP_ROUNDS`` times, round-major across the grid."""
     base = base or OFFSConfig()
-    paths = list(dataset)
-    pilot = PathDataset(paths[:pilot_paths], name="pilot")
+    pilot = PathDataset(list(dataset)[:pilot_paths], name="pilot")
+    corpus = pilot.to_flat()
+    raw = dataset_raw_bytes(pilot)
+    grid = [(i, k) for i in i_values for k in k_values]
+    runs = [
+        functools.partial(
+            _fit_and_compress, base.with_(iterations=i, sample_exponent=k, seed=seed), corpus
+        )
+        for i, k in grid
+    ]
     points: List[TuningPoint] = []
-    for i in i_values:
-        for k in k_values:
-            config = base.with_(iterations=i, sample_exponent=k, seed=seed)
-            measurement = measure_codec(OFFSCodec(config), pilot, verify=False)
-            points.append(
-                TuningPoint(
-                    iterations=i,
-                    sample_exponent=k,
-                    compression_ratio=measurement.compression_ratio,
-                    compression_speed_mbps=measurement.compression_speed_mbps,
-                )
-            )
+    for (i, k), timing in zip(grid, time_rounds(runs, SWEEP_ROUNDS)):
+        cr = raw / timing.result if timing.result else 0.0
+        points.append(TuningPoint(i, k, cr, *timing.rate(raw / 1_000_000.0)))
     return points
+
+
+def _cs_delta(a: TuningPoint, b: TuningPoint) -> float:
+    """*a*'s relative CS gain over *b*; 0.0 inside their combined spread."""
+    return relative_delta(
+        a.compression_speed_mbps,
+        b.compression_speed_mbps,
+        a.compression_speed_spread_mbps,
+        b.compression_speed_spread_mbps,
+    )
+
+
+def _fastest(pool: Sequence[TuningPoint]) -> TuningPoint:
+    """The fastest point of *pool*, ties broken by smaller i, then larger k."""
+    top = max(pool, key=lambda p: p.compression_speed_mbps)
+    tied = [p for p in pool if _cs_delta(p, top) == 0.0]
+    return min(tied, key=lambda p: (p.iterations, -p.sample_exponent))
 
 
 def choose(
@@ -144,21 +181,21 @@ def choose(
         points within ``(1 - cr_tolerance) × best CR``, pick the fastest.
     :param fast_cr_loss: absolute CR the fast mode may give up relative to
         the default mode (the paper's OFFS* "only loses 0.33").
-    :returns: ``(default_mode, fast_mode)``.
+    :returns: ``(default_mode, fast_mode)``; the fast mode is the default
+        when no point in its pool is measurably faster.
     """
     if not points:
         raise InvalidInputError("no tuning points to choose from")
     best_cr = max(p.compression_ratio for p in points)
-    default_pool = [
+    default = _fastest([
         p for p in points if p.compression_ratio >= (1 - cr_tolerance) * best_cr
-    ]
-    default = max(default_pool, key=lambda p: p.compression_speed_mbps)
+    ])
     fast_pool = [
         p for p in points
         if p.compression_ratio >= default.compression_ratio - fast_cr_loss
+        and _cs_delta(p, default) > 0.0
     ]
-    fast = max(fast_pool, key=lambda p: p.compression_speed_mbps)
-    return default, fast
+    return default, _fastest(fast_pool) if fast_pool else default
 
 
 # -- consuming an ablation report ------------------------------------------------

@@ -1,39 +1,25 @@
-"""Parallel (de)compression over processes — the paper's OpenMP claim.
+"""The one process fan-out — the paper's OpenMP claim, for the sharded build.
 
 Section V: "we are able to implement pleasing parallelism on a finer
-granularity as small as a path in ``O(|P|·δ²/p)`` on a p-core machine", and
-likewise ``O(|P|/p)`` for decompression.  Both algorithms are pure functions
-of (path, table), so the parallel scheme is embarrassing: chunk the input,
-ship the table to each worker once, map.
+granularity as small as a path in ``O(|P|·δ²/p)`` on a p-core machine".
+Compression is a pure function of (path, table), so the scheme is
+embarrassing: split the input, ship the table to each worker once, map.
 
-Implementation notes:
-
-* Every fan-out goes through one helper, :func:`_map_corpora`: one process
-  runs the work in-process against one matcher; more map it over a ``fork``
-  pool.  The sharded build (:mod:`repro.core.sharded`) passes it its own
-  per-shard work.
-  The parent builds the table's matcher once *before* forking, so workers
-  inherit (table, matcher) copy-on-write — zero per-worker rebuild, and
-  per-chunk pickling cost is the chunk payload only, never table copies.
-* Chunks travel both directions as two machine-byte blobs (buffer +
-  offsets): out as :class:`~repro.core.flatcorpus.FlatCorpus` shipping
-  payloads (slicing a chunk out of the parent corpus is zero-copy, a
-  memoryview of the shared buffer), back as result corpora whose ``array``
-  buffers pickle as bytes — never a forest of integer tuples.
-* Workers run the batch entry points (:func:`~repro.core.compressor.
-  compress_paths_flat`); each chunk goes through the vectorized kernel.
-  ``processes=1`` runs the *same* chunk functions in-process, so metric
-  totals and probe counts are identical across process counts.
+:func:`_map_corpora` is the one fan-out; its caller is the sharded build
+(:mod:`repro.core.sharded`), and ``benchmarks/bench_shard.py`` measures it
+against one process.  One process runs the *same* work in-process, so
+metric totals are identical across process counts; more map it over a
+``fork`` pool.  The parent builds the table's matcher once *before*
+forking, so workers inherit (table, matcher) copy-on-write, and each unit
+of work travels as a zero-copy :class:`~repro.core.flatcorpus.FlatCorpus`
+shipping payload, never a forest of integer tuples.
 
 Observability: when :mod:`repro.obs` instrumentation is active in the
-parent, each worker activates its own counters-only instrumentation at
-initializer time, resets it per chunk, and ships the chunk's metric
-snapshot back with the results; the parent folds every snapshot into its
-registry.  Counter totals therefore equal the sequential run's exactly
-(probe counts are pure per path — and, for the batch kernel, additive over
-path-aligned chunks), while worker timers pool into CPU-time style
-aggregates — see the differential test in
-``tests/test_parallel_differential.py``.
+parent, each worker activates its own counters-only instrumentation, resets
+it per unit of work, and ships its metric snapshot back with the result;
+the parent folds every snapshot into its registry.  Counter totals
+therefore equal the one-process run's exactly, while worker timers pool
+into CPU-time style aggregates (``tests/test_parallel_differential.py``).
 """
 
 from __future__ import annotations
@@ -42,9 +28,8 @@ import multiprocessing
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.compressor import compress_paths_flat, decompress_paths_flat
 from repro.core.errors import InvalidInputError
-from repro.core.flatcorpus import FlatCorpus, ShippedCorpus, as_flat_corpus
+from repro.core.flatcorpus import FlatCorpus, ShippedCorpus
 from repro.core.matcher import CandidateSet, static_matcher_from_table
 from repro.core.supernode_table import SupernodeTable
 from repro.obs.registry import MetricsRegistry
@@ -130,53 +115,3 @@ def _map_corpora(
         for _, metrics in results:
             obs.registry.merge_dict(metrics)
     return [result for result, _ in results]
-
-
-def _compress_chunk(
-    table: SupernodeTable, matcher: CandidateSet, corpus: FlatCorpus
-) -> FlatCorpus:
-    return compress_paths_flat(corpus, table, matcher, as_corpus=True)
-
-
-def _decompress_chunk(
-    table: SupernodeTable, matcher: CandidateSet, corpus: FlatCorpus
-) -> FlatCorpus:
-    return decompress_paths_flat(corpus, table, as_corpus=True)
-
-
-def _chunked(
-    work: _Work,
-    items: Sequence[Sequence[int]],
-    table: SupernodeTable,
-    processes: int,
-    chunk_size: int,
-) -> List[Tuple[int, ...]]:
-    """Run *work* over *chunk_size*-path chunks of *items*, concatenated."""
-    chunks = list(as_flat_corpus(items).chunks(chunk_size))
-    results = _map_corpora(work, chunks, table, processes)
-    return [path for corpus in results for path in corpus]
-
-
-def parallel_compress(
-    paths: Sequence[Sequence[int]],
-    table: SupernodeTable,
-    processes: int = 2,
-    chunk_size: int = 2048,
-) -> List[Tuple[int, ...]]:
-    """Compress *paths* against *table* across *processes* workers.
-
-    Order-preserving and bit-identical to the sequential
-    :func:`~repro.core.compressor.compress_dataset` for any process count.
-    """
-    return _chunked(_compress_chunk, paths, table, processes, chunk_size)
-
-
-def parallel_decompress(
-    tokens: Sequence[Sequence[int]],
-    table: SupernodeTable,
-    processes: int = 2,
-    chunk_size: int = 2048,
-) -> List[Tuple[int, ...]]:
-    """Decompress *tokens* across *processes* workers (order-preserving)."""
-    return _chunked(_decompress_chunk, tokens, table, processes, chunk_size)
-

@@ -213,6 +213,19 @@ class TestImportance:
         with pytest.raises(InvalidInputError):
             importance_table(rows)
 
+    def test_timing_delta_inside_the_spread_scores_zero(self):
+        base = _result("w", None, "baseline", "baseline", cr=2.0,
+                       cs=1.0, ds=10.0, pds=5.0)
+        noisy = _result("w", "cache", "expansion cache", "off", cr=2.0,
+                        cs=1.3, ds=8.0, pds=5.5)
+        for row, spread in ((base, 0.2), (noisy, 0.1)):
+            row["compression_speed_spread_mbps"] = spread
+            row["decompression_speed_spread_mbps"] = 20 * spread
+            row["partial_decompression_speed_spread_mbps"] = 5 * spread
+        [entry] = importance_table({"w-baseline": base, "w-cache=off": noisy})
+        assert entry["importance"] == 0.0
+        assert set(entry["values"]["off"].values()) == {0.0}
+
     def test_best_value_maximizes_cr(self):
         results = self._tied_results()
         worse = _result("w", "alpha", "bbb component", "2", cr=1.5)

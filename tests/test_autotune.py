@@ -1,6 +1,8 @@
 """Unit tests for the (i, k) auto-tuner."""
 
 import os
+import random
+import types
 
 import pytest
 
@@ -90,6 +92,55 @@ class TestAutotune:
     def test_point_rows(self):
         p = point(4, 2, 3.14159, 1.23456)
         assert p.as_row() == (4, 2, 3.142, 1.235)
+
+
+def jittered_clock(grid, seed, amplitude=0.05):
+    """A fake ``time`` whose timed rounds cost ``i`` seconds times a seeded
+    jitter inside each point's spread.
+
+    Calls come in (start, stop) pairs, round-major over *grid*.  Each
+    point's three rounds take a shuffle of ``(-a, +a, u)`` with ``u``
+    uniform in ``[-a, a]``: its spread always covers its jitter, and only
+    the median moves with the seed.
+    """
+    rng = random.Random(seed)
+    jitter = []
+    for _ in grid:
+        rounds = [-amplitude, amplitude, rng.uniform(-amplitude, amplitude)]
+        rng.shuffle(rounds)
+        jitter.append(rounds)
+    state = {"now": 0.0, "calls": 0}
+
+    def perf_counter():
+        pair, stop = divmod(state["calls"], 2)
+        state["calls"] += 1
+        if stop:
+            side = pair % len(grid)
+            i, _ = grid[side]
+            state["now"] += i * (1.0 + jitter[side][(pair // len(grid)) % 3])
+        return state["now"]
+
+    return types.SimpleNamespace(perf_counter=perf_counter)
+
+
+def test_tune_pick_is_stable_under_jitter(monkeypatch):
+    from repro.analysis import metrics
+
+    dataset = make_dataset("alibaba", "tiny")
+    i_values, k_values = (1, 2, 3, 4, 6), (0, 1, 2, 3, 4)
+    grid = [(i, k) for i in i_values for k in k_values]
+    results = []
+    for seed in (1, 2):
+        monkeypatch.setattr(metrics, "time", jittered_clock(grid, seed))
+        results.append(
+            autotune(dataset, pilot_paths=150, i_values=i_values, k_values=k_values)
+        )
+    first, second = (
+        [(p.iterations, p.sample_exponent) for p in (r.default_mode, r.fast_mode)]
+        for r in results
+    )
+    assert first == second
+    assert all(p.compression_speed_spread_mbps > 0 for p in results[0].points)
 
 
 # -- ablation-guided mode --------------------------------------------------------

@@ -42,12 +42,15 @@ def _bench_shard():
 
 def test_build_reports_one_timing_set():
     bench_shard = _bench_shard()
-    build = bench_shard.bench_build("tiny", shards=2, processes=1)
+    build = bench_shard.bench_build("tiny", shards=2)
     assert build["rounds"] == bench_shard.ROUNDS and build["cpus"] >= 1
-    assert "backends" not in build
-    assert len(build["per_shard_seconds"]) == 2
-    for key in ("monolithic_seconds", "sharded_seconds", "projected_parallel_seconds"):
-        assert build[key] > 0
+    assert build["processes"] == min(build["cpus"], 2)
+    assert not [key for key in build if key.startswith("projected_")]
+    assert [scale["multiplier"] for scale in build["scales"]] == [1, 5]
+    for scale in build["scales"]:
+        for side in ("one_process_seconds", "fan_out_seconds"):
+            timing = scale[side]
+            assert timing["min"] <= timing["median"] and timing["spread"] >= 0
 
 
 @pytest.mark.parametrize("flag", ["--ingest-child", "--mono-child"])

@@ -2,12 +2,17 @@
 
 import pytest
 
+import types
+
+from repro.analysis import metrics
 from repro.analysis.metrics import (
     CompressionMeasurement,
     compression_ratio,
     measure_codec,
     measure_decompression,
     measure_partial_decompression,
+    relative_delta,
+    time_rounds,
 )
 from repro.analysis.sizing import dataset_raw_bytes, tokens_total_bytes
 from repro.analysis.stats import dataset_stats_table, format_table
@@ -115,3 +120,58 @@ class TestStatsTable:
 
     def test_format_empty(self):
         assert format_table([], title="T") == "T"
+
+
+class TestTimeRounds:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """A clock that advances only by the durations a test queues."""
+        durations = []
+        state = {"now": 0.0, "stop": False}
+
+        def perf_counter():
+            if state["stop"]:
+                state["now"] += durations.pop(0)
+            state["stop"] = not state["stop"]
+            return state["now"]
+
+        monkeypatch.setattr(metrics, "time", types.SimpleNamespace(perf_counter=perf_counter))
+        return durations
+
+    def test_rounds_run_round_major(self, clock):
+        clock.extend([1.0] * 6)
+        order = []
+        time_rounds([lambda: order.append("a"), lambda: order.append("b")], 3)
+        assert order == ["a", "b"] * 3
+
+    def test_min_median_spread_and_last_result(self, clock):
+        # Round-major: a, b, a, b, a, b.
+        clock.extend([3.0, 10.0, 1.0, 10.0, 2.0, 10.0])
+        calls = iter(range(6))
+        a, b = time_rounds([lambda: next(calls), lambda: next(calls)], 3)
+        assert (a.min, a.median, a.spread) == (1.0, 2.0, 2.0)
+        assert (b.min, b.median, b.spread) == (10.0, 10.0, 0.0)
+        assert (a.result, b.result) == (4, 5)
+
+    def test_rate_spans_the_fastest_and_slowest_round(self, clock):
+        clock.extend([1.0, 2.0, 4.0])
+        [timing] = time_rounds([lambda: None], 3)
+        assert timing.rate(8.0) == (4.0, 6.0)
+
+    def test_at_least_one_round(self, clock):
+        clock.append(1.0)
+        [timing] = time_rounds([lambda: "x"], 0)
+        assert (timing.min, timing.spread, timing.result) == (1.0, 0.0, "x")
+
+
+class TestRelativeDelta:
+    def test_floor_is_inclusive_at_the_combined_spread(self):
+        assert relative_delta(12.0, 10.0, 1.0, 1.0) == 0.0
+        assert relative_delta(8.0, 10.0, 1.5, 0.5) == 0.0
+
+    def test_beyond_the_floor_reads_the_relative_delta(self):
+        assert relative_delta(12.0, 10.0, 1.0, 0.99) == pytest.approx(0.2)
+        assert relative_delta(7.0, 10.0) == pytest.approx(-0.3)
+
+    def test_zero_reference_reads_zero(self):
+        assert relative_delta(5.0, 0.0) == 0.0
