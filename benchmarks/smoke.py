@@ -2,8 +2,8 @@
 
 A fig5-style speed run small enough for CI: build one table on one
 workload, then time the seed pipeline (per-path loop, flat hash matcher)
-against the flat batch pipeline (the vectorized rolling-hash kernel),
-asserting byte-identical output.  Compared routes alternate round by
+against the flat batch pipeline (the table's exact 2-prefix encoder over a
+flat corpus), asserting byte-identical output.  Compared routes alternate round by
 round; each ``seconds`` is the fastest round's, and ``spread_seconds``
 records how far every timed quantity's rounds disagree.  The build's table CRC
 (``table_crc``) and its Algorithm 5 accounting (``build_counters``:
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     matcher = static_matcher_from_table(table)
 
     baseline_tokens = compress_dataset(paths, table, matcher)
-    identical = compress_paths_flat(corpus, table, matcher) == baseline_tokens
+    identical = compress_paths_flat(corpus, table) == baseline_tokens
 
     # Symmetric inputs: each pipeline is timed on its natural prebuilt
     # representation (list of tuples for the seed loop, FlatCorpus for the
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     t = timed(
         args.rounds,
         seed_hash_loop=lambda: compress_dataset(paths, table, matcher),
-        flat_rolling_batch=lambda: compress_paths_flat(corpus, table, matcher),
+        flat_prefix_batch=lambda: compress_paths_flat(corpus, table),
     )
     t.update(timed(args.rounds, intern=dataset.to_flat))
 
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
         args.rounds, serialize=lambda: dumps_store_v2_tokens(table, baseline_tokens)
     ))
     baseline_s, flat_s, intern_s, serialize_s = (t[name].min for name in (
-        "seed_hash_loop", "flat_rolling_batch", "intern", "serialize",
+        "seed_hash_loop", "flat_prefix_batch", "intern", "serialize",
     ))
 
     def probe_counters(run: Callable[[], object]) -> Dict[str, int]:
@@ -294,11 +294,11 @@ def main(argv=None) -> int:
                     lambda: compress_dataset(paths, table, matcher)
                 ),
             },
-            "flat_rolling_batch": {
+            "flat_prefix_batch": {
                 "seconds": round(flat_s, 4),
                 "msym_per_s": round(total_symbols / flat_s / 1e6, 3),
                 "probes": probe_counters(
-                    lambda: compress_paths_flat(corpus, table, matcher)
+                    lambda: compress_paths_flat(corpus, table)
                 ),
             },
         },
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     blob = json.dumps(result, indent=2, sort_keys=True)
     publish_file(args.out, (blob + "\n").encode("utf-8"))
     print(blob)
-    print(f"\nsmoke: {result['speedup']}x flat-rolling over seed loop "
+    print(f"\nsmoke: {result['speedup']}x flat prefix-index batch over seed loop "
           f"(identical={identical}) -> {args.out}", file=sys.stderr)
     if not identical:
         print("smoke: OUTPUT MISMATCH — flat pipeline diverged", file=sys.stderr)

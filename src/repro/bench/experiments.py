@@ -336,7 +336,7 @@ def exp_flat_batch(
 
     Two rows: the seed pipeline (per-path loop over tuples, flat hash
     matcher) against :func:`~repro.core.compressor.compress_paths_flat`,
-    which runs the vectorized :class:`~repro.core.rollhash.FlatBatchKernel`.
+    which runs the table's exact 2-prefix encoder over a flat corpus.
     Output is byte-identical (checked); the two alternate for *rounds*
     rounds and each reports its fastest.
     """

@@ -10,8 +10,8 @@ The paper's primary contribution lives here:
   expansion under practical weighted frequency.
 * :mod:`repro.core.compressor` — Algorithms 1 and 2, plus the flat batch
   entry points (``compress_paths_flat`` / ``decompress_paths_flat``).
-* :mod:`repro.core.flatcorpus` / :mod:`repro.core.rollhash` — the
-  flat-corpus layout and the vectorized batch kernel of bulk encode.
+* :mod:`repro.core.flatcorpus` — the flat-corpus layout of the batch
+  entry points.
 * :mod:`repro.core.offs` — the :class:`OFFSCodec` façade.
 * :mod:`repro.core.reader` — :class:`PathReader`, the one read path
   (retrieval, order inversion, size accounting, queries) every store
@@ -62,7 +62,6 @@ from repro.core.stream import StreamingCompressor
 from repro.core.topdown import TopDownRefiner
 from repro.core.validate import ValidationReport, validate_store
 from repro.core.multilevel import MultiLevelCandidates
-from repro.core.rollhash import FlatBatchKernel
 from repro.core.offs import OFFSCodec
 from repro.core.mapped import MappedPathStore
 from repro.core.sharded import (
@@ -104,7 +103,6 @@ __all__ = [
     "decompress_paths_flat",
     "FlatCorpus",
     "as_flat_corpus",
-    "FlatBatchKernel",
     "OFFSConfig",
     "BoundsError",
     "ConfigError",

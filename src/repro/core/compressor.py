@@ -7,15 +7,18 @@ their inputs, so callers may fan them out over processes freely (the paper's
 OpenMP parallelism; see :mod:`repro.core.parallel`).
 
 * :func:`compress_path` — greedy longest-match replacement of subpaths by
-  supernode ids (Algorithm 2); ``O(|P| · δ²)`` with the hash matcher.
+  supernode ids (Algorithm 2).  Without a matcher it runs the one exact
+  encoder, :func:`_encode`: a 2-prefix index on the finished table bounds
+  each position's probes of the subpath→id dict, at most δ − 1 of them
+  (Lemma 2).  With a matcher it asks that matcher's ``longest_match``
+  (Algorithm 6 or 7), the reference route.
 * :func:`decompress_path` — one-pass supernode expansion (Algorithm 1);
   ``O(|P|)`` in the decompressed length (Lemma 1).
 * :func:`compress_paths_flat` / :func:`decompress_paths_flat` — the batch
   entry points over a :class:`~repro.core.flatcorpus.FlatCorpus`.
-  Compression runs the vectorized
-  :class:`~repro.core.rollhash.FlatBatchKernel` in bounded blocks whatever
-  the matcher backend.  Results are
-  bit-identical to the per-path loop with any backend.
+  Compression runs the same exact encoder over every path, so its tokens
+  equal the per-path loop's with any backend; decompression is one
+  vectorized gather.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from repro.core.errors import TableError
 from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
 from repro.core.matcher import CandidateSet, static_matcher_from_table
+from repro.core.probestats import ProbeStats
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
 from repro.obs.runtime import get_active
@@ -46,12 +50,18 @@ def compress_path(
     there (capped by δ, the table's longest entry) is replaced by its
     supernode id, otherwise the single vertex is copied through.
 
-    :param matcher: a prebuilt static matcher over *table*; pass one when
-        compressing many paths to amortize its construction (see
-        :func:`repro.core.matcher.static_matcher_from_table`).
+    Without a *matcher* this runs the table's exact encoder
+    (:func:`_encode`); the writers and per-path ``append`` take that route.
+
+    :param matcher: a static matcher over *table* (see
+        :func:`repro.core.matcher.static_matcher_from_table`) whose
+        :meth:`~repro.core.matcher.CandidateSet.longest_match` answers each
+        position instead: the Algorithm 6 / 7 reference route whose probe
+        cost the A1 bench and the Lemma 2/3 tests measure.  The tokens are
+        the same either way.
     """
     if matcher is None:
-        matcher = static_matcher_from_table(table)
+        return _encode(path, table)
     delta = table.max_subpath_length
     out: List[int] = []
     pos = 0
@@ -69,18 +79,75 @@ def compress_path(
         else:
             vertex = path[pos]
             if vertex >= table.base_id:
-                # A literal at or above base_id would decompress as a
-                # supernode.  This happens when the table was trained on a
-                # sample that missed the id range — train with an explicit
-                # base_id covering the whole universe instead.
-                raise TableError(
-                    f"vertex id {vertex} collides with the supernode id space "
-                    f"(base_id={table.base_id}); fit the table with a base_id "
-                    "above every vertex id that will ever be compressed"
-                )
+                raise _collision(vertex, table.base_id)
             out.append(vertex)
         pos += length
     return tuple(out)
+
+
+def _encode(
+    path: Sequence[int], table: SupernodeTable, work: Optional[ProbeStats] = None
+) -> CompressedPath:
+    """Algorithm 2 through the table's 2-prefix index.
+
+    At each position the next two vertices look up the longest entry
+    length with that prefix (:meth:`~repro.core.supernode_table.
+    SupernodeTable.prefix_index`); the subpath→id dict is then probed
+    from ``min(bound, remaining)`` down to 2, and the first hit is the
+    longest match.  A position with no bound or no hit emits its vertex.
+    That is at most δ − 1 probes per position (Lemma 2's bound), never
+    more than Algorithm 6 issues at the same position.
+
+    When given *work*, its ``probes`` counts the subpath→id lookups and
+    its ``hashed_vertices`` the vertices they hash; the 2-prefix lookups
+    are the filter and count in neither.  Without it nothing is counted,
+    which keeps the per-path ``append`` loop lean.
+    """
+    bounds, ids = table.prefix_index()
+    get_bound = bounds.get
+    get_id = ids.get
+    base_id = table.base_id
+    path = tuple(path)
+    n = len(path)
+    out: List[int] = []
+    push = out.append
+    pos = 0
+    while pos < n:
+        top = get_bound(path[pos : pos + 2])
+        if top is not None:
+            if top > n - pos:
+                top = n - pos
+            length = top
+            sid = get_id(path[pos : pos + length])
+            while sid is None and length > 2:
+                length -= 1
+                sid = get_id(path[pos : pos + length])
+            if work is not None:
+                work.probes += top - length + 1
+                work.hashed_vertices += (top + length) * (top - length + 1) // 2
+            if sid is not None:
+                push(sid)
+                pos += length
+                continue
+        vertex = path[pos]
+        if vertex >= base_id:
+            raise _collision(vertex, base_id)
+        push(vertex)
+        pos += 1
+    return tuple(out)
+
+
+def _collision(vertex: int, base_id: int) -> TableError:
+    """The error for a literal at or above *base_id*.
+
+    Such a literal would decompress as a supernode.  This happens when the
+    table was trained on a sample that missed the id range.
+    """
+    return TableError(
+        f"vertex id {vertex} collides with the supernode id space "
+        f"(base_id={base_id}); fit the table with a base_id above every "
+        "vertex id that will ever be compressed"
+    )
 
 
 def decompress_path(compressed: Sequence[int], table: SupernodeTable) -> Tuple[int, ...]:
@@ -187,33 +254,30 @@ def compress_paths_flat(
 ) -> Union[List[CompressedPath], FlatCorpus]:
     """Compress a whole corpus in one batch (the flat pipeline entry point).
 
-    Bit-identical to :func:`compress_dataset` over the same paths with any
-    matcher backend.  The probe work runs through the
-    vectorized :class:`~repro.core.rollhash.FlatBatchKernel` — window
-    hashes over each block of the flat buffer, then a thin greedy verify
-    loop — for every backend.
+    Checks the corpus's largest vertex against ``base_id`` once, then runs
+    the table's exact encoder (:func:`_encode`) over every path, so the
+    tokens equal :func:`compress_dataset`'s over the same paths with any
+    matcher backend.
 
     :param paths: a :class:`FlatCorpus` (preferred; anything else is
         interned first).
-    :param matcher: a prebuilt static matcher over *table*; it supplies the
-        batch kernel (:meth:`~repro.core.matcher.CandidateSet.flat_kernel`)
-        and receives its work counters.
+    :param matcher: a static matcher over *table*; it matches nothing here,
+        but receives the encoder's work counters on its ``stats``.
     :param as_corpus: return the compressed tokens as a :class:`FlatCorpus`
         (what the parallel workers ship back) instead of a list of tuples.
     """
     corpus = as_flat_corpus(paths)
-    if matcher is None:
-        matcher = static_matcher_from_table(table)
     obs = get_active()
     if obs is None:
-        out = _compress_corpus(corpus, table, matcher)
+        # Probe work is counted only when someone reads it.
+        out = _compress_corpus(corpus, table, None if matcher is None else matcher.stats)
         return FlatCorpus.from_paths(out, name=corpus.name) if as_corpus else out
 
-    probes_before = matcher.stats.snapshot()
+    work = ProbeStats()
     with obs.tracer.span(catalog.SPAN_COMPRESS) as span, obs.registry.timeit(
         catalog.COMPRESS_SECONDS
     ):
-        out = _compress_corpus(corpus, table, matcher)
+        out = _compress_corpus(corpus, table, work)
         symbols_in = corpus.total_symbols
         symbols_out = sum(len(t) for t in out)
         if span is not None:
@@ -226,85 +290,21 @@ def compress_paths_flat(
     registry.counter(catalog.COMPRESS_SYMBOLS_IN).inc(symbols_in)
     registry.counter(catalog.COMPRESS_SYMBOLS_OUT).inc(symbols_out)
     registry.counter(catalog.COMPRESS_FLAT_BATCHES).inc()
-    matcher.stats.delta_since(probes_before).publish(
-        registry, catalog.PROBE_PREFIX_MATCHER
-    )
+    work.publish(registry, catalog.PROBE_PREFIX_MATCHER)
+    if matcher is not None:
+        matcher.stats.probes += work.probes
+        matcher.stats.hashed_vertices += work.hashed_vertices
     return FlatCorpus.from_paths(out, name=corpus.name) if as_corpus else out
 
 
 def _compress_corpus(
-    corpus: FlatCorpus, table: SupernodeTable, matcher: CandidateSet
+    corpus: FlatCorpus, table: SupernodeTable, work: Optional[ProbeStats]
 ) -> List[CompressedPath]:
-    """Bulk encode for :func:`compress_paths_flat` (obs-free inner part).
-
-    The matcher's :meth:`~repro.core.matcher.CandidateSet.
-    flat_kernel` nominates match lengths block by block, whatever the
-    backend.
-    """
-    kernel = matcher.flat_kernel(table)
-    base_id = table.base_id
+    """Bulk encode for :func:`compress_paths_flat` (obs-free inner part)."""
     max_vertex = corpus.max_vertex()
-    if max_vertex >= base_id:
-        raise TableError(
-            f"vertex id {max_vertex} collides with the supernode id space "
-            f"(base_id={base_id}); fit the table with a base_id above every "
-            "vertex id that will ever be compressed"
-        )
-    get_id = table.inverted().get
-    delta = table.max_subpath_length
-    stats = matcher.stats
-    out: List[CompressedPath] = []
-    for block in corpus.blocks():
-        best = kernel.best_lengths(block)
-        verified = _verify_block(block, best, get_id, delta, out)
-        # The kernel's work lands on the matcher's counters, so the obs
-        # layer sees the batch like any other matcher run.
-        stats.probes += kernel.batch_probes
-        stats.hashed_vertices += kernel.batch_probes + verified
-    return out
-
-
-def _verify_block(
-    block: FlatCorpus, best: List[int], get_id, delta: int, out: List[CompressedPath]
-) -> int:
-    """The greedy verify loop over one block; returns the vertices it read.
-
-    *best* nominates, per symbol position of *block*, the longest candidate
-    length whose rolling hash matches the table.  This loop walks each path
-    greedily, verifies every nomination against the exact table through
-    *get_id* (collisions descend to the next shorter length) and appends
-    each path's supernode ids and literals to *out*.
-    """
-    buffer = block.buffer
-    emit = out.append
-    verify_vertices = 0
-    start = 0
-    for end in list(block.offsets)[1:]:
-        path = tuple(buffer[start:end])
-        n = end - start
-        tokens: List[int] = []
-        push = tokens.append
-        pos = 0
-        while pos < n:
-            length = best[start + pos]
-            if length > 1 and length <= delta:
-                verify_vertices += length
-                sid = get_id(path[pos : pos + length])
-                while sid is None and length > 2:
-                    # Hash collision: the nomination was a false positive;
-                    # descend until a real candidate (or a literal) remains.
-                    length -= 1
-                    verify_vertices += length
-                    sid = get_id(path[pos : pos + length])
-                if sid is not None:
-                    push(sid)
-                    pos += length
-                    continue
-            push(path[pos])
-            pos += 1
-        emit(tuple(tokens))
-        start = end
-    return verify_vertices
+    if max_vertex >= table.base_id:
+        raise _collision(max_vertex, table.base_id)
+    return [_encode(path, table, work) for path in corpus]
 
 
 def decompress_paths_flat(

@@ -11,17 +11,16 @@ A :class:`FlatCorpus` interns the same data as two ``array('q')`` buffers:
 * ``offsets`` — ``n + 1`` monotone positions; path *i* occupies
   ``buffer[offsets[i]:offsets[i+1]]``.
 
-This is the layout the batch kernels of :mod:`repro.core.rollhash` consume
-directly (prefix hashes are computed over ``buffer`` in one vectorized
-pass), and the layout :mod:`repro.core.parallel` ships to
-worker processes: a chunk is a buffer *slice* plus rebased offsets, picked up
-as machine bytes rather than a forest of tuples.
+This is the layout the batch entry points of :mod:`repro.core.compressor`
+consume (bulk decode gathers over ``buffer`` in one vectorized pass), and
+the layout :mod:`repro.core.parallel` ships to worker processes: a chunk
+is a buffer *slice* plus rebased offsets, picked up as machine bytes
+rather than a forest of tuples.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -35,9 +34,10 @@ Subpath = Tuple[int, ...]
 #: chunk costs two memcpy-speed blobs.
 ShippedCorpus = Tuple[bytes, bytes]
 
-#: Symbols per block of the vectorized bulk passes (the batch encode
-#: kernel and the order relabel).  Their numpy temporaries scale with the
-#: block, not the corpus, so peak memory stays flat as corpora grow.
+#: Symbols per block of the vectorized order relabel
+#: (:meth:`~repro.paths.reorder.VertexOrder.transform_corpus`).  Its numpy
+#: temporaries scale with the block, not the corpus, so peak memory stays
+#: flat as corpora grow.
 BLOCK_SYMBOLS = 1 << 15
 
 
@@ -196,31 +196,6 @@ class FlatCorpus:
         buffer = memoryview(self.buffer)[lo:hi]
         offsets = array("q", (self.offsets[i] - lo for i in range(start, stop + 1)))
         return FlatCorpus(buffer, offsets, name=f"{self.name}[{start}:{stop}]")
-
-    def chunks(self, chunk_size: int) -> Iterator["FlatCorpus"]:
-        """Contiguous zero-copy chunks of at most *chunk_size* paths.
-
-        *chunk_size* is checked here, not at the first iteration.
-        """
-        if chunk_size < 1:
-            raise InvalidInputError("chunk_size must be >= 1")
-        starts = range(0, len(self), chunk_size)
-        return (self.chunk(start, start + chunk_size) for start in starts)
-
-    def blocks(self) -> Iterator["FlatCorpus"]:
-        """Zero-copy chunks of whole paths, each about :data:`BLOCK_SYMBOLS`.
-
-        A block takes paths while they fit in the budget and always at
-        least one, so a path longer than the budget is a block of its own.
-        """
-        offsets = self.offsets
-        n = len(self)
-        start = 0
-        while start < n:
-            limit = offsets[start] + BLOCK_SYMBOLS
-            stop = max(start + 1, bisect_right(offsets, limit, start + 1, n + 1) - 1)
-            yield self.chunk(start, stop)
-            start = stop
 
     def every(self, stride: int) -> "FlatCorpus":
         """Every *stride*-th path as a new corpus (the paper's sampling)."""

@@ -7,11 +7,14 @@ candidate subpaths?*  This module defines the interface for that question and
 its baseline answer, a flat hash table probed from the longest length down
 (exactly Algorithm 6 of the paper).
 
-The flat hash is the production matcher.  The two-level hash of Algorithm 7
-(:mod:`repro.core.multilevel`) is the paper's reference backend: both
-return identical match lengths — they differ only in probe cost — which the
-test suite checks property-based.  Bulk encode probes neither: it runs the
-vectorized batch kernel of :mod:`repro.core.rollhash`.
+The flat hash is table construction's matcher.  The two-level hash of
+Algorithm 7 (:mod:`repro.core.multilevel`) is the paper's reference
+backend: both return identical match lengths — they differ only in probe
+cost — which the test suite checks property-based.  Compressing against a
+finished table probes neither by default: the exact encoder of
+:func:`repro.core.compressor.compress_path` bounds each position with the
+table's 2-prefix index instead, and a matcher passed explicitly is the
+reference route that the probe-cost benches measure.
 
 Weights: a candidate set also tracks a non-negative integer weight per
 candidate (the *practical frequency* counter of Section IV-A).  Weight
@@ -23,12 +26,9 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigError, InvalidInputError
-
-if TYPE_CHECKING:
-    from repro.core.rollhash import FlatBatchKernel
 
 Subpath = Tuple[int, ...]
 
@@ -50,10 +50,9 @@ class CandidateSet(ABC):
     :mod:`repro.obs` layer consumes it via snapshot/delta, never by
     replacing the object.
 
-    Bulk encode does not call :meth:`longest_match`: whatever
-    the backend, :func:`~repro.core.compressor.compress_paths_flat` runs the
-    vectorized :class:`~repro.core.rollhash.FlatBatchKernel` from
-    :meth:`flat_kernel` and publishes the kernel's work on ``self.stats``.
+    Bulk encode does not call :meth:`longest_match`: whatever the backend,
+    :func:`~repro.core.compressor.compress_paths_flat` runs the table's
+    exact encoder and adds that encoder's work to ``self.stats``.
     """
 
     def __init__(self) -> None:
@@ -62,7 +61,6 @@ class CandidateSet(ABC):
         #: Work counters for the §IV-C cost analysis (see
         #: :mod:`repro.core.probestats`).
         self.stats = ProbeStats()
-        self._kernel: Optional["FlatBatchKernel"] = None
 
     @abstractmethod
     def add(self, seq: Sequence[int], weight: int = 1) -> None:
@@ -94,22 +92,6 @@ class CandidateSet(ABC):
 
     def __contains__(self, seq: Sequence[int]) -> bool:
         return self.weight(seq) is not None
-
-    def flat_kernel(self, table) -> "FlatBatchKernel":
-        """The batch kernel for *table*, memoized per table (by identity).
-
-        Batch consumers call once per corpus or chunk; the memo amortizes
-        the kernel's table hashing and membership bitmaps across calls.
-        It assumes *table* is frozen once compression starts, which holds
-        for every finished :class:`~repro.core.supernode_table.SupernodeTable`.
-        """
-        from repro.core.rollhash import FlatBatchKernel
-
-        kernel = self._kernel
-        if kernel is None or kernel.table is not table:
-            kernel = FlatBatchKernel(table)
-            self._kernel = kernel
-        return kernel
 
     # -- shared bookkeeping (concrete) -----------------------------------------
 

@@ -9,10 +9,10 @@ embarrassing: split the input, ship the table to each worker once, map.
 (:mod:`repro.core.sharded`), and ``benchmarks/bench_shard.py`` measures it
 against one process.  One process runs the *same* work in-process, so
 metric totals are identical across process counts; more map it over a
-``fork`` pool.  The parent builds the table's matcher once *before*
-forking, so workers inherit (table, matcher) copy-on-write, and each unit
-of work travels as a zero-copy :class:`~repro.core.flatcorpus.FlatCorpus`
-shipping payload, never a forest of integer tuples.
+``fork`` pool.  The parent sets the table *before* forking, so workers
+inherit it copy-on-write, and each unit of work travels as a zero-copy
+:class:`~repro.core.flatcorpus.FlatCorpus` shipping payload, never a
+forest of integer tuples.
 
 Observability: when :mod:`repro.obs` instrumentation is active in the
 parent, each worker activates its own counters-only instrumentation, resets
@@ -30,25 +30,23 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import InvalidInputError
 from repro.core.flatcorpus import FlatCorpus, ShippedCorpus
-from repro.core.matcher import CandidateSet, static_matcher_from_table
 from repro.core.supernode_table import SupernodeTable
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import Instrumentation, activate, get_active
 from repro.obs.spans import SpanTracer
 
 _worker_table: Optional[SupernodeTable] = None
-_worker_matcher: Optional[CandidateSet] = None
 _worker_registry: Optional[MetricsRegistry] = None
 
-#: One unit of fan-out work: ``(table, matcher, corpus) -> result``.  Module
+#: One unit of fan-out work: ``(table, corpus) -> result``.  Module
 #: level so a pool can pickle it by reference; the result must pickle cheaply
 #: (a corpus the work built owns ``array`` buffers, which pickle as bytes).
-_Work = Callable[[SupernodeTable, CandidateSet, FlatCorpus], Any]
+_Work = Callable[[SupernodeTable, FlatCorpus], Any]
 
 
 def _init_worker_inherited(instrument: bool = False) -> None:
     """Fork-start initializer: the parent set the worker globals *before*
-    the fork, so the child already holds table+matcher copy-on-write — no
+    the fork, so the child already holds the table copy-on-write — no
     per-worker rebuild, no initargs pickling.  Only the instrumentation (a
     per-child registry) must be fresh: a forked child must never write into
     the (copied) parent registry, whose counts would be lost with the
@@ -62,13 +60,10 @@ def _init_worker_inherited(instrument: bool = False) -> None:
 
 
 @contextmanager
-def _table_pool(
-    processes: int, table: SupernodeTable, matcher: CandidateSet, instrument: bool
-):
-    """A ``fork`` pool whose workers inherit (table, matcher) worker state."""
-    global _worker_table, _worker_matcher
+def _table_pool(processes: int, table: SupernodeTable, instrument: bool):
+    """A ``fork`` pool whose workers inherit the table as worker state."""
+    global _worker_table
     _worker_table = table
-    _worker_matcher = matcher
     try:
         with multiprocessing.get_context("fork").Pool(
             processes, initializer=_init_worker_inherited, initargs=(instrument,)
@@ -76,7 +71,6 @@ def _table_pool(
             yield pool
     finally:
         _worker_table = None
-        _worker_matcher = None
 
 
 def _run_chunk(
@@ -84,10 +78,10 @@ def _run_chunk(
 ) -> Tuple[Any, Optional[Dict[str, Any]]]:
     """Pool entry point: *work* on one shipped corpus, plus that chunk's
     metric snapshot (the worker registry is reset per chunk)."""
-    assert _worker_table is not None and _worker_matcher is not None
+    assert _worker_table is not None
     if _worker_registry is not None:
         _worker_registry.reset()
-    result = work(_worker_table, _worker_matcher, FlatCorpus.from_shipping(payload))
+    result = work(_worker_table, FlatCorpus.from_shipping(payload))
     return result, None if _worker_registry is None else _worker_registry.as_dict()
 
 
@@ -104,12 +98,11 @@ def _map_corpora(
     """
     if processes < 1:
         raise InvalidInputError("processes must be >= 1")
-    matcher = static_matcher_from_table(table)
     if processes == 1 or not corpora:
-        return [work(table, matcher, corpus) for corpus in corpora]
+        return [work(table, corpus) for corpus in corpora]
     obs = get_active()
     tasks = [(work, corpus.to_shipping()) for corpus in corpora]
-    with _table_pool(min(processes, len(tasks)), table, matcher, obs is not None) as pool:
+    with _table_pool(min(processes, len(tasks)), table, obs is not None) as pool:
         results = pool.starmap(_run_chunk, tasks)
     if obs is not None:
         for _, metrics in results:

@@ -3,15 +3,16 @@
 The paper's §IV-C argument is about *hash cost*, not results: Example 3
 counts 35 hashed vertices for a failed length-8 probe under the flat scheme
 (``(8+2)(8-2+1)/2``), Example 4 bounds the two-level scheme at 14 for the
-same query, and bulk encode's batch kernel tests each length in ``O(1)``.
+same query, and the exact encoder of a finished table starts each probe
+run at its 2-prefix bound instead of at δ.
 Wall-clock timings in pure Python are too noisy to verify constant-factor
 claims, so the backends count their work instead:
 
 * ``probes`` — membership tests issued;
 * ``hashed_vertices`` — vertices fed to hash functions (tuple construction
-  and hashing are linear in length, the cost model of Lemma 3); for the
-  batch kernel, one per constant-time window test plus the vertices its
-  verify loop reads.
+  and hashing are linear in length, the cost model of Lemma 3).  The
+  exact encoder counts its subpath→id lookups and their vertices; its
+  2-prefix lookups are the filter and count in neither.
 
 ``tests/test_probe_costs.py`` re-derives the Examples' arithmetic from
 these counters, and the A1 ablation bench reports them alongside timings.

@@ -628,12 +628,10 @@ def _build_sharded(
     return out_path
 
 
-def _shard_blob(
-    order, table: SupernodeTable, matcher, corpus: FlatCorpus
-) -> Tuple[bytes, int]:
+def _shard_blob(order, table: SupernodeTable, corpus: FlatCorpus) -> Tuple[bytes, int]:
     """One shard's ``(v2 blob, path count)``, built inside the worker so the
     parent never re-pays every shard's serialization after the barrier."""
-    tokens = compress_paths_flat(corpus, table, matcher)
+    tokens = compress_paths_flat(corpus, table)
     return dumps_store_v2_tokens(table, tokens, order), len(tokens)
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.core.matcher import CandidateSet, static_matcher_from_table
+from repro.core.compressor import compress_path, compress_paths_flat
+from repro.core.flatcorpus import as_flat_corpus
 from repro.core.reader import PathReader
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
@@ -29,10 +30,10 @@ class CompressedPathStore(PathReader):
     """Compressed, individually-retrievable storage for a path set.
 
     :param table: the supernode table paths are compressed against.
-    :param matcher_backend: longest-match backend of :meth:`append`
-        (``"hash"`` or ``"multilevel"``); output is identical across
-        backends, only probe cost differs.  :meth:`extend` runs the
-        vectorized batch kernel whatever the backend.
+    :param matcher_backend: recorded as :attr:`matcher_backend` and
+        otherwise unused: :meth:`append` and :meth:`extend` run the table's
+        exact encoder whatever the backend, and every backend gives the
+        same tokens.
     :param order: optional :class:`~repro.paths.reorder.VertexOrder` the
         table was built under.  With an order, ingestion relabels incoming
         paths (original → new ids) and every retrieval surface inverts, so
@@ -53,7 +54,6 @@ class CompressedPathStore(PathReader):
         self.table = table
         self.matcher_backend = matcher_backend
         self.order = order
-        self._matcher: CandidateSet = static_matcher_from_table(table, matcher_backend)
         self._tokens: List[Tuple[int, ...]] = []
 
     # -- construction -------------------------------------------------------------
@@ -107,11 +107,9 @@ class CompressedPathStore(PathReader):
 
     def append(self, path: Sequence[int]) -> int:
         """Compress and store one path; returns its path id."""
-        from repro.core.compressor import compress_path
-
         if self.order is not None:
             path = self.order.apply_path(path)
-        token = compress_path(path, self.table, self._matcher)
+        token = compress_path(path, self.table)
         self._tokens.append(token)
         obs = get_active()
         if obs is not None:
@@ -124,29 +122,25 @@ class CompressedPathStore(PathReader):
     def extend(self, paths: Iterable[Sequence[int]]) -> List[int]:
         """Append many paths in one batch; returns their ids in order.
 
-        One :func:`~repro.core.compressor.compress_paths_flat` call
-        (vectorized whatever the backend), token-for-token
-        identical to :meth:`append` per path.  The batch is all-or-nothing:
-        if any path fails to compress (say, a vertex id at or above the
-        table's ``base_id``), the error propagates and the store is
-        unchanged.  With :mod:`repro.obs` active the batch is one
+        One :func:`~repro.core.compressor.compress_paths_flat` call,
+        token-for-token identical to :meth:`append` per path.  The batch
+        is all-or-nothing: if any path fails to compress (say, a vertex id
+        at or above the table's ``base_id``), the error propagates and the
+        store is unchanged.  With :mod:`repro.obs` active the batch is one
         ``store.ingest`` span and also publishes the ``compress.*`` and
         ``matcher.*`` counters of the underlying call.
         """
-        from repro.core.compressor import compress_paths_flat
-        from repro.core.flatcorpus import as_flat_corpus
-
         corpus = as_flat_corpus(paths)
         if self.order is not None:
             corpus = self.order.transform_corpus(corpus)
         obs = get_active()
         if obs is None:
-            tokens = compress_paths_flat(corpus, self.table, self._matcher)
+            tokens = compress_paths_flat(corpus, self.table)
         else:
             with obs.tracer.span(catalog.SPAN_STORE_INGEST) as span, obs.registry.timeit(
                 catalog.STORE_INGEST_SECONDS
             ):
-                tokens = compress_paths_flat(corpus, self.table, self._matcher)
+                tokens = compress_paths_flat(corpus, self.table)
                 if span is not None:
                     span.add("paths", len(tokens))
             registry = obs.registry

@@ -42,6 +42,7 @@ class SupernodeTable:
         self._by_subpath: Dict[Subpath, int] = {}
         self._max_subpath_len = 0
         self._expansion_cache = None
+        self._prefix_bounds: Dict[Subpath, int] | None = None
         for sp in subpaths:
             self.add(sp)
 
@@ -73,7 +74,9 @@ class SupernodeTable:
         self._by_subpath[sp] = sid
         if len(sp) > self._max_subpath_len:
             self._max_subpath_len = len(sp)
-        self._expansion_cache = None  # expansions memoized per table state
+        # Derived lookups are memoized per table state.
+        self._expansion_cache = None
+        self._prefix_bounds = None
         return sid
 
     # -- lookups ---------------------------------------------------------------
@@ -162,6 +165,27 @@ class SupernodeTable:
         cold-vs-warm decode rows — without reaching into the private slot.
         """
         self._expansion_cache = None
+
+    def prefix_index(self) -> Tuple[Dict[Subpath, int], Mapping[Subpath, int]]:
+        """The lookups of the exact encoder: ``(bounds, ids)``.
+
+        ``bounds`` maps the first two vertices of every entry to the longest
+        entry length with that prefix, so a position whose next two
+        vertices are not a key starts no entry, and one that is starts none
+        longer than its bound (the α = 2 prefix bucket of Algorithm 7).  It
+        is built on first use and reused until :meth:`add` drops it, like
+        :meth:`expansions`.  ``ids`` is ``ST^-1`` itself, not a copy: read
+        it, never write it.
+        """
+        bounds = self._prefix_bounds
+        if bounds is None:
+            bounds = {}
+            for sp in self._by_subpath:
+                key = sp[:2]
+                if len(sp) > bounds.get(key, 0):
+                    bounds[key] = len(sp)
+            self._prefix_bounds = bounds
+        return bounds, self._by_subpath
 
     @property
     def max_subpath_length(self) -> int:

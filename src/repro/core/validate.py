@@ -24,7 +24,6 @@ from typing import List
 
 from repro.core.compressor import compress_path, decompress_path
 from repro.core.errors import TableError
-from repro.core.matcher import static_matcher_from_table
 from repro.core.store import CompressedPathStore
 
 
@@ -90,12 +89,11 @@ def validate_store(
         rng = random.Random(seed)
         count = min(sample, len(store))
         ids = rng.sample(range(len(store)), count)
-        matcher = static_matcher_from_table(store.table)
         for path_id in ids:
             token = store.token(path_id)
             try:
                 path = decompress_path(token, store.table)
-                again = compress_path(path, store.table, matcher)
+                again = compress_path(path, store.table)
             except TableError as exc:
                 report.errors.append(f"path {path_id}: {exc}")
                 continue

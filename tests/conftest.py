@@ -15,10 +15,7 @@ import os
 import pytest
 
 from repro.core.config import OFFSConfig
-from repro.core.flatcorpus import FlatCorpus
-from repro.core.matcher import CandidateSet, static_matcher_from_table
 from repro.core.offs import OFFSCodec
-from repro.core.rollhash import FlatBatchKernel
 from repro.paths.dataset import PathDataset
 from repro.workloads.registry import make_dataset
 
@@ -118,32 +115,6 @@ def _no_stray_temp_files(request):
     yield
     stray = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.tmp"))
     assert not stray, f"stray temp files left in tmp_path: {stray}"
-
-
-def narrow_kernel_matcher(table, hash_bits: int) -> CandidateSet:
-    """A static matcher over *table* whose batch kernel hashes *hash_bits* bits.
-
-    The narrow kernel sits in the matcher's per-table kernel memo, so
-    ``compress_paths_flat`` runs it in place of the 64-bit one.
-    """
-    matcher = static_matcher_from_table(table)
-    kernel = FlatBatchKernel(table, hash_bits=hash_bits)
-    matcher._kernel = kernel
-    assert matcher.flat_kernel(table) is kernel
-    return matcher
-
-
-def narrow_only_nominations(table, paths, hash_bits: int) -> int:
-    """Positions of *paths* where the *hash_bits* kernel nominates a length
-    the 64-bit kernel does not.
-
-    Each one is a hash collision that bulk encode must verify and descend
-    past, so a positive count proves the verify/descend loop runs.
-    """
-    corpus = FlatCorpus.from_paths(paths)
-    narrow = FlatBatchKernel(table, hash_bits=hash_bits).best_lengths(corpus)
-    wide = FlatBatchKernel(table).best_lengths(corpus)
-    return sum(n > w for n, w in zip(narrow, wide))
 
 
 @pytest.fixture()

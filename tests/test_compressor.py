@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core import flatcorpus
 from repro.core.compressor import (
     compress_dataset,
     compress_path,
@@ -17,11 +16,8 @@ from repro.core.config import MATCHER_BACKENDS
 from repro.core.errors import TableError
 from repro.core.flatcorpus import FlatCorpus
 from repro.core.matcher import static_matcher_from_table
-from repro.core.rollhash import FlatBatchKernel
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import instrumented
-
-from conftest import narrow_kernel_matcher, narrow_only_nominations
 
 
 @pytest.fixture()
@@ -142,28 +138,10 @@ class TestFlatBatch:
         assert compress_paths_flat([], table, matcher) == []
         assert decompress_paths_flat([], table) == []
 
-    def test_adversarial_hash_bits_still_identical(self, table):
-        assert narrow_only_nominations(table, self.PATHS, 2) > 0
-        matcher = narrow_kernel_matcher(table, 2)
-        expected = compress_dataset(self.PATHS, table)
-        assert compress_paths_flat(self.PATHS, table, matcher) == expected
-
-
-#: The block budget the blocked-encode tests shrink the corpus blocks to.
-SMALL_BLOCK = 16
-
-
-@pytest.fixture()
-def small_blocks(monkeypatch):
-    monkeypatch.setattr(flatcorpus, "BLOCK_SYMBOLS", SMALL_BLOCK)
-
 
 @pytest.fixture()
 def blocked_case():
-    """A random table and a corpus spanning many :data:`SMALL_BLOCK` blocks.
-
-    The corpus holds empty paths and one path longer than a block.
-    """
+    """A random table and a 61-path corpus with empty paths and a long one."""
     rng = random.Random(7)
     table = SupernodeTable(
         1000,
@@ -177,41 +155,19 @@ def blocked_case():
         for _ in range(60)
     ]
     paths[5] = ()
-    paths[30] = tuple(rng.randrange(10) for _ in range(3 * SMALL_BLOCK))
+    paths[30] = tuple(rng.randrange(10) for _ in range(48))
     paths.append(())
     return table, paths
 
 
-@pytest.mark.usefixtures("small_blocks")
 class TestBlockedBulkEncode:
-    """Bulk encode runs one blocked kernel route, whatever the backend."""
+    """Bulk encode runs one exact encoder, whatever the backend."""
 
     @pytest.mark.parametrize("backend", MATCHER_BACKENDS)
     def test_every_backend_matches_per_path_loop(self, blocked_case, backend):
         table, paths = blocked_case
         matcher = static_matcher_from_table(table, backend)
         assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
-
-    @pytest.mark.parametrize("backend", ["hash", "multilevel"])
-    def test_kernel_route_sees_one_block_per_call(
-        self, blocked_case, backend, monkeypatch
-    ):
-        table, paths = blocked_case
-        seen = []
-        original = FlatBatchKernel.best_lengths
-
-        def spy(kernel, block):
-            seen.append(block.to_paths())
-            return original(kernel, block)
-
-        monkeypatch.setattr(FlatBatchKernel, "best_lengths", spy)
-        matcher = static_matcher_from_table(table, backend)
-        assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
-        assert len(seen) > 1
-        assert [p for block in seen for p in block] == paths
-        for block in seen:
-            assert len(block) == 1 or sum(map(len, block)) <= SMALL_BLOCK
-        assert [paths[30]] in seen
 
     def test_probe_counters_equal_across_backends(self, blocked_case):
         table, paths = blocked_case

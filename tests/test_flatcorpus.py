@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core import flatcorpus
-from repro.core.errors import InvalidInputError
 from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
 from repro.paths.dataset import PathDataset
 
@@ -118,25 +116,6 @@ class TestChunking:
     def test_chunk_clamps(self, corpus):
         assert corpus.chunk(-5, 99).to_paths() == list(PATHS)
         assert corpus.chunk(3, 2).to_paths() == []
-
-    def test_chunks_cover_everything_in_order(self, corpus):
-        rejoined = [p for c in corpus.chunks(2) for p in c]
-        assert rejoined == list(PATHS)
-
-    def test_chunks_bad_size(self):
-        # Checked at the call, not at the first iteration.
-        with pytest.raises(InvalidInputError):
-            FlatCorpus.from_paths([(1, 2), (3,)]).chunks(0)
-
-    def test_blocks_hold_whole_paths_within_the_budget(self, monkeypatch):
-        monkeypatch.setattr(flatcorpus, "BLOCK_SYMBOLS", 4)
-        paths = [(1, 2), (), (3, 4, 5), tuple(range(9)), (6,), (), (7, 8)]
-        blocks = [block.to_paths() for block in FlatCorpus.from_paths(paths).blocks()]
-        assert [p for block in blocks for p in block] == paths
-        for block in blocks:
-            assert len(block) == 1 or sum(map(len, block)) <= 4
-        assert [tuple(range(9))] in blocks
-        assert list(FlatCorpus.from_paths([]).blocks()) == []
 
     def test_every_matches_list_stride(self, corpus):
         assert corpus.every(2).to_paths() == list(PATHS[::2])

@@ -6,10 +6,9 @@ longest-match answers at every position and cap.  Only probe cost may
 differ.  Hypothesis drives random candidate sets and queries through both
 at once.
 
-Bulk encode probes neither backend: it runs the batch kernel's rolling
-window hashes and verifies every nomination.  The kernel appears here at
-an adversarial 2-bit hash width, where nearly every window collides — the
-verify/descend loop must keep its output identical to the per-path loop.
+The writers probe neither backend: they run the table's exact encoder,
+which bounds each position by a 2-prefix index.  It appears here on random
+tables, where it must encode exactly like both backends' per-path loops.
 """
 
 import random
@@ -17,21 +16,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.compressor import compress_dataset, compress_paths_flat
-from repro.core.matcher import HashCandidates
+from repro.core.compressor import compress_dataset, compress_path, compress_paths_flat
+from repro.core.matcher import HashCandidates, static_matcher_from_table
 from repro.core.multilevel import MultiLevelCandidates
 from repro.core.supernode_table import SupernodeTable
-
-from conftest import narrow_kernel_matcher, narrow_only_nominations
 
 candidate = st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=8).map(tuple)
 candidates = st.lists(st.tuples(candidate, st.integers(min_value=1, max_value=5)), max_size=30)
 query_path = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=20).map(tuple)
 
-#: A fixed corpus over the same alphabet, long enough that a 2-bit kernel
-#: collides on it for any non-empty table.
+#: A fixed corpus over the same alphabet, long enough that most short
+#: table entries occur in it.
 _RNG = random.Random(0)
-_COLLISION_PROBE = [tuple(_RNG.randrange(10) for _ in range(20)) for _ in range(30)]
+_PROBE_CORPUS = [tuple(_RNG.randrange(10) for _ in range(20)) for _ in range(30)]
 
 
 def _populate(entries):
@@ -94,9 +91,11 @@ def test_prune_then_match_identical(entries, path):
 
 @settings(max_examples=50)
 @given(st.lists(candidate, min_size=1, max_size=30), st.lists(query_path, max_size=10))
-def test_colliding_kernel_encodes_identically(entries, queries):
+def test_exact_encoder_encodes_identically(entries, queries):
     table = SupernodeTable(100, sorted(set(entries)))
-    paths = queries + _COLLISION_PROBE
-    assert narrow_only_nominations(table, paths, 2) > 0
-    matcher = narrow_kernel_matcher(table, 2)
-    assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
+    paths = queries + _PROBE_CORPUS
+    expected = compress_dataset(paths, table)
+    multilevel = static_matcher_from_table(table, "multilevel")
+    assert compress_dataset(paths, table, multilevel) == expected
+    assert [compress_path(p, table) for p in paths] == expected
+    assert compress_paths_flat(paths, table) == expected
