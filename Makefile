@@ -28,8 +28,9 @@ bench:
 bench-quick:
 	REPRO_BENCH_SIZE=small pytest benchmarks/ --benchmark-only
 
-# Tiny fig5-style speed check (seed loop vs flat rolling batch) that
-# emits a single JSON blob; CI archives it as a non-blocking artifact.
+# Tiny fig5-style speed check (Algorithm 6 seed loop vs the exact batch
+# encoder) that emits a single JSON blob; CI archives it as a non-blocking
+# artifact.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/smoke.py --size tiny --out BENCH_smoke.json
 

@@ -41,7 +41,6 @@ def bench_cell(dataset, strategy: str, sample_exponent: int, rounds: int, seed: 
     from repro.core.compressor import compress_paths_flat
     from repro.core.config import OFFSConfig
     from repro.core.mapped import MappedPathStore
-    from repro.core.matcher import static_matcher_from_table
     from repro.core.offs import OFFSCodec
     from repro.core.serialize import dumps_store_v2
     from repro.core.store import CompressedPathStore
@@ -59,11 +58,8 @@ def bench_cell(dataset, strategy: str, sample_exponent: int, rounds: int, seed: 
     table, order = codec.table, codec.order
 
     work_corpus = corpus if order is None else order.transform_corpus(corpus)
-    matcher = static_matcher_from_table(table, config.matcher)
-    compress_seconds = min_of(
-        lambda: compress_paths_flat(work_corpus, table, matcher), rounds
-    )
-    tokens = compress_paths_flat(work_corpus, table, matcher)
+    compress_seconds = min_of(lambda: compress_paths_flat(work_corpus, table), rounds)
+    tokens = compress_paths_flat(work_corpus, table)
     store = CompressedPathStore.from_tokens(table, tokens, order=order)
 
     blob = dumps_store_v2(store)

@@ -286,37 +286,48 @@ def exp_ablation_matchers(
 ) -> Tuple[Rows, Shape]:
     """A1: matcher backends — flat hash (Alg. 6) vs two-level hash (Alg. 7).
 
-    Both backends produce identical tables and tokens (checked); they differ
-    in probe cost (Lemma 3), reported here from the backends' own
-    :class:`~repro.core.probestats.ProbeStats` counters over a fixed batch.
+    Each backend builds the table (the fit column) and then encodes the
+    dataset through the reference route, ``compress_path(path, table,
+    matcher)`` over a static matcher of that backend (the compress
+    column); codecs themselves run the exact encoder, which would time
+    the same code for both rows.  Both backends produce identical tables
+    and tokens (checked); they differ in probe cost (Lemma 3), reported
+    from the matcher's own :class:`~repro.core.probestats.ProbeStats`
+    over a fixed batch.
     """
-    from repro.core.compressor import compress_dataset
+    from repro.core.compressor import compress_path
     from repro.core.matcher import static_matcher_from_table
 
     dataset = make_dataset(dataset_name, config.size, config.seed)
+    paths = list(dataset)
     rows: Rows = [
         ("matcher", "CR", "fit (s)", "compress (s)", "probes", "hashed vertices")
     ]
     crs: List[float] = []
     token_sets = []
-    probe_batch = list(dataset.head(200))
+    probe_batch = paths[:200]
     for backend in MATCHER_BACKENDS:
         codec = OFFSCodec(config.offs_config(matcher=backend))
         m = measure_codec(codec, dataset)
         crs.append(m.compression_ratio)
-        token_sets.append(tuple(codec.compress_dataset(dataset.head(50))))
+        table = codec.table
+        matcher = static_matcher_from_table(table, backend)
+        encode = time_rounds(
+            [lambda: [compress_path(p, table, matcher) for p in paths]], 1
+        )[0]
+        token_sets.append(tuple(encode.result))
         # Probe-cost accounting over one batch: zero the backend's counters
         # with the public reset() (never by re-instantiating the stats
         # object), compress the batch, read the totals.
-        matcher = static_matcher_from_table(codec.table, backend)
         matcher.stats.reset()
-        compress_dataset(probe_batch, codec.table, matcher)
+        for p in probe_batch:
+            compress_path(p, table, matcher)
         rows.append(
             (
                 backend,
                 round(m.compression_ratio, 3),
                 round(m.fit_seconds, 3),
-                round(m.compress_seconds, 3),
+                round(encode.min, 3),
                 matcher.stats.probes,
                 matcher.stats.hashed_vertices,
             )
@@ -332,15 +343,16 @@ def exp_flat_batch(
     config: BenchConfig = DEFAULT_BENCH,
     rounds: int = 3,
 ) -> Tuple[Rows, Shape]:
-    """A4: the flat-corpus batch pipeline vs the per-path loop.
+    """A4: the batch encoder vs the seed pipeline's per-path loop.
 
-    Two rows: the seed pipeline (per-path loop over tuples, flat hash
-    matcher) against :func:`~repro.core.compressor.compress_paths_flat`,
-    which runs the table's exact 2-prefix encoder over a flat corpus.
-    Output is byte-identical (checked); the two alternate for *rounds*
-    rounds and each reports its fastest.
+    Two rows: the seed pipeline (per-path loop over tuples through the
+    Algorithm 6 reference route, ``compress_path(path, table, matcher)``)
+    against :func:`~repro.core.compressor.compress_paths_flat`, which runs
+    the table's exact 2-prefix encoder over a flat corpus.  Output is
+    byte-identical (checked); the two alternate for *rounds* rounds and
+    each reports its fastest.
     """
-    from repro.core.compressor import compress_dataset, compress_paths_flat
+    from repro.core.compressor import compress_path, compress_paths_flat
     from repro.core.matcher import static_matcher_from_table
 
     dataset = make_dataset(dataset_name, config.size, config.seed)
@@ -353,8 +365,8 @@ def exp_flat_batch(
 
     matcher = static_matcher_from_table(table)
     baseline, flat = time_rounds([
-        lambda: compress_dataset(paths, table, matcher),
-        lambda: compress_paths_flat(corpus, table, matcher),
+        lambda: [compress_path(p, table, matcher) for p in paths],
+        lambda: compress_paths_flat(corpus, table),
     ], rounds)
     identical = flat.result == baseline.result
     baseline_seconds, seconds = baseline.min, flat.min

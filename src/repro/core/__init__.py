@@ -35,10 +35,8 @@ from repro.core.autotune import (
 from repro.core.builder import BuildReport, TableBuilder, build_supernode_table
 from repro.core.codec import PathCodec, TableCodec
 from repro.core.compressor import (
-    compress_dataset,
     compress_path,
     compress_paths_flat,
-    decompress_dataset,
     decompress_path,
     decompress_paths_flat,
 )
@@ -95,10 +93,8 @@ __all__ = [
     "build_supernode_table",
     "PathCodec",
     "TableCodec",
-    "compress_dataset",
     "compress_path",
     "compress_paths_flat",
-    "decompress_dataset",
     "decompress_path",
     "decompress_paths_flat",
     "FlatCorpus",

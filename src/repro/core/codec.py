@@ -22,7 +22,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.compressor import compress_path, decompress_path
 from repro.core.errors import NotFittedError
-from repro.core.matcher import CandidateSet, static_matcher_from_table
 from repro.core.supernode_table import SupernodeTable
 from repro.paths.encoding import DEFAULT_ENCODING, Encoding
 
@@ -75,20 +74,19 @@ class PathCodec(ABC):
 class TableCodec(PathCodec):
     """A codec whose rule is a :class:`SupernodeTable`.
 
-    Subclasses implement :meth:`build_table`; compression, decompression and
-    size accounting are shared, so RSS, GFS and OFFS differ *only* in how
-    they pick supernodes — exactly the comparison the paper makes.
+    Subclasses implement :meth:`build_table`; compression (the table's exact
+    encoder, :func:`~repro.core.compressor.compress_path`), decompression
+    and size accounting are shared, so RSS, GFS and OFFS differ *only* in
+    how they pick supernodes — exactly the comparison the paper makes.
     """
 
-    def __init__(self, matcher_backend: str = "hash", base_id: Optional[int] = None) -> None:
+    def __init__(self, base_id: Optional[int] = None) -> None:
         #: First supernode id.  ``None`` lets ``fit`` derive it from the
         #: training data; set it explicitly when the training set is a sample
         #: of a larger universe (otherwise unseen larger vertex ids would
         #: collide with the supernode id space at compression time).
         self.base_id = base_id
-        self.matcher_backend = matcher_backend
         self._table: Optional[SupernodeTable] = None
-        self._matcher: Optional[CandidateSet] = None
 
     @abstractmethod
     def build_table(self, dataset) -> SupernodeTable:
@@ -98,7 +96,6 @@ class TableCodec(PathCodec):
 
     def fit(self, dataset) -> "TableCodec":
         self._table = self.build_table(dataset)
-        self._matcher = static_matcher_from_table(self._table, self.matcher_backend)
         return self
 
     @property
@@ -109,7 +106,7 @@ class TableCodec(PathCodec):
         return self._table
 
     def compress_path(self, path: Sequence[int]) -> Tuple[int, ...]:
-        return compress_path(path, self.table, self._matcher)
+        return compress_path(path, self.table)
 
     def decompress_path(self, token: Sequence[int]) -> Tuple[int, ...]:
         return decompress_path(token, self.table)

@@ -3,22 +3,23 @@
 These are the hot loops of the system.  Both operate per path — the property
 that gives OFFS its per-path random access ("the finest granularity of
 (de)compression ... as small as a path") — and both are pure functions of
-their inputs, so callers may fan them out over processes freely (the paper's
-OpenMP parallelism; see :mod:`repro.core.parallel`).
+their inputs, so a batch may be split between processes freely (the
+sharded build, :func:`repro.core.sharded.build_sharded_store`, does so).
 
 * :func:`compress_path` — greedy longest-match replacement of subpaths by
   supernode ids (Algorithm 2).  Without a matcher it runs the one exact
   encoder, :func:`_encode`: a 2-prefix index on the finished table bounds
   each position's probes of the subpath→id dict, at most δ − 1 of them
-  (Lemma 2).  With a matcher it asks that matcher's ``longest_match``
-  (Algorithm 6 or 7), the reference route.
+  (Lemma 2).  Every codec, store and writer takes that route.  With an
+  explicit matcher it asks that matcher's ``longest_match`` (Algorithm 6
+  or 7): the reference route of the A1/A4 benches and the equivalence
+  tests.
 * :func:`decompress_path` — one-pass supernode expansion (Algorithm 1);
   ``O(|P|)`` in the decompressed length (Lemma 1).
 * :func:`compress_paths_flat` / :func:`decompress_paths_flat` — the batch
-  entry points over a :class:`~repro.core.flatcorpus.FlatCorpus`.
-  Compression runs the same exact encoder over every path, so its tokens
-  equal the per-path loop's with any backend; decompression is one
-  vectorized gather.
+  entry points.  Compression is one exact-encoder pass over the caller's
+  paths, so its tokens equal the per-path loop's; decompression is one
+  vectorized gather over a :class:`~repro.core.flatcorpus.FlatCorpus`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.core.errors import TableError
 from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
-from repro.core.matcher import CandidateSet, static_matcher_from_table
+from repro.core.matcher import CandidateSet
 from repro.core.probestats import ProbeStats
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
@@ -51,14 +52,14 @@ def compress_path(
     supernode id, otherwise the single vertex is copied through.
 
     Without a *matcher* this runs the table's exact encoder
-    (:func:`_encode`); the writers and per-path ``append`` take that route.
+    (:func:`_encode`); every codec, store and writer takes that route.
 
     :param matcher: a static matcher over *table* (see
         :func:`repro.core.matcher.static_matcher_from_table`) whose
         :meth:`~repro.core.matcher.CandidateSet.longest_match` answers each
         position instead: the Algorithm 6 / 7 reference route whose probe
-        cost the A1 bench and the Lemma 2/3 tests measure.  The tokens are
-        the same either way.
+        cost the A1 bench and the Lemma 2/3 tests measure, and the A4
+        bench's per-path baseline.  The tokens are the same either way.
     """
     if matcher is None:
         return _encode(path, table)
@@ -170,115 +171,33 @@ def decompress_path(compressed: Sequence[int], table: SupernodeTable) -> Tuple[i
     return tuple(out)
 
 
-def compress_dataset(
-    paths: Iterable[Sequence[int]],
-    table: SupernodeTable,
-    matcher: Optional[CandidateSet] = None,
-) -> List[CompressedPath]:
-    """Compress every path in *paths*, sharing one static matcher.
-
-    When :mod:`repro.obs` instrumentation is active, the batch is wrapped in
-    a ``compress`` span and accounted on the registry: paths and symbols in
-    and out, plus the matcher's probe-work delta (``matcher.probes`` /
-    ``matcher.hashed_vertices``).  The per-path inner loop is never touched
-    — with instrumentation off this is exactly a list comprehension.
-    """
-    if matcher is None:
-        matcher = static_matcher_from_table(table)
-    obs = get_active()
-    if obs is None:
-        return [compress_path(p, table, matcher) for p in paths]
-
-    probes_before = matcher.stats.snapshot()
-    with obs.tracer.span(catalog.SPAN_COMPRESS) as span, obs.registry.timeit(
-        catalog.COMPRESS_SECONDS
-    ):
-        out: List[CompressedPath] = []
-        symbols_in = 0
-        for p in paths:
-            out.append(compress_path(p, table, matcher))
-            symbols_in += len(p)
-        symbols_out = sum(len(t) for t in out)
-        if span is not None:
-            span.add("paths", len(out))
-            span.add("symbols_in", symbols_in)
-            span.add("symbols_out", symbols_out)
-    registry = obs.registry
-    registry.counter(catalog.COMPRESS_PATHS).inc(len(out))
-    registry.counter(catalog.COMPRESS_SYMBOLS_IN).inc(symbols_in)
-    registry.counter(catalog.COMPRESS_SYMBOLS_OUT).inc(symbols_out)
-    matcher.stats.delta_since(probes_before).publish(
-        registry, catalog.PROBE_PREFIX_MATCHER
-    )
-    return out
-
-
-def decompress_dataset(
-    compressed_paths: Iterable[Sequence[int]],
-    table: SupernodeTable,
-) -> List[Tuple[int, ...]]:
-    """Decompress every compressed path in *compressed_paths*.
-
-    Instrumented like :func:`compress_dataset` (a ``decompress`` span,
-    ``decompress.*`` counters) when the obs layer is active.
-    """
-    obs = get_active()
-    if obs is None:
-        return [decompress_path(c, table) for c in compressed_paths]
-
-    with obs.tracer.span(catalog.SPAN_DECOMPRESS) as span, obs.registry.timeit(
-        catalog.DECOMPRESS_SECONDS
-    ):
-        out: List[Tuple[int, ...]] = []
-        symbols_in = 0
-        for c in compressed_paths:
-            out.append(decompress_path(c, table))
-            symbols_in += len(c)
-        symbols_out = sum(len(p) for p in out)
-        if span is not None:
-            span.add("paths", len(out))
-            span.add("symbols_in", symbols_in)
-            span.add("symbols_out", symbols_out)
-    registry = obs.registry
-    registry.counter(catalog.DECOMPRESS_PATHS).inc(len(out))
-    registry.counter(catalog.DECOMPRESS_SYMBOLS_IN).inc(symbols_in)
-    registry.counter(catalog.DECOMPRESS_SYMBOLS_OUT).inc(symbols_out)
-    return out
-
-
 def compress_paths_flat(
-    paths: Union[FlatCorpus, Iterable[Sequence[int]]],
-    table: SupernodeTable,
-    matcher: Optional[CandidateSet] = None,
-    as_corpus: bool = False,
-) -> Union[List[CompressedPath], FlatCorpus]:
-    """Compress a whole corpus in one batch (the flat pipeline entry point).
+    paths: Iterable[Sequence[int]], table: SupernodeTable
+) -> List[CompressedPath]:
+    """Compress a batch of paths with the table's exact encoder.
 
-    Checks the corpus's largest vertex against ``base_id`` once, then runs
-    the table's exact encoder (:func:`_encode`) over every path, so the
-    tokens equal :func:`compress_dataset`'s over the same paths with any
-    matcher backend.
+    One :func:`_encode` pass over *paths* in the order given — a
+    :class:`FlatCorpus`, a list of tuples or a generator, each read once —
+    so the tokens equal ``compress_path(p, table)`` per path.  A literal at
+    or above ``base_id`` raises :class:`TableError` at that path.
 
-    :param paths: a :class:`FlatCorpus` (preferred; anything else is
-        interned first).
-    :param matcher: a static matcher over *table*; it matches nothing here,
-        but receives the encoder's work counters on its ``stats``.
-    :param as_corpus: return the compressed tokens as a :class:`FlatCorpus`
-        (what the parallel workers ship back) instead of a list of tuples.
+    With :mod:`repro.obs` active the batch is one ``compress`` span and
+    publishes ``compress.*`` plus the encoder's ``matcher.probes`` /
+    ``matcher.hashed_vertices`` work, all counted in that same pass.
     """
-    corpus = as_flat_corpus(paths)
     obs = get_active()
     if obs is None:
-        # Probe work is counted only when someone reads it.
-        out = _compress_corpus(corpus, table, None if matcher is None else matcher.stats)
-        return FlatCorpus.from_paths(out, name=corpus.name) if as_corpus else out
+        return [_encode(path, table) for path in paths]
 
     work = ProbeStats()
     with obs.tracer.span(catalog.SPAN_COMPRESS) as span, obs.registry.timeit(
         catalog.COMPRESS_SECONDS
     ):
-        out = _compress_corpus(corpus, table, work)
-        symbols_in = corpus.total_symbols
+        out: List[CompressedPath] = []
+        symbols_in = 0
+        for path in paths:
+            out.append(_encode(path, table, work))
+            symbols_in += len(path)
         symbols_out = sum(len(t) for t in out)
         if span is not None:
             span.add("paths", len(out))
@@ -291,20 +210,7 @@ def compress_paths_flat(
     registry.counter(catalog.COMPRESS_SYMBOLS_OUT).inc(symbols_out)
     registry.counter(catalog.COMPRESS_FLAT_BATCHES).inc()
     work.publish(registry, catalog.PROBE_PREFIX_MATCHER)
-    if matcher is not None:
-        matcher.stats.probes += work.probes
-        matcher.stats.hashed_vertices += work.hashed_vertices
-    return FlatCorpus.from_paths(out, name=corpus.name) if as_corpus else out
-
-
-def _compress_corpus(
-    corpus: FlatCorpus, table: SupernodeTable, work: Optional[ProbeStats]
-) -> List[CompressedPath]:
-    """Bulk encode for :func:`compress_paths_flat` (obs-free inner part)."""
-    max_vertex = corpus.max_vertex()
-    if max_vertex >= table.base_id:
-        raise _collision(max_vertex, table.base_id)
-    return [_encode(path, table, work) for path in corpus]
+    return out
 
 
 def decompress_paths_flat(
@@ -314,9 +220,9 @@ def decompress_paths_flat(
 ) -> Union[List[Tuple[int, ...]], FlatCorpus]:
     """Decompress a whole batch of tokens (flat-pipeline counterpart).
 
-    Accepts a :class:`FlatCorpus` of compressed tokens (what the parallel
-    workers receive) or any token iterable; instrumented exactly like
-    :func:`decompress_dataset`.
+    Accepts a :class:`FlatCorpus` of compressed tokens or any token
+    iterable.  With :mod:`repro.obs` active the batch is one
+    ``decompress`` span and publishes the ``decompress.*`` counters.
 
     The kernel writes straight into one flat output buffer through the
     table's precomputed expansion offsets in a single vectorized gather,

@@ -20,12 +20,12 @@ The paper's tunables, with its deployed defaults (Section VI-A):
   frequent sequences in the next pass.  ``capacity`` overrides λ directly.
 * ``min_final_weight`` — finalization drops candidates seen fewer times
   (Example 2 drops "the useless ones with weight one").
-* ``matcher`` — prefix-match backend of table construction and of the
-  codec's ``compress_path``: ``"hash"`` (Algorithm 6, the production
-  matcher) or ``"multilevel"`` (Algorithm 7, the paper's reference).
-  Output is identical across backends.  Store ingest (``append`` and
-  ``extend``) and bulk encode do not depend on it: they run the table's
-  exact 2-prefix encoder.
+* ``matcher`` — the candidate set of table construction (Algorithm 5):
+  ``"hash"`` (Algorithm 6, the production matcher) or ``"multilevel"``
+  (Algorithm 7, the paper's reference).  The table is identical across
+  backends.  Compressing against the finished table does not depend on
+  it: every codec, store and writer runs the table's exact 2-prefix
+  encoder.
 * ``topdown_rounds`` (default 0 = off) — hybrid top-down refinement passes
   after the bottom-up iterations (the §IV-D optimization (1); see
   :mod:`repro.core.topdown`).

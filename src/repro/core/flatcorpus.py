@@ -11,8 +11,9 @@ A :class:`FlatCorpus` interns the same data as two ``array('q')`` buffers:
 * ``offsets`` — ``n + 1`` monotone positions; path *i* occupies
   ``buffer[offsets[i]:offsets[i+1]]``.
 
-This is the layout the batch entry points of :mod:`repro.core.compressor`
-consume (bulk decode gathers over ``buffer`` in one vectorized pass), and
+This is the layout bulk decode in :mod:`repro.core.compressor` consumes
+(it gathers over ``buffer`` in one vectorized pass; bulk encode takes any
+path iterable, a corpus included), and
 the layout :mod:`repro.core.parallel` ships to worker processes: a chunk
 is a buffer *slice* plus rebased offsets, picked up as machine bytes
 rather than a forest of tuples.
@@ -50,8 +51,8 @@ class FlatCorpus:
         ``len(buffer)``.
     :param name: label carried into stats and benchmark reports.
 
-    Iterating yields each path as a fresh tuple; prefer :meth:`view` /
-    :meth:`as_numpy` in hot code that can work on the raw buffer.
+    Iterating yields each path as a fresh tuple; prefer :meth:`as_numpy`
+    in hot code that can work on the raw buffer.
     """
 
     __slots__ = ("buffer", "offsets", "name")
@@ -145,19 +146,6 @@ class FlatCorpus:
             raise BoundsError(f"path index {index} out of range")
         return tuple(self.buffer[self.offsets[index] : self.offsets[index + 1]])
 
-    def view(self, index: int) -> memoryview:
-        """Path *index* as a zero-copy memoryview into the buffer."""
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise BoundsError(f"path index {index} out of range")
-        return memoryview(self.buffer)[self.offsets[index] : self.offsets[index + 1]]
-
-    def lengths(self) -> List[int]:
-        """Per-path lengths, in order."""
-        offsets = self.offsets
-        return [offsets[i + 1] - offsets[i] for i in range(len(self))]
-
     def max_vertex(self) -> int:
         """Largest vertex id in the corpus; ``-1`` when empty."""
         if len(self.buffer) == 0:
@@ -167,12 +155,6 @@ class FlatCorpus:
     def to_paths(self) -> List[Subpath]:
         """Materialize every path as a tuple (the legacy representation)."""
         return list(self)
-
-    def to_dataset(self):
-        """The corpus as a :class:`~repro.paths.dataset.PathDataset`."""
-        from repro.paths.dataset import PathDataset
-
-        return PathDataset(self, name=self.name)
 
     def as_numpy(self):
         """Zero-copy numpy views ``(buffer, offsets)`` as int64."""

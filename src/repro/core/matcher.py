@@ -50,9 +50,10 @@ class CandidateSet(ABC):
     :mod:`repro.obs` layer consumes it via snapshot/delta, never by
     replacing the object.
 
-    Bulk encode does not call :meth:`longest_match`: whatever the backend,
-    :func:`~repro.core.compressor.compress_paths_flat` runs the table's
-    exact encoder and adds that encoder's work to ``self.stats``.
+    Encoding against a finished table calls :meth:`longest_match` only on
+    the reference route, ``compress_path(path, table, matcher)``; codecs,
+    stores and :func:`~repro.core.compressor.compress_paths_flat` run the
+    table's exact encoder and never build a matcher.
     """
 
     def __init__(self) -> None:
@@ -254,9 +255,11 @@ class HashCandidates(CandidateSet):
 def static_matcher_from_table(table, backend: str = "hash") -> CandidateSet:
     """Build a read-only-use matcher over a finished supernode table.
 
-    The compressor (Algorithm 2) needs longest-prefix probes against the
-    *static* inverted table; reusing the candidate-set backends keeps one
-    matching implementation for both phases.  Weights are irrelevant here.
+    The Algorithm 6 / 7 reference route of the compressor,
+    ``compress_path(path, table, matcher)``, probes this *static*
+    inverted table with the same candidate-set backends that table
+    construction uses; the A1 and A4 benches and the equivalence tests
+    measure it.  Weights are irrelevant here.
 
     :param table: a :class:`~repro.core.supernode_table.SupernodeTable`.
     :param backend: ``"hash"`` or ``"multilevel"``.

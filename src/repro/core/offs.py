@@ -44,7 +44,7 @@ class OFFSCodec(TableCodec):
 
     def __init__(self, config: Optional[OFFSConfig] = None, base_id: Optional[int] = None) -> None:
         config = config or OFFSConfig.default_mode()
-        super().__init__(matcher_backend=config.matcher, base_id=base_id)
+        super().__init__(base_id=base_id)
         self.config = config
         self.build_report: Optional[BuildReport] = None
         self.order = None

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.compressor import compress_path, compress_paths_flat
-from repro.core.flatcorpus import as_flat_corpus
+from repro.core.flatcorpus import FlatCorpus
 from repro.core.reader import PathReader
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
@@ -32,8 +32,7 @@ class CompressedPathStore(PathReader):
     :param table: the supernode table paths are compressed against.
     :param matcher_backend: recorded as :attr:`matcher_backend` and
         otherwise unused: :meth:`append` and :meth:`extend` run the table's
-        exact encoder whatever the backend, and every backend gives the
-        same tokens.
+        exact encoder.
     :param order: optional :class:`~repro.paths.reorder.VertexOrder` the
         table was built under.  With an order, ingestion relabels incoming
         paths (original → new ids) and every retrieval surface inverts, so
@@ -122,30 +121,36 @@ class CompressedPathStore(PathReader):
     def extend(self, paths: Iterable[Sequence[int]]) -> List[int]:
         """Append many paths in one batch; returns their ids in order.
 
-        One :func:`~repro.core.compressor.compress_paths_flat` call,
-        token-for-token identical to :meth:`append` per path.  The batch
-        is all-or-nothing: if any path fails to compress (say, a vertex id
-        at or above the table's ``base_id``), the error propagates and the
-        store is unchanged.  With :mod:`repro.obs` active the batch is one
+        One :func:`~repro.core.compressor.compress_paths_flat` pass over
+        *paths* as given (a list of tuples, a generator or a
+        :class:`~repro.core.flatcorpus.FlatCorpus`), token-for-token
+        identical to :meth:`append` per path.  The batch is all-or-nothing:
+        if any path fails to compress (say, a vertex id at or above the
+        table's ``base_id``), the error propagates and the store is
+        unchanged.  With :mod:`repro.obs` active the batch is one
         ``store.ingest`` span and also publishes the ``compress.*`` and
         ``matcher.*`` counters of the underlying call.
         """
-        corpus = as_flat_corpus(paths)
         if self.order is not None:
-            corpus = self.order.transform_corpus(corpus)
+            paths = self.order.transform_corpus(paths)
         obs = get_active()
         if obs is None:
-            tokens = compress_paths_flat(corpus, self.table)
+            tokens = compress_paths_flat(paths, self.table)
         else:
+            if isinstance(paths, FlatCorpus):
+                symbols_in = paths.total_symbols
+            else:
+                paths = list(paths)  # read twice: count symbols, then encode
+                symbols_in = sum(map(len, paths))
             with obs.tracer.span(catalog.SPAN_STORE_INGEST) as span, obs.registry.timeit(
                 catalog.STORE_INGEST_SECONDS
             ):
-                tokens = compress_paths_flat(corpus, self.table)
+                tokens = compress_paths_flat(paths, self.table)
                 if span is not None:
                     span.add("paths", len(tokens))
             registry = obs.registry
             registry.counter(catalog.STORE_INGESTED_PATHS).inc(len(tokens))
-            registry.counter(catalog.STORE_INGESTED_SYMBOLS_IN).inc(corpus.total_symbols)
+            registry.counter(catalog.STORE_INGESTED_SYMBOLS_IN).inc(symbols_in)
             registry.counter(catalog.STORE_INGESTED_SYMBOLS_OUT).inc(
                 sum(len(t) for t in tokens)
             )

@@ -5,10 +5,8 @@ import random
 import pytest
 
 from repro.core.compressor import (
-    compress_dataset,
     compress_path,
     compress_paths_flat,
-    decompress_dataset,
     decompress_path,
     decompress_paths_flat,
 )
@@ -97,8 +95,14 @@ class TestRoundtrip:
 
     def test_dataset_roundtrip(self, table):
         paths = [(1, 2, 3, 9), (4, 5), (6, 7)]
-        tokens = compress_dataset(paths, table)
-        assert decompress_dataset(tokens, table) == [tuple(p) for p in paths]
+        tokens = compress_paths_flat(paths, table)
+        assert decompress_paths_flat(tokens, table) == [tuple(p) for p in paths]
+
+
+def reference_tokens(paths, table, backend):
+    """The Algorithm 6 / 7 reference route: a per-path loop over a matcher."""
+    matcher = static_matcher_from_table(table, backend)
+    return [compress_path(p, table, matcher) for p in paths]
 
 
 class TestFlatBatch:
@@ -106,36 +110,35 @@ class TestFlatBatch:
 
     @pytest.mark.parametrize("backend", MATCHER_BACKENDS)
     def test_matches_per_path_loop(self, table, backend):
-        matcher = static_matcher_from_table(table, backend)
-        expected = compress_dataset(self.PATHS, table)
-        assert compress_paths_flat(self.PATHS, table, matcher) == expected
+        expected = reference_tokens(self.PATHS, table, backend)
+        assert compress_paths_flat(self.PATHS, table) == expected
 
     def test_accepts_corpus_and_iterables(self, table):
+        expected = [compress_path(p, table) for p in self.PATHS]
         corpus = FlatCorpus.from_paths(self.PATHS)
-        assert compress_paths_flat(corpus, table) == compress_dataset(self.PATHS, table)
+        assert compress_paths_flat(corpus, table) == expected
+        assert compress_paths_flat(iter(self.PATHS), table) == expected
 
     def test_as_corpus_round_trip(self, table):
-        matcher = static_matcher_from_table(table)
-        tokens = compress_paths_flat(self.PATHS, table, matcher, as_corpus=True)
-        assert isinstance(tokens, FlatCorpus)
+        tokens = FlatCorpus.from_paths(compress_paths_flat(self.PATHS, table))
         restored = decompress_paths_flat(tokens, table)
         assert restored == [tuple(p) for p in self.PATHS]
 
     def test_decompress_as_corpus(self, table):
-        tokens = compress_dataset(self.PATHS, table)
+        tokens = compress_paths_flat(self.PATHS, table)
         restored = decompress_paths_flat(tokens, table, as_corpus=True)
         assert isinstance(restored, FlatCorpus)
         assert restored.to_paths() == [tuple(p) for p in self.PATHS]
 
     def test_literal_collision_raises_for_every_backend(self, table):
+        with pytest.raises(TableError, match="collides"):
+            compress_paths_flat([(100, 1)], table)
         for backend in MATCHER_BACKENDS:
-            matcher = static_matcher_from_table(table, backend)
             with pytest.raises(TableError, match="collides"):
-                compress_paths_flat([(100, 1)], table, matcher)
+                reference_tokens([(100, 1)], table, backend)
 
     def test_empty_corpus(self, table):
-        matcher = static_matcher_from_table(table)
-        assert compress_paths_flat([], table, matcher) == []
+        assert compress_paths_flat([], table) == []
         assert decompress_paths_flat([], table) == []
 
 
@@ -161,25 +164,25 @@ def blocked_case():
 
 
 class TestBlockedBulkEncode:
-    """Bulk encode runs one exact encoder, whatever the backend."""
+    """Bulk encode runs one exact encoder over any input form."""
 
     @pytest.mark.parametrize("backend", MATCHER_BACKENDS)
     def test_every_backend_matches_per_path_loop(self, blocked_case, backend):
         table, paths = blocked_case
-        matcher = static_matcher_from_table(table, backend)
-        assert compress_paths_flat(paths, table, matcher) == compress_dataset(paths, table)
+        assert compress_paths_flat(paths, table) == reference_tokens(paths, table, backend)
 
-    def test_probe_counters_equal_across_backends(self, blocked_case):
+    def test_counters_equal_across_input_forms(self, blocked_case):
         table, paths = blocked_case
-        counters = []
-        for backend in MATCHER_BACKENDS:
-            matcher = static_matcher_from_table(table, backend)
+        names = ("compress.symbols_in", "compress.symbols_out",
+                 "matcher.probes", "matcher.hashed_vertices")
+        results = []
+        for source in (lambda: (p for p in paths), lambda: list(paths),
+                       lambda: FlatCorpus.from_paths(paths)):
             with instrumented() as obs:
-                compress_paths_flat(paths, table, matcher)
+                tokens = compress_paths_flat(source(), table)
             got = obs.registry.counters()
-            counters.append(
-                (got["matcher.probes"], got["matcher.hashed_vertices"])
-            )
-        assert counters[0][0] > 0
-        assert counters == [counters[0]] * len(MATCHER_BACKENDS)
-
+            results.append((tokens, tuple(got[name] for name in names)))
+        tokens, counters = results[0]
+        assert tokens == [compress_path(p, table) for p in paths]
+        assert counters[0] == sum(map(len, paths)) and counters[2] > 0
+        assert results == [results[0]] * 3

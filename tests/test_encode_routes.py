@@ -9,22 +9,32 @@ Four routes must give equal tokens on every input:
 * the explicit ``multilevel`` route — Algorithm 7 the same way;
 * bulk encode — ``compress_paths_flat`` over a flat corpus.
 
+Only the first and the last run in production: every codec, store and
+writer encodes without ever building a matcher (``TestProductionRoute``).
+
 The adversarial tables aim at the prefix bound: a prefix whose entries
 skip lengths, a bound longer than the rest of the path, a table grown
 after its index was built.
 """
 
 import random
+import sys
 
 import pytest
 
+from repro.baselines import AFSCodec, GFSCodec, RSSCodec
+from repro.core import matcher as matcher_module
 from repro.core.builder import TableBuilder
-from repro.core.compressor import compress_dataset, compress_path, compress_paths_flat
+from repro.core.compressor import compress_path, compress_paths_flat
 from repro.core.config import OFFSConfig
 from repro.core.errors import TableError
 from repro.core.flatcorpus import FlatCorpus
 from repro.core.matcher import static_matcher_from_table
+from repro.core.offs import OFFSCodec
+from repro.core.sharded import ShardedIngest, ShardedPathStore, build_sharded_store
+from repro.core.store import CompressedPathStore
 from repro.core.supernode_table import SupernodeTable
+from repro.obs import instrumented
 from repro.workloads.registry import DATASET_NAMES, make_dataset
 
 
@@ -92,7 +102,8 @@ class TestRandomTables:
     def test_workload_scale(self):
         ds = make_dataset("alibaba", "tiny", seed=11)
         table, _ = TableBuilder(OFFSConfig(iterations=3, sample_exponent=1)).build(ds)
-        expected = compress_dataset(list(ds), table)
+        matcher = static_matcher_from_table(table)
+        expected = [compress_path(p, table, matcher) for p in ds]
         assert compress_paths_flat(ds.to_flat(), table) == expected
         assert [compress_path(p, table) for p in ds] == expected
 
@@ -192,6 +203,13 @@ class TestAdversarial:
         assert assert_routes_agree(paths, table) == [(100, 101), (102,), (103,)]
 
 
+def exact_work(paths, table):
+    """The exact encoder's ``matcher.*`` counters over one bulk encode."""
+    with instrumented() as obs:
+        compress_paths_flat(paths, table)
+    return obs.registry.counters()
+
+
 class TestProbeWork:
     def test_never_more_probes_than_algorithm_6(self):
         rng = random.Random(3)
@@ -200,17 +218,81 @@ class TestProbeWork:
             1000,
             sorted({tuple(rng.randrange(6) for _ in range(rng.randrange(2, 9))) for _ in range(60)}),
         )
-        exact = static_matcher_from_table(table)
-        compress_paths_flat(paths, table, exact)
+        exact = exact_work(paths, table)
         algorithm_6 = static_matcher_from_table(table)
-        compress_dataset(paths, table, algorithm_6)
-        assert 0 < exact.stats.probes <= algorithm_6.stats.probes
-        assert exact.stats.hashed_vertices <= algorithm_6.stats.hashed_vertices
+        for path in paths:
+            compress_path(path, table, algorithm_6)
+        assert 0 < exact["matcher.probes"] <= algorithm_6.stats.probes
+        assert exact["matcher.hashed_vertices"] <= algorithm_6.stats.hashed_vertices
 
     def test_at_most_delta_minus_one_probes_per_position(self):
         table = SupernodeTable(100, [(1, 2), (1, 2, 3, 4, 5, 6)])
-        matcher = static_matcher_from_table(table)
         # Position 0 descends 6, 5, 4, 3, 2 (δ − 1 = 5 probes); 9 has no bound.
-        compress_paths_flat([(1, 2, 3, 4, 5, 9)], table, matcher)
-        assert matcher.stats.probes == 5
-        assert matcher.stats.hashed_vertices == 6 + 5 + 4 + 3 + 2
+        work = exact_work([(1, 2, 3, 4, 5, 9)], table)
+        assert work["matcher.probes"] == 5
+        assert work["matcher.hashed_vertices"] == 6 + 5 + 4 + 3 + 2
+
+
+@pytest.fixture()
+def no_matcher(monkeypatch):
+    """``static_matcher_from_table`` raises in every loaded ``repro`` module."""
+    original = matcher_module.static_matcher_from_table
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("production code built a static matcher")
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "") or ""
+        if name.startswith("repro") and getattr(module, "static_matcher_from_table", None) is original:
+            monkeypatch.setattr(module, "static_matcher_from_table", refuse)
+
+
+class TestProductionRoute:
+    """Codecs, stores and writers run the exact encoder and build no matcher."""
+
+    @pytest.mark.parametrize("make_codec", [
+        lambda: OFFSCodec(OFFSConfig(iterations=3, sample_exponent=0)),
+        lambda: OFFSCodec.fast(sample_exponent=0),
+        lambda: RSSCodec(capacity=32, sample_exponent=0),
+        lambda: GFSCodec(capacity=32, sample_exponent=0),
+        lambda: AFSCodec(threshold=4),
+    ], ids=["OFFS", "OFFS*", "RSS", "GFS", "AFS"])
+    def test_codecs(self, no_matcher, tiny_alibaba, make_codec):
+        codec = make_codec().fit(tiny_alibaba)
+        tokens = codec.compress_dataset(tiny_alibaba)
+        assert [codec.compress_path(p) for p in tiny_alibaba] == tokens
+        assert codec.decompress_dataset(tokens) == list(tiny_alibaba)
+
+    def test_stores_and_writers(self, no_matcher, tiny_alibaba, tmp_path):
+        codec = OFFSCodec(OFFSConfig(iterations=3, sample_exponent=0)).fit(tiny_alibaba)
+        table = codec.table
+        paths = list(tiny_alibaba)
+        assert CompressedPathStore.from_corpus(paths, table).retrieve_all() == paths
+        built = build_sharded_store(paths, table, str(tmp_path / "built.rpsm"), shards=3)
+        out = str(tmp_path / "ingest.rpsm")
+        with ShardedIngest(out, train_after=50, memtable_paths=64) as ingest:
+            ingest.feed_many(paths)
+        for manifest in (built, out):
+            with ShardedPathStore.open(manifest) as store:
+                assert store.retrieve_all() == paths
+
+    def test_extend_reads_tuples_in_place(self, tiny_alibaba, monkeypatch):
+        table, _ = TableBuilder(OFFSConfig(iterations=3, sample_exponent=0)).build(tiny_alibaba)
+        paths = list(tiny_alibaba)
+        per_path = CompressedPathStore(table)
+        for path in paths:
+            per_path.append(path)
+        interned = []
+        from_paths = FlatCorpus.from_paths.__func__
+
+        def spy(cls, *args, **kwargs):
+            interned.append(args)
+            return from_paths(cls, *args, **kwargs)
+
+        corpus = FlatCorpus.from_paths(paths)
+        monkeypatch.setattr(FlatCorpus, "from_paths", classmethod(spy))
+        for source in (paths, (p for p in paths), corpus):
+            store = CompressedPathStore(table)
+            assert store.extend(source) == list(range(len(paths)))
+            assert store.tokens() == per_path.tokens()
+        assert interned == []

@@ -51,11 +51,6 @@ class TestConstruction:
         assert isinstance(flat, FlatCorpus)
         assert flat.to_paths() == list(ds)
 
-    def test_to_dataset_round_trip(self, corpus):
-        ds = corpus.to_dataset()
-        assert list(ds) == list(PATHS)
-        assert ds.name == "t"
-
 
 class TestAccessors:
     def test_path_and_getitem(self, corpus):
@@ -76,14 +71,6 @@ class TestAccessors:
         out = list(corpus)
         assert out == list(PATHS)
         assert all(isinstance(p, tuple) for p in out)
-
-    def test_view_is_zero_copy(self, corpus):
-        v = corpus.view(0)
-        assert isinstance(v, memoryview)
-        assert tuple(v) == PATHS[0]
-
-    def test_lengths(self, corpus):
-        assert corpus.lengths() == [len(p) for p in PATHS]
 
     def test_max_vertex(self, corpus):
         assert corpus.max_vertex() == 10

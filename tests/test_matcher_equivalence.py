@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.compressor import compress_dataset, compress_path, compress_paths_flat
+from repro.core.compressor import compress_path, compress_paths_flat
 from repro.core.matcher import HashCandidates, static_matcher_from_table
 from repro.core.multilevel import MultiLevelCandidates
 from repro.core.supernode_table import SupernodeTable
@@ -94,8 +94,9 @@ def test_prune_then_match_identical(entries, path):
 def test_exact_encoder_encodes_identically(entries, queries):
     table = SupernodeTable(100, sorted(set(entries)))
     paths = queries + _PROBE_CORPUS
-    expected = compress_dataset(paths, table)
+    hash_matcher = static_matcher_from_table(table, "hash")
+    expected = [compress_path(p, table, hash_matcher) for p in paths]
     multilevel = static_matcher_from_table(table, "multilevel")
-    assert compress_dataset(paths, table, multilevel) == expected
+    assert [compress_path(p, table, multilevel) for p in paths] == expected
     assert [compress_path(p, table) for p in paths] == expected
     assert compress_paths_flat(paths, table) == expected
