@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.metrics import (
+    compression_ratio,
     measure_codec,
     measure_decompression,
     measure_partial_decompression,
@@ -289,11 +290,11 @@ def exp_ablation_matchers(
     Each backend builds the table (the fit column) and then encodes the
     dataset through the reference route, ``compress_path(path, table,
     matcher)`` over a static matcher of that backend (the compress
-    column); codecs themselves run the exact encoder, which would time
-    the same code for both rows.  Both backends produce identical tables
-    and tokens (checked); they differ in probe cost (Lemma 3), reported
-    from the matcher's own :class:`~repro.core.probestats.ProbeStats`
-    over a fixed batch.
+    column), and CR is taken over those tokens; codecs themselves run the
+    exact encoder, which would time the same code for both rows.  Both
+    backends produce identical tables and tokens (checked); they differ in
+    probe cost (Lemma 3), reported from the matcher's own
+    :class:`~repro.core.probestats.ProbeStats` over a fixed batch.
     """
     from repro.core.compressor import compress_path
     from repro.core.matcher import static_matcher_from_table
@@ -308,14 +309,14 @@ def exp_ablation_matchers(
     probe_batch = paths[:200]
     for backend in MATCHER_BACKENDS:
         codec = OFFSCodec(config.offs_config(matcher=backend))
-        m = measure_codec(codec, dataset)
-        crs.append(m.compression_ratio)
+        fit = time_rounds([lambda: codec.fit(dataset)], 1)[0]
         table = codec.table
         matcher = static_matcher_from_table(table, backend)
         encode = time_rounds(
             [lambda: [compress_path(p, table, matcher) for p in paths]], 1
         )[0]
         token_sets.append(tuple(encode.result))
+        crs.append(compression_ratio(codec, dataset, encode.result))
         # Probe-cost accounting over one batch: zero the backend's counters
         # with the public reset() (never by re-instantiating the stats
         # object), compress the batch, read the totals.
@@ -325,8 +326,8 @@ def exp_ablation_matchers(
         rows.append(
             (
                 backend,
-                round(m.compression_ratio, 3),
-                round(m.fit_seconds, 3),
+                round(crs[-1], 3),
+                round(fit.min, 3),
                 round(encode.min, 3),
                 matcher.stats.probes,
                 matcher.stats.hashed_vertices,

@@ -276,11 +276,10 @@ def dumps_store_v2_tokens(table: SupernodeTable, tokens, order=None) -> bytes:
     """The v2 blob for a bare ``(table, tokens)`` pair.
 
     Byte-identical to :func:`dumps_store_v2` over a store holding the same
-    table and tokens.  This is the writer of every shard: the sharded
+    table and tokens.  Every shard blob comes from here: the sharded
     build's workers and :class:`~repro.core.sharded.ShardedIngest` hold
-    plain token tuples, and wrapping them in a throwaway
-    :class:`CompressedPathStore` would rebuild the matcher (hash table over
-    every table entry) once per shard for no reason.
+    plain token lists, and both hand the blob to the one shard writer in
+    :mod:`repro.core.sharded`.
 
     *order*, when given, is the :class:`~repro.paths.reorder.VertexOrder`
     the tokens were compressed under (tokens are already in new-id space);

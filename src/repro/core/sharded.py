@@ -33,6 +33,11 @@ docs/formats.md) next to its shard files ``<stem>.shard-00000.rpc2``,
 ``<stem>.shard-00001.rpc2``, ....  Each shard is a complete, self-contained
 v2 store (own header, own copy of the table, own CRCs), so a damaged shard
 is isolated and any v2 tooling can open one directly.
+
+Both writers put files on disk through one shard writer, which seals one
+finished v2 blob per partition (build) or memtable (ingest): it reads the
+path count and table fingerprint from the blob's own header, publishes the
+shard, then a manifest naming every shard so far.
 """
 
 from __future__ import annotations
@@ -58,10 +63,10 @@ from repro.core.flatcorpus import FlatCorpus, as_flat_corpus
 from repro.core.mapped import MappedPathStore
 from repro.core.parallel import _map_corpora
 from repro.core.reader import PathReader
-from repro.core.serialize import dumps_store_v2_tokens, dumps_table, publish_file
+from repro.core.serialize import dumps_store_v2_tokens, parse_store_v2_header, publish_file
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
-from repro.obs.runtime import get_active
+from repro.obs.runtime import active_span, active_timer, get_active
 
 #: Manifest file layout: magic(4) version(B) pad(3x) json_crc(I) json_len(I),
 #: then the UTF-8 JSON document.  See docs/formats.md.
@@ -274,9 +279,43 @@ def _manifest_from_json(document: Any) -> ShardManifest:
     return manifest
 
 
-def _publish_manifest(path: str, shards: Sequence[ShardInfo]) -> None:
-    """Publish the manifest of *shards* at *path* (the one manifest writer)."""
-    publish_file(path, dumps_manifest(ShardManifest(shards)))
+class _ShardWriter:
+    """The one writer of a sharded store's files (see the module docstring).
+
+    :attr:`manifest` records a shard only after both of its writes succeed,
+    so a failed :meth:`seal` leaves the writer unchanged.
+    """
+
+    def __init__(self, out_path: str) -> None:
+        self.out_path = out_path
+        self._directory = os.path.dirname(os.path.abspath(out_path))
+        self._stem = os.path.splitext(os.path.basename(out_path))[0]
+        self.manifest = ShardManifest([])
+
+    def seal(self, blob: bytes) -> ShardInfo:
+        """Publish the v2 *blob* as the next shard; returns its manifest entry."""
+        header = parse_store_v2_header(blob)
+        start = header.table_offset
+        info = ShardInfo(
+            shard_filename(self._stem, self.manifest.shard_count),
+            self.manifest.path_count,
+            header.path_count,
+            zlib.crc32(blob[start : start + header.table_size]),
+        )
+        manifest = ShardManifest(self.manifest.shards + (info,))
+        publish_file(os.path.join(self._directory, info.file), blob)
+        self._publish(manifest)
+        return info
+
+    def close(self) -> None:
+        """Publish the empty manifest if nothing was sealed: an empty store
+        still has one."""
+        if not self.manifest.shards:
+            self._publish(self.manifest)
+
+    def _publish(self, manifest: ShardManifest) -> None:
+        publish_file(self.out_path, dumps_manifest(manifest))
+        self.manifest = manifest
 
 
 class ShardedPathStore(PathReader):
@@ -566,11 +605,13 @@ def build_sharded_store(
 
     Per-shard compression *and serialization* fan out over *processes*
     workers (the FlatCorpus shipping path of :mod:`repro.core.parallel`,
-    shipping finished v2 blobs back), then each shard is published as a
-    self-contained v2 file next to the manifest.  Output is bit-identical
-    to the sequential monolithic build for every ``(shards, processes)``
-    combination, because compression is a pure per-path function of
-    ``(path, table)``.
+    shipping finished v2 blobs back), then the parent seals them in order
+    through the shard writer :class:`ShardedIngest` uses: each shard is
+    published, then a manifest naming every shard so far, so a failed
+    build leaves a readable store of the shards before the failure.
+    Output is bit-identical to the sequential monolithic build for every
+    ``(shards, processes)`` combination, because compression is a pure
+    per-path function of ``(path, table)``.
 
     :param paths: any path iterable or a :class:`FlatCorpus` — in
         *original* vertex ids; the order (if any) is applied here.
@@ -588,54 +629,27 @@ def build_sharded_store(
     corpus = as_flat_corpus(paths)
     if order is not None:
         corpus = order.transform_corpus(corpus)
-    obs = get_active()
-    if obs is None:
-        return _build_sharded(corpus, table, out_path, shards, processes, order)
-    with obs.tracer.span(catalog.SPAN_SHARD_BUILD) as span, obs.registry.timeit(
+    with active_span(catalog.SPAN_SHARD_BUILD) as span, active_timer(
         catalog.SHARD_BUILD_SECONDS
     ):
-        manifest_path = _build_sharded(
-            corpus, table, out_path, shards, processes, order
-        )
+        parts = partition_corpus(corpus, shards)
+        writer = _ShardWriter(out_path)
+        for blob in _map_corpora(functools.partial(_shard_blob, order), parts, table, processes):
+            writer.seal(blob)
         if span is not None:
             span.add("shards", shards)
             span.add("paths", len(corpus))
             span.add("processes", processes)
-    obs.registry.counter(catalog.SHARD_BUILT).inc(shards)
-    return manifest_path
-
-
-def _build_sharded(
-    corpus: FlatCorpus,
-    table: SupernodeTable,
-    out_path: str,
-    shards: int,
-    processes: int,
-    order=None,
-) -> str:
-    parts = partition_corpus(corpus, shards)
-    blobs = _map_corpora(
-        functools.partial(_shard_blob, order), parts, table, processes
-    )
-    table_crc = zlib.crc32(dumps_table(table))
-    directory = os.path.dirname(os.path.abspath(out_path))
-    stem = os.path.splitext(os.path.basename(out_path))[0]
-    infos: List[ShardInfo] = []
-    start = 0
-    for index, (blob, count) in enumerate(blobs):
-        filename = shard_filename(stem, index)
-        publish_file(os.path.join(directory, filename), blob)
-        infos.append(ShardInfo(filename, start, count, table_crc))
-        start += count
-    _publish_manifest(out_path, infos)
+    obs = get_active()
+    if obs is not None:
+        obs.registry.counter(catalog.SHARD_BUILT).inc(shards)
     return out_path
 
 
-def _shard_blob(order, table: SupernodeTable, corpus: FlatCorpus) -> Tuple[bytes, int]:
-    """One shard's ``(v2 blob, path count)``, built inside the worker so the
-    parent never re-pays every shard's serialization after the barrier."""
-    tokens = compress_paths_flat(corpus, table)
-    return dumps_store_v2_tokens(table, tokens, order), len(tokens)
+def _shard_blob(order, table: SupernodeTable, corpus: FlatCorpus) -> bytes:
+    """One shard's v2 blob, built inside the worker so the parent never
+    re-pays every shard's serialization after the barrier."""
+    return dumps_store_v2_tokens(table, compress_paths_flat(corpus, table), order)
 
 
 # -- streaming ingest -------------------------------------------------------------
@@ -686,11 +700,7 @@ class ShardedIngest:
         self._stream = StreamingCompressor(
             config=config, train_after=train_after, base_id=base_id
         )
-        self._sealed_paths = 0
-        self._table_crc: Optional[int] = None
-        self._infos: List[ShardInfo] = []
-        self._directory = os.path.dirname(os.path.abspath(out_path))
-        self._stem = os.path.splitext(os.path.basename(out_path))[0]
+        self._writer = _ShardWriter(out_path)
         self._closed = False
 
     # -- ingestion ------------------------------------------------------------------
@@ -710,8 +720,8 @@ class ShardedIngest:
             obs.registry.set_gauge(catalog.SHARD_MEMTABLE_PATHS, len(self._stream))
         if self._stream.trained and len(self._stream.store) >= self.memtable_paths:
             self._seal()
-            return self._sealed_paths - 1 if local is not None else None
-        return None if local is None else self._sealed_paths + local
+            return self.sealed_paths - 1 if local is not None else None
+        return None if local is None else self.sealed_paths + local
 
     def feed_many(self, paths: Iterable[Sequence[int]]) -> List[Optional[int]]:
         """Ingest many paths; returns their global ids."""
@@ -719,68 +729,48 @@ class ShardedIngest:
 
     def __len__(self) -> int:
         """Paths ingested so far (sealed + memtable + warm-up buffer)."""
-        return self._sealed_paths + len(self._stream)
+        return self.sealed_paths + len(self._stream)
 
     @property
     def sealed_paths(self) -> int:
         """Paths already persisted to immutable shards."""
-        return self._sealed_paths
+        return self._writer.manifest.path_count
 
     @property
     def shard_count(self) -> int:
-        return len(self._infos)
+        return self._writer.manifest.shard_count
 
     # -- sealing --------------------------------------------------------------------
 
     def _seal(self) -> None:
-        """Write the memtable as an immutable shard, then record it.
+        """Hand the memtable to the shard writer as a v2 blob, then drain it.
 
-        The shard, and a manifest naming it, are written first; only then
-        does the ingest commit the shard, advance its offset and drain the
-        memtable.  A failed write re-raises with that state unchanged, so
-        no manifest names a shard that was never written and the next
-        seal retries the same paths.
+        The writer publishes the shard, and a manifest naming it, before it
+        records the shard; only then does the memtable drain.  A failed
+        write re-raises with both unchanged, so no manifest names a shard
+        that was never written and the next seal retries the same paths.
         """
         stream = self._stream
         if not stream.trained:
             if len(stream) == 0:
                 return
             stream.train_now()
-        tokens = stream.store.tokens()
-        if not tokens:
+        store = stream.store
+        if not len(store):
             return
-        table = stream.store.table
-        if self._table_crc is None:  # the table is fixed once fit
-            self._table_crc = zlib.crc32(dumps_table(table))
-        index = len(self._infos)
-        info = ShardInfo(
-            file=shard_filename(self._stem, index),
-            start=self._sealed_paths,
-            count=len(tokens),
-            table_crc=self._table_crc,
-        )
+        index = self.shard_count
+        with active_span(catalog.SPAN_SHARD_SEAL) as span, active_timer(
+            catalog.SHARD_SEAL_SECONDS
+        ):
+            info = self._writer.seal(dumps_store_v2_tokens(store.table, store.tokens()))
+            if span is not None:
+                span.add("paths", info.count)
+                span.add("shard", index)
         obs = get_active()
-        if obs is None:
-            self._write_seal(info, table, tokens)
-        else:
-            with obs.tracer.span(catalog.SPAN_SHARD_SEAL) as span, obs.registry.timeit(
-                catalog.SHARD_SEAL_SECONDS
-            ):
-                self._write_seal(info, table, tokens)
-                if span is not None:
-                    span.add("paths", info.count)
-                    span.add("shard", index)
+        if obs is not None:
             obs.registry.counter(catalog.SHARD_SEALED).inc()
             obs.registry.set_gauge(catalog.SHARD_MEMTABLE_PATHS, 0)
-        self._infos.append(info)
-        self._sealed_paths += info.count
         stream.drain_tokens()
-
-    def _write_seal(self, info: ShardInfo, table, tokens) -> None:
-        """Publish a sealed shard, then the manifest that names it."""
-        shard_file = os.path.join(self._directory, info.file)
-        publish_file(shard_file, dumps_store_v2_tokens(table, tokens))
-        _publish_manifest(self.out_path, self._infos + [info])
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -798,8 +788,7 @@ class ShardedIngest:
             return self.out_path
         if len(self._stream) > 0:
             self._seal()
-        if not os.path.exists(self.out_path) or not self._infos:
-            _publish_manifest(self.out_path, self._infos)
+        self._writer.close()
         self._closed = True
         return self.out_path
 
@@ -813,7 +802,7 @@ class ShardedIngest:
         state = "closed" if self._closed else "open"
         return (
             f"ShardedIngest(out={self.out_path!r}, shards={self.shard_count}, "
-            f"sealed={self._sealed_paths}, memtable={len(self._stream)}, {state})"
+            f"sealed={self.sealed_paths}, memtable={len(self._stream)}, {state})"
         )
 
 

@@ -116,16 +116,16 @@ class StreamingCompressor:
         The LSM-style seal primitive used by
         :class:`~repro.core.sharded.ShardedIngest`: the caller persists the
         returned tokens (with :attr:`store`'s frozen table) as an immutable
-        shard, and the memtable empties while the table stays intact.
-        Path ids restart at 0 after a drain — callers that hand out global
-        ids track their own offset.
+        shard, and the memtable empties while the table stays intact —
+        :attr:`store` becomes a fresh store over the same table.  Path ids
+        restart at 0 after a drain — callers that hand out global ids track
+        their own offset.
 
         :raises StateError: during warm-up (nothing is compressed yet).
         """
         store = self.store
-        tokens = list(store._tokens)
-        store._tokens.clear()
-        return tokens
+        self._store = CompressedPathStore(store.table)
+        return store.tokens()
 
     # -- reading ----------------------------------------------------------------------
 

@@ -205,8 +205,8 @@ class SupernodeTable:
         """Number of integer symbols needed to write the rule ``R`` down.
 
         Each entry costs its subpath length plus one length marker; ids are
-        implicit (contiguous).  Used by the size model in
-        :mod:`repro.analysis.sizing`.
+        implicit (contiguous).  The symbol count of the entries
+        :meth:`~repro.core.codec.TableCodec.rule_size_bytes` prices in bytes.
         """
         return sum(len(sp) + 1 for sp in self._by_id.values())
 

@@ -11,6 +11,7 @@ their directory or do not share one table, and sharded stores cross fork
 boundaries safely.
 """
 
+import errno
 import json
 import multiprocessing
 import os
@@ -794,3 +795,90 @@ class TestStreamingIngest:
     def test_warmup_smaller_than_memtable_enforced(self, tmp_path):
         with pytest.raises(InvalidInputError):
             ShardedIngest(str(tmp_path / "x.rpsm"), train_after=500, memtable_paths=100)
+
+
+class TestShardWriter:
+    """Both writers publish each shard, then a manifest naming every shard so far."""
+
+    @staticmethod
+    def _fail_shard_write(monkeypatch, stem, index):
+        """Make publishing shard *index* of *stem* fail as a full disk would."""
+        import repro.core.sharded as sharded_module
+
+        real_publish = sharded_module.publish_file
+        doomed = shard_filename(stem, index)
+
+        def publish(path, blob):
+            if os.path.basename(path) == doomed:
+                raise OSError(errno.ENOSPC, "injected: no space left on device")
+            real_publish(path, blob)
+
+        monkeypatch.setattr(sharded_module, "publish_file", publish)
+
+    def test_failed_rebuild_leaves_the_published_prefix_readable(
+        self, corpus_and_table, tmp_path, monkeypatch
+    ):
+        corpus, table = corpus_and_table
+        out = str(tmp_path / "re.rpsm")
+        build_sharded_store(corpus, table, out, shards=4)
+        other = OFFSCodec(
+            OFFSConfig(iterations=1, sample_exponent=0), base_id=table.base_id
+        ).fit(corpus).table
+        assert zlib.crc32(dumps_table(other)) != zlib.crc32(dumps_table(table))
+        self._fail_shard_write(monkeypatch, "re", 2)
+        with pytest.raises(OSError):
+            build_sharded_store(corpus, other, out, shards=4)
+        published = partition_corpus(corpus, 4)[:2]
+        with ShardedPathStore.open(out) as store:
+            assert store.check() == sum(len(part) for part in published)
+            assert store.table == other
+            assert store.retrieve_all() == [
+                path for part in published for path in part.to_paths()
+            ]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2, 3])
+    def test_failed_build_names_exactly_the_shards_before_the_failure(
+        self, corpus_and_table, tmp_path, monkeypatch, failing
+    ):
+        corpus, table = corpus_and_table
+        out = str(tmp_path / "fresh.rpsm")
+        self._fail_shard_write(monkeypatch, "fresh", failing)
+        with pytest.raises(OSError):
+            build_sharded_store(corpus, table, out, shards=4)
+        if failing == 0:  # nothing was published, not even a manifest
+            assert not os.path.exists(out)
+            return
+        with open(out, "rb") as fh:
+            manifest = loads_manifest(fh.read())
+        assert [info.file for info in manifest.shards] == [
+            shard_filename("fresh", index) for index in range(failing)
+        ]
+
+    @pytest.mark.parametrize("writer", ["ordered-build", "ingest"])
+    def test_manifest_entries_match_each_shard_opened_alone(
+        self, corpus_and_table, frequency_codec, tmp_path, writer
+    ):
+        corpus, table = corpus_and_table
+        out = str(tmp_path / "alone.rpsm")
+        if writer == "ordered-build":
+            build_sharded_store(
+                corpus, frequency_codec.table, out, shards=3,
+                order=frequency_codec.order,
+            )
+        else:
+            with ShardedIngest(
+                out,
+                config=OFFSConfig(iterations=3, sample_exponent=0),
+                train_after=30,
+                memtable_paths=30,
+                base_id=table.base_id,
+            ) as ingest:
+                ingest.feed_many(corpus.to_paths())
+        with open(out, "rb") as fh:
+            manifest = loads_manifest(fh.read())
+        assert manifest.shard_count == 3
+        for info in manifest.shards:
+            with MappedPathStore.open(str(tmp_path / info.file)) as shard:
+                assert (info.count, info.table_crc) == (
+                    len(shard), shard.table_fingerprint
+                )
