@@ -11,10 +11,10 @@ The bottom-up loop, following the paper:
 1. **Initialization** — every edge of the sampled paths enters the candidate
    set with weight 1 ("the weight suggests existence", Example 2).
 2. **Iterations** ``it = 1 .. τ`` — weights reset, then each sampled path is
-   scanned with :meth:`~repro.core.matcher.CandidateSet.longest_match` under
-   the per-iteration cap ``min(2**it, δ)``; every match of length > 1 earns
-   its candidate one weight unit.  New candidates are generated from each
-   adjacent pair of matches by
+   scanned (:meth:`~repro.core.matcher.CandidateSet.scan`) for greedy
+   longest matches under the per-iteration cap ``min(2**it, δ)``; every
+   match of length > 1 earns its candidate one weight unit.  New candidates
+   are generated from each adjacent pair of matches by
 
    * **merge** — the concatenation ``pre ⊕ match``, truncated to δ, and
    * **expansion** — ``pre ⊕ first-vertex-of-match`` when the match is longer
@@ -46,8 +46,6 @@ from repro.core.matcher import CandidateSet, make_candidate_set
 from repro.core.supernode_table import SupernodeTable
 from repro.obs import catalog
 from repro.obs.runtime import active_span, get_active
-
-Subpath = Tuple[int, ...]
 
 
 @dataclass
@@ -125,18 +123,23 @@ class TableBuilder:
         lam: int,
         generate: bool = True,
     ) -> IterationStats:
-        """Stage 2: one merge/expansion pass (lines 4–17 of Algorithm 5).
+        """Stage 2: one merge/expansion pass (lines 3–17 of Algorithm 5).
+
+        Zeroes the weights, runs the candidate set's
+        :meth:`~repro.core.matcher.CandidateSet.scan` under the cap
+        ``min(2**iteration, δ)`` (lines 4–16), then keeps the top *lam*
+        (line 17).  The flat backend's scan is one fused loop; the
+        two-level backend runs the reference loop over ``longest_match``.
 
         With ``generate=False`` the pass only counts practical matches of the
         existing candidates without creating merge/expansion sequences; the
-        degenerate ``iterations=0`` mode uses this to turn existence weights
-        into real frequencies.
+        degenerate ``iterations=0`` mode and the top-down recount use this to
+        turn weights into real frequencies.
         """
         started = time.perf_counter()
         delta = self.config.delta
         cap = min(1 << iteration, delta)
         before = len(cands)
-        matches_counted = 0
 
         obs = get_active()
         probes_before = cands.stats.snapshot() if obs is not None else None
@@ -145,39 +148,7 @@ class TableBuilder:
             catalog.SPAN_BUILD_ITERATION, iteration=iteration, cap=cap
         ) as span:
             cands.reset_weights()
-            for path in paths:
-                n = len(path)
-                if n < 2:
-                    continue
-                # First match of the path (line 5).
-                length = cands.longest_match(path, 0, cap)
-                match: Subpath = tuple(path[0:length])
-                if length > 1:
-                    cands.increment(match)
-                    matches_counted += 1
-                pos = length
-                while pos < n:
-                    pre = match
-                    length = cands.longest_match(path, pos, cap)
-                    match = tuple(path[pos : pos + length])
-                    if length > 1:
-                        cands.increment(match)
-                        matches_counted += 1
-                    if generate:
-                        # Merge (lines 10-13): concatenate, truncated to delta.
-                        # When pre already fills delta the truncation would
-                        # reproduce pre itself, which must not earn it a second
-                        # count.
-                        room = delta - len(pre)
-                        if room > 0:
-                            merged = pre + match[: min(len(match), room)]
-                            cands.add(merged)
-                        # Expansion (lines 14-15): pre plus the next vertex.
-                        # Skipped when the match is a single vertex because the
-                        # merge above already produced exactly that sequence.
-                        if length > 1 and len(pre) < delta:
-                            cands.add(pre + (path[pos],))
-                    pos += length
+            matches_counted = cands.scan(paths, cap, delta, generate)
             scanned = len(cands)
             with active_span(catalog.SPAN_BUILD_PRUNE) as prune_span:
                 pruned = cands.prune_to_top(lam)

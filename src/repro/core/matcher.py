@@ -105,6 +105,58 @@ class CandidateSet(ABC):
         for seq, _ in list(self.items()):
             self.set_weight(seq, 0)
 
+    def scan(
+        self, paths: Sequence[Sequence[int]], cap: int, delta: int, generate: bool = True
+    ) -> int:
+        """One Algorithm 5 scan (lines 4–16) over *paths*; returns the match count.
+
+        Each path is cut greedily into longest matches under *cap*; every
+        match longer than one vertex earns its candidate one weight unit.
+        With *generate*, each adjacent pair ``(pre, match)`` also inserts the
+        merge ``pre ⊕ match`` truncated to *delta* and, when the match is
+        longer than one vertex, the expansion ``pre ⊕ first vertex``.  The set
+        is live: a candidate inserted early in the scan can match later in it.
+
+        This is the reference loop over :meth:`longest_match`,
+        :meth:`increment` and :meth:`add`; a backend may override it with a
+        fused loop that leaves the same weights, insertion order and
+        :attr:`stats`.
+        """
+        matches = 0
+        for path in paths:
+            n = len(path)
+            if n < 2:
+                continue
+            # First match of the path (line 5).
+            length = self.longest_match(path, 0, cap)
+            match: Subpath = tuple(path[0:length])
+            if length > 1:
+                self.increment(match)
+                matches += 1
+            pos = length
+            while pos < n:
+                pre = match
+                length = self.longest_match(path, pos, cap)
+                match = tuple(path[pos : pos + length])
+                if length > 1:
+                    self.increment(match)
+                    matches += 1
+                if generate:
+                    # Merge (lines 10-13): concatenate, truncated to delta.
+                    # When pre already fills delta the truncation would
+                    # reproduce pre itself, which must not earn it a second
+                    # count.
+                    room = delta - len(pre)
+                    if room > 0:
+                        self.add(pre + match[: min(len(match), room)])
+                    # Expansion (lines 14-15): pre plus the next vertex.
+                    # Skipped when the match is a single vertex because the
+                    # merge above already produced exactly that sequence.
+                    if length > 1 and len(pre) < delta:
+                        self.add(pre + (path[pos],))
+                pos += length
+        return matches
+
     def set_weight(self, seq: Sequence[int], weight: int) -> None:
         """Force the weight of *seq* to *weight* (inserting if needed)."""
         current = self.weight(seq)
@@ -183,7 +235,10 @@ class HashCandidates(CandidateSet):
     """Flat hash-table candidate set — the Algorithm 6 baseline.
 
     ``longest_match`` probes lengths from the cap downward, hashing a fresh
-    tuple per probe: the ``O(δ²)`` behaviour Example 3 illustrates.
+    tuple per probe: the ``O(δ²)`` behaviour Example 3 illustrates.  Table
+    construction runs :meth:`scan`, the same probe, increment and inserts
+    fused into one loop over the weight dict; the inherited
+    :meth:`CandidateSet.scan` stays the reference it is tested against.
     """
 
     def __init__(self) -> None:
@@ -231,6 +286,77 @@ class HashCandidates(CandidateSet):
             stats.probes += limit - 1
             stats.hashed_vertices += (limit + 2) * (limit - 1) // 2
         return 1
+
+    def reset_weights(self) -> None:
+        self._weights = dict.fromkeys(self._weights, 0)
+
+    def scan(
+        self, paths: Sequence[Sequence[int]], cap: int, delta: int, generate: bool = True
+    ) -> int:
+        """The reference scan fused into one loop over the weight dict.
+
+        :meth:`longest_match`'s probe, :meth:`increment` and :meth:`add` are
+        inlined; everything they observe is kept: ``_max_len`` rises on
+        every insert, so a later probe in the same scan sees the new
+        candidate, inserts land in the same order, and the probe counters
+        take the same closed form, summed once per scan.
+        """
+        weights = self._weights
+        max_len = self._max_len
+        # The probe ceiling min(cap, max_len); only a longer insert raises it.
+        bound = min(cap, max_len)
+        matches = probes = hashed = 0
+        for path in paths:
+            n = len(path)
+            if n < 2:
+                continue
+            path = tuple(path)
+            pos = 0
+            match: Subpath = ()
+            while pos < n:
+                pre = match
+                limit = n - pos
+                if limit > bound:
+                    limit = bound
+                # Algorithm 6: lengths limit down to 2, first hit wins; the
+                # counters take longest_match's closed form.
+                length = 1
+                if limit > 1:
+                    for length in range(limit, 1, -1):
+                        match = path[pos : pos + length]
+                        if match in weights:
+                            weights[match] += 1
+                            matches += 1
+                            probed = limit - length + 1
+                            probes += probed
+                            hashed += (limit + length) * probed // 2
+                            break
+                    else:
+                        length = 1
+                        probes += limit - 1
+                        hashed += (limit + 2) * (limit - 1) // 2
+                if length == 1:
+                    match = path[pos : pos + 1]
+                if generate and pos:
+                    # Merge (lines 10-13), truncated to delta, then expansion
+                    # (lines 14-15), both as in the reference.
+                    room = delta - len(pre)
+                    if room > 0:
+                        merged = pre + match if length <= room else pre + match[:room]
+                        weights[merged] = weights.get(merged, 0) + 1
+                        if len(merged) > max_len:
+                            max_len = len(merged)
+                            bound = min(cap, max_len)
+                        # The expansion is never longer than the merge.
+                        if length > 1:
+                            expanded = pre + match[:1]
+                            weights[expanded] = weights.get(expanded, 0) + 1
+                pos += length
+        self._max_len = max_len
+        stats = self.stats
+        stats.probes += probes
+        stats.hashed_vertices += hashed
+        return matches
 
     def prune_to_top(self, count: int) -> int:
         weights = self._weights

@@ -37,7 +37,9 @@ is isolated and any v2 tooling can open one directly.
 Both writers put files on disk through one shard writer, which seals one
 finished v2 blob per partition (build) or memtable (ingest): it reads the
 path count and table fingerprint from the blob's own header, publishes the
-shard, then a manifest naming every shard so far.
+shard, then a manifest naming every shard so far.  Its close removes the
+shard files of an earlier store at the same path that the final manifest
+no longer names.
 """
 
 from __future__ import annotations
@@ -308,10 +310,26 @@ class _ShardWriter:
         return info
 
     def close(self) -> None:
-        """Publish the empty manifest if nothing was sealed: an empty store
-        still has one."""
+        """Publish the empty manifest if nothing was sealed (an empty store
+        still has one), then remove the shard files it no longer names.
+
+        A store rebuilt with fewer shards, or an ingest over a larger store,
+        leaves ``shard_filename(stem, i)`` for ``i`` at or beyond the new
+        shard count; they go only after the final manifest is published, so
+        the manifest on disk never names a removed file.
+        """
         if not self.manifest.shards:
             self._publish(self.manifest)
+        count = self.manifest.shard_count
+        prefix, suffix = shard_filename(self._stem, 0).rsplit("00000", 1)
+        for name in os.listdir(self._directory):
+            index = name[len(prefix) : len(name) - len(suffix)]
+            if (
+                index.isdecimal()
+                and int(index) >= count
+                and name == shard_filename(self._stem, int(index))
+            ):
+                os.remove(os.path.join(self._directory, name))
 
     def _publish(self, manifest: ShardManifest) -> None:
         publish_file(self.out_path, dumps_manifest(manifest))
@@ -636,6 +654,7 @@ def build_sharded_store(
         writer = _ShardWriter(out_path)
         for blob in _map_corpora(functools.partial(_shard_blob, order), parts, table, processes):
             writer.seal(blob)
+        writer.close()
         if span is not None:
             span.add("shards", shards)
             span.add("paths", len(corpus))

@@ -882,3 +882,62 @@ class TestShardWriter:
                 assert (info.count, info.table_crc) == (
                     len(shard), shard.table_fingerprint
                 )
+
+
+class TestOrphanShards:
+    """A closing writer removes the shard files its final manifest no longer names."""
+
+    @staticmethod
+    def _listing(tmp_path):
+        return sorted(os.listdir(tmp_path))
+
+    def test_rebuild_with_fewer_shards_removes_the_rest(self, corpus_and_table, tmp_path):
+        corpus, table = corpus_and_table
+        out = str(tmp_path / "s.rpsm")
+        build_sharded_store(corpus, table, out, shards=4)
+        # Look-alikes that are not this store's shard files stay put.
+        for name in ("s.shard-7.rpc2", "t.shard-00003.rpc2", "s.shard-00003.rpc2.bak"):
+            (tmp_path / name).write_bytes(b"x")
+        build_sharded_store(corpus, table, out, shards=2)
+        assert self._listing(tmp_path) == sorted([
+            "s.rpsm", shard_filename("s", 0), shard_filename("s", 1),
+            "s.shard-7.rpc2", "t.shard-00003.rpc2", "s.shard-00003.rpc2.bak",
+        ])
+        with ShardedPathStore.open(out) as store:
+            assert store.check() == len(corpus)
+            assert store.retrieve_all() == corpus.to_paths()
+
+    def test_ingest_over_a_larger_store_removes_the_rest(self, corpus_and_table, tmp_path):
+        corpus, table = corpus_and_table
+        out = str(tmp_path / "s.rpsm")
+        build_sharded_store(corpus, table, out, shards=4)
+        with ShardedIngest(
+            out,
+            config=OFFSConfig(iterations=3, sample_exponent=0),
+            train_after=30,
+            memtable_paths=len(corpus),
+            base_id=table.base_id,
+        ) as ingest:
+            ingest.feed_many(corpus.to_paths())
+        assert self._listing(tmp_path) == ["s.rpsm", shard_filename("s", 0)]
+        with ShardedPathStore.open(out) as store:
+            assert store.check() == len(corpus)
+            assert store.retrieve_all() == corpus.to_paths()
+
+    def test_failed_rebuild_orphans_remain_until_the_next_close(
+        self, corpus_and_table, tmp_path, monkeypatch
+    ):
+        corpus, table = corpus_and_table
+        out = str(tmp_path / "s.rpsm")
+        build_sharded_store(corpus, table, out, shards=4)
+        with monkeypatch.context() as patch:
+            TestShardWriter._fail_shard_write(patch, "s", 1)
+            with pytest.raises(OSError):
+                build_sharded_store(corpus, table, out, shards=2)
+        assert self._listing(tmp_path) == sorted(
+            ["s.rpsm"] + [shard_filename("s", index) for index in range(4)]
+        )
+        build_sharded_store(corpus, table, out, shards=2)
+        assert self._listing(tmp_path) == sorted(
+            ["s.rpsm"] + [shard_filename("s", index) for index in range(2)]
+        )

@@ -144,35 +144,81 @@ def test_closed_form_probe_counts_equal_per_probe_counts(weights, path, cap):
     assert cands.stats == reference
 
 
-#: ``zlib.crc32(dumps_table(table))`` and the build counters
-#: ``(candidates_pruned, matcher.probes, matcher.hashed_vertices)`` of
-#: ``OFFSConfig(sample_exponent=0)`` on each generated workload (seed 0),
-#: recorded when construction still sorted every candidate at line 17.
+#: The configurations the golden tables are built under: the ingest
+#: warm-up's (``sample_exponent=0``, as ``ShardedIngest`` fits its table),
+#: the degenerate ``iterations=0`` mode (one non-generating pass), and one
+#: top-down round at a capacity large enough that the round trims.
+CONFIGS = {
+    "warmup": {"sample_exponent": 0},
+    "iterations0": {"sample_exponent": 0, "iterations": 0},
+    "topdown1": {"sample_exponent": 0, "topdown_rounds": 1, "beta": 20.0},
+}
+
+#: ``zlib.crc32(dumps_table(table))``, the build counters
+#: ``(candidates_pruned, matcher.probes, matcher.hashed_vertices)`` and each
+#: iteration's ``matches_counted`` for each configuration on each generated
+#: workload (seed 0); ``medium`` is its first 1,000 paths, the ingest
+#: warm-up's sample.  Recorded with the reference scan loop (and, for
+#: ``warmup`` on tiny and small, when construction still sorted every
+#: candidate at line 17).  The two-level matcher probes differently but
+#: must build the same table, except under top-down trimming, whose
+#: cut-and-recount order follows the backend's iteration order.
 GOLDEN = {
-    ("tiny", "alibaba", "hash"): (3525418815, 9373, 25530, 109358),
-    ("tiny", "alibaba", "multilevel"): (3525418815, 9373, 22756, 76710),
-    ("tiny", "porto", "hash"): (1681510867, 17208, 52189, 230955),
-    ("tiny", "porto", "multilevel"): (1681510867, 17208, 43281, 149867),
-    ("tiny", "rome", "hash"): (417970727, 13908, 42315, 188414),
-    ("tiny", "rome", "multilevel"): (417970727, 13908, 35177, 121990),
-    ("small", "alibaba", "hash"): (952302603, 47952, 158832, 679970),
-    ("small", "alibaba", "multilevel"): (952302603, 47952, 154189, 508113),
-    ("small", "porto", "hash"): (2357884831, 39872, 161059, 694032),
-    ("small", "porto", "multilevel"): (2357884831, 39872, 156109, 521125),
-    ("small", "rome", "hash"): (1934132356, 32711, 135567, 587547),
-    ("small", "rome", "multilevel"): (1934132356, 32711, 131076, 439345),
+    ("warmup", "tiny", "alibaba", "hash"): (3525418815, 9373, 25530, 109358, (3365, 1757, 1232, 1215)),
+    ("warmup", "tiny", "alibaba", "multilevel"): (3525418815, 9373, 22756, 76710, (3365, 1757, 1232, 1215)),
+    ("warmup", "tiny", "porto", "hash"): (1681510867, 17208, 52189, 230955, (4426, 2258, 1775, 1622)),
+    ("warmup", "tiny", "porto", "multilevel"): (1681510867, 17208, 43281, 149867, (4426, 2258, 1775, 1622)),
+    ("warmup", "tiny", "rome", "hash"): (417970727, 13908, 42315, 188414, (3914, 2010, 1551, 1321)),
+    ("warmup", "tiny", "rome", "multilevel"): (417970727, 13908, 35177, 121990, (3914, 2010, 1551, 1321)),
+    ("warmup", "small", "alibaba", "hash"): (952302603, 47952, 158832, 679970, (33600, 18408, 11876, 11821)),
+    ("warmup", "small", "alibaba", "multilevel"): (952302603, 47952, 154189, 508113, (33600, 18408, 11876, 11821)),
+    ("warmup", "small", "porto", "hash"): (2357884831, 39872, 161059, 694032, (37640, 19951, 12365, 12090)),
+    ("warmup", "small", "porto", "multilevel"): (2357884831, 39872, 156109, 521125, (37640, 19951, 12365, 12090)),
+    ("warmup", "small", "rome", "hash"): (1934132356, 32711, 135567, 587547, (31658, 16613, 9995, 9729)),
+    ("warmup", "small", "rome", "multilevel"): (1934132356, 32711, 131076, 439345, (31658, 16613, 9995, 9729)),
+    ("warmup", "medium", "alibaba", "hash"): (647356835, 18120, 51768, 222663, (8381, 4438, 2973, 2946)),
+    ("warmup", "medium", "alibaba", "multilevel"): (647356835, 18120, 47384, 158760, (8381, 4438, 2973, 2946)),
+    ("warmup", "medium", "porto", "hash"): (26009355, 33615, 113303, 498189, (18510, 9934, 6708, 6627)),
+    ("warmup", "medium", "porto", "multilevel"): (26009355, 33615, 101405, 345553, (18510, 9934, 6708, 6627)),
+    ("warmup", "medium", "rome", "hash"): (3013346054, 31672, 123368, 538182, (26268, 13813, 8522, 8232)),
+    ("warmup", "medium", "rome", "multilevel"): (3013346054, 31672, 116557, 392891, (26268, 13813, 8522, 8232)),
+    ("iterations0", "tiny", "alibaba", "hash"): (2016191878, 973, 3365, 6730, (3365,)),
+    ("iterations0", "tiny", "alibaba", "multilevel"): (2016191878, 973, 3365, 6730, (3365,)),
+    ("iterations0", "tiny", "porto", "hash"): (996746969, 1917, 4426, 8852, (4426,)),
+    ("iterations0", "tiny", "porto", "multilevel"): (996746969, 1917, 4426, 8852, (4426,)),
+    ("iterations0", "tiny", "rome", "hash"): (1308265914, 1504, 3914, 7828, (3914,)),
+    ("iterations0", "tiny", "rome", "multilevel"): (1308265914, 1504, 3914, 7828, (3914,)),
+    ("topdown1", "tiny", "alibaba", "hash"): (3172117823, 7562, 27413, 122349, (3365, 1726, 1120, 1094)),
+    ("topdown1", "tiny", "alibaba", "multilevel"): (3172117823, 7562, 25119, 85866, (3365, 1726, 1120, 1094)),
+    ("topdown1", "tiny", "porto", "hash"): (164202216, 13205, 52828, 239652, (4426, 2201, 1502, 1294)),
+    ("topdown1", "tiny", "porto", "multilevel"): (3876402258, 13205, 45263, 157789, (4426, 2201, 1502, 1294)),
+    ("topdown1", "tiny", "rome", "hash"): (3896676225, 10110, 38437, 174446, (3914, 1951, 1228, 1057)),
+    ("topdown1", "tiny", "rome", "multilevel"): (3955432674, 10110, 33780, 117455, (3914, 1951, 1228, 1057)),
 }
 
 
-@pytest.mark.parametrize("size,workload,matcher", sorted(GOLDEN))
-def test_golden_tables(size, workload, matcher):
+def golden_id(key):
+    """``size-workload-matcher``, prefixed with the configuration unless
+    it is the warm-up's, the one the first pins were recorded under."""
+    return "-".join(part for part in key if part != "warmup")
+
+
+@pytest.mark.parametrize(
+    "config,size,workload,matcher", sorted(GOLDEN), ids=map(golden_id, sorted(GOLDEN))
+)
+def test_golden_tables(config, size, workload, matcher):
     dataset = make_dataset(workload, size, seed=0)
+    if size == "medium":
+        dataset = list(dataset)[:1000]
     with instrumented() as obs:
-        table, _ = TableBuilder(OFFSConfig(sample_exponent=0, matcher=matcher)).build(dataset)
+        table, report = TableBuilder(
+            OFFSConfig(matcher=matcher, **CONFIGS[config])
+        ).build(dataset)
     counters = obs.registry.counters()
     assert (
         zlib.crc32(dumps_table(table)),
         counters["build.candidates_pruned"],
         counters["build.matcher.probes"],
         counters["build.matcher.hashed_vertices"],
-    ) == GOLDEN[size, workload, matcher]
+        tuple(stats.matches_counted for stats in report.iterations),
+    ) == GOLDEN[config, size, workload, matcher]
